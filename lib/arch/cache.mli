@@ -14,4 +14,3 @@ val hits : t -> int
 val misses : t -> int
 val writebacks : t -> int
 val hit_rate : t -> float
-val reset_stats : t -> unit

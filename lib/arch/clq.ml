@@ -13,16 +13,17 @@ type region_entry = {
   mutable addrs : ISet.t; (* ideal *)
   mutable lo : int; (* compact *)
   mutable hi : int;
-  mutable any : bool;
 }
 
 type t = {
   design : design;
-  mutable entries : region_entry list; (* one per un-cleared region *)
+  mutable entries : region_entry list; (* one per un-cleared region, any order *)
   mutable enabled : bool;
   mutable overflows : int;
-  mutable inserted_loads : int;
-  mutable populated_samples : int list; (* entries-in-use at each sample *)
+  (* entries in use at each sample: how many samples, their sum, their max *)
+  mutable samples : int;
+  mutable populated_total : int;
+  mutable populated_max : int;
 }
 
 let create design =
@@ -34,8 +35,9 @@ let create design =
     entries = [];
     enabled = true;
     overflows = 0;
-    inserted_loads = 0;
-    populated_samples = [];
+    samples = 0;
+    populated_total = 0;
+    populated_max = 0;
   }
 
 let copy t =
@@ -55,7 +57,22 @@ let entries_in_use t = List.length t.entries
 
 let capacity t = match t.design with Ideal -> max_int | Compact n -> n
 
-let find_region t region = List.find_opt (fun e -> e.region = region) t.entries
+(* [region]'s entry, or [no_entry] when it has none: the lookup runs on
+   every load and store, so it allocates neither a closure nor an option. *)
+let no_entry = { region = -1; addrs = ISet.empty; lo = 0; hi = 0 }
+
+let rec find region = function
+  | [] -> no_entry
+  | e :: rest -> if e.region = region then e else find region rest
+
+(* [entries] without [region]'s entry; the list itself when it has none. *)
+let rec remove region = function
+  | [] -> []
+  | e :: rest as entries ->
+    if e.region = region then rest
+    else
+      let rest' = remove region rest in
+      if rest' == rest then entries else e :: rest'
 
 let disable t =
   t.enabled <- false;
@@ -65,26 +82,26 @@ let disable t =
 let record_load t ~region addr =
   if not t.enabled then false
   else begin
-    match find_region t region with
-    | Some e ->
-      t.inserted_loads <- t.inserted_loads + 1;
-      e.addrs <- ISet.add addr e.addrs;
-      if addr < e.lo then e.lo <- addr;
-      if addr > e.hi then e.hi <- addr;
-      e.any <- true;
+    let e = find region t.entries in
+    if e != no_entry then begin
+      (match t.design with
+      | Ideal -> e.addrs <- ISet.add addr e.addrs
+      | Compact _ ->
+        if addr < e.lo then e.lo <- addr;
+        if addr > e.hi then e.hi <- addr);
       false
-    | None ->
-      if entries_in_use t >= capacity t then begin
-        disable t;
-        true
-      end
-      else begin
-        t.inserted_loads <- t.inserted_loads + 1;
-        t.entries <-
-          t.entries
-          @ [ { region; addrs = ISet.singleton addr; lo = addr; hi = addr; any = true } ];
-        false
-      end
+    end
+    else if entries_in_use t >= capacity t then begin
+      disable t;
+      true
+    end
+    else begin
+      let addrs =
+        match t.design with Ideal -> ISet.singleton addr | Compact _ -> ISet.empty
+      in
+      t.entries <- { region; addrs; lo = addr; hi = addr } :: t.entries;
+      false
+    end
   end
 
 let war_free t ~region addr =
@@ -92,17 +109,14 @@ let war_free t ~region addr =
      enabled and no prior load of its own region may alias it. *)
   t.enabled
   &&
-  match find_region t region with
-  | None -> true
-  | Some e -> (
-    if not e.any then true
-    else
-      match t.design with
-      | Ideal -> not (ISet.mem addr e.addrs)
-      | Compact _ -> addr < e.lo || addr > e.hi)
+  let e = find region t.entries in
+  e == no_entry
+  ||
+  match t.design with
+  | Ideal -> not (ISet.mem addr e.addrs)
+  | Compact _ -> addr < e.lo || addr > e.hi
 
-let on_region_verified t ~region =
-  t.entries <- List.filter (fun e -> e.region <> region) t.entries
+let on_region_verified t ~region = t.entries <- remove region t.entries
 
 let maybe_enable t ~unverified_regions =
   (* Fig 13: after an overflow the logic stays off until a region boundary
@@ -110,15 +124,16 @@ let maybe_enable t ~unverified_regions =
      region is still pending). *)
   if (not t.enabled) && unverified_regions <= 1 then t.enabled <- true
 
-let sample t = t.populated_samples <- entries_in_use t :: t.populated_samples
+let sample t =
+  let n = entries_in_use t in
+  t.samples <- t.samples + 1;
+  t.populated_total <- t.populated_total + n;
+  if n > t.populated_max then t.populated_max <- n
 
 let overflows t = t.overflows
-let inserted_loads t = t.inserted_loads
 
-let max_populated t = List.fold_left max 0 t.populated_samples
+let max_populated t = t.populated_max
 
 let mean_populated t =
-  match t.populated_samples with
-  | [] -> 0.0
-  | l ->
-    float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
+  if t.samples = 0 then 0.0
+  else float_of_int t.populated_total /. float_of_int t.samples

@@ -47,6 +47,5 @@ val sample : t -> unit
 (** Record current entry usage (drives the paper's Fig 24 statistic). *)
 
 val overflows : t -> int
-val inserted_loads : t -> int
 val max_populated : t -> int
 val mean_populated : t -> float

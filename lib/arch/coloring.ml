@@ -48,19 +48,23 @@ let try_assign t ~reg ~region =
 let on_region_verified t ~region =
   (* For every register checkpointed by [region] through a color: the old
      verified color returns to the pool and the region's color becomes the
-     verified one. *)
-  Array.iter
-    (fun row ->
-      let newly = ref None in
-      Array.iteri
-        (fun c s -> match s with Used r when r = region -> newly := Some c | _ -> ())
-        row;
-      match !newly with
-      | None -> ()
-      | Some c ->
-        Array.iteri (fun c' s -> if s = Verified then row.(c') <- Free) row;
-        row.(c) <- Verified)
-    t.states
+     verified one. Runs at every region verification, so it loops rather
+     than allocating closures. *)
+  for reg = 0 to Array.length t.states - 1 do
+    let row = t.states.(reg) in
+    let newly = ref (-1) in
+    for c = 0 to Array.length row - 1 do
+      match row.(c) with
+      | Used r when r = region -> newly := c
+      | Free | Used _ | Verified -> ()
+    done;
+    if !newly >= 0 then begin
+      for c = 0 to Array.length row - 1 do
+        match row.(c) with Verified -> row.(c) <- Free | Free | Used _ -> ()
+      done;
+      row.(!newly) <- Verified
+    end
+  done
 
 let verified_color t ~reg =
   if not (in_range t reg) then None

@@ -45,7 +45,7 @@ type t = {
   sb : Store_buffer.t;
   rbb : Rbb.t;
   predictor : Branch_predictor.t;
-  reg_ready : (Reg.t, int) Hashtbl.t;
+  reg_ready : Reg_ready.t;
   completions : int array; (* ring buffer of the last [rob_size] completions *)
   alu_free : int array;
   mutable load_free : int;
@@ -64,7 +64,7 @@ let create cfg =
     sb = Store_buffer.create cfg.sb_size;
     rbb = Rbb.create 16;
     predictor = Branch_predictor.create ();
-    reg_ready = Hashtbl.create 64;
+    reg_ready = Reg_ready.create ();
     completions = Array.make cfg.rob_size 0;
     alu_free = Array.make cfg.alus 0;
     load_free = 0;
@@ -76,64 +76,63 @@ let create cfg =
     stats = Sim_stats.create ();
   }
 
-let ready t r =
-  if Reg.is_zero r then 0 else Option.value (Hashtbl.find_opt t.reg_ready r) ~default:0
+(* Background events up to [cycle]; toplevel walks, as in {!Timing}, so
+   the per-dispatch call allocates nothing when nothing is due. *)
+let rec drain_verified t ~cycle = function
+  | [] -> ()
+  | (r : Rbb.region) :: rest ->
+    let v = Option.value r.Rbb.verify_at ~default:cycle in
+    let start = Int.max v t.drain_free_at in
+    t.drain_free_at <- Store_buffer.assign_releases t.sb ~region:r.Rbb.seq ~start;
+    drain_verified t ~cycle rest
+
+let rec release_stores t = function
+  | [] -> ()
+  | (r : Store_buffer.released) :: rest ->
+    Mem_hierarchy.store_release t.mem r.Store_buffer.addr;
+    release_stores t rest
 
 let settle t ~cycle =
-  List.iter
-    (fun (r : Rbb.region) ->
-      let v = Option.value r.Rbb.verify_at ~default:cycle in
-      t.drain_free_at <-
-        Store_buffer.assign_releases t.sb ~region:r.Rbb.seq ~start:(max v t.drain_free_at))
-    (Rbb.pop_verified t.rbb ~cycle);
-  List.iter
-    (fun (r : Store_buffer.released) ->
-      Mem_hierarchy.store_release t.mem r.Store_buffer.addr)
-    (Store_buffer.release_up_to t.sb cycle)
+  drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
+  release_stores t (Store_buffer.release_up_to t.sb cycle)
 
 (* Claim one unit of a resource pool no earlier than [at]; the pool grants
    each unit one operation per cycle. *)
 let claim_pool pool ~at =
   let best = ref 0 in
-  Array.iteri (fun i v -> if v < pool.(!best) then best := i else ignore v) pool;
-  let start = max at pool.(!best) in
+  for i = 1 to Array.length pool - 1 do
+    if pool.(i) < pool.(!best) then best := i
+  done;
+  let start = Int.max at pool.(!best) in
   pool.(!best) <- start + 1;
   start
 
-let claim_scalar current ~at =
-  let start = max at !current in
-  current := start + 1;
-  start
-
-(* Dispatch an instruction: respect the reorder window and fetch stream,
-   wait for sources, claim the unit, record completion. Returns (start,
-   completion). *)
-let dispatch t ~srcs ~unit_kind ~latency =
+(* Dispatch an instruction whose sources are ready at [ready]: respect the
+   reorder window and fetch stream, claim the unit, record completion
+   [latency] cycles after the start. Returns the start cycle. *)
+let dispatch t ~ready ~unit_kind ~latency =
   let slot = t.issued mod t.cfg.rob_size in
   let window_ready = t.completions.(slot) in
-  let data_ready = List.fold_left (fun acc r -> max acc (ready t r)) 0 srcs in
-  let at = max (max window_ready t.fetch_ready) data_ready in
+  let at = Int.max (Int.max window_ready t.fetch_ready) ready in
   settle t ~cycle:at;
   let start =
     match unit_kind with
     | `Alu -> claim_pool t.alu_free ~at
     | `Load ->
-      let c = ref t.load_free in
-      let s = claim_scalar c ~at in
-      t.load_free <- !c;
+      let s = Int.max at t.load_free in
+      t.load_free <- s + 1;
       s
     | `Store ->
-      let c = ref t.store_free in
-      let s = claim_scalar c ~at in
-      t.store_free <- !c;
+      let s = Int.max at t.store_free in
+      t.store_free <- s + 1;
       s
   in
   let completion = start + latency in
   t.completions.(slot) <- completion;
   t.issued <- t.issued + 1;
-  t.last_completion <- max t.last_completion completion;
+  t.last_completion <- Int.max t.last_completion completion;
   t.stats.Sim_stats.instructions <- t.stats.Sim_stats.instructions + 1;
-  (start, completion)
+  start
 
 (* Wait for a free store-buffer entry no earlier than [at]. *)
 let rec sb_entry_at t ~at =
@@ -142,15 +141,37 @@ let rec sb_entry_at t ~at =
   else
     let next =
       match Store_buffer.earliest_release t.sb with
-      | Some r -> max r (at + 1)
+      | Some r -> Int.max r (at + 1)
       | None -> (
         match Rbb.next_verify_time t.rbb with
-        | Some v -> max v (at + 1)
+        | Some v -> Int.max v (at + 1)
         | None -> at + 1)
     in
     t.stats.Sim_stats.sb_full_stall_cycles <-
       t.stats.Sim_stats.sb_full_stall_cycles + (next - at);
     sb_entry_at t ~at:next
+
+(* A store or checkpoint. It only completes (commits) once a store-buffer
+   entry is free: the wait flows into its ROB completion slot, so a full
+   SB backpressures dispatch through the reorder window, exactly how a
+   real OoO core feels quarantine pressure. *)
+let store t ~ready ~addr ~is_ckpt =
+  let start = dispatch t ~ready ~unit_kind:`Store ~latency:1 in
+  let commit_slot = (t.issued - 1) mod t.cfg.rob_size in
+  let at =
+    if t.cfg.verification || Store_buffer.is_full t.sb then sb_entry_at t ~at:start
+    else start
+  in
+  t.completions.(commit_slot) <- Int.max t.completions.(commit_slot) (at + 1);
+  t.last_completion <- Int.max t.last_completion (at + 1);
+  if t.cfg.verification then begin
+    Store_buffer.alloc t.sb ~addr ~region:(Rbb.current_seq t.rbb) ~is_ckpt
+      ~release_at:None;
+    t.stats.Sim_stats.quarantined <- t.stats.Sim_stats.quarantined + 1
+  end
+  else Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(Some (at + 2));
+  if is_ckpt then t.stats.Sim_stats.ckpts <- t.stats.Sim_stats.ckpts + 1
+  else t.stats.Sim_stats.stores <- t.stats.Sim_stats.stores + 1
 
 let run_event t (e : Trace.event) =
   match e with
@@ -164,10 +185,9 @@ let run_event t (e : Trace.event) =
     ignore (Rbb.open_region t.rbb ~static_id:region);
     t.stats.Sim_stats.boundaries <- t.stats.Sim_stats.boundaries + 1
   | Trace.Alu { dst; srcs } ->
-    let _, completion = dispatch t ~srcs ~unit_kind:`Alu ~latency:1 in
-    (match dst with
-    | Some d when not (Reg.is_zero d) -> Hashtbl.replace t.reg_ready d completion
-    | Some _ | None -> ())
+    let ready = Reg_ready.latest t.reg_ready srcs in
+    let start = dispatch t ~ready ~unit_kind:`Alu ~latency:1 in
+    (match dst with Some d -> Reg_ready.set t.reg_ready d (start + 1) | None -> ())
   | Trace.Load { dst; srcs; addr; kind = _ } ->
     let lat =
       if Store_buffer.contains_addr t.sb addr then begin
@@ -177,48 +197,25 @@ let run_event t (e : Trace.event) =
       end
       else Mem_hierarchy.load_latency t.mem addr
     in
-    let _, completion = dispatch t ~srcs ~unit_kind:`Load ~latency:lat in
-    Hashtbl.replace t.reg_ready dst completion;
+    let ready = Reg_ready.latest t.reg_ready srcs in
+    let start = dispatch t ~ready ~unit_kind:`Load ~latency:lat in
+    Reg_ready.set t.reg_ready dst (start + lat);
     t.stats.Sim_stats.loads <- t.stats.Sim_stats.loads + 1
-  | (Trace.Store _ | Trace.Ckpt _) as ev ->
-    let srcs, addr, is_ckpt =
-      match ev with
-      | Trace.Store { srcs; addr; _ } -> (srcs, addr, false)
-      | Trace.Ckpt { src } -> ([ src ], Layout.ckpt_slot ~reg:(max src 0) ~color:0, true)
-      | _ -> assert false
-    in
-    let start, _ = dispatch t ~srcs ~unit_kind:`Store ~latency:1 in
-    (* A store only completes (commits) once a store-buffer entry is free:
-       the wait flows into its ROB completion slot, so a full SB
-       backpressures dispatch through the reorder window — exactly how a
-       real OoO core feels quarantine pressure. *)
-    let commit_slot = (t.issued - 1) mod t.cfg.rob_size in
-    let finish_at at =
-      t.completions.(commit_slot) <- max t.completions.(commit_slot) (at + 1);
-      t.last_completion <- max t.last_completion (at + 1)
-    in
-    if t.cfg.verification then begin
-      let at = sb_entry_at t ~at:start in
-      finish_at at;
-      Store_buffer.alloc t.sb ~addr ~region:(Rbb.current_seq t.rbb) ~is_ckpt
-        ~release_at:None;
-      t.stats.Sim_stats.quarantined <- t.stats.Sim_stats.quarantined + 1
-    end
-    else begin
-      let at = if Store_buffer.is_full t.sb then sb_entry_at t ~at:start else start in
-      finish_at at;
-      Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(Some (at + 2))
-    end;
-    if is_ckpt then t.stats.Sim_stats.ckpts <- t.stats.Sim_stats.ckpts + 1
-    else t.stats.Sim_stats.stores <- t.stats.Sim_stats.stores + 1
+  | Trace.Store { srcs; addr; cls = _ } ->
+    store t ~ready:(Reg_ready.latest t.reg_ready srcs) ~addr ~is_ckpt:false
+  | Trace.Ckpt { src } ->
+    store t ~ready:(Reg_ready.get t.reg_ready src)
+      ~addr:(Layout.ckpt_slot ~reg:(Int.max src 0) ~color:0)
+      ~is_ckpt:true
   | Trace.Branch { srcs; taken; pc } ->
-    let _, completion = dispatch t ~srcs ~unit_kind:`Alu ~latency:1 in
+    let ready = Reg_ready.latest t.reg_ready srcs in
+    let start = dispatch t ~ready ~unit_kind:`Alu ~latency:1 in
     let correct =
       match srcs with
       | [] -> Branch_predictor.update t.predictor ~pc ~taken:true
       | _ :: _ -> Branch_predictor.update t.predictor ~pc ~taken
     in
-    if not correct then t.fetch_ready <- completion + t.cfg.branch_penalty
+    if not correct then t.fetch_ready <- start + 1 + t.cfg.branch_penalty
 
 let simulate cfg trace =
   let t = create cfg in

@@ -1,25 +1,19 @@
 (* Region boundary buffer: one entry per in-flight (unverified) dynamic
-   region, recording when it ended and when it will be verified. The entry
-   also anchors the recovery PC (represented here by the static region id). *)
+   region, recording when it will be verified. The entry also anchors the
+   recovery PC (represented here by the static region id). *)
 
-type region = {
-  seq : int;
-  static_id : int;
-  mutable end_cycle : int option;
-  mutable verify_at : int option;
-}
+type region = { seq : int; static_id : int; mutable verify_at : int option }
 
 type t = {
   size : int;
   mutable pending : region list; (* oldest first; all unverified *)
   mutable current : region option; (* open region, not yet in pending *)
   mutable next_seq : int;
-  mutable last_verified_static : int option;
 }
 
 let create size =
   if size <= 0 then invalid_arg "Rbb.create: size must be positive";
-  { size; pending = []; current = None; next_seq = 0; last_verified_static = None }
+  { size; pending = []; current = None; next_seq = 0 }
 
 let current t = t.current
 
@@ -32,7 +26,7 @@ let is_full t = unverified_count t >= t.size
 
 let open_region t ~static_id =
   if t.current <> None then invalid_arg "Rbb.open_region: a region is already open";
-  let r = { seq = t.next_seq; static_id; end_cycle = None; verify_at = None } in
+  let r = { seq = t.next_seq; static_id; verify_at = None } in
   t.next_seq <- t.next_seq + 1;
   t.current <- Some r;
   r
@@ -41,7 +35,6 @@ let close_region t ~end_cycle ~wcdl =
   match t.current with
   | None -> invalid_arg "Rbb.close_region: no open region"
   | Some r ->
-    r.end_cycle <- Some end_cycle;
     r.verify_at <- Some (end_cycle + wcdl);
     t.pending <- t.pending @ [ r ];
     t.current <- None;
@@ -52,19 +45,11 @@ let next_verify_time t =
   | [] -> None
   | r :: _ -> r.verify_at
 
-let pop_verified t ~cycle =
+let rec pop_verified t ~cycle =
   (* Regions verify in order; pop every closed region whose WCDL window has
-     elapsed by [cycle]. *)
-  let rec go acc =
-    match t.pending with
-    | r :: rest when (match r.verify_at with Some v -> v <= cycle | None -> false) ->
-      t.pending <- rest;
-      t.last_verified_static <- Some r.static_id;
-      go (r :: acc)
-    | _ -> List.rev acc
-  in
-  go []
-
-let pending_regions t = t.pending
-
-let last_verified_static t = t.last_verified_static
+     elapsed by [cycle], oldest first. *)
+  match t.pending with
+  | ({ verify_at = Some v; _ } as r) :: rest when v <= cycle ->
+    t.pending <- rest;
+    r :: pop_verified t ~cycle
+  | _ -> []

@@ -1,14 +1,13 @@
 (** Region boundary buffer (RBB), paper §2.1 and Fig 2.
 
-    One entry per in-flight (unverified) dynamic region: when the region
-    ended, when it verifies, and which static region it instantiates (the
-    recovery-PC anchor). Regions verify strictly in order. *)
+    One entry per in-flight (unverified) dynamic region: when it verifies
+    and which static region it instantiates (the recovery-PC anchor).
+    Regions verify strictly in order. *)
 
 type region = {
   seq : int;  (** dynamic region sequence number *)
   static_id : int;  (** static region id of the boundary that opened it *)
-  mutable end_cycle : int option;
-  mutable verify_at : int option;
+  mutable verify_at : int option;  (** set when the region closes *)
 }
 
 type t
@@ -38,7 +37,5 @@ val next_verify_time : t -> int option
 (** Verification time of the oldest closed region. *)
 
 val pop_verified : t -> cycle:int -> region list
-(** Remove (in order) every closed region verified by [cycle]. *)
-
-val pending_regions : t -> region list
-val last_verified_static : t -> int option
+(** Remove (in order) every closed region verified by [cycle]. Allocates
+    nothing when none is. *)

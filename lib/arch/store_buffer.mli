@@ -3,7 +3,10 @@
     Under verification, an entry allocated by a committed store is
     quarantined until its region is verified error-free; entries then drain
     to L1 one per cycle. In baseline mode entries carry a release time from
-    the start. *)
+    the start. The entries sit in fixed-size arrays, so the operations the
+    timing models run every cycle or store ({!alloc}, {!contains_addr},
+    {!assign_releases}, and {!release_up_to} when nothing is due) allocate
+    nothing. *)
 
 type t
 
@@ -39,7 +42,8 @@ type released = {
     timeline release event with its true drain cycle and region. *)
 
 val release_up_to : t -> int -> released list
-(** Remove and return the entries whose release time has passed. *)
+(** Remove and return the entries whose release time has passed, oldest
+    first. *)
 
 val earliest_release : t -> int option
 (** Earliest assigned release time, if any entry has one. *)
@@ -51,6 +55,3 @@ val all_unreleasable : t -> current_region:int -> bool
 
 val force_release_oldest : t -> (int * bool) option
 (** Escape hatch for non-strict simulation of mis-partitioned code. *)
-
-val unverified_regions : t -> int list
-(** Dynamic region ids with quarantined entries, ascending. *)

@@ -40,7 +40,7 @@ type t = {
   coloring : Coloring.t option;
   predictor : Branch_predictor.t;
   stats : Sim_stats.t;
-  reg_ready : (Reg.t, int) Hashtbl.t;
+  reg_ready : Reg_ready.t;
   mutable cycle : int; (* current issue cycle *)
   mutable slots : int; (* issue slots used in [cycle] *)
   mutable load_port_cycle : int; (* last cycle the load AGU was used *)
@@ -60,7 +60,7 @@ let create ?(tel = Telemetry.null) (machine : Machine.t) =
     coloring = (if machine.coloring then Some (Coloring.create ~colors:machine.Machine.colors ~nregs:machine.nregs ()) else None);
     predictor = Branch_predictor.create ();
     stats = Sim_stats.create ();
-    reg_ready = Hashtbl.create 64;
+    reg_ready = Reg_ready.create ();
     cycle = 0;
     slots = 0;
     load_port_cycle = -1;
@@ -68,11 +68,6 @@ let create ?(tel = Telemetry.null) (machine : Machine.t) =
     fetch_ready = 0;
     drain_free_at = 0;
   }
-
-let ready_time t r =
-  if Reg.is_zero r then 0 else Option.value (Hashtbl.find_opt t.reg_ready r) ~default:0
-
-let set_ready t r c = if not (Reg.is_zero r) then Hashtbl.replace t.reg_ready r c
 
 (* Cycle-stamped timeline events. Every site guards on the sink's immutable
    [enabled] flag, so a disabled run pays one field load per site and
@@ -117,36 +112,42 @@ let ev_region_close t (r : Rbb.region) =
   end
 
 (* Process background events (region verifications, SB drains) up to and
-   including [cycle]. *)
+   including [cycle]. This runs every time the issue point moves, so it
+   walks the (usually empty) lists with toplevel functions, not closures. *)
+let rec drain_verified t ~cycle = function
+  | [] -> ()
+  | (r : Rbb.region) :: rest ->
+    let verify_at = Option.value r.verify_at ~default:cycle in
+    let start = Int.max verify_at t.drain_free_at in
+    t.drain_free_at <- Store_buffer.assign_releases t.sb ~region:r.seq ~start;
+    (match t.coloring with
+    | Some col -> Coloring.on_region_verified col ~region:r.seq
+    | None -> ());
+    (match t.clq with
+    | Some clq ->
+      Clq.on_region_verified clq ~region:r.seq;
+      Clq.maybe_enable clq ~unverified_regions:(Rbb.unverified_count t.rbb)
+    | None -> ());
+    drain_verified t ~cycle rest
+
+let rec release_stores t = function
+  | [] -> ()
+  | (r : Store_buffer.released) :: rest ->
+    Mem_hierarchy.store_release t.mem r.addr;
+    if ev_enabled t then
+      Telemetry.instant t.tel ~ts:r.at ~tid:track_sb ~cat:"sb"
+        ~args:
+          [
+            ("addr", Telemetry.Int r.addr);
+            ("region", Telemetry.Int r.region);
+            ("is_ckpt", Telemetry.Bool r.is_ckpt);
+          ]
+        "release";
+    release_stores t rest
+
 let settle t ~cycle =
-  let verified = Rbb.pop_verified t.rbb ~cycle in
-  List.iter
-    (fun (r : Rbb.region) ->
-      let verify_at = Option.value r.verify_at ~default:cycle in
-      let start = max verify_at t.drain_free_at in
-      t.drain_free_at <- Store_buffer.assign_releases t.sb ~region:r.seq ~start;
-      (match t.coloring with
-      | Some col -> Coloring.on_region_verified col ~region:r.seq
-      | None -> ());
-      match t.clq with
-      | Some clq ->
-        Clq.on_region_verified clq ~region:r.seq;
-        Clq.maybe_enable clq ~unverified_regions:(Rbb.unverified_count t.rbb)
-      | None -> ())
-    verified;
-  List.iter
-    (fun (r : Store_buffer.released) ->
-      Mem_hierarchy.store_release t.mem r.addr;
-      if ev_enabled t then
-        Telemetry.instant t.tel ~ts:r.at ~tid:track_sb ~cat:"sb"
-          ~args:
-            [
-              ("addr", Telemetry.Int r.addr);
-              ("region", Telemetry.Int r.region);
-              ("is_ckpt", Telemetry.Bool r.is_ckpt);
-            ]
-          "release")
-    (Store_buffer.release_up_to t.sb cycle)
+  drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
+  release_stores t (Store_buffer.release_up_to t.sb cycle)
 
 (* Move the issue point to [c] (settling background state), resetting the
    per-cycle slot count when the cycle advances. *)
@@ -159,76 +160,65 @@ let advance_to t c =
 
 type port = No_port | Load_port | Store_port
 
-(* Claim an issue slot at the earliest cycle >= data-ready constraints.
-   The core has one load AGU and one store AGU (Cortex-A53 style), so a
-   load and a store may issue in the same cycle but two loads (or two
-   stores) may not. Returns the issue cycle. *)
-let issue t ~srcs ~port =
-  let data_ready = List.fold_left (fun acc r -> max acc (ready_time t r)) 0 srcs in
-  let earliest = max (max data_ready t.fetch_ready) t.cycle in
+let port_busy t = function
+  | No_port -> false
+  | Load_port -> t.load_port_cycle = t.cycle
+  | Store_port -> t.store_port_cycle = t.cycle
+
+(* Claim an issue slot at the earliest cycle >= [ready], the cycle the
+   instruction's sources are ready. The core has one load AGU and one
+   store AGU (Cortex-A53 style), so a load and a store may issue in the
+   same cycle but two loads (or two stores) may not. Returns the issue
+   cycle. *)
+let issue t ~ready ~port =
+  let earliest = Int.max (Int.max ready t.fetch_ready) t.cycle in
   if earliest > t.cycle then
     t.stats.data_stall_cycles <-
       t.stats.data_stall_cycles + (earliest - t.cycle);
   advance_to t earliest;
-  let port_busy () =
-    match port with
-    | No_port -> false
-    | Load_port -> t.load_port_cycle = t.cycle
-    | Store_port -> t.store_port_cycle = t.cycle
-  in
-  let rec claim () =
-    if t.slots >= t.machine.issue_width || port_busy () then begin
-      advance_to t (t.cycle + 1);
-      claim ()
-    end
-    else begin
-      t.slots <- t.slots + 1;
-      (match port with
-      | No_port -> ()
-      | Load_port -> t.load_port_cycle <- t.cycle
-      | Store_port -> t.store_port_cycle <- t.cycle);
-      t.cycle
-    end
-  in
-  claim ()
+  while t.slots >= t.machine.issue_width || port_busy t port do
+    advance_to t (t.cycle + 1)
+  done;
+  t.slots <- t.slots + 1;
+  (match port with
+  | No_port -> ()
+  | Load_port -> t.load_port_cycle <- t.cycle
+  | Store_port -> t.store_port_cycle <- t.cycle);
+  t.cycle
 
 (* Wait (from the current issue point) until the store buffer has a free
    entry, charging the wait to SB-full stalls. *)
 let wait_for_sb_entry t =
   let waited_from = t.cycle in
-  let rec go () =
-    settle t ~cycle:t.cycle;
-    if not (Store_buffer.is_full t.sb) then ()
-    else begin
-      let current = Rbb.current_seq t.rbb in
-      if Store_buffer.all_unreleasable t.sb ~current_region:current then begin
-        (* A single region filled the whole SB: the compiler's SB-aware
-           partitioning is supposed to prevent this. *)
-        if t.machine.strict_partitioning then
-          raise
-            (Partitioning_violation
-               (Printf.sprintf "region %d holds all %d SB entries" current
-                  t.machine.sb_size));
-        t.stats.partition_violations <- t.stats.partition_violations + 1;
-        (match Store_buffer.force_release_oldest t.sb with
-        | Some (addr, _) -> Mem_hierarchy.store_release t.mem addr
-        | None -> ())
-      end
-      else begin
-        let next =
-          match Store_buffer.earliest_release t.sb with
-          | Some r -> max r (t.cycle + 1)
-          | None -> (
-            match Rbb.next_verify_time t.rbb with
-            | Some v -> max v (t.cycle + 1)
-            | None -> t.cycle + 1)
-        in
-        advance_to t next;
-        go ()
-      end
+  settle t ~cycle:t.cycle;
+  while Store_buffer.is_full t.sb do
+    let current = Rbb.current_seq t.rbb in
+    if Store_buffer.all_unreleasable t.sb ~current_region:current then begin
+      (* A single region filled the whole SB: the compiler's SB-aware
+         partitioning is supposed to prevent this. *)
+      if t.machine.strict_partitioning then
+        raise
+          (Partitioning_violation
+             (Printf.sprintf "region %d holds all %d SB entries" current
+                t.machine.sb_size));
+      t.stats.partition_violations <- t.stats.partition_violations + 1;
+      match Store_buffer.force_release_oldest t.sb with
+      | Some (addr, _) -> Mem_hierarchy.store_release t.mem addr
+      | None -> ()
     end
-  in
-  go ();
+    else begin
+      let next =
+        match Store_buffer.earliest_release t.sb with
+        | Some r -> Int.max r (t.cycle + 1)
+        | None -> (
+          match Rbb.next_verify_time t.rbb with
+          | Some v -> Int.max v (t.cycle + 1)
+          | None -> t.cycle + 1)
+      in
+      advance_to t next
+    end;
+    settle t ~cycle:t.cycle
+  done;
   if t.cycle > waited_from then begin
     t.stats.sb_full_stall_cycles <-
       t.stats.sb_full_stall_cycles + (t.cycle - waited_from);
@@ -248,7 +238,7 @@ let handle_boundary t ~static_id =
   while Rbb.is_full t.rbb do
     let next =
       match Rbb.next_verify_time t.rbb with
-      | Some v -> max v (t.cycle + 1)
+      | Some v -> Int.max v (t.cycle + 1)
       | None -> t.cycle + 1
     in
     advance_to t next;
@@ -268,11 +258,11 @@ let handle_boundary t ~static_id =
   Store_buffer.sample t.sb;
   t.stats.boundaries <- t.stats.boundaries + 1
 
-let handle_store t ~srcs ~addr ~is_ckpt =
+let handle_store t ~ready ~addr ~is_ckpt =
   if not t.machine.verification then begin
     (* Baseline: a store occupies the SB briefly while it drains to L1. *)
     if Store_buffer.is_full t.sb then wait_for_sb_entry t;
-    let c = issue t ~srcs ~port:Store_port in
+    let c = issue t ~ready ~port:Store_port in
     Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt
       ~release_at:(Some (c + t.machine.baseline_drain))
   end
@@ -286,7 +276,7 @@ let handle_store t ~srcs ~addr ~is_ckpt =
       && not (Store_buffer.contains_addr t.sb addr)
     in
     if fast then begin
-      let c = issue t ~srcs ~port:Store_port in
+      let c = issue t ~ready ~port:Store_port in
       Mem_hierarchy.store_release t.mem addr;
       t.stats.war_free_released <- t.stats.war_free_released + 1;
       if ev_enabled t then
@@ -296,7 +286,7 @@ let handle_store t ~srcs ~addr ~is_ckpt =
     end
     else begin
       if Store_buffer.is_full t.sb then wait_for_sb_entry t;
-      let c = issue t ~srcs ~port:Store_port in
+      let c = issue t ~ready ~port:Store_port in
       Store_buffer.alloc t.sb ~addr ~region ~is_ckpt ~release_at:None;
       t.stats.quarantined <- t.stats.quarantined + 1;
       if is_ckpt then t.stats.ckpt_quarantined <- t.stats.ckpt_quarantined + 1;
@@ -321,9 +311,10 @@ let handle_ckpt t ~src =
       | Some col when Reg.is_physical src -> Coloring.try_assign col ~reg:src ~region
       | Some _ | None -> None
   in
+  let ready = Reg_ready.get t.reg_ready src in
   match fast_color with
   | Some color ->
-    let c = issue t ~srcs:[ src ] ~port:Store_port in
+    let c = issue t ~ready ~port:Store_port in
     Mem_hierarchy.store_release t.mem (Layout.ckpt_slot ~reg:src ~color);
     t.stats.colored_released <- t.stats.colored_released + 1;
     if ev_enabled t then
@@ -331,18 +322,18 @@ let handle_ckpt t ~src =
         ~args:[ ("reg", Telemetry.Int src); ("color", Telemetry.Int color) ]
         "colored_bypass"
   | None ->
-    let addr = Layout.ckpt_slot ~reg:(max src 0) ~color:0 in
-    handle_store t ~srcs:[ src ] ~addr ~is_ckpt:true
+    let addr = Layout.ckpt_slot ~reg:(Int.max src 0) ~color:0 in
+    handle_store t ~ready ~addr ~is_ckpt:true
 
 let run_event t (e : Trace.event) =
   match e with
   | Trace.Boundary { region } -> handle_boundary t ~static_id:region
   | Trace.Alu { dst; srcs } ->
-    let c = issue t ~srcs ~port:No_port in
-    (match dst with Some d -> set_ready t d (c + 1) | None -> ());
+    let c = issue t ~ready:(Reg_ready.latest t.reg_ready srcs) ~port:No_port in
+    (match dst with Some d -> Reg_ready.set t.reg_ready d (c + 1) | None -> ());
     t.stats.instructions <- t.stats.instructions + 1
   | Trace.Load { dst; srcs; addr; kind = _ } ->
-    let c = issue t ~srcs ~port:Load_port in
+    let c = issue t ~ready:(Reg_ready.latest t.reg_ready srcs) ~port:Load_port in
     (* Store-to-load forwarding: a load that hits a quarantined SB entry
        gets its data from the buffer at L1-hit speed — essential when
        verification holds stores in the SB for WCDL cycles. The cache is
@@ -355,7 +346,7 @@ let run_event t (e : Trace.event) =
       end
       else Mem_hierarchy.load_latency t.mem addr
     in
-    set_ready t dst (c + lat);
+    Reg_ready.set t.reg_ready dst (c + lat);
     (match t.clq with
     | Some clq when t.machine.verification ->
       let overflowed = Clq.record_load clq ~region:(Rbb.current_seq t.rbb) addr in
@@ -367,7 +358,7 @@ let run_event t (e : Trace.event) =
     t.stats.loads <- t.stats.loads + 1;
     t.stats.instructions <- t.stats.instructions + 1
   | Trace.Store { srcs; addr; cls = _ } ->
-    handle_store t ~srcs ~addr ~is_ckpt:false;
+    handle_store t ~ready:(Reg_ready.latest t.reg_ready srcs) ~addr ~is_ckpt:false;
     t.stats.stores <- t.stats.stores + 1;
     t.stats.instructions <- t.stats.instructions + 1
   | Trace.Ckpt { src } ->
@@ -375,7 +366,7 @@ let run_event t (e : Trace.event) =
     t.stats.ckpts <- t.stats.ckpts + 1;
     t.stats.instructions <- t.stats.instructions + 1
   | Trace.Branch { srcs; taken; pc } ->
-    let c = issue t ~srcs ~port:No_port in
+    let c = issue t ~ready:(Reg_ready.latest t.reg_ready srcs) ~port:No_port in
     (* The bimodal predictor absorbs well-behaved branches (loop back
        edges); only mispredictions pay the fetch-redirect bubble. An
        unconditional non-fallthrough jump (srcs = []) is always

@@ -177,11 +177,147 @@ let test_sb_unreleasable_detection () =
   check "deadlock detected" true (Store_buffer.all_unreleasable sb ~current_region:7);
   check "not deadlock for other region" false
     (Store_buffer.all_unreleasable sb ~current_region:8);
-  Alcotest.(check (list int)) "unverified regions" [ 7 ] (Store_buffer.unverified_regions sb);
   (match Store_buffer.force_release_oldest sb with
   | Some (8, false) -> ()
   | _ -> Alcotest.fail "force release should pop oldest");
   check_int "one left" 1 (Store_buffer.occupancy sb)
+
+(* A list-based store buffer as a reference model for the array-backed
+   one: simple enough to be obviously right, too slow to simulate with. *)
+module Ref_sb = struct
+  type entry = { addr : int; region : int; is_ckpt : bool; mutable release_at : int option }
+
+  type t = {
+    size : int;
+    mutable entries : entry list; (* oldest first *)
+    mutable samples : int;
+    mutable total : int;
+  }
+
+  let create size = { size; entries = []; samples = 0; total = 0 }
+  let occupancy t = List.length t.entries
+  let is_full t = occupancy t >= t.size
+
+  let sample t =
+    t.samples <- t.samples + 1;
+    t.total <- t.total + occupancy t
+
+  let mean_occupancy t =
+    if t.samples = 0 then 0.0 else float_of_int t.total /. float_of_int t.samples
+
+  let alloc t ~addr ~region ~is_ckpt ~release_at =
+    if is_full t then invalid_arg "Store_buffer.alloc: buffer full";
+    t.entries <- t.entries @ [ { addr; region; is_ckpt; release_at } ]
+
+  let contains_addr t addr = List.exists (fun e -> e.addr = addr) t.entries
+
+  let assign_releases t ~region ~start =
+    let next = ref start in
+    List.iter
+      (fun e ->
+        if e.region = region && e.release_at = None then begin
+          e.release_at <- Some !next;
+          incr next
+        end)
+      t.entries;
+    !next
+
+  let release_up_to t cycle =
+    let released, kept =
+      List.partition
+        (fun e -> match e.release_at with Some r -> r <= cycle | None -> false)
+        t.entries
+    in
+    t.entries <- kept;
+    List.map
+      (fun e -> (e.addr, e.is_ckpt, e.region, Option.value e.release_at ~default:cycle))
+      released
+
+  let earliest_release t =
+    List.fold_left
+      (fun acc e ->
+        match (e.release_at, acc) with
+        | Some r, Some a -> Some (min r a)
+        | Some r, None -> Some r
+        | None, a -> a)
+      None t.entries
+
+  let all_unreleasable t ~current_region =
+    t.entries <> []
+    && List.for_all (fun e -> e.release_at = None && e.region = current_region) t.entries
+
+  let force_release_oldest t =
+    match t.entries with
+    | [] -> None
+    | e :: rest ->
+      t.entries <- rest;
+      Some (e.addr, e.is_ckpt)
+end
+
+let test_sb_matches_reference () =
+  (* Seeded random operation sequences drive the store buffer and the
+     reference side by side; every result and the occupancy statistics
+     must agree after every operation. Small address and region spaces
+     make CAM hits, shared regions and partial releases common. *)
+  for seed = 0 to 299 do
+    let rng = Random.State.make [| seed |] in
+    let int n = Random.State.int rng n in
+    let size = 1 + int 8 in
+    let sb = Store_buffer.create size and rf = Ref_sb.create size in
+    let cycle = ref 0 in
+    let fail op = Alcotest.failf "seed %d: %s disagrees with the reference" seed op in
+    for _ = 1 to 200 do
+      (match int 8 with
+      | 0 | 1 ->
+        let addr = 8 * int 6 and region = int 4 and is_ckpt = int 2 = 0 in
+        let release_at = if int 3 = 0 then Some (!cycle + int 20) else None in
+        let raised f =
+          try f (); false with Invalid_argument _ -> true
+        in
+        if
+          raised (fun () -> Store_buffer.alloc sb ~addr ~region ~is_ckpt ~release_at)
+          <> raised (fun () -> Ref_sb.alloc rf ~addr ~region ~is_ckpt ~release_at)
+        then fail "alloc"
+      | 2 ->
+        let region = int 4 and start = !cycle + int 10 in
+        if
+          Store_buffer.assign_releases sb ~region ~start
+          <> Ref_sb.assign_releases rf ~region ~start
+        then fail "assign_releases"
+      | 3 ->
+        cycle := !cycle + int 8;
+        let got =
+          List.map
+            (fun (r : Store_buffer.released) ->
+              Store_buffer.(r.addr, r.is_ckpt, r.region, r.at))
+            (Store_buffer.release_up_to sb !cycle)
+        in
+        if got <> Ref_sb.release_up_to rf !cycle then fail "release_up_to"
+      | 4 ->
+        if Store_buffer.earliest_release sb <> Ref_sb.earliest_release rf then
+          fail "earliest_release"
+      | 5 ->
+        let addr = 8 * int 6 in
+        if Store_buffer.contains_addr sb addr <> Ref_sb.contains_addr rf addr then
+          fail "contains_addr"
+      | 6 ->
+        let current_region = int 4 in
+        if
+          Store_buffer.all_unreleasable sb ~current_region
+          <> Ref_sb.all_unreleasable rf ~current_region
+        then fail "all_unreleasable"
+      | _ ->
+        if Store_buffer.force_release_oldest sb <> Ref_sb.force_release_oldest rf then
+          fail "force_release_oldest");
+      Store_buffer.sample sb;
+      Ref_sb.sample rf;
+      if
+        Store_buffer.occupancy sb <> Ref_sb.occupancy rf
+        || Store_buffer.is_full sb <> Ref_sb.is_full rf
+        || Store_buffer.mean_occupancy sb <> Ref_sb.mean_occupancy rf
+      then fail "occupancy"
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* RBB *)
@@ -202,7 +338,7 @@ let test_rbb_lifecycle () =
   check_int "nothing verified early" 0 (List.length (Rbb.pop_verified rbb ~cycle:19));
   let vs = Rbb.pop_verified rbb ~cycle:20 in
   check_int "one verified" 1 (List.length vs);
-  Alcotest.(check (option int)) "last verified static" (Some 5) (Rbb.last_verified_static rbb);
+  check_int "verified region's static id" 5 (List.hd vs).Rbb.static_id;
   check "not full anymore" false (Rbb.is_full rbb)
 
 let test_rbb_in_order_verification () =
@@ -614,6 +750,47 @@ let test_ooo_small_sb_backpressures () =
     (small.Sim_stats.cycles > big.Sim_stats.cycles)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation budget: with telemetry off, both timing models replay a
+   trace allocating at most a few words per simulated instruction (the
+   structures they build once, and a cell per verified region or drained
+   store). A deterministic stand-in for "the simulator got faster" that
+   host noise cannot move. *)
+
+let test_sim_alloc_budget () =
+  let module Run = Turnpike.Run in
+  let module Scheme = Turnpike.Scheme in
+  let params = { Run.default_params with Run.scale = 1 } in
+  let budget = 10.0 in
+  let words_per_instr simulate trace =
+    let before = Gc.minor_words () in
+    let stats = simulate trace in
+    (Gc.minor_words () -. before) /. float_of_int (max 1 stats.Sim_stats.instructions)
+  in
+  List.iter
+    (fun name ->
+      let bench = List.hd (Turnpike_workloads.Suite.find_by_name name) in
+      List.iter
+        (fun (s : Scheme.t) ->
+          let trace = (Run.compile_with params s bench).Run.trace in
+          let machine = Scheme.machine s ~wcdl:10 ~sb_size:4 in
+          let ooo =
+            if machine.Machine.verification then Ooo_timing.turnstile_config ~wcdl:10 ()
+            else Ooo_timing.default_config
+          in
+          List.iter
+            (fun (model, w) ->
+              check
+                (Printf.sprintf "%s/%s %s: %.2f words per instruction" name
+                   s.Scheme.name model w)
+                true (w <= budget))
+            [
+              ("in-order", words_per_instr (Timing.simulate machine) trace);
+              ("ooo", words_per_instr (Ooo_timing.simulate ooo) trace);
+            ])
+        [ Scheme.baseline; Scheme.turnstile; Scheme.turnpike ])
+    [ "libquan"; "mcf"; "radix" ]
+
+(* ------------------------------------------------------------------ *)
 (* Cost model *)
 
 let test_cost_model_anchors () =
@@ -671,6 +848,7 @@ let tests =
     ("store buffer alloc/release", `Quick, test_sb_alloc_release);
     ("store buffer partial release", `Quick, test_sb_partial_release);
     ("store buffer deadlock detection", `Quick, test_sb_unreleasable_detection);
+    ("store buffer matches list reference", `Quick, test_sb_matches_reference);
     ("rbb lifecycle", `Quick, test_rbb_lifecycle);
     ("rbb in-order verification", `Quick, test_rbb_in_order_verification);
     ("clq ideal exact matching", `Quick, test_clq_ideal_exact_matching);
@@ -700,6 +878,7 @@ let tests =
     ("ooo window bounds overlap", `Quick, test_ooo_window_bounds_overlap);
     ("ooo turnstile nearly free", `Quick, test_ooo_turnstile_cheap);
     ("ooo small SB backpressures", `Quick, test_ooo_small_sb_backpressures);
+    ("timing models allocation budget", `Quick, test_sim_alloc_budget);
     ("cost model paper anchors", `Quick, test_cost_model_anchors);
     ("cost model structure bytes", `Quick, test_cost_model_bytes);
     ("cost model table ratios", `Quick, test_cost_model_ratios);

@@ -261,6 +261,73 @@ let test_golden_fig14_15 () =
   check_golden "fig14_15" Turnpike.Csv_export.fig14_15
     (E.fig14_15 ~params:golden_params ())
 
+(* Every simulated statistic of the sweep grid, pinned. The fig goldens
+   above keep cycle ratios only, to six digits; this one hashes every
+   [Sim_stats] field of one kernel's 13 points (baseline; turnstile and
+   turnpike at each WCDL; OoO baseline and OoO turnstile) into one line,
+   plus one line for libquan's enabled-telemetry timeline, whose event
+   order depends on when the timing model settles background work. A
+   change to the simulators that is meant to be invisible must leave
+   test/golden/sim_stats.txt as it is. *)
+module Suite = Turnpike_workloads.Suite
+module Timing = Turnpike_arch.Timing
+module Ooo_timing = Turnpike_arch.Ooo_timing
+module Sim_stats = Turnpike_arch.Sim_stats
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let sim_stats_line bench =
+  let p = golden_params in
+  let trace s ~sb_size =
+    (Run.compile_with { p with Run.sb_size } s bench).Run.trace
+  in
+  let inorder s ~wcdl ~sb_size tr =
+    Timing.simulate (Scheme.machine s ~wcdl ~sb_size) tr
+  in
+  let tb = trace Scheme.baseline ~sb_size:p.Run.baseline_sb in
+  let tt = trace Scheme.turnstile ~sb_size:p.Run.sb_size in
+  let tp = trace Scheme.turnpike ~sb_size:p.Run.sb_size in
+  let at s tr = List.map (fun wcdl -> inorder s ~wcdl ~sb_size:p.Run.sb_size tr) E.wcdls in
+  let points =
+    (inorder Scheme.baseline ~wcdl:p.Run.wcdl ~sb_size:p.Run.baseline_sb tb
+    :: at Scheme.turnstile tt)
+    @ at Scheme.turnpike tp
+    @ [
+        Ooo_timing.simulate Ooo_timing.default_config tb;
+        Ooo_timing.simulate (Ooo_timing.turnstile_config ~wcdl:p.Run.wcdl ()) tt;
+      ]
+  in
+  ( Suite.qualified_name bench,
+    md5 (String.concat "\n" (List.map Sim_stats.to_json points)) )
+
+let sim_stats_golden () =
+  let libquan = List.hd (Suite.find_by_name "libquan") in
+  let timeline = Turnpike.Timeline.capture ~jobs:1 ~params:golden_params libquan in
+  List.map sim_stats_line (Suite.all ())
+  @ [ ("timeline:" ^ Suite.qualified_name libquan, md5 (Turnpike.Timeline.jsonl timeline)) ]
+
+let test_golden_sim_stats () =
+  let got = sim_stats_golden () in
+  let expected =
+    String.split_on_char '\n' (read_file (Filename.concat golden_dir "sim_stats.txt"))
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ name; digest ] -> (name, digest)
+           | _ -> Alcotest.failf "malformed golden line %S" l)
+  in
+  List.iter
+    (fun (name, digest) ->
+      match List.assoc_opt name expected with
+      | Some d when d = digest -> ()
+      | Some _ ->
+        Alcotest.failf "%s: simulated statistics differ from the golden (now %s)" name
+          digest
+      | None -> Alcotest.failf "%s: no golden line (now %s)" name digest)
+    got;
+  check_int "one golden line per kernel plus the timeline" (List.length got)
+    (List.length expected)
+
 let tests =
   [
     Alcotest.test_case "pareto-dominates" `Quick test_dominates;
@@ -279,4 +346,5 @@ let tests =
     Alcotest.test_case "golden-fig19" `Slow test_golden_fig19;
     Alcotest.test_case "golden-fig20" `Slow test_golden_fig20;
     Alcotest.test_case "golden-fig14-15" `Slow test_golden_fig14_15;
+    Alcotest.test_case "golden-sim-stats" `Slow test_golden_sim_stats;
   ]
