@@ -35,7 +35,7 @@ let () =
       fuel := int_of_string n;
       parse rest
     | "--jobs" :: n :: rest ->
-      Turnpike.Parallel.set_default_jobs (int_of_string n);
+      Turnpike_parallel.set_default_jobs (int_of_string n);
       parse rest
     | x :: _ ->
       Printf.eprintf "unknown argument %s; known: --grid G --scale N --fuel N --jobs N\n" x;
@@ -105,7 +105,7 @@ let () =
      bit-identically at full scale before this bench reports.\"\n\
      }\n"
     !grid halving.X.grid_size !scale !fuel
-    (Turnpike.Parallel.effective_jobs ())
+    (Turnpike_parallel.effective_jobs ())
     (String.concat ", " halving.X.benches)
     (String.concat ", "
        (List.map

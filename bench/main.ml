@@ -25,7 +25,7 @@ module Run = Turnpike.Run
 module Suite = Turnpike_workloads.Suite
 module Telemetry = Turnpike_telemetry
 
-let params = ref E.default_params
+let params = ref Run.default_params
 let csv_dir : string option ref = ref None
 
 (* Shared campaign knobs (--seed/--faults/--ci/--confidence/--batch/--jobs):
@@ -600,20 +600,20 @@ let profile () =
 
   Report.section "Profile: pool utilization (fig19 grid)";
   let pool_tel = Telemetry.create ~capacity:65536 () in
-  Turnpike.Parallel.set_telemetry pool_tel;
+  Turnpike_parallel.set_telemetry pool_tel;
   ignore (E.fig19 ~params:!params ());
-  Turnpike.Parallel.set_telemetry Telemetry.null;
-  (match Turnpike.Parallel.last_map_stats () with
+  Turnpike_parallel.set_telemetry Telemetry.null;
+  (match Turnpike_parallel.last_map_stats () with
   | None -> print_endline "no parallel map ran"
   | Some s ->
     Printf.printf "last map: %d tasks on %d worker(s), wall %d us, utilization %.1f%%\n"
-      s.Turnpike.Parallel.tasks s.Turnpike.Parallel.jobs s.Turnpike.Parallel.wall_us
-      (100. *. Turnpike.Parallel.utilization s);
+      s.Turnpike_parallel.tasks s.Turnpike_parallel.jobs s.Turnpike_parallel.wall_us
+      (100. *. Turnpike_parallel.utilization s);
     Array.iteri
       (fun w busy ->
         Printf.printf "  worker %d: busy %8d us, %3d task(s)\n" w busy
-          s.Turnpike.Parallel.worker_tasks.(w))
-      s.Turnpike.Parallel.busy_us);
+          s.Turnpike_parallel.worker_tasks.(w))
+      s.Turnpike_parallel.busy_us);
   Printf.printf "pool span events recorded: %d (dropped: %d)\n"
     (Telemetry.length pool_tel) (Telemetry.dropped pool_tel)
 
@@ -626,7 +626,7 @@ let profile () =
 let run_analysis () =
   let module PP = Turnpike_compiler.Pass_pipeline in
   Report.section "Static checker: compile-time cost per check level (turnpike opts)";
-  let scale = (!params).E.scale in
+  let scale = (!params).Run.scale in
   let benches = Suite.all () in
   let progs = List.map (fun b -> b.Suite.build ~scale) benches in
   let opts = Scheme.compile_opts Scheme.turnpike ~sb_size:4 in
@@ -755,10 +755,10 @@ let () =
       match args with
       | [] -> List.rev sel
       | "--scale" :: n :: rest ->
-        params := { !params with E.scale = int_of_string n };
+        params := { !params with Run.scale = int_of_string n };
         parse sel rest
       | "--fuel" :: n :: rest ->
-        params := { !params with E.fuel = int_of_string n };
+        params := { !params with Run.fuel = int_of_string n };
         parse sel rest
       | "--grid" :: g :: rest ->
         explore_grid_name := g;

@@ -15,19 +15,6 @@ module Sensor = Turnpike_arch.Sensor
 module Cost_model = Turnpike_arch.Cost_model
 module Clq = Turnpike_arch.Clq
 
-(* The run configuration is Run.params itself (re-exported so the record
-   fields are in scope here and for the harness): drivers pin the knobs a
-   figure mandates with [{ params with ... }] and inherit the rest. *)
-type params = Run.params = {
-  scale : int;
-  fuel : int;
-  wcdl : int;
-  sb_size : int;
-  baseline_sb : int;
-}
-
-let default_params = Run.default_params
-
 let benchmarks () = Suite.all ()
 
 let spec_benchmarks () =
@@ -41,8 +28,8 @@ let spec_benchmarks () =
 
 type fig4_row = { bench : string; ratio_sb40 : float; ratio_sb4 : float }
 
-let fig4 ?(params = default_params) () =
-  Parallel.grid ~items:(spec_benchmarks ()) ~configs:[ 40; 4 ]
+let fig4 ?(params = Run.default_params) () =
+  Turnpike_parallel.grid ~items:(spec_benchmarks ()) ~configs:[ 40; 4 ]
     (fun b sb_size ->
       let c = Run.compile_with { params with sb_size } Scheme.turnstile b in
       let t = c.Run.trace in
@@ -76,7 +63,7 @@ let clq_axis =
       | Clq.Compact n -> Printf.sprintf "compact%d" n)
     [ Clq.Ideal; Clq.Compact 2 ]
 
-let fig14_15 ?(params = default_params) () =
+let fig14_15 ?(params = Run.default_params) () =
   Sweep.grid ~items:(benchmarks ()) ~axis:clq_axis
     (fun b clq ->
       let scheme = Scheme.with_clq Scheme.fast_release (Some clq) in
@@ -114,7 +101,7 @@ type wcdl_sweep_row = { bench : string; overheads : (int * float) list }
 let wcdls = [ 10; 20; 30; 40; 50 ]
 let wcdl_axis = Sweep.ints ~name:"wcdl" wcdls
 
-let wcdl_sweep ?(params = default_params) scheme =
+let wcdl_sweep ?(params = Run.default_params) scheme =
   Sweep.grid ~items:(benchmarks ()) ~axis:wcdl_axis
     (fun b wcdl -> fst (Run.normalized_with { params with wcdl } scheme b))
   |> List.map (fun (b, overheads) ->
@@ -129,7 +116,7 @@ let fig20 ?params () = wcdl_sweep ?params Scheme.turnstile
 type fig21_row = { bench : string; by_scheme : (string * float) list }
 
 let ladder_at ~params ~wcdl () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:Scheme.ladder
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:Scheme.ladder
     (fun b s -> fst (Run.normalized_with { params with wcdl } s b))
   |> List.map (fun (b, by) ->
          {
@@ -137,13 +124,13 @@ let ladder_at ~params ~wcdl () =
            by_scheme = List.map (fun (s, ov) -> (s.Scheme.name, ov)) by;
          })
 
-let fig21 ?(params = default_params) () = ladder_at ~params ~wcdl:10 ()
+let fig21 ?(params = Run.default_params) () = ladder_at ~params ~wcdl:10 ()
 
 (* Extension: the ablation ladder at 50-cycle WCDL. The paper only shows
    the ladder at WCDL=10, where hardware fast release dominates; at longer
    detection latencies the compiler rungs (fewer stores to verify) carry
    more of the win, which this sweep exposes. *)
-let fig21_wcdl ?(params = default_params) ~wcdl () = ladder_at ~params ~wcdl ()
+let fig21_wcdl ?(params = Run.default_params) ~wcdl () = ladder_at ~params ~wcdl ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 22: SB-size sensitivity at 10-cycle WCDL. Note the overhead is
@@ -158,8 +145,8 @@ let fig22_configs =
       (fun sb -> (Printf.sprintf "turnstile-sb%d" sb, Scheme.turnstile, sb))
       [ 8; 10; 20; 30; 40 ]
 
-let fig22 ?(params = default_params) () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:fig22_configs
+let fig22 ?(params = Run.default_params) () =
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:fig22_configs
     (fun b (_, scheme, sb) ->
       fst
         (Run.normalized_with
@@ -188,10 +175,10 @@ type fig23_row = {
   others : float;
 }
 
-let fig23 ?(params = default_params) () =
+let fig23 ?(params = Run.default_params) () =
   (* One task per benchmark: the ladder walk inside is a data-dependent
      sequence, but distinct benchmarks are independent. *)
-  Parallel.map_list
+  Turnpike_parallel.map_list
     (fun b ->
       let trace_of scheme =
         (Run.compile_with { params with sb_size = 4 } scheme b).Run.trace
@@ -257,8 +244,8 @@ let fig23 ?(params = default_params) () =
 
 type fig24_row = { bench : string; mean_entries : float; max_entries : int }
 
-let fig24 ?(params = default_params) () =
-  Parallel.map_list
+let fig24 ?(params = Run.default_params) () =
+  Turnpike_parallel.map_list
     (fun b ->
       let r = Run.run_with { params with wcdl = 10 } Scheme.turnpike b in
       {
@@ -270,8 +257,8 @@ let fig24 ?(params = default_params) () =
 
 type fig25_row = { bench : string; overhead_clq2 : float; overhead_clq4 : float }
 
-let fig25 ?(params = default_params) () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:[ 2; 4 ]
+let fig25 ?(params = Run.default_params) () =
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:[ 2; 4 ]
     (fun b n ->
       let scheme = Scheme.with_clq Scheme.turnpike (Some (Clq.Compact n)) in
       fst (Run.normalized_with { params with wcdl = 10 } scheme b))
@@ -287,8 +274,8 @@ let fig25 ?(params = default_params) () =
 
 type fig26_row = { bench : string; region_size : float; code_increase_pct : float }
 
-let fig26 ?(params = default_params) () =
-  Parallel.map_list
+let fig26 ?(params = Run.default_params) () =
+  Turnpike_parallel.map_list
     (fun b ->
       let c = Run.compile_with { params with sb_size = 4 } Scheme.turnpike b in
       let t = c.Run.trace in
@@ -322,9 +309,9 @@ type motivation_row = {
   inorder_overhead : float; (* Turnstile on the in-order core *)
 }
 
-let motivation ?(params = default_params) ?(wcdl = 10) () =
+let motivation ?(params = Run.default_params) ?(wcdl = 10) () =
   let params = { params with wcdl; sb_size = 4 } in
-  Parallel.map_list
+  Turnpike_parallel.map_list
     (fun b ->
       let c = Run.compile_with params Scheme.turnstile b in
       let base = Run.compile_with params Scheme.baseline b in
@@ -352,8 +339,8 @@ type unroll_row = {
 
 let unroll_factors = [ 1; 2; 4 ]
 
-let unroll_ablation ?(params = default_params) ?(wcdl = 50) () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:unroll_factors
+let unroll_ablation ?(params = Run.default_params) ?(wcdl = 50) () =
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:unroll_factors
     (fun b factor ->
       let overhead scheme factor =
         let opts =
@@ -412,8 +399,8 @@ let resilience_energy stats ~sb_size =
   +. (float_of_int stats.Sim_stats.colored_released *. cmap)
   +. (float_of_int (stats.Sim_stats.loads + Sim_stats.sb_writes stats) *. clq)
 
-let energy ?(params = default_params) () =
-  Parallel.grid ~items:(benchmarks ())
+let energy ?(params = Run.default_params) () =
+  Turnpike_parallel.grid ~items:(benchmarks ())
     ~configs:[ Scheme.turnstile; Scheme.turnpike ]
     (fun b scheme ->
       let r = Run.run_with { params with wcdl = 10 } scheme b in
@@ -457,7 +444,7 @@ module Snapshot = Turnpike_resilience.Snapshot
    where each task replays the interpreter under the recovery executor —
    the heaviest simulation work the pool carries. One fault-free pilot per
    benchmark records the snapshots every fault then forks from. *)
-let campaign_over ?(params = default_params) ~f () =
+let campaign_over ?(params = Run.default_params) ~f () =
   let params = { params with scale = max 1 (params.scale / 4); sb_size = 4 } in
   List.filter_map
     (fun b ->

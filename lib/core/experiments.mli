@@ -1,26 +1,16 @@
 (** One driver per table/figure of the paper's evaluation (§6), plus a
     fault-injection SDC-freedom campaign that exercises the recovery
     machinery end to end. Each driver returns structured rows; the bench
-    harness renders them. *)
+    harness renders them. Every driver takes its run configuration as
+    [?params] (default {!Run.default_params}) and pins the knobs its
+    figure mandates (e.g. the paper's 10-cycle WCDL) with
+    [{ params with ... }]. *)
 
 module Suite = Turnpike_workloads.Suite
 module Sensor = Turnpike_arch.Sensor
 module Cost_model = Turnpike_arch.Cost_model
 module Verifier = Turnpike_resilience.Verifier
 module Clq = Turnpike_arch.Clq
-
-type params = Run.params = {
-  scale : int;
-  fuel : int;
-  wcdl : int;
-  sb_size : int;
-  baseline_sb : int;
-}
-(** Run configuration shared by every driver — {!Run.params} re-exported.
-    Figure drivers pin the knobs their figure mandates (e.g. the paper's
-    10-cycle WCDL) with [{ params with ... }] and inherit the rest. *)
-
-val default_params : params
 
 val benchmarks : unit -> Suite.entry list
 val spec_benchmarks : unit -> Suite.entry list
@@ -29,7 +19,7 @@ val spec_benchmarks : unit -> Suite.entry list
 
 type fig4_row = { bench : string; ratio_sb40 : float; ratio_sb4 : float }
 
-val fig4 : ?params:params -> unit -> fig4_row list
+val fig4 : ?params:Run.params -> unit -> fig4_row list
 
 (** {1 Figs 14/15 — ideal vs compact CLQ design} *)
 
@@ -44,7 +34,7 @@ type clq_design_row = {
 val clq_axis : Clq.design Sweep.axis
 (** The ideal-vs-compact CLQ grid dimension ([ideal], [compact2]). *)
 
-val fig14_15 : ?params:params -> unit -> clq_design_row list
+val fig14_15 : ?params:Run.params -> unit -> clq_design_row list
 
 (** {1 Fig 18 — detection latency vs sensor count} *)
 
@@ -62,17 +52,17 @@ val wcdl_axis : int Sweep.axis
 (** {!wcdls} as a declarative {!Sweep} dimension — the grid both WCDL
     figures sweep over. *)
 
-val wcdl_sweep : ?params:params -> Scheme.t -> wcdl_sweep_row list
-val fig19 : ?params:params -> unit -> wcdl_sweep_row list
-val fig20 : ?params:params -> unit -> wcdl_sweep_row list
+val wcdl_sweep : ?params:Run.params -> Scheme.t -> wcdl_sweep_row list
+val fig19 : ?params:Run.params -> unit -> wcdl_sweep_row list
+val fig20 : ?params:Run.params -> unit -> wcdl_sweep_row list
 
 (** {1 Fig 21 — the optimization-ablation ladder} *)
 
 type fig21_row = { bench : string; by_scheme : (string * float) list }
 
-val fig21 : ?params:params -> unit -> fig21_row list
+val fig21 : ?params:Run.params -> unit -> fig21_row list
 
-val fig21_wcdl : ?params:params -> wcdl:int -> unit -> fig21_row list
+val fig21_wcdl : ?params:Run.params -> wcdl:int -> unit -> fig21_row list
 (** Extension of Fig 21: the ablation ladder at an arbitrary WCDL. At
     long detection latencies the compiler rungs (fewer stores to verify)
     carry more of the win than at the paper's 10-cycle point. *)
@@ -82,7 +72,7 @@ val fig21_wcdl : ?params:params -> wcdl:int -> unit -> fig21_row list
 type fig22_row = { bench : string; by_config : (string * float) list }
 
 val fig22_configs : (string * Scheme.t * int) list
-val fig22 : ?params:params -> unit -> fig22_row list
+val fig22 : ?params:Run.params -> unit -> fig22_row list
 
 (** {1 Fig 23 — store breakdown} *)
 
@@ -97,23 +87,23 @@ type fig23_row = {
   others : float;
 }
 
-val fig23 : ?params:params -> unit -> fig23_row list
+val fig23 : ?params:Run.params -> unit -> fig23_row list
 
 (** {1 Figs 24/25 — CLQ occupancy and size sensitivity} *)
 
 type fig24_row = { bench : string; mean_entries : float; max_entries : int }
 
-val fig24 : ?params:params -> unit -> fig24_row list
+val fig24 : ?params:Run.params -> unit -> fig24_row list
 
 type fig25_row = { bench : string; overhead_clq2 : float; overhead_clq4 : float }
 
-val fig25 : ?params:params -> unit -> fig25_row list
+val fig25 : ?params:Run.params -> unit -> fig25_row list
 
 (** {1 Fig 26 — region size and code-size increase} *)
 
 type fig26_row = { bench : string; region_size : float; code_increase_pct : float }
 
-val fig26 : ?params:params -> unit -> fig26_row list
+val fig26 : ?params:Run.params -> unit -> fig26_row list
 
 (** {1 Table 1 — hardware cost} *)
 
@@ -127,7 +117,7 @@ type motivation_row = {
   inorder_overhead : float;  (** Turnstile on the in-order core *)
 }
 
-val motivation : ?params:params -> ?wcdl:int -> unit -> motivation_row list
+val motivation : ?params:Run.params -> ?wcdl:int -> unit -> motivation_row list
 (** The same Turnstile binary on both core models: the 40-entry SB and
     dynamic scheduling make verification cheap out of order (paper quotes
     ~8%), while the 4-entry in-order SB makes it expensive — the gap the
@@ -143,7 +133,7 @@ type unroll_row = {
 
 val unroll_factors : int list
 
-val unroll_ablation : ?params:params -> ?wcdl:int -> unit -> unroll_row list
+val unroll_ablation : ?params:Run.params -> ?wcdl:int -> unit -> unroll_row list
 (** Sweep the -O3-style unroll factor on both schemes (baseline re-unrolled
     identically): larger loop bodies lower checkpoint density and color-pool
     pressure — the region-size effect behind this repo's deviations from
@@ -158,7 +148,7 @@ type energy_row = {
   turnpike_pj_per_kinstr : float;
 }
 
-val energy : ?params:params -> unit -> energy_row list
+val energy : ?params:Run.params -> unit -> energy_row list
 (** Dynamic energy spent in the resilience structures (SB CAM quarantine
     traffic vs CLQ/color-map RAM lookups) per thousand instructions, using
     the Table 1 per-access model — quantifying the paper's
@@ -169,7 +159,7 @@ val energy : ?params:params -> unit -> energy_row list
 type resilience_row = { bench : string; report : Verifier.campaign_report }
 
 val resilience_campaign :
-  ?params:params -> ?faults:int -> ?seed:int -> unit -> resilience_row list
+  ?params:Run.params -> ?faults:int -> ?seed:int -> unit -> resilience_row list
 (** Inject single-bit faults across each (completed) benchmark trace and
     verify every run recovers to the golden output — SDC-freedom. Each
     benchmark runs one fault-free pilot recording executor snapshots; every
@@ -179,7 +169,7 @@ val resilience_campaign :
 type resilience_ci_row = { ci_bench : string; ci : Verifier.ci_report }
 
 val resilience_campaign_ci :
-  ?params:params ->
+  ?params:Run.params ->
   ?max_faults:int ->
   ?seed:int ->
   ?stopping:Verifier.stopping ->

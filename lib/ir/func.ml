@@ -53,16 +53,9 @@ let add_block f (b : Block.t) ~after =
   in
   f.order <- insert f.order
 
-(* Layout successor: the block that follows [l] in emission order. A jump
-   or branch to it is a fall-through (no fetch redirect). *)
-let fallthrough_of f l =
-  let rec find = function
-    | a :: b :: _ when String.equal a l -> Some b
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  find f.order
-
+(* Layout successors: each label mapped to the block that follows it in
+   emission order. A jump or branch to it is a fall-through (no fetch
+   redirect). *)
 let fallthrough_table f =
   let tbl = Hashtbl.create 64 in
   let rec go = function

@@ -29,12 +29,9 @@ val add_block : t -> Block.t -> after:string -> unit
 (** Insert a new block immediately after [after] in layout order.
     @raise Invalid_argument on duplicate label. *)
 
-val fallthrough_of : t -> string -> string option
-(** The block following a label in layout order; jumping to it costs no
-    fetch redirect. *)
-
 val fallthrough_table : t -> (string, string) Hashtbl.t
-(** All fall-through pairs at once (for hot loops). *)
+(** Each label mapped to the block following it in layout order; jumping
+    to that block costs no fetch redirect. *)
 
 val validate : t -> string list
 (** Structural well-formedness check; returns a list of problems (empty

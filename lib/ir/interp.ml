@@ -1,25 +1,70 @@
 (* Functional (architectural) interpreter. It defines the reference
    semantics used for correctness checks, produces dynamic traces for the
    timing model, and exposes a single-step API that the resilience engine
-   drives for fault injection and region-restart recovery. *)
+   drives for fault injection and region-restart recovery.
 
-type pc = { block : string; index : int }
+   A program is decoded once before it runs: block labels become array
+   indices, each terminator records its target indices and the trace
+   event of each direction, and each instruction gets its trace event
+   built once, shared by all of its dynamic instances. The state is a
+   dense register file, a memory table and an index-based pc, so a step
+   hashes no label and allocates only the events of loads and stores,
+   which carry their address. *)
+
+type term =
+  | Jump of { target : int; event : Trace.event option }
+      (* [None]: a jump to the layout successor, which emits nothing *)
+  | Branch of {
+      cond : Reg.t;
+      if_true : int;
+      on_true : Trace.event;
+      if_false : int;
+      on_false : Trace.event;
+    }
+  | Ret
+
+type block = {
+  label : string;
+  body : Instr.t array;
+  events : Trace.event array;
+      (* one per body instruction; a load's or store's address is a
+         placeholder, filled in per dynamic instance *)
+  term : term;
+}
+
+type program = {
+  name : string;
+  blocks : block array; (* in layout order *)
+  indices : (string, int) Hashtbl.t; (* label -> block index *)
+}
 
 type state = {
-  regs : (Reg.t, int) Hashtbl.t;
+  mutable regs : int array;
   mem : (int, int) Hashtbl.t;
-  mutable pc : pc;
+  mutable block : int;
+  mutable index : int;
   mutable steps : int;
   mutable halted : bool;
 }
 
 exception Out_of_fuel
 
-let get_reg st r = if Reg.is_zero r then 0 else Option.value (Hashtbl.find_opt st.regs r) ~default:0
+(* [regs.(0)] is never written, so {!Reg.zero} reads 0 without a test of
+   its own; registers past the end of the file read 0 too. *)
+let get_reg st r = if r > 0 && r < Array.length st.regs then Array.unsafe_get st.regs r else 0
 
-let set_reg st r v = if not (Reg.is_zero r) then Hashtbl.replace st.regs r v
+let set_reg st r v =
+  if not (Reg.is_zero r) then begin
+    let n = Array.length st.regs in
+    if r >= n then begin
+      let regs = Array.make (max (r + 1) (2 * n)) 0 in
+      Array.blit st.regs 0 regs 0 n;
+      st.regs <- regs
+    end;
+    st.regs.(r) <- v
+  end
 
-let get_mem st a = Option.value (Hashtbl.find_opt st.mem a) ~default:0
+let get_mem st a = match Hashtbl.find st.mem a with v -> v | exception Not_found -> 0
 
 let set_mem st a v = Hashtbl.replace st.mem a v
 
@@ -27,12 +72,87 @@ let operand_value st = function
   | Instr.Reg r -> get_reg st r
   | Instr.Imm i -> i
 
+let lookup indices ~name l =
+  match Hashtbl.find_opt indices l with
+  | Some k -> k
+  | None -> invalid_arg (Printf.sprintf "Interp: unknown label %s in %s" l name)
+
+let block_index p l = lookup p.indices ~name:p.name l
+
+let label p st = p.blocks.(st.block).label
+
+let instr p st =
+  let b = p.blocks.(st.block) in
+  if st.index < Array.length b.body then Some b.body.(st.index) else None
+
+let store_class = function
+  | Instr.Spill_mem -> Trace.Regular_spill
+  | Instr.App_mem | Instr.Ckpt_mem -> Trace.Regular_app
+
+let static_event (i : Instr.t) : Trace.event =
+  match i with
+  | Binop (_, d, _, _) | Cmp (_, d, _, _) | Mov (d, _) ->
+    Alu { dst = Some d; srcs = Instr.uses i }
+  | Load (d, _, _, kind) -> Load { dst = d; srcs = Instr.uses i; addr = 0; kind }
+  | Store (_, _, _, kind) -> Store { srcs = Instr.uses i; addr = 0; cls = store_class kind }
+  | Ckpt r -> Ckpt { src = r }
+  | Boundary id -> Boundary { region = id }
+  | Nop -> Alu { dst = None; srcs = [] }
+
+let at_addr (e : Trace.event) addr : Trace.event =
+  match e with
+  | Load l -> Load { l with addr }
+  | Store s -> Store { s with addr }
+  | Alu _ | Ckpt _ | Branch _ | Boundary _ -> e
+
+let decode (prog : Prog.t) =
+  let func = prog.Prog.func in
+  let labels = Array.of_list (Func.labels func) in
+  let indices = Hashtbl.create (2 * Array.length labels) in
+  Array.iteri (fun k l -> Hashtbl.replace indices l k) labels;
+  let resolve = lookup indices ~name:func.Func.name in
+  let decode_block k label =
+    let b = Func.block func label in
+    let site = Hashtbl.hash label in
+    (* A control transfer to the layout successor is a fall-through: no
+       fetch redirect, and for an unconditional jump not even an
+       instruction (region-boundary block splits are PC markers, not
+       code). A branch's [taken] flag means "fetch redirected". *)
+    let term =
+      match b.Block.term with
+      | Block.Jump l ->
+        let target = resolve l in
+        let event =
+          if target = k + 1 then None
+          else Some (Trace.Branch { srcs = []; taken = true; pc = site })
+        in
+        Jump { target; event }
+      | Block.Branch (r, l1, l2) ->
+        let edge l =
+          let t = resolve l in
+          (t, Trace.Branch { srcs = [ r ]; taken = t <> k + 1; pc = site })
+        in
+        let if_true, on_true = edge l1 and if_false, on_false = edge l2 in
+        Branch { cond = r; if_true; on_true; if_false; on_false }
+      | Block.Ret -> Ret
+    in
+    let body = Array.copy b.Block.body in
+    { label; body; events = Array.map static_event body; term }
+  in
+  { name = func.Func.name; blocks = Array.mapi decode_block labels; indices }
+
 let init (prog : Prog.t) =
+  let func = prog.Prog.func in
+  let rec entry k = function
+    | l :: rest -> if String.equal l func.Func.entry then k else entry (k + 1) rest
+    | [] -> invalid_arg (Printf.sprintf "Interp.init: entry %s not in %s" func.entry func.name)
+  in
   let st =
     {
-      regs = Hashtbl.create 64;
+      regs = Array.make 64 0;
       mem = Hashtbl.create 4096;
-      pc = { block = prog.func.Func.entry; index = 0 };
+      block = entry 0 (Func.labels func);
+      index = 0;
       steps = 0;
       halted = false;
     }
@@ -66,113 +186,95 @@ let no_hooks =
     write_mem = set_mem;
   }
 
-let exec_instr hooks st (i : Instr.t) =
+(* The data semantics of [i], reporting its static event [e]. *)
+let exec hooks st (i : Instr.t) e =
   match i with
   | Binop (op, d, a, o) ->
     set_reg st d (Instr.eval_binop op (get_reg st a) (operand_value st o));
-    hooks.on_event (Trace.Alu { dst = Some d; srcs = Instr.uses i })
+    hooks.on_event e
   | Cmp (c, d, a, o) ->
     set_reg st d (Instr.eval_cmp c (get_reg st a) (operand_value st o));
-    hooks.on_event (Trace.Alu { dst = Some d; srcs = Instr.uses i })
+    hooks.on_event e
   | Mov (d, o) ->
     set_reg st d (operand_value st o);
-    hooks.on_event (Trace.Alu { dst = Some d; srcs = Instr.uses i })
-  | Load (d, b, off, kind) ->
+    hooks.on_event e
+  | Load (d, b, off, _) ->
     let addr = get_reg st b + off in
     set_reg st d (get_mem st addr);
-    hooks.on_event (Trace.Load { dst = d; srcs = Instr.uses i; addr; kind })
-  | Store (s, b, off, kind) ->
+    hooks.on_event (at_addr e addr)
+  | Store (s, b, off, _) ->
     let addr = get_reg st b + off in
     hooks.write_mem st addr (get_reg st s);
-    let cls =
-      match kind with
-      | Instr.Spill_mem -> Trace.Regular_spill
-      | Instr.App_mem | Instr.Ckpt_mem -> Trace.Regular_app
-    in
-    hooks.on_event (Trace.Store { srcs = Instr.uses i; addr; cls })
+    hooks.on_event (at_addr e addr)
   | Ckpt r ->
     hooks.on_ckpt st r;
-    hooks.on_event (Trace.Ckpt { src = r })
+    hooks.on_event e
   | Boundary id ->
     hooks.on_boundary st id;
-    hooks.on_event (Trace.Boundary { region = id })
-  | Nop -> hooks.on_event (Trace.Alu { dst = None; srcs = [] })
+    hooks.on_event e
+  | Nop -> hooks.on_event e
 
-let step ?(hooks = no_hooks) ?fallthrough func st =
-  if st.halted then ()
-  else begin
-    let b = Func.block func st.pc.block in
-    let n = Array.length b.Block.body in
-    if st.pc.index < n then begin
-      exec_instr hooks st b.Block.body.(st.pc.index);
-      st.pc <- { st.pc with index = st.pc.index + 1 };
-      st.steps <- st.steps + 1
+let exec_instr hooks st i = exec hooks st i (static_event i)
+
+let step hooks p st =
+  if not st.halted then begin
+    let b = p.blocks.(st.block) in
+    let k = st.index in
+    if k < Array.length b.body then begin
+      exec hooks st (Array.unsafe_get b.body k) (Array.unsafe_get b.events k);
+      st.index <- st.index + 1
     end
     else begin
-      (* A control transfer to the layout successor is a fall-through: no
-         fetch redirect, and for an unconditional jump not even an
-         instruction (region-boundary block splits are PC markers, not
-         code). *)
-      let falls_to l =
-        match fallthrough with
-        | Some tbl -> (
-          match Hashtbl.find_opt tbl st.pc.block with
-          | Some next -> String.equal next l
-          | None -> false)
-        | None -> (
-          match Func.fallthrough_of func st.pc.block with
-          | Some next -> String.equal next l
-          | None -> false)
-      in
-      let site = Hashtbl.hash st.pc.block in
-      (match b.Block.term with
-      | Block.Jump l ->
-        if not (falls_to l) then
-          hooks.on_event (Trace.Branch { srcs = []; taken = true; pc = site });
-        st.pc <- { block = l; index = 0 }
-      | Block.Branch (r, l1, l2) ->
-        let target = if get_reg st r <> 0 then l1 else l2 in
-        hooks.on_event
-          (Trace.Branch { srcs = [ r ]; taken = not (falls_to target); pc = site });
-        st.pc <- { block = target; index = 0 }
-      | Block.Ret -> st.halted <- true);
-      st.steps <- st.steps + 1
-    end
+      match b.term with
+      | Jump { target; event } ->
+        (match event with Some e -> hooks.on_event e | None -> ());
+        st.block <- target;
+        st.index <- 0
+      | Branch { cond; if_true; on_true; if_false; on_false } ->
+        if get_reg st cond <> 0 then begin
+          hooks.on_event on_true;
+          st.block <- if_true
+        end
+        else begin
+          hooks.on_event on_false;
+          st.block <- if_false
+        end;
+        st.index <- 0
+      | Ret -> st.halted <- true
+    end;
+    st.steps <- st.steps + 1
   end
 
-let run ?(fuel = 10_000_000) ?hooks (prog : Prog.t) =
-  let st = init prog in
-  let fallthrough = Func.fallthrough_table prog.func in
+let run_for hooks p st ~fuel =
   let budget = ref fuel in
   while (not st.halted) && !budget > 0 do
-    step ?hooks ~fallthrough prog.func st;
+    step hooks p st;
     decr budget
-  done;
+  done
+
+let run ?(fuel = 10_000_000) ?(hooks = no_hooks) (prog : Prog.t) =
+  let p = decode prog in
+  let st = init prog in
+  run_for hooks p st ~fuel;
   if not st.halted then raise Out_of_fuel;
   st
 
 let trace_run ?(fuel = 1_000_000) (prog : Prog.t) =
-  let events = ref [] and n = ref 0 in
-  let hooks =
-    {
-      no_hooks with
-      on_event =
-        (fun e ->
-          events := e :: !events;
-          incr n);
-    }
+  let p = decode prog in
+  let filler = Trace.Boundary { region = 0 } in
+  let events = ref [||] and n = ref 0 in
+  let on_event e =
+    if !n = Array.length !events then begin
+      let grown = Array.make (max 1024 (2 * !n)) filler in
+      Array.blit !events 0 grown 0 !n;
+      events := grown
+    end;
+    Array.unsafe_set !events !n e;
+    incr n
   in
   let st = init prog in
-  let fallthrough = Func.fallthrough_table prog.func in
-  let budget = ref fuel in
-  while (not st.halted) && !budget > 0 do
-    step ~hooks ~fallthrough prog.func st;
-    decr budget
-  done;
-  let trace =
-    { Trace.events = Array.of_list (List.rev !events); complete = st.halted }
-  in
-  (trace, st)
+  run_for { no_hooks with on_event } p st ~fuel;
+  ({ Trace.events = Array.sub !events 0 !n; complete = st.halted }, st)
 
 let mem_equal a b =
   (* Treat absent bindings as zero on both sides. *)

@@ -5,14 +5,29 @@
     single-step API that the resilience engine drives for fault injection
     and region-restart recovery. *)
 
-type pc = { block : string; index : int }
-(** Program counter: a block label and an instruction index within it;
-    index [= Array.length body] denotes the terminator. *)
+type program
+(** A decoded program: block labels resolved to array indices, each
+    terminator's targets and fall-through flags resolved, and each static
+    instruction's trace event and source list built once. Immutable once
+    built, so one decoded program is safely shared by every domain that
+    runs it. *)
+
+val decode : Prog.t -> program
+(** Decode a program for {!step}. The result is a snapshot: later edits
+    to the program's blocks do not reach it.
+    @raise Invalid_argument when a terminator names a block that does not
+    exist (the wellformedness check rejects such programs). *)
 
 type state = {
-  regs : (Reg.t, int) Hashtbl.t;
+  mutable regs : int array;
+      (** dense register file indexed by register id; ids past its end
+          read 0 and a write there grows it *)
   mem : (int, int) Hashtbl.t;
-  mutable pc : pc;
+  mutable block : int;
+      (** pc: the current block's index in layout order *)
+  mutable index : int;
+      (** pc: the instruction index within the block; [= Array.length
+          body] denotes the terminator *)
   mutable steps : int;
   mutable halted : bool;
 }
@@ -31,7 +46,18 @@ val get_mem : state -> int -> int
 val set_mem : state -> int -> int -> unit
 
 val init : Prog.t -> state
-(** Fresh state with the program's memory image and input registers. *)
+(** Fresh state with the program's memory image and input registers, at
+    the entry block. *)
+
+val label : program -> state -> string
+(** The label of the pc's block (for forensic and static-claim sites). *)
+
+val block_index : program -> string -> int
+(** A block's index in layout order, for setting the pc to a block head.
+    @raise Invalid_argument on an unknown label. *)
+
+val instr : program -> state -> Instr.t option
+(** The instruction at the pc; [None] at a terminator. *)
 
 type hooks = {
   on_ckpt : state -> Reg.t -> unit;
@@ -53,19 +79,24 @@ val default_ckpt : state -> Reg.t -> unit
 val exec_instr : hooks -> state -> Instr.t -> unit
 (** Execute one instruction's data semantics (no PC update). *)
 
-val step : ?hooks:hooks -> ?fallthrough:(string, string) Hashtbl.t -> Func.t -> state -> unit
+val step : hooks -> program -> state -> unit
 (** Execute the instruction (or terminator) at the current PC and advance.
-    No-op once [halted]. A control transfer to the layout successor costs
-    no fetch redirect: a fall-through unconditional jump emits no event
-    (boundary block splits are PC markers, not code), and a branch's
-    [taken] flag means "fetch redirected". [fallthrough] (from
-    {!Func.fallthrough_table}) avoids recomputing layout per step. *)
+    No-op once [halted]. [write_mem], [on_ckpt] and [on_boundary] run
+    before the instruction's event; a load's event follows its register
+    write. A control transfer to the layout successor costs no fetch
+    redirect: a fall-through unconditional jump emits no event (boundary
+    block splits are PC markers, not code), and a branch's [taken] flag
+    means "fetch redirected". Events of non-memory instructions and
+    branches are shared by every dynamic instance; only loads and stores
+    allocate theirs, to carry the address. *)
 
 val run : ?fuel:int -> ?hooks:hooks -> Prog.t -> state
-(** Run to completion. @raise Out_of_fuel after [fuel] steps (default 1e7). *)
+(** Decode and run to completion.
+    @raise Out_of_fuel after [fuel] steps (default 1e7). *)
 
 val trace_run : ?fuel:int -> Prog.t -> Trace.t * state
-(** Run (up to [fuel] steps, default 1e6) collecting the dynamic trace.
+(** Decode and run (up to [fuel] steps, default 1e6) collecting the
+    dynamic trace.
     The trace is marked incomplete instead of raising when fuel runs out —
     mirroring the paper's fixed-length simulation windows. *)
 

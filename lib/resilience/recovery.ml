@@ -103,6 +103,7 @@ type dynamic_region = {
 type exec = {
   cfg : config;
   compiled : Pass_pipeline.t;
+  code : Interp.program; (* [compiled]'s program, decoded once *)
   st : Interp.state;
   clq : Clq.t option;
   col : Coloring.t option;
@@ -151,11 +152,10 @@ let forensic_region ex =
   match ex.open_region with Some r -> r.static_id | None -> -1
 
 let forensic_site ex =
-  let pc = ex.st.Interp.pc in
   [
     ("func", Telemetry.Str ex.compiled.Pass_pipeline.prog.Prog.func.Func.name);
-    ("block", Telemetry.Str pc.Interp.block);
-    ("index", Telemetry.Int pc.Interp.index);
+    ("block", Telemetry.Str (Interp.label ex.code ex.st));
+    ("index", Telemetry.Int ex.st.Interp.index);
   ]
 
 let forensic_instant ex name args =
@@ -276,10 +276,11 @@ let on_boundary ex static_id =
   ex.next_seq <- ex.next_seq + 1;
   ex.open_region <- Some r
 
-(* The hooks fire while [st.pc] still points at the executing instruction,
-   so the current (block, body index) identifies the static claim site. *)
+(* The hooks fire while the pc still points at the executing instruction,
+   so the current (block label, body index) identifies the static claim
+   site. *)
 let at_claimed_site ex tbl =
-  Hashtbl.mem tbl (ex.st.Interp.pc.Interp.block, ex.st.Interp.pc.Interp.index)
+  Hashtbl.mem tbl (Interp.label ex.code ex.st, ex.st.Interp.index)
 
 let on_store ex st addr value =
   if ex.cfg.honor_static_claims && at_claimed_site ex ex.claim_bypass then begin
@@ -434,7 +435,8 @@ let recover ex ~kind =
     List.iter
       (fun reg -> Interp.set_reg ex.st reg (restore_register ex reg))
       info.Pass_pipeline.live_in;
-    ex.st.Interp.pc <- { Interp.block = info.Pass_pipeline.head; index = 0 };
+    ex.st.Interp.block <- Interp.block_index ex.code info.Pass_pipeline.head;
+    ex.st.Interp.index <- 0;
     ex.st.Interp.halted <- false;
     (* The restart region's boundary marker is its head block's first
        instruction, so the next step re-executes it at the position it
@@ -449,21 +451,16 @@ let recover ex ~kind =
    model: the struck register poisons derived values; using any tainted
    register for addressing triggers immediate (parity) detection before
    the access executes. *)
-let instr_at (ex : exec) =
-  let func = ex.compiled.Pass_pipeline.prog.Prog.func in
-  let b = Func.block func ex.st.Interp.pc.Interp.block in
-  let n = Array.length b.Block.body in
-  if ex.st.Interp.pc.Interp.index < n then Some b.Block.body.(ex.st.Interp.pc.Interp.index)
-  else None
-
 let address_uses_taint ex =
-  match instr_at ex with
+  match Interp.instr ex.code ex.st with
   | Some (Instr.Load (_, base, _, _)) -> Reg.Set.mem base ex.tainted
   | Some (Instr.Store (_, base, _, _)) -> Reg.Set.mem base ex.tainted
   | Some _ | None -> false
 
 let propagate_taint ex =
-  match instr_at ex with
+  (* Nothing to propagate, or cleanse, while no register is tainted. *)
+  let current = if Reg.Set.is_empty ex.tainted then None else Interp.instr ex.code ex.st in
+  match current with
   | Some i ->
     let input_tainted =
       List.exists (fun r -> Reg.Set.mem r ex.tainted) (Instr.uses i)
@@ -509,6 +506,7 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
   {
     cfg = config;
     compiled;
+    code = Interp.decode compiled.Pass_pipeline.prog;
     st = Interp.init compiled.Pass_pipeline.prog;
     clq = Option.map Clq.create config.clq;
     col = (if config.coloring then Some (Coloring.create ~nregs:config.nregs ()) else None);
@@ -541,13 +539,17 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
 (* ------------------------------------------------------------------ *)
 (* Snapshots: a deep copy of the whole executor (interpreter state plus
    region/quarantine/CLQ/coloring bookkeeping) taken at the top of the
-   step loop, from which faulted runs can be forked byte-identically. *)
+   step loop, from which faulted runs can be forked byte-identically.
+   Every snapshot of a pilot carries the pilot's decoded program, so forks
+   never decode: the decoded program is immutable and shared. *)
 
 type snapshot = {
   snap_step : int; (* pilot [st.steps] = fault-free position at capture *)
-  s_regs : (Reg.t, int) Hashtbl.t;
+  s_code : Interp.program;
+  s_regs : int array;
   s_mem : (int, int) Hashtbl.t;
-  s_pc : Interp.pc;
+  s_block : int;
+  s_index : int;
   s_clq : Clq.t option;
   s_col : Coloring.t option;
   s_verified_loc : (Reg.t, slot_loc) Hashtbl.t;
@@ -568,9 +570,11 @@ let copy_region (r : dynamic_region) = { r with end_step = r.end_step }
 let capture ex =
   {
     snap_step = ex.st.Interp.steps;
-    s_regs = Hashtbl.copy ex.st.Interp.regs;
+    s_code = ex.code;
+    s_regs = Array.copy ex.st.Interp.regs;
     s_mem = Hashtbl.copy ex.st.Interp.mem;
-    s_pc = ex.st.Interp.pc;
+    s_block = ex.st.Interp.block;
+    s_index = ex.st.Interp.index;
     s_clq = Option.map Clq.copy ex.clq;
     s_col = Option.map Coloring.copy ex.col;
     s_verified_loc = Hashtbl.copy ex.verified_loc;
@@ -587,11 +591,13 @@ let of_snapshot ?(config = default_config) ?(tel = Telemetry.null)
   {
     cfg = config;
     compiled;
+    code = s.s_code;
     st =
       {
-        Interp.regs = Hashtbl.copy s.s_regs;
+        Interp.regs = Array.copy s.s_regs;
         mem = Hashtbl.copy s.s_mem;
-        pc = s.s_pc;
+        block = s.s_block;
+        index = s.s_index;
         steps = s.snap_step;
         halted = false;
       };
@@ -640,10 +646,18 @@ let tables_agree ?(skip = fun _ -> false) a b =
   in
   covered a b && covered b a
 
+(* Register files agree, registers past either one's end reading 0. *)
+let regs_agree a b =
+  let get r i = if i < Array.length r then r.(i) else 0 in
+  let n = max (Array.length a) (Array.length b) in
+  let rec go i = i >= n || (get a i = get b i && go (i + 1)) in
+  go 0
+
 let converged ex (s : snapshot) =
-  ex.st.Interp.pc = s.s_pc
+  ex.st.Interp.block = s.s_block
+  && ex.st.Interp.index = s.s_index
   && (not ex.st.Interp.halted)
-  && tables_agree ex.st.Interp.regs s.s_regs
+  && regs_agree ex.st.Interp.regs s.s_regs
   && tables_agree ~skip:Layout.is_ckpt_addr ex.st.Interp.mem s.s_mem
 
 let drain_at_exit ex =
@@ -674,8 +688,6 @@ let finish ex =
 
 let drive ?observer ?oracle ex =
   let st = ex.st in
-  let func = ex.compiled.Pass_pipeline.prog.Prog.func in
-  let fallthrough = Func.fallthrough_table func in
   let hooks =
     {
       Interp.on_ckpt = (fun st reg -> on_ckpt ex st reg);
@@ -813,7 +825,7 @@ let drive ?observer ?oracle ex =
         end
         else begin
           propagate_taint ex;
-          Interp.step ~hooks ~fallthrough func st;
+          Interp.step hooks ex.code st;
           ex.budget <- ex.budget - 1
         end
       end

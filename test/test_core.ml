@@ -15,7 +15,7 @@ let check_int = Alcotest.(check int)
 
 let bench name = List.hd (Suite.find_by_name name)
 
-let small = { E.default_params with E.scale = 1; fuel = 200_000 }
+let small = { Run.default_params with Run.scale = 1; fuel = 200_000 }
 
 (* ------------------------------------------------------------------ *)
 (* Schemes *)

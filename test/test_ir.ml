@@ -183,9 +183,9 @@ let test_func_add_block_and_fallthrough () =
   in
   Func.add_block f (Block.create "mid") ~after:"a";
   check_list "order" [ "a"; "mid"; "b" ] (Func.labels f);
-  Alcotest.(check (option string)) "fallthrough a" (Some "mid") (Func.fallthrough_of f "a");
-  Alcotest.(check (option string)) "fallthrough b" None (Func.fallthrough_of f "b");
   let tbl = Func.fallthrough_table f in
+  Alcotest.(check (option string)) "fallthrough a" (Some "mid") (Hashtbl.find_opt tbl "a");
+  Alcotest.(check (option string)) "fallthrough b" None (Hashtbl.find_opt tbl "b");
   Alcotest.(check (option string)) "table" (Some "b") (Hashtbl.find_opt tbl "mid")
 
 (* ------------------------------------------------------------------ *)
@@ -400,6 +400,96 @@ let test_interp_mem_equal () =
   check "ckpt space excluded" true (Interp.app_mem_equal c d)
 
 (* ------------------------------------------------------------------ *)
+(* The decoded interpreter against the reference label stepper
+   (Interp_ref): same trace, event for event, and the same final memory,
+   registers, step count and halt flag, on every suite kernel and on
+   fuzzed programs, complete and fuel-truncated. *)
+
+module Suite = Turnpike_workloads.Suite
+module Scheme = Turnpike.Scheme
+module PP = Turnpike_compiler.Pass_pipeline
+
+let sorted_bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let same_as_reference ~what ~fuel prog =
+  let t, st = Interp.trace_run ~fuel prog in
+  let rt, rst = Interp_ref.trace_run ~fuel prog in
+  let fail fmt = Alcotest.failf ("%s (fuel %d): " ^^ fmt) what fuel in
+  if Trace.length t <> Trace.length rt then
+    fail "%d trace events, reference %d" (Trace.length t) (Trace.length rt);
+  Array.iteri
+    (fun k e ->
+      if not (Trace.equal_event e rt.Trace.events.(k)) then
+        fail "event %d is %s, reference %s" k (Trace.show_event e)
+          (Trace.show_event rt.Trace.events.(k)))
+    t.Trace.events;
+  if t.Trace.complete <> rt.Trace.complete then fail "complete flags differ";
+  if st.Interp.steps <> rst.Interp_ref.steps then
+    fail "%d steps, reference %d" st.Interp.steps rst.Interp_ref.steps;
+  if st.Interp.halted <> rst.Interp_ref.halted then fail "halted flags differ";
+  if sorted_bindings st.Interp.mem <> sorted_bindings rst.Interp_ref.mem then
+    fail "final memory differs";
+  Hashtbl.iter
+    (fun r v -> if Interp.get_reg st r <> v then fail "register %s differs" (Reg.to_string r))
+    rst.Interp_ref.regs;
+  Array.iteri
+    (fun r v ->
+      if v <> Interp_ref.get_reg rst r then fail "register %s differs" (Reg.to_string r))
+    st.Interp.regs
+
+let schemes = [ Scheme.baseline; Scheme.turnstile; Scheme.turnpike ]
+
+let compiled s prog = (PP.compile ~opts:(Scheme.compile_opts s ~sb_size:4) prog).PP.prog
+
+let test_reference_suite () =
+  List.iter
+    (fun b ->
+      let prog = b.Suite.build ~scale:1 in
+      let name = Suite.qualified_name b in
+      List.iter
+        (fun (s : Scheme.t) ->
+          let c = compiled s prog in
+          List.iter
+            (fun fuel -> same_as_reference ~what:(name ^ "/" ^ s.Scheme.name) ~fuel c)
+            [ 20_000; 1_000 ])
+        schemes;
+      same_as_reference ~what:(name ^ "/source") ~fuel:20_000 prog)
+    (Suite.all ())
+
+let test_reference_fuzz () =
+  for seed = 0 to 199 do
+    let src = Turnpike_frontend.Fuzz.generate ~seed in
+    match Turnpike_frontend.Tk.compile_string ~scale:1 src with
+    | Error e -> Alcotest.failf "fuzz seed %d rejected: %s" seed e
+    | Ok prog ->
+      let what tag = Printf.sprintf "fuzz seed %d %s" seed tag in
+      same_as_reference ~what:(what "lowered") ~fuel:200_000 prog;
+      same_as_reference ~what:(what "turnpike") ~fuel:200_000 (compiled Scheme.turnpike prog);
+      same_as_reference ~what:(what "turnstile") ~fuel:200_000
+        (compiled Scheme.turnstile prog)
+  done
+
+(* The trace loop allocates only what a trace must hold: per dynamic
+   instance, the events of loads and stores (they carry an address) and
+   new memory bindings. *)
+let test_trace_alloc_budget () =
+  List.iter
+    (fun name ->
+      let prog = (List.hd (Suite.find_by_name name)).Suite.build ~scale:1 in
+      List.iter
+        (fun (s : Scheme.t) ->
+          let c = compiled s prog in
+          let before = Gc.minor_words () in
+          let t, _ = Interp.trace_run ~fuel:20_000 c in
+          let per_event = (Gc.minor_words () -. before) /. float_of_int (Trace.length t) in
+          if per_event > 12. then
+            Alcotest.failf "%s/%s: %.1f words per trace event (budget 12)" name
+              s.Scheme.name per_event)
+        schemes)
+    [ "libquan"; "mcf"; "radix" ]
+
+(* ------------------------------------------------------------------ *)
 (* QCheck properties. *)
 
 let prop_eval_add_sub_inverse =
@@ -479,5 +569,8 @@ let tests =
     ("trace counts", `Quick, test_trace_counts);
     ("trace fallthrough branches", `Quick, test_trace_fallthrough_branches);
     ("interp mem equality", `Quick, test_interp_mem_equal);
+    ("interp = reference on suite kernels", `Quick, test_reference_suite);
+    ("interp = reference on fuzzed programs", `Quick, test_reference_fuzz);
+    ("interp trace allocation budget", `Quick, test_trace_alloc_budget);
   ]
   @ qcheck

@@ -89,16 +89,17 @@ let test_interp_step_granularity () =
   Builder.add b ~dst:r ~a:r (Imm 2);
   Builder.ret b;
   let prog = Builder.finish b in
-  let st = Interp.init prog in
-  Interp.step prog.Prog.func st;
+  let code = Interp.decode prog and st = Interp.init prog in
+  let step () = Interp.step Interp.no_hooks code st in
+  step ();
   check_int "after one step" 1 (Interp.get_reg st r);
-  Interp.step prog.Prog.func st;
+  step ();
   check_int "after two steps" 3 (Interp.get_reg st r);
   check "not yet halted" false st.Interp.halted;
-  Interp.step prog.Prog.func st (* terminator *);
+  step () (* terminator *);
   check "halted at ret" true st.Interp.halted;
   let steps = st.Interp.steps in
-  Interp.step prog.Prog.func st;
+  step ();
   check_int "step after halt is a no-op" steps st.Interp.steps
 
 let test_interp_hooks_see_writes () =

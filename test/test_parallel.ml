@@ -3,7 +3,7 @@
    CSV output at any job count, with the domain-safe compile/trace cache
    deduplicating work underneath. *)
 
-module Parallel = Turnpike.Parallel
+module Parallel = Turnpike_parallel
 module Run = Turnpike.Run
 module Scheme = Turnpike.Scheme
 module E = Turnpike.Experiments
@@ -61,15 +61,6 @@ let test_default_jobs_setting () =
   check "auto width positive" true (Parallel.effective_jobs () >= 1);
   Parallel.set_default_jobs saved
 
-let test_alias_shares_pool_config () =
-  (* Turnpike.Parallel is a re-export of the standalone turnpike.parallel
-     library: configuring one configures the other. *)
-  let saved = Parallel.effective_jobs () in
-  Turnpike_parallel.set_default_jobs 5;
-  check_int "alias sees library setting" 5 (Parallel.effective_jobs ());
-  Parallel.set_default_jobs saved;
-  check_int "library sees alias setting" saved (Turnpike_parallel.effective_jobs ())
-
 let test_nested_map_degrades_sequentially () =
   (* A map issued from inside a worker must not spawn another pool; it
      runs sequentially in that worker and still returns ordered results. *)
@@ -86,7 +77,7 @@ let test_nested_map_degrades_sequentially () =
 (* The acceptance property: a full-figure sweep produces byte-identical
    CSV rows at --jobs 1 and --jobs 4. *)
 
-let small = { E.default_params with E.scale = 1; fuel = 20_000 }
+let small = { Run.default_params with Run.scale = 1; fuel = 20_000 }
 
 let sweep_csv ~jobs =
   Run.clear_cache ();
@@ -201,7 +192,6 @@ let tests =
     ("map re-raises lowest-index failure", `Quick, test_map_reraises_lowest_index);
     ("grid regroups per item in order", `Quick, test_grid_regroups_in_order);
     ("default jobs setting", `Quick, test_default_jobs_setting);
-    ("Turnpike.Parallel aliases turnpike.parallel", `Quick, test_alias_shares_pool_config);
     ("nested map degrades to sequential", `Quick, test_nested_map_degrades_sequentially);
     ("fig19 sweep byte-identical at jobs 1 vs 4", `Slow, test_sweep_deterministic_across_jobs);
     ("campaign report identical at jobs 1 vs 4", `Slow, test_campaign_report_identical_across_jobs);

@@ -64,9 +64,10 @@ let test_codegen_matches_expression_eval name =
         (* (a) run the block on a scratch state sharing the final memory. *)
         let st =
           {
-            Interp.regs = Hashtbl.create 16;
+            Interp.regs = [||];
             mem = final.Interp.mem;
-            pc = { Interp.block = "x"; index = 0 };
+            block = 0;
+            index = 0;
             steps = 0;
             halted = false;
           }
@@ -176,9 +177,10 @@ let prop_lowering_matches_eval =
       (* Populate slots 1..8 with arbitrary-ish deterministic values. *)
       let st =
         {
-          Interp.regs = Hashtbl.create 8;
+          Interp.regs = [||];
           mem = Hashtbl.create 64;
-          pc = { Interp.block = "x"; index = 0 };
+          block = 0;
+          index = 0;
           steps = 0;
           halted = false;
         }

@@ -521,6 +521,68 @@ let prop_executor_matches_interp_no_fault =
       let out = Recovery.run compiled in
       Verifier.compare_states ~golden ~actual:out.Recovery.state = Verifier.Match)
 
+(* ------------------------------------------------------------------ *)
+(* Campaign golden: fork = scratch compares two paths of one build, so
+   this pins campaign behaviour across commits. For every suite kernel at
+   scale 1, under the Turnpike recovery config (turnpike binary) and the
+   Turnstile one (turnstile binary), one line holds the MD5 of the
+   outcomes of 24 seeded faults forked from a snapshot plan, the pilot's
+   final step count and the plan's snapshot count; one more line pins the
+   forensic event stream of libquan's first fault. A change to the
+   interpreter or the recovery executor that is meant to be invisible
+   must leave test/golden/campaigns.txt as it is. *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let campaign_configs =
+  [
+    ("default", Turnpike.Scheme.turnpike, Recovery.default_config);
+    ("turnstile", Turnpike.Scheme.turnstile, Recovery.turnstile_config);
+  ]
+
+let golden_campaign scheme config b =
+  let c = Turnpike.Run.compile_with small_params scheme b in
+  let faults = Injector.campaign ~seed:7 ~count:24 c.Turnpike.Run.trace in
+  let plan = Snapshot.record ~config c.Turnpike.Run.compiled in
+  (c, faults, plan)
+
+let campaign_line (tag, scheme, config) b =
+  let c, faults, plan = golden_campaign scheme config b in
+  let outcomes =
+    List.map
+      (Verifier.run_one ~config ~plan ~golden:c.Turnpike.Run.final
+         ~compiled:c.Turnpike.Run.compiled)
+      faults
+  in
+  ( Suite.qualified_name b ^ "/" ^ tag,
+    Printf.sprintf "%s %d %d"
+      (md5 (String.concat "\n" (List.map Verifier.outcome_to_json outcomes)))
+      (Snapshot.pilot_outcome plan).Recovery.state.Interp.steps
+      (Snapshot.snapshot_count plan) )
+
+let forensic_line () =
+  let module Telemetry = Turnpike_telemetry in
+  let b = bench "libquan" in
+  let c, faults, plan =
+    golden_campaign Turnpike.Scheme.turnpike Recovery.default_config b
+  in
+  let sink = Telemetry.create () in
+  ignore
+    (Verifier.run_one ~tel:sink ~plan ~golden:c.Turnpike.Run.final
+       ~compiled:c.Turnpike.Run.compiled (List.hd faults));
+  ( "forensics:" ^ Suite.qualified_name b,
+    md5 (Telemetry.Export.jsonl (Telemetry.events sink)) )
+
+let campaign_golden () =
+  List.concat_map
+    (fun b -> List.map (fun cfg -> campaign_line cfg b) campaign_configs)
+    (Suite.all ())
+  @ [ forensic_line () ]
+
+let test_golden_campaigns () =
+  Golden_file.check_keyed ~file:"campaigns.txt" ~what:"campaign outcomes"
+    (campaign_golden ())
+
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
     [ prop_random_faults_recover; prop_random_faults_recover_histogram;
@@ -541,6 +603,7 @@ let tests =
       `Slow,
       test_snapshot_fork_byte_identical_unsound_config );
     ("CI stopping deterministic", `Slow, test_ci_stopping_deterministic);
+    ("golden campaigns", `Slow, test_golden_campaigns);
     ("no-fault matches golden", `Quick, test_no_fault_matches_golden);
     ("no-fault turnstile config", `Quick, test_no_fault_turnstile_config);
     ("single fault recovers", `Quick, test_single_fault_recovers);

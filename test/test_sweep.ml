@@ -12,7 +12,7 @@ module CA = Turnpike.Campaign_args
 module E = Turnpike.Experiments
 module Run = Turnpike.Run
 module Scheme = Turnpike.Scheme
-module Parallel = Turnpike.Parallel
+module Parallel = Turnpike_parallel
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -221,34 +221,14 @@ let test_explore_score_matches_batch () =
 
 let golden_params = { Run.default_params with Run.scale = 1; fuel = 20_000 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* The goldens are declared as test deps (copied next to the executable
-   by dune); resolve them relative to the binary so `dune exec
-   test/test_main.exe` from the repo root finds them too. *)
-let golden_dir =
-  let candidates =
-    [
-      Filename.concat (Filename.dirname Sys.executable_name) "golden";
-      "golden"; Filename.concat "test" "golden";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some d -> d
-  | None -> "golden"
-
 let check_golden name render rows =
   let path = Filename.temp_file name ".csv" in
   render ~path rows;
-  let got = read_file path in
+  let got = Golden_file.read path in
   Sys.remove path;
   Alcotest.(check string)
     (name ^ " CSV byte-identical to pre-refactor golden")
-    (read_file (Filename.concat golden_dir (name ^ ".csv")))
+    (Golden_file.read (Golden_file.path (name ^ ".csv")))
     got
 
 let test_golden_fig19 () =
@@ -307,26 +287,8 @@ let sim_stats_golden () =
   @ [ ("timeline:" ^ Suite.qualified_name libquan, md5 (Turnpike.Timeline.jsonl timeline)) ]
 
 let test_golden_sim_stats () =
-  let got = sim_stats_golden () in
-  let expected =
-    String.split_on_char '\n' (read_file (Filename.concat golden_dir "sim_stats.txt"))
-    |> List.filter (fun l -> l <> "")
-    |> List.map (fun l ->
-           match String.split_on_char ' ' l with
-           | [ name; digest ] -> (name, digest)
-           | _ -> Alcotest.failf "malformed golden line %S" l)
-  in
-  List.iter
-    (fun (name, digest) ->
-      match List.assoc_opt name expected with
-      | Some d when d = digest -> ()
-      | Some _ ->
-        Alcotest.failf "%s: simulated statistics differ from the golden (now %s)" name
-          digest
-      | None -> Alcotest.failf "%s: no golden line (now %s)" name digest)
-    got;
-  check_int "one golden line per kernel plus the timeline" (List.length got)
-    (List.length expected)
+  Golden_file.check_keyed ~file:"sim_stats.txt" ~what:"simulated statistics"
+    (sim_stats_golden ())
 
 let tests =
   [

@@ -345,7 +345,7 @@ let test_static_predicts_dynamic_regions () =
     { Verifier.half_width = 0.08; confidence = 0.95; batch = 16; min_faults = 96 }
   in
   let results =
-    Turnpike.Parallel.map_list
+    Turnpike_parallel.map_list
       (fun b ->
         let c = Turnpike.Run.compile_with params Turnpike.Scheme.turnpike b in
         let compiled = c.Turnpike.Run.compiled in
