@@ -657,29 +657,24 @@ let run_analysis () =
 (* explore: cross-layer design-space exploration (not part of the default
    run-all set — a grid sweep is a deliberate choice, like --micro). *)
 
-let explore_budgets () =
-  (* --faults / --ci override the final (full-scale) rung's campaign. *)
+let explore_budget () =
+  (* --faults / --ci override the campaign of the full-scale budget. *)
   let ca = !campaign in
-  match List.rev (Turnpike.Explore.budgets_for !params) with
-  | [] -> []
-  | last :: rev ->
-    let last =
-      {
-        last with
-        Turnpike.Explore.max_faults =
-          Option.value ~default:last.Turnpike.Explore.max_faults
-            ca.Turnpike.Campaign_args.faults;
-        ci_half_width =
-          Option.value ~default:last.Turnpike.Explore.ci_half_width
-            ca.Turnpike.Campaign_args.ci;
-      }
-    in
-    List.rev (last :: rev)
+  let full = Turnpike.Explore.full_budget !params in
+  {
+    full with
+    Turnpike.Explore.max_faults =
+      Option.value ~default:full.Turnpike.Explore.max_faults
+        ca.Turnpike.Campaign_args.faults;
+    ci_half_width =
+      Option.value ~default:full.Turnpike.Explore.ci_half_width
+        ca.Turnpike.Campaign_args.ci;
+  }
 
 let run_explore () =
   let module X = Turnpike.Explore in
   let module DP = Turnpike.Design_point in
-  Report.section "Design-space exploration: Pareto frontier by successive halving";
+  Report.section "Design-space exploration";
   let spec =
     match DP.spec_of_string !explore_grid_name with
     | Ok s -> s
@@ -688,26 +683,19 @@ let run_explore () =
       exit 2
   in
   let report =
-    X.run ~budgets:(explore_budgets ())
+    X.run ~budget:(explore_budget ())
       ~seed:(!campaign).Turnpike.Campaign_args.seed ~params:!params ~spec ()
   in
   Printf.printf "grid %s: %d points over {%s}, seed %d\n" !explore_grid_name
     report.X.grid_size
     (String.concat ", " report.X.benches)
     report.X.seed;
-  Printf.printf "evaluations per budget rung: %s\n"
-    (String.concat ", "
-       (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) report.X.evals_per_budget));
-  Printf.printf "full-scale evaluations: %d/%d (%.0f%% of the grid)\n"
-    report.X.full_scale_evals report.X.grid_size
-    (100.0 *. float_of_int report.X.full_scale_evals
-    /. float_of_int (max 1 report.X.grid_size));
   let cols =
     Report.[ { title = "design point"; width = 34 }; { title = "overhead"; width = 8 };
              { title = "area um^2"; width = 10 }; { title = "pJ/kinstr"; width = 9 };
              { title = "SDC rate"; width = 8 }; { title = "faults"; width = 6 } ]
   in
-  Report.subsection "Pareto frontier (full-scale survivors)";
+  Report.subsection "Pareto frontier";
   Report.print_header cols;
   List.iter
     (fun (r : X.point_result) ->
@@ -721,7 +709,8 @@ let run_explore () =
   Printf.printf "frontier re-validation at full scale: %s\n"
     (if report.X.validated then "ok (objectives reproduced exactly)" else "FAILED");
   csv "explore_grid" Turnpike.Csv_export.explore_grid report;
-  csv "explore_pareto" Turnpike.Csv_export.explore_pareto report
+  csv "explore_pareto" Turnpike.Csv_export.explore_pareto report;
+  if not report.X.validated then exit 1
 
 (* ------------------------------------------------------------------ *)
 

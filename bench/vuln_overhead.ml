@@ -1,8 +1,8 @@
 (* Measures what the static vulnerability analysis costs on top of a
    plain compile: compiles every suite benchmark at the turnpike rung
    three ways — checking off (the baseline every other mode is charged
-   against), with one Vuln.compute per compile (the explorer's static
-   rung and lint --vuln), and with the full six-check registry run plus
+   against), with one Vuln.compute per compile (lint --vuln), and with
+   the full six-check registry run plus
    Vuln.compute (lint --vuln after a checked build) — and reports the
    wall-clock totals as JSON on stdout.
 
@@ -109,9 +109,8 @@ let () =
      protocol) to separate registry cost from Vuln.compute cost.\" },\n\
     \  \"note\": \"wall-clock, sequential, --repeat summed sweeps. \
      compile_only is the production baseline; compile_plus_vuln adds one \
-     Vuln.compute per compile (what the explorer's static rung and lint \
-     --vuln pay, roughly one extra liveness fixpoint plus the window \
-     walks); compile_checked_plus_vuln stacks it on a whole-program \
+     Vuln.compute per compile (what lint --vuln pays, roughly one extra \
+     liveness fixpoint plus the window walks); compile_checked_plus_vuln stacks it on a whole-program \
      registry run. The bench aborts if the tables differ across check \
      modes — the analysis must be a pure function of the compiled \
      binary.\"\n\

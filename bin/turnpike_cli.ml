@@ -923,11 +923,10 @@ let explore_cmd =
     "Explore the cross-layer design space — core model, store-buffer depth, \
      CLQ size, color-pool width, sensor deployment and compiler rung — and \
      report the Pareto frontier over (runtime overhead, area, energy, \
-     campaign SDC rate). Evaluation runs as successive halving: cheap proxy \
-     budgets score the whole grid, and only the Pareto-best half is promoted \
-     toward full-scale simulation with CI-stopped fault campaigns. Output is \
-     identical at any --jobs count; each frontier point is re-validated at \
-     full scale before reporting (non-zero exit if validation fails)."
+     campaign SDC rate). Every point is scored once by full-scale simulation \
+     and CI-stopped fault campaigns. Output is identical at any --jobs \
+     count; each frontier point is re-validated at full scale before \
+     reporting (non-zero exit if validation fails)."
   in
   let grid_arg =
     Arg.(value & opt string "default"
@@ -938,7 +937,7 @@ let explore_cmd =
   let faults_arg =
     Arg.(value & opt (some int) None
          & info [ "n"; "faults" ] ~docv:"N"
-             ~doc:"Override the full-scale rung's campaign fault supply.")
+             ~doc:"Override the campaign fault supply.")
   in
   let csv_arg =
     Arg.(value & opt (some string) None
@@ -948,50 +947,27 @@ let explore_cmd =
   let forensics_arg =
     Arg.(value & flag & info [ "forensics" ] ~doc:CA.doc_forensics)
   in
-  let static_proxy_arg =
-    Arg.(
-      value & flag
-      & info [ "static-proxy" ]
-          ~doc:
-            "Prepend a zero-cost rung that halves the grid on the static \
-             ACE/AVF estimate (predicted AVF + weighted code growth) before \
-             any simulation or campaign. The frontier is still re-validated \
-             at full scale.")
-  in
-  let run () grid scale seed ci faults csv_dir forensics static_proxy =
+  let run () grid scale seed ci faults csv_dir forensics =
     match DP.spec_of_string grid with
     | Error msg ->
       prerr_endline msg;
       exit 1
     | Ok spec ->
       let params = { Turnpike.Run.default_params with Turnpike.Run.scale } in
-      let budgets =
-        (* --faults / --ci override the final (full-scale) rung's campaign. *)
-        match List.rev (X.budgets_for params) with
-        | [] -> []
-        | last :: rev ->
-          let last =
-            {
-              last with
-              X.max_faults = Option.value ~default:last.X.max_faults faults;
-              ci_half_width = Option.value ~default:last.X.ci_half_width ci;
-            }
-          in
-          List.rev (last :: rev)
+      let full = X.full_budget params in
+      let budget =
+        {
+          full with
+          X.max_faults = Option.value ~default:full.X.max_faults faults;
+          ci_half_width = Option.value ~default:full.X.ci_half_width ci;
+        }
       in
-      let report = X.run ~budgets ~seed ~params ~forensics ~static_proxy ~spec () in
+      let report = X.run ~budget ~seed ~params ~forensics ~spec () in
       Printf.printf "grid %s: %d points over {%s}, seed %d\n" grid
         report.X.grid_size
         (String.concat ", " report.X.benches)
         report.X.seed;
-      Printf.printf "evaluations per budget rung: %s\n"
-        (String.concat ", "
-           (List.map
-              (fun (l, n) -> Printf.sprintf "%s=%d" l n)
-              report.X.evals_per_budget));
-      Printf.printf "full-scale evaluations: %d/%d\n" report.X.full_scale_evals
-        report.X.grid_size;
-      print_endline "Pareto frontier (full-scale survivors):";
+      print_endline "Pareto frontier:";
       List.iter
         (fun (r : X.point_result) ->
           let o = r.X.objectives in
@@ -1031,7 +1007,7 @@ let explore_cmd =
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
       const run $ jobs_arg $ grid_arg $ scale_arg $ seed_arg $ ci_arg
-      $ faults_arg $ csv_arg $ forensics_arg $ static_proxy_arg)
+      $ faults_arg $ csv_arg $ forensics_arg)
 
 let () =
   let doc = "Turnpike: lightweight soft error resilience for in-order cores (MICRO'21 reproduction)" in

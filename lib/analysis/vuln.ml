@@ -8,8 +8,8 @@
 
    Everything is derived from the context's memoized analyses plus one
    private loop-nesting pass, so a [compute] costs roughly one liveness
-   fixpoint — cheap enough for the explorer to score a whole design grid
-   before any simulation. *)
+   fixpoint — cheap enough for [lint --vuln] to tabulate every benchmark
+   and scheme without simulating. *)
 
 open Turnpike_ir
 
@@ -81,13 +81,6 @@ let block_mass func depth label =
   let b = Func.block func label in
   (loop_weight ** float_of_int (depth label))
   *. float_of_int (Block.num_instrs b + 1)
-
-let weighted_size (ctx : Context.t) =
-  let cfg = Context.cfg ctx in
-  let loops = Loop_info.compute cfg (Context.dominance ctx) in
-  List.fold_left
-    (fun acc l -> acc +. block_mass ctx.Context.func (Loop_info.depth loops) l)
-    0.0 (Cfg.reverse_postorder cfg)
 
 let compute (ctx : Context.t) =
   let func = ctx.Context.func in

@@ -66,8 +66,8 @@ type t = {
           charged as unbounded exposure of its region and register *)
   total_mass : float;  (** loop-weighted positions in the function *)
   predicted_avf : float;
-      (** mass-weighted mean of the region scores: the scalar proxy the
-          explorer ranks design points by *)
+      (** mass-weighted mean of the region scores: the function's scalar
+          vulnerability estimate *)
   wcdl : int;  (** detection latency the estimate was computed under *)
 }
 
@@ -79,11 +79,6 @@ val compute : Context.t -> t
     {!Context.regions} / {!Context.dominance} (plus a private loop-depth
     pass); detection latency comes from {!Context.t.wcdl} (default 10
     when absent). Deterministic: depends only on the context. *)
-
-val weighted_size : Context.t -> float
-(** Loop-weighted position count of the function (the [total_mass] term
-    alone). Defined for any function, regions or not — the explorer's
-    static overhead proxy divides protected by baseline weighted size. *)
 
 val rank : table -> table
 (** Sort rows by (score desc, exposure desc, {!Rank.key_compare}).

@@ -113,26 +113,24 @@ let fig26 ~path rows =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Design-space explorer artifacts: the full grid with per-point scores
-   and survival depth, and the Pareto-optimal subset. Both are emitted in
+(* Design-space explorer artifacts: the full grid with per-point scores,
+   and the Pareto-optimal subset. Both are emitted in
    grid enumeration order, so files are byte-identical at any job count. *)
 
 let explore_header =
   Design_point.csv_header
   @ [
-      "budgets_survived"; "budget"; "full_scale"; "overhead"; "area_um2";
-      "energy_pj_per_kinstr"; "sdc_rate"; "faults"; "pareto";
+      "overhead"; "area_um2"; "energy_pj_per_kinstr"; "sdc_rate"; "faults";
+      "pareto";
     ]
 
 let explore_row (r : Explore.point_result) =
   let o = r.Explore.objectives in
   Design_point.csv_cells r.Explore.point
   @ [
-      string_of_int r.Explore.budgets_survived; r.Explore.budget;
-      string_of_bool r.Explore.full_scale; f o.Explore.overhead;
-      f o.Explore.area_um2; f o.Explore.energy_pj_per_kinstr;
-      f o.Explore.sdc_rate; string_of_int o.Explore.faults;
-      string_of_bool r.Explore.on_frontier;
+      f o.Explore.overhead; f o.Explore.area_um2;
+      f o.Explore.energy_pj_per_kinstr; f o.Explore.sdc_rate;
+      string_of_int o.Explore.faults; string_of_bool r.Explore.on_frontier;
     ]
 
 let explore_grid ~path (report : Explore.report) =

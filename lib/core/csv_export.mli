@@ -18,8 +18,8 @@ val fig26 : path:string -> Experiments.fig26_row list -> unit
 
 val explore_grid : path:string -> Explore.report -> unit
 (** Every grid point of an exploration, in grid enumeration order: axis
-    columns ({!Design_point.csv_header}), survival depth, and the
-    objectives from the deepest budget the point reached. *)
+    columns ({!Design_point.csv_header}), the point's objectives and its
+    frontier membership. *)
 
 val explore_pareto : path:string -> Explore.report -> unit
 (** The Pareto-optimal subset only, same columns and order. *)

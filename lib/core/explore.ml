@@ -1,10 +1,12 @@
-(* Successive-halving design-space exploration. Scoring is split in two
-   deterministic passes per budget rung: timing simulation fans out over
-   (point x benchmark) on the domain pool, while fault campaigns are
-   walked sequentially per campaign key (the verifier fans out per fault
-   internally — same structure as Experiments.campaign_over, which avoids
-   nesting domain pools) and shared across points a campaign cannot
-   distinguish (the core model, the color-pool width). *)
+(* Design-space exploration: every grid point is scored once, at the
+   full-scale budget, and the Pareto frontier of those scores is
+   re-validated. Scoring is split in two deterministic passes: timing
+   simulation fans out over (point x benchmark) on the domain pool, while
+   fault campaigns are walked sequentially per campaign key (the verifier
+   fans out per fault internally — same structure as
+   Experiments.campaign_over, which avoids nesting domain pools) and
+   shared across points a campaign cannot distinguish (the core model,
+   the color-pool width). *)
 
 module Suite = Turnpike_workloads.Suite
 module Sim_stats = Turnpike_arch.Sim_stats
@@ -18,8 +20,6 @@ module Verifier = Turnpike_resilience.Verifier
 module Snapshot = Turnpike_resilience.Snapshot
 module Forensics = Turnpike_resilience.Forensics
 module Trace = Turnpike_ir.Trace
-module Pass_pipeline = Turnpike_compiler.Pass_pipeline
-module Analysis = Turnpike_analysis
 
 type objectives = {
   overhead : float;
@@ -40,30 +40,16 @@ type budget = {
   ci_half_width : float;
 }
 
-let budgets_for (params : Run.params) =
-  [
-    {
-      label = "proxy";
-      scale = max 1 (params.Run.scale / 4);
-      fuel = max 20_000 (params.Run.fuel / 8);
-      max_faults = 8;
-      ci_half_width = 0.25;
-    };
-    {
-      label = "mid";
-      scale = max 1 (params.Run.scale / 2);
-      fuel = max 40_000 (params.Run.fuel / 4);
-      max_faults = 32;
-      ci_half_width = 0.10;
-    };
-    {
-      label = "full";
-      scale = params.Run.scale;
-      fuel = params.Run.fuel;
-      max_faults = 64;
-      ci_half_width = 0.05;
-    };
-  ]
+let full_budget (params : Run.params) =
+  {
+    label = "full";
+    scale = params.Run.scale;
+    fuel = params.Run.fuel;
+    max_faults = 64;
+    ci_half_width = 0.05;
+  }
+
+let budgets_for params = [ full_budget params ]
 
 let default_benches () =
   List.filter_map
@@ -118,7 +104,7 @@ let dynamic_energy_pj (p : Design_point.t) (stats : Sim_stats.t) =
   cam +. cmap +. clq
 
 (* ------------------------------------------------------------------ *)
-(* Per-budget evaluation. *)
+(* Evaluation under a budget. *)
 
 let run_params (_params : Run.params) budget (p : Design_point.t) =
   {
@@ -203,7 +189,8 @@ let run_campaign ~params ~budget ~seed ~forensics key b =
     in
     (* With forensics, the same CI loop runs with one lifecycle sink per
        fault: sinks never influence outcomes, so the (sdc, total) pair —
-       and therefore promotion and validation — is identical either way. *)
+       and therefore the frontier and its validation — is identical
+       either way. *)
     let ci, records =
       if forensics then
         let records, ci =
@@ -219,7 +206,7 @@ let run_campaign ~params ~budget ~seed ~forensics key b =
     (ci.Verifier.report.Verifier.sdc, ci.Verifier.report.Verifier.total, records)
   end
 
-(* Score every live point under one budget. Two passes: timing on the
+(* Score every point under one budget. Two passes: timing on the
    domain pool, then one campaign per distinct key (first-appearance
    order). Returns (point, objectives) in the input (grid) order. *)
 let score_batch ?(forensics = false) ~benches ~params ~budget ~seed points =
@@ -292,125 +279,14 @@ let score ~benches ~params ~budget ~seed p =
   | [ (_, o, _) ] -> o
   | _ -> assert false
 
-(* ------------------------------------------------------------------ *)
-(* Static rung 0: the zero-campaign proxy. Points are scored by the
-   static ACE/AVF analysis alone — compile the rung, no trace, no
-   machine simulation, no fault — so a grid can be halved before the
-   first simulated cycle. The static analysis observes only the binary
-   and the detection latency, so points sharing (rung, SB depth, WCDL)
-   share one evaluation, exactly as campaigns share keys. Like the
-   campaign, the proxy is blind to the core's timing model; the
-   simulated rungs that follow re-separate those points. *)
-
-type static_key = { sk_rung : Scheme.t; sk_sb : int; sk_wcdl : int }
-
-let static_key (p : Design_point.t) =
-  {
-    sk_rung = p.Design_point.rung;
-    sk_sb = p.Design_point.sb_entries;
-    sk_wcdl = Design_point.wcdl p;
-  }
-
-(* (static overhead proxy, predicted AVF) of one key: loop-weighted code
-   growth against the unprotected baseline (geomean over benches) and
-   the mean predicted AVF of the static vulnerability tables. *)
-let static_score_key ~benches ~scale k =
-  let per_bench =
-    List.map
-      (fun (b : Suite.entry) ->
-        let compiled =
-          Pass_pipeline.compile
-            ~opts:(Scheme.compile_opts k.sk_rung ~sb_size:k.sk_sb)
-            (b.Suite.build ~scale)
-        in
-        let base =
-          Pass_pipeline.compile
-            ~opts:(Scheme.compile_opts Scheme.baseline ~sb_size:k.sk_sb)
-            (b.Suite.build ~scale)
-        in
-        let ctx =
-          Analysis.Context.with_machine ~wcdl:k.sk_wcdl
-            (Pass_pipeline.analysis_context compiled)
-        in
-        let v = Analysis.Vuln.compute ctx in
-        let ws = Analysis.Vuln.weighted_size ctx in
-        let wsb =
-          Analysis.Vuln.weighted_size (Pass_pipeline.analysis_context base)
-        in
-        ( (if wsb > 0.0 then ws /. wsb else 1.0),
-          v.Analysis.Vuln.predicted_avf ))
-      benches
-  in
-  ( Report.geomean (List.map fst per_bench),
-    Report.arith_mean (List.map snd per_bench) )
-
-(* Score every point statically (one evaluation per distinct key, fanned
-   over the pool in key order). Objectives mirror the simulated ones
-   axis-for-axis so [promote] applies unchanged: overhead <- weighted
-   code growth, sdc_rate <- predicted AVF, area is exact (it never
-   needed simulation), energy is unknowable statically and scored 0 for
-   every point (a tie contributes nothing to dominance). *)
-let static_score_batch ~benches ~scale points =
-  let keys =
-    List.fold_left
-      (fun acc p ->
-        let k = static_key p in
-        if List.mem k acc then acc else k :: acc)
-      [] points
-    |> List.rev
-  in
-  let scores =
-    Turnpike_parallel.map_list (fun k -> (k, static_score_key ~benches ~scale k)) keys
-  in
-  List.map
-    (fun p ->
-      let overhead, avf = List.assoc (static_key p) scores in
-      ( p,
-        {
-          overhead;
-          area_um2 = area_um2 p;
-          energy_pj_per_kinstr = 0.0;
-          sdc_rate = avf;
-          faults = 0;
-        },
-        None ))
-    points
-
-(* ------------------------------------------------------------------ *)
-(* Successive halving. *)
-
-(* Keep the Pareto-best ceil(n/2) of the scored points: whole
-   non-dominated layers first, grid order inside a layer — a total,
-   deterministic preference that never depends on evaluation order. *)
-let promote scored =
-  let k = (List.length scored + 1) / 2 in
-  let ranked =
-    Pareto.rank ~objectives:(fun (_, o, _) -> objective_vector o) scored
-  in
-  let indexed = List.mapi (fun i ((p, _, _), layer) -> (i, layer, p)) ranked in
-  let by_preference =
-    List.stable_sort
-      (fun (i, la, _) (j, lb, _) -> if la <> lb then compare la lb else compare i j)
-      indexed
-  in
-  let chosen =
-    List.filteri (fun rank _ -> rank < k) by_preference
-    |> List.map (fun (i, _, _) -> i)
-  in
-  List.filteri (fun i _ -> List.mem i chosen) scored
-  |> List.map (fun (p, _, _) -> p)
-
 type point_result = {
   point : Design_point.t;
   objectives : objectives;
-  budgets_survived : int;
-  budget : string;
-  full_scale : bool;
   on_frontier : bool;
   forensics : Forensics.summary option;
-      (* attribution rollup of the point's (shared) campaign at the last
-         budget it was scored under; deliberately OUTSIDE [objectives] so
-         frontier re-validation still compares scalar objectives exactly *)
+      (* attribution rollup of the point's (shared) campaign; deliberately
+         OUTSIDE [objectives] so frontier re-validation still compares
+         scalar objectives exactly *)
 }
 
 type report = {
@@ -418,92 +294,45 @@ type report = {
   results : point_result list;
   frontier : point_result list;
   evals_per_budget : (string * int) list;
-  full_scale_evals : int;
   validated : bool;
   benches : string list;
   seed : int;
 }
 
-let run ?benches ?budgets ?(seed = 7) ?(params = Run.default_params)
-    ?(forensics = false) ?(static_proxy = false) ~(spec : Design_point.spec)
-    () =
+let run ?benches ?budget ?(seed = 7) ?(params = Run.default_params)
+    ?(forensics = false) ~(spec : Design_point.spec) () =
   let benches = match benches with Some bs -> bs | None -> default_benches () in
-  let budgets = match budgets with Some bs -> bs | None -> budgets_for params in
-  if budgets = [] then invalid_arg "Explore.run: empty budget ladder";
+  let budget = match budget with Some b -> b | None -> full_budget params in
   let points = Design_point.grid spec in
-  let nb = List.length budgets in
-  (* Latest evaluation of each point, keyed by its id. *)
-  let state = Hashtbl.create (List.length points) in
-  let evals = ref [] in
-  let alive = ref points in
-  (* Rung 0: halve the grid on the static estimate alone, before any
-     simulation. Survivors enter the simulated ladder; pruned points
-     keep their static objectives (budgets_survived = 0). *)
-  if static_proxy && List.length points > 1 then begin
-    let scale = (List.hd budgets).scale in
-    let scored = static_score_batch ~benches ~scale points in
-    evals := ("static", List.length scored) :: !evals;
-    List.iter
-      (fun (p, o, f) ->
-        Hashtbl.replace state (Design_point.id p) (o, 0, "static", f))
-      scored;
-    alive := promote scored
-  end;
-  List.iteri
-    (fun bi budget ->
-      let scored = score_batch ~forensics ~benches ~params ~budget ~seed !alive in
-      evals := (budget.label, List.length scored) :: !evals;
-      List.iter
-        (fun (p, o, f) ->
-          Hashtbl.replace state (Design_point.id p) (o, bi + 1, budget.label, f))
-        scored;
-      alive :=
-        if bi < nb - 1 && List.length scored > 1 then promote scored
-        else List.map (fun (p, _, _) -> p) scored)
-    budgets;
-  let last_budget = List.nth budgets (nb - 1) in
-  let survivors =
+  let scored = score_batch ~forensics ~benches ~params ~budget ~seed points in
+  let frontier_ids =
+    Pareto.frontier ~objectives:(fun (_, o, _) -> objective_vector o) scored
+    |> List.map (fun (p, _, _) -> Design_point.id p)
+  in
+  let results =
     List.map
-      (fun p ->
-        let o, _, _, _ = Hashtbl.find state (Design_point.id p) in
-        (p, o))
-      !alive
+      (fun (point, objectives, forensics) ->
+        {
+          point;
+          objectives;
+          on_frontier = List.mem (Design_point.id point) frontier_ids;
+          forensics;
+        })
+      scored
   in
-  let frontier_pts =
-    Pareto.frontier ~objectives:(fun (_, o) -> objective_vector o) survivors
-    |> List.map fst
-  in
-  let on_frontier p =
-    List.exists (fun q -> Design_point.id q = Design_point.id p) frontier_pts
-  in
-  let result_of p =
-    let o, survived, label, forens = Hashtbl.find state (Design_point.id p) in
-    {
-      point = p;
-      objectives = o;
-      budgets_survived = survived;
-      budget = label;
-      full_scale = survived = nb;
-      on_frontier = on_frontier p;
-      forensics = forens;
-    }
-  in
-  let results = List.map result_of points in
   let frontier = List.filter (fun r -> r.on_frontier) results in
-  (* Re-validate the frontier: re-running the full-scale evaluation of a
-     frontier point must reproduce its recorded objectives exactly. *)
+  (* Re-validate the frontier: re-running the evaluation of a frontier
+     point must reproduce its recorded objectives exactly. *)
   let validated =
     List.for_all
-      (fun r ->
-        score ~benches ~params ~budget:last_budget ~seed r.point = r.objectives)
+      (fun r -> score ~benches ~params ~budget ~seed r.point = r.objectives)
       frontier
   in
   {
     grid_size = List.length points;
     results;
     frontier;
-    evals_per_budget = List.rev !evals;
-    full_scale_evals = List.length !alive;
+    evals_per_budget = [ (budget.label, List.length points) ];
     validated;
     benches = List.map Suite.qualified_name benches;
     seed;

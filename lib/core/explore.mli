@@ -2,22 +2,18 @@
 
     The explorer walks a {!Design_point.spec} grid — core model,
     store-buffer depth, CLQ size, color-pool width, sensor deployment and
-    compiler rung — and scores every point on four objectives (runtime
-    overhead, area, dynamic resilience energy, campaign SDC rate), all to
-    be minimized. Full-scale timing simulation and CI-stopped fault
-    campaigns are expensive, so evaluation runs as successive halving:
-    every point is scored under a cheap proxy budget (short traces, few
-    faults, wide confidence target), then only the Pareto-best half is
-    promoted to the next, costlier budget, until the survivors are scored
-    at full scale. The final frontier is the Pareto-optimal set of the
-    full-scale survivors, and each frontier point is re-validated by
-    re-running its full-scale evaluation and comparing objectives.
+    compiler rung — and scores every point once, at the full-scale
+    budget, on four objectives (runtime overhead, area, dynamic
+    resilience energy, campaign SDC rate), all to be minimized. The
+    frontier is the Pareto-optimal set of those scores, and each frontier
+    point is re-validated by re-running its evaluation and comparing
+    objectives.
 
     Everything is deterministic at any [--jobs] setting: grid enumeration
     order is fixed ({!Design_point.grid}), parallel fan-out is
-    index-ordered ({!Turnpike_parallel}), campaigns use seeded fault lists with
-    sequential stopping ({!Turnpike_resilience.Verifier.run_campaign_ci}),
-    and halving promotion breaks ties by grid position. *)
+    index-ordered ({!Turnpike_parallel}), and campaigns use seeded fault
+    lists with sequential stopping
+    ({!Turnpike_resilience.Verifier.run_campaign_ci}). *)
 
 module Suite = Turnpike_workloads.Suite
 
@@ -42,24 +38,28 @@ type objectives = {
 
 val objective_vector : objectives -> float array
 (** The minimization vector [\[overhead; area; energy; sdc_rate\]] that
-    {!Pareto} ranks on ([faults] is bookkeeping, not an objective). *)
+    the frontier is computed over ([faults] is bookkeeping, not an
+    objective). *)
 
-(** {1 Evaluation budgets} *)
+(** {1 Evaluation budget} *)
 
 type budget = {
   label : string;
-  scale : int;  (** workload scale of this rung's traces *)
-  fuel : int;  (** interpreter step budget of this rung's traces *)
+  scale : int;  (** workload scale of the timing traces *)
+  fuel : int;  (** interpreter step budget of the timing traces *)
   max_faults : int;
       (** fault supply per campaign; [0] skips campaigns entirely *)
   ci_half_width : float;  (** Wilson-interval stopping target *)
 }
 
+val full_budget : Run.params -> budget
+(** The full-scale budget of an operating point, labelled ["full"]: its
+    scale and fuel, and CI-stopped campaigns of up to 64 faults per
+    benchmark at ±0.05. *)
+
 val budgets_for : Run.params -> budget list
-(** The default three-rung ladder derived from a full-scale operating
-    point: a proxy rung at quarter scale with an eighth of the fuel and a
-    token 8-fault campaign at ±0.25, a mid rung at half scale, and the
-    full-scale rung with CI-stopped campaigns at ±0.05. *)
+(** [\[full_budget params\]]. The list shape is kept for the perf
+    harness ([bench/perf]), which reads every budget's [scale]. *)
 
 (** {1 Scoring} *)
 
@@ -87,16 +87,13 @@ val score :
 
 type point_result = {
   point : Design_point.t;
-  objectives : objectives;  (** from the last budget this point reached *)
-  budgets_survived : int;  (** how many budget rungs evaluated this point *)
-  budget : string;  (** label of the last budget this point reached *)
-  full_scale : bool;  (** reached the final budget rung *)
-  on_frontier : bool;  (** member of the full-scale Pareto frontier *)
+  objectives : objectives;
+  on_frontier : bool;  (** member of the Pareto frontier *)
   forensics : Turnpike_resilience.Forensics.summary option;
-      (** attribution rollup of the point's (shared) campaign at the last
-          budget it was scored under — populated only when {!run} was
-          given [~forensics:true]; kept outside {!objectives} so frontier
-          re-validation still compares scalar objectives exactly *)
+      (** attribution rollup of the point's (shared) campaign — populated
+          only when {!run} was given [~forensics:true]; kept outside
+          {!objectives} so frontier re-validation still compares scalar
+          objectives exactly *)
 }
 
 type report = {
@@ -104,45 +101,30 @@ type report = {
   results : point_result list;  (** every grid point, in grid order *)
   frontier : point_result list;  (** Pareto-optimal set, in grid order *)
   evals_per_budget : (string * int) list;
-      (** points evaluated at each budget rung, in rung order *)
-  full_scale_evals : int;  (** points that reached the final rung *)
+      (** [\[(budget.label, grid_size)\]]: every point is evaluated once.
+          The list shape is kept for the perf harness. *)
   validated : bool;
-      (** every frontier point's full-scale re-evaluation reproduced its
-          recorded objectives exactly *)
+      (** every frontier point's re-evaluation reproduced its recorded
+          objectives exactly *)
   benches : string list;  (** qualified benchmark names scored over *)
   seed : int;
 }
 
 val run :
   ?benches:Suite.entry list ->
-  ?budgets:budget list ->
+  ?budget:budget ->
   ?seed:int ->
   ?params:Run.params ->
   ?forensics:bool ->
-  ?static_proxy:bool ->
   spec:Design_point.spec ->
   unit ->
   report
-(** Explore [spec]'s grid by successive halving over [budgets] (default
-    {!budgets_for}[ params]): score every live point at each rung, keep
-    the Pareto-best ceil(n/2) — non-dominated layers first, grid order
-    within a layer — and promote them to the next rung. Campaign work is
-    shared across points that differ only in axes a campaign cannot
-    observe (the core model), and the whole run is deterministic at any
-    job count. With [forensics] (default false) every campaign records
+(** Explore [spec]'s grid: score every point once under [budget]
+    (default {!full_budget}[ params]), take the Pareto frontier of those
+    scores and re-validate it. Campaign work is shared across points that
+    differ only in axes a campaign cannot observe (the core model, the
+    color-pool width), and the whole run is deterministic at any job
+    count. With [forensics] (default false) every campaign records
     per-fault lifecycles and each {!point_result} carries the attribution
-    rollup; sinks never influence outcomes, so scores, promotion and
-    validation are unchanged.
-
-    With [static_proxy] (default false) a zero-cost rung labelled
-    ["static"] runs first: every point is scored by the static ACE/AVF
-    analysis ({!Turnpike_analysis.Vuln}) — compile only, no trace,
-    simulation or fault — with predicted AVF standing in for the SDC
-    rate and loop-weighted code growth for the overhead, and the grid is
-    halved before the first simulated cycle. One evaluation is shared
-    per (rung, SB depth, WCDL), mirroring campaign-key sharing; pruned
-    points report [budgets_survived = 0] and budget ["static"].
-    Frontier re-validation is unchanged — it re-runs the full-scale
-    simulated evaluation, so the proxy can only affect which points
-    reach it, never the recorded objectives.
-    @raise Invalid_argument when [budgets] is empty. *)
+    rollup; sinks never influence outcomes, so scores, the frontier and
+    validation are unchanged. *)

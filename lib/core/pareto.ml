@@ -1,5 +1,5 @@
-(* Pareto dominance (minimization) and non-dominated sorting. Quadratic in
-   the point count, which is fine at design-grid sizes (tens to a few
+(* Pareto dominance (minimization) and the non-dominated subset. Quadratic
+   in the point count, which is fine at design-grid sizes (tens to a few
    hundred points); input order is preserved everywhere so frontier output
    is deterministic. *)
 
@@ -21,32 +21,3 @@ let frontier ~objectives points =
   List.filteri
     (fun i _ -> not (Array.exists (fun oj -> dominates oj objs.(i)) objs))
     points
-
-let rank ~objectives points =
-  let pts = Array.of_list points in
-  let objs = Array.map objectives pts in
-  let n = Array.length pts in
-  let layer = Array.make n (-1) in
-  let remaining = ref n in
-  let current = ref 0 in
-  while !remaining > 0 do
-    (* Frontier of the not-yet-ranked points becomes layer [!current]. *)
-    let in_layer = Array.make n false in
-    for i = 0 to n - 1 do
-      if layer.(i) < 0 then begin
-        let dominated = ref false in
-        for j = 0 to n - 1 do
-          if layer.(j) < 0 && dominates objs.(j) objs.(i) then dominated := true
-        done;
-        if not !dominated then in_layer.(i) <- true
-      end
-    done;
-    for i = 0 to n - 1 do
-      if in_layer.(i) then begin
-        layer.(i) <- !current;
-        decr remaining
-      end
-    done;
-    incr current
-  done;
-  List.mapi (fun i p -> (p, layer.(i))) points

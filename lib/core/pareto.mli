@@ -1,4 +1,4 @@
-(** Pareto dominance and non-dominated sorting over minimization
+(** Pareto dominance and the non-dominated subset over minimization
     objectives.
 
     All objectives minimize (the explorer's runtime overhead, area,
@@ -17,9 +17,3 @@ val dominates : float array -> float array -> bool
 
 val frontier : objectives:('a -> float array) -> 'a list -> 'a list
 (** The non-dominated subset, in input order. *)
-
-val rank : objectives:('a -> float array) -> 'a list -> ('a * int) list
-(** Non-dominated sorting: layer 0 is the frontier, layer 1 the frontier
-    of the rest, and so on. Input order is preserved; each element is
-    paired with its layer. The successive-halving promoter keeps the
-    best layers (ties broken by input position). *)

@@ -53,20 +53,6 @@ let add_block f (b : Block.t) ~after =
   in
   f.order <- insert f.order
 
-(* Layout successors: each label mapped to the block that follows it in
-   emission order. A jump or branch to it is a fall-through (no fetch
-   redirect). *)
-let fallthrough_table f =
-  let tbl = Hashtbl.create 64 in
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-      Hashtbl.replace tbl a b;
-      go rest
-    | [ _ ] | [] -> ()
-  in
-  go f.order;
-  tbl
-
 let validate f =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in

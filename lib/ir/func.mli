@@ -29,10 +29,6 @@ val add_block : t -> Block.t -> after:string -> unit
 (** Insert a new block immediately after [after] in layout order.
     @raise Invalid_argument on duplicate label. *)
 
-val fallthrough_table : t -> (string, string) Hashtbl.t
-(** Each label mapped to the block following it in layout order; jumping
-    to that block costs no fetch redirect. *)
-
 val validate : t -> string list
 (** Structural well-formedness check; returns a list of problems (empty
     when the function is well formed). *)

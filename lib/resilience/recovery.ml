@@ -26,7 +26,6 @@ open Turnpike_ir
 module Clq = Turnpike_arch.Clq
 module Coloring = Turnpike_arch.Coloring
 module Pass_pipeline = Turnpike_compiler.Pass_pipeline
-module Recovery_expr = Turnpike_compiler.Recovery_expr
 module Telemetry = Turnpike_telemetry
 
 type config = {

@@ -73,16 +73,21 @@ let exec_instr on_event st (i : Instr.t) =
   | Boundary id -> on_event (Trace.Boundary { region = id })
   | Nop -> on_event (Trace.Alu { dst = None; srcs = [] })
 
-(* The layout successor of [l], for a step given no fall-through table. *)
-let fallthrough_of func l =
-  let rec find = function
-    | a :: b :: _ when String.equal a l -> Some b
-    | _ :: rest -> find rest
-    | [] -> None
+(* Layout successors: each label mapped to the block that follows it in
+   emission order. A jump or branch to it is a fall-through (no fetch
+   redirect). *)
+let fallthrough_table func =
+  let tbl = Hashtbl.create 64 in
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+      Hashtbl.replace tbl a b;
+      go rest
+    | [ _ ] | [] -> ()
   in
-  find (Func.labels func)
+  go (Func.labels func);
+  tbl
 
-let step ?(on_event = ignore) ?fallthrough func st =
+let step ~on_event ~fallthrough func st =
   if not st.halted then begin
     let b = Func.block func st.pc.block in
     if st.pc.index < Array.length b.Block.body then begin
@@ -90,11 +95,7 @@ let step ?(on_event = ignore) ?fallthrough func st =
       st.pc <- { st.pc with index = st.pc.index + 1 }
     end
     else begin
-      let next =
-        match fallthrough with
-        | Some tbl -> Hashtbl.find_opt tbl st.pc.block
-        | None -> fallthrough_of func st.pc.block
-      in
+      let next = Hashtbl.find_opt fallthrough st.pc.block in
       let falls_to l = match next with Some n -> String.equal n l | None -> false in
       let site = Hashtbl.hash st.pc.block in
       match b.Block.term with
@@ -114,7 +115,7 @@ let trace_run ~fuel (prog : Prog.t) =
   let events = ref [] in
   let on_event e = events := e :: !events in
   let st = init prog in
-  let fallthrough = Func.fallthrough_table prog.func in
+  let fallthrough = fallthrough_table prog.func in
   let budget = ref fuel in
   while (not st.halted) && !budget > 0 do
     step ~on_event ~fallthrough prog.func st;

@@ -182,11 +182,7 @@ let test_func_add_block_and_fallthrough () =
       [ Block.create ~term:(Block.Jump "b") "a"; Block.create "b" ]
   in
   Func.add_block f (Block.create "mid") ~after:"a";
-  check_list "order" [ "a"; "mid"; "b" ] (Func.labels f);
-  let tbl = Func.fallthrough_table f in
-  Alcotest.(check (option string)) "fallthrough a" (Some "mid") (Hashtbl.find_opt tbl "a");
-  Alcotest.(check (option string)) "fallthrough b" None (Hashtbl.find_opt tbl "b");
-  Alcotest.(check (option string)) "table" (Some "b") (Hashtbl.find_opt tbl "mid")
+  check_list "order" [ "a"; "mid"; "b" ] (Func.labels f)
 
 (* ------------------------------------------------------------------ *)
 (* Cfg / Dominance / Loops / Liveness *)

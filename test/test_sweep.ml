@@ -57,14 +57,6 @@ let test_frontier () =
     (Pareto.frontier ~objectives:id_obj [ [| 3.0 |]; [| 1.0 |]; [| 2.0 |] ]
     = [ [| 1.0 |] ])
 
-let test_rank () =
-  let pts = [ [| 1.0; 3.0 |]; [| 4.0; 4.0 |]; [| 3.0; 1.0 |]; [| 2.0; 2.0 |] ] in
-  let layers = List.map snd (Pareto.rank ~objectives:id_obj pts) in
-  check "non-dominated layer 0, dominated layer 1" true (layers = [ 0; 1; 0; 0 ]);
-  let chain = [ [| 3.0 |]; [| 1.0 |]; [| 2.0 |] ] in
-  check "total order peels one layer per point" true
-    (List.map snd (Pareto.rank ~objectives:id_obj chain) = [ 2; 0; 1 ])
-
 (* ------------------------------------------------------------------ *)
 (* Sweep axes and design grids. *)
 
@@ -154,7 +146,7 @@ let test_campaign_args () =
    with Failure _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Explorer: determinism across job counts, halving shape, validation. *)
+(* Explorer: determinism across job counts, one rung, validation. *)
 
 let explore_params = { Run.default_params with Run.scale = 1; fuel = 20_000 }
 
@@ -181,38 +173,40 @@ let test_explore_deterministic_across_jobs () =
   in
   Alcotest.(check string) "grid CSV bytes identical" (render r1) (render r4)
 
-let test_explore_halving_and_validation () =
+let test_explore_frontier_validation () =
   let r = run_tiny () in
-  check_int "whole grid scored at the proxy rung" 4
-    (List.assoc "proxy" r.Explore.evals_per_budget);
-  check_int "half promoted to the mid rung" 2
-    (List.assoc "mid" r.Explore.evals_per_budget);
-  check_int "one full-scale evaluation" 1 r.Explore.full_scale_evals;
-  check "full-scale work bounded by half the grid" true
-    (2 * r.Explore.full_scale_evals <= r.Explore.grid_size);
-  check "frontier is non-empty" true (r.Explore.frontier <> []);
-  check "frontier points reached full scale" true
-    (List.for_all (fun p -> p.Explore.full_scale) r.Explore.frontier);
+  check "every point evaluated once, at full scale" true
+    (r.Explore.evals_per_budget = [ ("full", 4) ]);
+  check "frontier is the Pareto frontier of every result" true
+    (r.Explore.frontier
+    = Pareto.frontier
+        ~objectives:(fun p -> Explore.objective_vector p.Explore.objectives)
+        r.Explore.results);
+  (* Both turnpike points: the out-of-order one has the lowest overhead,
+     the in-order one the lowest energy. *)
+  Alcotest.(check (list string))
+    "frontier points"
+    [ "inorder/sb4/clq2/cb2/s300/turnpike"; "ooo/sb4/clq2/cb2/s300/turnpike" ]
+    (List.map (fun p -> DP.id p.Explore.point) r.Explore.frontier);
   check "frontier re-validation reproduced objectives" true r.Explore.validated;
   check "sound schemes show no SDC" true
     (List.for_all
        (fun p -> p.Explore.objectives.Explore.sdc_rate = 0.0)
        r.Explore.results);
-  (* Promotion is seed-stable: the same seed reproduces the whole report. *)
   check "same seed, same report" true (run_tiny () = r)
 
 let test_explore_score_matches_batch () =
   let r = run_tiny () in
-  let budget = List.nth (Explore.budgets_for explore_params) 2 in
+  let budget = Explore.full_budget explore_params in
   List.iter
     (fun p ->
       let o =
         Explore.score ~benches:(Explore.default_benches ())
           ~params:explore_params ~budget ~seed:7 p.Explore.point
       in
-      check "re-scoring a frontier point is bit-identical" true
+      check "re-scoring a point is bit-identical" true
         (o = p.Explore.objectives))
-    r.Explore.frontier
+    r.Explore.results
 
 (* ------------------------------------------------------------------ *)
 (* Golden CSVs: the Sweep refactor of fig19/fig20/fig14_15 kept their
@@ -290,23 +284,43 @@ let test_golden_sim_stats () =
   Golden_file.check_keyed ~file:"sim_stats.txt" ~what:"simulated statistics"
     (sim_stats_golden ())
 
+(* Every explorer score on the default grid, pinned: one line per design
+   point (scale 1, fuel 20000, seed 7, default benches) holding the four
+   objectives in hex-float, the fault count and frontier membership. A
+   change to how the explorer schedules its work must leave
+   test/golden/explore.txt as it is. *)
+let explore_golden () =
+  let r = Explore.run ~seed:7 ~params:golden_params ~spec:DP.default_spec () in
+  List.map
+    (fun p ->
+      let o = p.Explore.objectives in
+      ( DP.id p.Explore.point,
+        Printf.sprintf "%h %h %h %h %d %b" o.Explore.overhead o.Explore.area_um2
+          o.Explore.energy_pj_per_kinstr o.Explore.sdc_rate o.Explore.faults
+          p.Explore.on_frontier ))
+    r.Explore.results
+
+let test_golden_explore () =
+  Golden_file.check_keyed ~file:"explore.txt" ~what:"explorer scores"
+    (explore_golden ())
+
 let tests =
   [
     Alcotest.test_case "pareto-dominates" `Quick test_dominates;
     Alcotest.test_case "pareto-frontier" `Quick test_frontier;
-    Alcotest.test_case "pareto-rank" `Quick test_rank;
     Alcotest.test_case "sweep-axis" `Quick test_axis;
     Alcotest.test_case "grid-enumeration" `Quick test_grid_enumeration;
     Alcotest.test_case "design-point-lowering" `Quick test_design_point_lowering;
     Alcotest.test_case "campaign-args" `Quick test_campaign_args;
     Alcotest.test_case "explore-jobs-deterministic" `Slow
       test_explore_deterministic_across_jobs;
-    Alcotest.test_case "explore-halving-validation" `Slow
-      test_explore_halving_and_validation;
+    Alcotest.test_case "explore-frontier-validation" `Slow
+      test_explore_frontier_validation;
     Alcotest.test_case "explore-score-matches-batch" `Slow
       test_explore_score_matches_batch;
     Alcotest.test_case "golden-fig19" `Slow test_golden_fig19;
     Alcotest.test_case "golden-fig20" `Slow test_golden_fig20;
     Alcotest.test_case "golden-fig14-15" `Slow test_golden_fig14_15;
     Alcotest.test_case "golden-sim-stats" `Slow test_golden_sim_stats;
+    Alcotest.test_case "golden-explore" `Slow test_golden_explore;
   ]

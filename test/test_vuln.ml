@@ -1,9 +1,8 @@
 (* Tests for the static ACE/AVF vulnerability analysis: the shared
    ranking tie-break and rank-correlation statistics, the registry
    wiring, the static drop-ckpt mutant conviction (mirroring PR 8's
-   dynamic conviction), the static-vs-dynamic agreement acceptance
-   criterion over the whole suite, and the explorer's zero-campaign
-   static rung. *)
+   dynamic conviction) and the static-vs-dynamic agreement acceptance
+   criterion over the whole suite. *)
 
 open Turnpike_ir
 module Analysis = Turnpike_analysis
@@ -130,18 +129,11 @@ let test_compute_sanity () =
     (Vuln.rank v.Vuln.by_region = v.Vuln.by_region);
   (* baseline (no regions) is empty *)
   let _, b = vuln_of Turnpike.Scheme.baseline "mcf" ~scale:2 in
-  check "baseline has no vulnerability tables" true (b = Vuln.empty);
-  (* weighted_size works without regions *)
-  let prog = (bench "mcf").Suite.build ~scale:2 in
-  let opts = Turnpike.Scheme.compile_opts Turnpike.Scheme.baseline ~sb_size:4 in
-  let base = Pass_pipeline.compile ~opts prog in
-  check "weighted size is positive for the baseline" true
-    (Vuln.weighted_size (Pass_pipeline.analysis_context base) > 0.0)
+  check "baseline has no vulnerability tables" true (b = Vuln.empty)
 
 let test_wcdl_raises_escape () =
   (* A slower detector (larger WCDL) leaves wider escape windows: the
-     predicted AVF must be monotone in the configured latency — this is
-     what lets the explorer's static rung separate sensor deployments. *)
+     predicted AVF must be monotone in the configured latency. *)
   let _, fast = vuln_of ~wcdl:2 Turnpike.Scheme.turnpike "mcf" ~scale:2 in
   let _, slow = vuln_of ~wcdl:100 Turnpike.Scheme.turnpike "mcf" ~scale:2 in
   check "larger WCDL, larger predicted AVF" true
@@ -268,69 +260,6 @@ let test_vuln_csv_missing_columns () =
           (Printf.sprintf "expected 3 csv lines, got %d" (List.length ls)))
 
 (* ------------------------------------------------------------------ *)
-(* The explorer's static rung *)
-
-let cheap_budget =
-  {
-    Turnpike.Explore.label = "proxy";
-    scale = 1;
-    fuel = 20_000;
-    max_faults = 0;
-    ci_half_width = 0.25;
-  }
-
-let test_explore_static_proxy_tiny () =
-  let module X = Turnpike.Explore in
-  let benches = [ bench "libquan" ] in
-  let r =
-    X.run ~benches ~budgets:[ cheap_budget ] ~static_proxy:true
-      ~spec:Turnpike.Design_point.tiny_spec ()
-  in
-  (match r.X.evals_per_budget with
-  | ("static", n) :: rest ->
-    check_int "static rung scores the whole grid" r.X.grid_size n;
-    check "simulated rungs see only the survivors" true
-      (List.for_all (fun (_, m) -> m <= (n + 1) / 2) rest)
-  | _ -> Alcotest.fail "static rung missing from the ladder");
-  check "frontier re-validates bit-exact" true r.X.validated;
-  (* pruned points carry their static evaluation *)
-  check "pruned points report the static budget" true
-    (List.exists
-       (fun (p : X.point_result) ->
-         p.X.budgets_survived = 0 && p.X.budget = "static")
-       r.X.results)
-
-let test_explore_static_proxy_default_grid () =
-  (* Acceptance: on the 64-point default grid the static rung must prune
-     >= 25% of the points before any simulation, and the frontier found
-     with the proxy enabled must re-validate bit-exact at full scale. *)
-  let module X = Turnpike.Explore in
-  let benches = [ bench "libquan" ] in
-  let r =
-    X.run ~benches ~budgets:[ cheap_budget ] ~static_proxy:true
-      ~spec:Turnpike.Design_point.default_spec ()
-  in
-  check_int "default grid" 64 r.X.grid_size;
-  (match r.X.evals_per_budget with
-  | [ ("static", 64); (_, sim) ] ->
-    check "at least 25% pruned before any simulation" true
-      (float_of_int (64 - sim) >= 0.25 *. 64.0)
-  | _ -> Alcotest.fail "expected exactly static + one simulated rung");
-  check "frontier re-validates bit-exact at full scale" true r.X.validated
-
-let test_explore_proxy_determinism () =
-  let module X = Turnpike.Explore in
-  let benches = [ bench "libquan" ] in
-  let run () =
-    X.run ~benches ~budgets:[ cheap_budget ] ~static_proxy:true
-      ~spec:Turnpike.Design_point.tiny_spec ()
-  in
-  let a = run () and b = run () in
-  check "static-proxy explore is reproducible" true
-    (List.map (fun (p : X.point_result) -> (Turnpike.Design_point.id p.X.point, p.X.objectives, p.X.budget)) a.X.results
-    = List.map (fun (p : X.point_result) -> (Turnpike.Design_point.id p.X.point, p.X.objectives, p.X.budget)) b.X.results)
-
-(* ------------------------------------------------------------------ *)
 (* Acceptance: static ranking predicts the dynamic forensics ranking *)
 
 let test_static_predicts_dynamic_regions () =
@@ -412,12 +341,6 @@ let tests =
       test_vuln_report_jobs_invariant;
     Alcotest.test_case "csv writers tolerate missing columns" `Quick
       test_vuln_csv_missing_columns;
-    Alcotest.test_case "explore static rung on the tiny grid" `Quick
-      test_explore_static_proxy_tiny;
-    Alcotest.test_case "explore static rung prunes the default grid" `Slow
-      test_explore_static_proxy_default_grid;
-    Alcotest.test_case "static-proxy explore is reproducible" `Quick
-      test_explore_proxy_determinism;
     Alcotest.test_case "static ranking predicts dynamic forensics" `Slow
       test_static_predicts_dynamic_regions;
   ]

@@ -154,9 +154,11 @@ for b in mcf radix; do
 done
 
 echo "== explore smoke: tiny design grid at --jobs 1 vs --jobs 4 =="
-# The design-space explorer (successive halving + Pareto frontier) must
-# emit byte-identical CSV artifacts and stdout at any job count, and its
-# frontier must re-validate at full scale (non-zero exit otherwise).
+# The design-space explorer (every point scored once at full scale, then
+# the Pareto frontier) must emit byte-identical CSV artifacts and stdout
+# at any job count, and its frontier must re-validate at full scale
+# (non-zero exit otherwise). Both turnpike points are on the tiny grid's
+# frontier; the out-of-order one has the lowest overhead.
 mkdir -p "$tmp/explore1" "$tmp/explore4"
 dune exec --no-build bench/main.exe -- explore --grid tiny --scale 1 \
   --fuel 20000 --jobs 1 --csv "$tmp/explore1" > "$tmp/explore_j1.txt"
@@ -166,6 +168,7 @@ diff -r "$tmp/explore1" "$tmp/explore4"
 diff <(grep -v '^\[csv written' "$tmp/explore_j1.txt") \
      <(grep -v '^\[csv written' "$tmp/explore_j4.txt")
 grep -q 're-validation at full scale: ok' "$tmp/explore_j1.txt"
+grep -q 'ooo/sb4/clq2/cb2/s300/turnpike' "$tmp/explore_j1.txt"
 test -s "$tmp/explore1/explore_grid.csv"
 test -s "$tmp/explore1/explore_pareto.csv"
 # The CLI front end drives the same engine.
@@ -195,19 +198,6 @@ test -s "$tmp/vulncsv/vuln_by_site.csv"
 dune exec --no-build bin/turnpike_cli.exe -- report -b mcf --scale 2 -n 40 \
   --seed 11 --compare-static > "$tmp/vuln_compare.txt"
 grep -q 'static-vs-dynamic rank agreement' "$tmp/vuln_compare.txt"
-
-echo "== explore smoke: static rung prunes before any simulation =="
-# With --static-proxy the zero-campaign static rung must score the whole
-# grid, halve it before the first simulated cycle, and leave the final
-# frontier re-validating bit-exact at full scale — all byte-identical at
-# any job count.
-dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
-  --static-proxy --jobs 1 > "$tmp/explore_static_j1.txt"
-dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
-  --static-proxy --jobs 4 > "$tmp/explore_static_j4.txt"
-diff "$tmp/explore_static_j1.txt" "$tmp/explore_static_j4.txt"
-grep -q 'static=4' "$tmp/explore_static_j1.txt"
-grep -q 're-validation at full scale: ok' "$tmp/explore_static_j1.txt"
 
 echo "== .tk smoke: compile + campaign byte-identical at --jobs 1 vs --jobs 4 =="
 # The .tk frontend feeds the same deterministic machinery: the compile
