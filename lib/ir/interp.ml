@@ -7,9 +7,9 @@
    indices, each terminator records its target indices and the trace
    event of each direction, and each instruction gets its trace event
    built once, shared by all of its dynamic instances. The state is a
-   dense register file, a memory table and an index-based pc, so a step
-   hashes no label and allocates only the events of loads and stores,
-   which carry their address. *)
+   dense register file, a paged word memory ({!Mem}) and an index-based
+   pc, so a step hashes no label and no address, and allocates only the
+   events of loads and stores, which carry their address. *)
 
 type term =
   | Jump of { target : int; event : Trace.event option }
@@ -40,7 +40,7 @@ type program = {
 
 type state = {
   mutable regs : int array;
-  mem : (int, int) Hashtbl.t;
+  mem : Mem.t;
   mutable block : int;
   mutable index : int;
   mutable steps : int;
@@ -64,9 +64,9 @@ let set_reg st r v =
     st.regs.(r) <- v
   end
 
-let get_mem st a = match Hashtbl.find st.mem a with v -> v | exception Not_found -> 0
+let get_mem st a = Mem.get st.mem a
 
-let set_mem st a v = Hashtbl.replace st.mem a v
+let set_mem st a v = Mem.set st.mem a v
 
 let operand_value st = function
   | Instr.Reg r -> get_reg st r
@@ -150,7 +150,7 @@ let init (prog : Prog.t) =
   let st =
     {
       regs = Array.make 64 0;
-      mem = Hashtbl.create 4096;
+      mem = Mem.create ();
       block = entry 0 (Func.labels func);
       index = 0;
       steps = 0;
@@ -275,28 +275,3 @@ let trace_run ?(fuel = 1_000_000) (prog : Prog.t) =
   let st = init prog in
   run_for { no_hooks with on_event } p st ~fuel;
   ({ Trace.events = Array.sub !events 0 !n; complete = st.halted }, st)
-
-let mem_equal a b =
-  (* Treat absent bindings as zero on both sides. *)
-  let ok = ref true in
-  let check m m' = Hashtbl.iter (fun k v -> if v <> 0 && Option.value (Hashtbl.find_opt m' k) ~default:0 <> v then ok := false) m in
-  check a.mem b.mem;
-  check b.mem a.mem;
-  !ok
-
-let app_mem_equal a b =
-  (* Like [mem_equal] but restricted to the application data segment:
-     checkpoint slots legitimately differ across resilience schemes. *)
-  let ok = ref true in
-  let relevant k = not (Layout.is_ckpt_addr k) in
-  let check m m' =
-    Hashtbl.iter
-      (fun k v ->
-        if relevant k && v <> 0
-           && Option.value (Hashtbl.find_opt m' k) ~default:0 <> v
-        then ok := false)
-      m
-  in
-  check a.mem b.mem;
-  check b.mem a.mem;
-  !ok

@@ -22,7 +22,9 @@ type state = {
   mutable regs : int array;
       (** dense register file indexed by register id; ids past its end
           read 0 and a write there grows it *)
-  mem : (int, int) Hashtbl.t;
+  mem : Mem.t;
+      (** word memory, paged per {!Layout} segment; a {!Mem.fork} of it
+          shares its pages and copies each one on its first write *)
   mutable block : int;
       (** pc: the current block's index in layout order *)
   mutable index : int;
@@ -99,10 +101,3 @@ val trace_run : ?fuel:int -> Prog.t -> Trace.t * state
     dynamic trace.
     The trace is marked incomplete instead of raising when fuel runs out —
     mirroring the paper's fixed-length simulation windows. *)
-
-val mem_equal : state -> state -> bool
-(** Memory equality, treating absent bindings as zero. *)
-
-val app_mem_equal : state -> state -> bool
-(** Memory equality restricted to non-checkpoint addresses — the
-    observable application state compared by SDC verification. *)

@@ -396,21 +396,6 @@ let recover ex ~kind =
      checkpoint storage (reconstructing pruned ones). *)
   (match Pass_pipeline.region_info ex.compiled restart.static_id with
   | Some info ->
-    if Sys.getenv_opt "TURNPIKE_DEBUG_RECOVERY" <> None then
-      Printf.eprintf
-        "[recover] step=%d restart seq=%d static=%d head=%s live_in=[%s] discarded=[%s]\n%!"
-        now restart.seq restart.static_id info.Pass_pipeline.head
-        (String.concat ","
-           (List.map
-              (fun r ->
-                Printf.sprintf "%s<-%d" (Reg.to_string r) (restore_register ex r))
-              info.Pass_pipeline.live_in))
-        (String.concat ","
-           (List.map
-              (fun (r : dynamic_region) ->
-                Printf.sprintf "%d:s%d@%s" r.seq r.static_id
-                  (match r.end_step with Some e -> string_of_int e | None -> "?"))
-              discarded));
     if Telemetry.enabled ex.tel then begin
       (* [delta] is still the pre-recovery rebase here, so [now - delta]
          is the position the fault-free run had reached; the reexec span
@@ -536,17 +521,21 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: a deep copy of the whole executor (interpreter state plus
+(* Snapshots: a copy of the whole executor (interpreter state plus
    region/quarantine/CLQ/coloring bookkeeping) taken at the top of the
    step loop, from which faulted runs can be forked byte-identically.
-   Every snapshot of a pilot carries the pilot's decoded program, so forks
-   never decode: the decoded program is immutable and shared. *)
+   Memory is forked, not copied: a snapshot shares the pilot's pages, the
+   pilot copies a page on its next write to it, and a fork shares the
+   snapshot's pages the same way. Nothing writes a snapshot, so every
+   domain of a campaign reads and forks it freely. Every snapshot of a
+   pilot carries the pilot's decoded program, so forks never decode: the
+   decoded program is immutable and shared. *)
 
 type snapshot = {
   snap_step : int; (* pilot [st.steps] = fault-free position at capture *)
   s_code : Interp.program;
   s_regs : int array;
-  s_mem : (int, int) Hashtbl.t;
+  s_mem : Mem.t;
   s_block : int;
   s_index : int;
   s_clq : Clq.t option;
@@ -571,7 +560,7 @@ let capture ex =
     snap_step = ex.st.Interp.steps;
     s_code = ex.code;
     s_regs = Array.copy ex.st.Interp.regs;
-    s_mem = Hashtbl.copy ex.st.Interp.mem;
+    s_mem = Mem.fork ex.st.Interp.mem;
     s_block = ex.st.Interp.block;
     s_index = ex.st.Interp.index;
     s_clq = Option.map Clq.copy ex.clq;
@@ -594,7 +583,7 @@ let of_snapshot ?(config = default_config) ?(tel = Telemetry.null)
     st =
       {
         Interp.regs = Array.copy s.s_regs;
-        mem = Hashtbl.copy s.s_mem;
+        mem = Mem.fork s.s_mem;
         block = s.s_block;
         index = s.s_index;
         steps = s.snap_step;
@@ -635,16 +624,6 @@ let of_snapshot ?(config = default_config) ?(tel = Telemetry.null)
    ascending [snap_step] order) and its final, drained state. *)
 type oracle = { snaps : snapshot array; final_steps : int; final_state : Interp.state }
 
-(* Equality treating absent bindings as zero, as the interpreter does. *)
-let tables_agree ?(skip = fun _ -> false) a b =
-  let covered a b =
-    Hashtbl.fold
-      (fun k v ok ->
-        ok && (skip k || Option.value (Hashtbl.find_opt b k) ~default:0 = v))
-      a true
-  in
-  covered a b && covered b a
-
 (* Register files agree, registers past either one's end reading 0. *)
 let regs_agree a b =
   let get r i = if i < Array.length r then r.(i) else 0 in
@@ -657,7 +636,7 @@ let converged ex (s : snapshot) =
   && ex.st.Interp.index = s.s_index
   && (not ex.st.Interp.halted)
   && regs_agree ex.st.Interp.regs s.s_regs
-  && tables_agree ~skip:Layout.is_ckpt_addr ex.st.Interp.mem s.s_mem
+  && Mem.first_diff ~hi:Layout.ckpt_base ex.st.Interp.mem s.s_mem = None
 
 let drain_at_exit ex =
   (* Every region is error-free once the program has halted cleanly (no
@@ -835,10 +814,19 @@ let drive ?observer ?oracle ex =
     let o = Option.get oracle in
     (* Adopt the pilot's final (drained) architectural state; [steps] keeps
        counting this fork's own re-executed work plus the skipped suffix,
-       exactly as the full replay would have. *)
+       exactly as the full replay would have. The outcome gets its own
+       registers and a fork of the pilot's memory: the pilot's state is
+       shared by every fork of the campaign, on every domain. *)
+    let final = o.final_state in
     {
       (finish ex) with
-      state = { o.final_state with Interp.steps = st.Interp.steps + left };
+      state =
+        {
+          final with
+          Interp.regs = Array.copy final.Interp.regs;
+          mem = Mem.fork final.Interp.mem;
+          steps = st.Interp.steps + left;
+        };
     }
   | None ->
     if not st.Interp.halted then
@@ -866,7 +854,12 @@ let capture_pilot ?(config = default_config) ~every (compiled : Pass_pipeline.t)
     if ex.st.Interp.steps mod every = 0 then snaps := capture ex :: !snaps
   in
   let outcome = drive ~observer (make_exec ~config compiled) in
-  (outcome, Array.of_list (List.rev !snaps))
+  (* Publish the final memory as a fork, which owns no page: every fork
+     that adopts the pilot's suffix forks it in turn, from any domain, and
+     forking a memory that owns no page does not write to it. *)
+  let final = outcome.state in
+  ( { outcome with state = { final with Interp.mem = Mem.fork final.Interp.mem } },
+    Array.of_list (List.rev !snaps) )
 
 let resume ?(config = default_config) ?tel ~snapshots ~pilot_outcome ~from ~fault
     compiled =

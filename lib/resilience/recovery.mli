@@ -96,9 +96,11 @@ val run :
 
 (** {2 Snapshot / fork support}
 
-    A {e pilot} is a fault-free run that deep-copies the whole executor —
-    interpreter registers/memory/pc plus region, quarantine, CLQ and
-    coloring bookkeeping — every [every] steps. A faulted run forked from
+    A {e pilot} is a fault-free run that copies the whole executor —
+    interpreter registers/pc plus region, quarantine, CLQ and coloring
+    bookkeeping — every [every] steps, and forks its memory
+    ({!Turnpike_ir.Mem.fork}): a snapshot shares the pilot's pages, and
+    the pilot copies a page on its next write to it. A faulted run forked from
     the snapshot nearest (at or before) its strike site produces exactly
     the outcome of a from-scratch {!run} with the same fault: the
     pre-strike prefix of the faulted run is identical to the pilot, and
@@ -131,7 +133,11 @@ val resume :
     of the same [config] and compiled program. The outcome's [state],
     [recoveries] and [detections] are byte-identical to
     [run ~fault ~config]; on a convergence early exit the release/ckpt
-    counters reflect only the work the fork actually executed. [tel]
+    counters reflect only the work the fork actually executed, and the
+    state is the pilot's final state with its own copy of the registers
+    and a fork of the memory, so writing to it reaches neither the pilot
+    nor another outcome. The fork shares the snapshot's memory pages and
+    copies only those it writes. [tel]
     receives the same forensic lifecycle events, byte-identical to the
     from-scratch run's (see {!run}): no event precedes the strike, and
     the reconvergence instant is a pure state predicate, so adopting the

@@ -1,5 +1,5 @@
 (* Snapshot plans: one fault-free pilot run per (compiled program, config)
-   recording periodic deep copies of the recovery executor, from which
+   recording periodic copies of the recovery executor, from which
    every fault of a campaign forks at the snapshot nearest its strike
    site. Forked outcomes are byte-identical to from-scratch replays (the
    differential tests pin this), so campaigns pay O(suffix) per fault

@@ -1,8 +1,9 @@
 (** Snapshot plans for fault campaigns.
 
     A plan is the result of one fault-free {e pilot} run of a compiled
-    program under a recovery configuration, capturing a deep copy of the
-    whole executor every [every] steps. Each fault of a campaign then
+    program under a recovery configuration, capturing a copy of the whole
+    executor every [every] steps; memory pages are shared, not copied
+    ({!Turnpike_ir.Mem.fork}). Each fault of a campaign then
     {!fork}s from the snapshot nearest its strike site, producing an
     outcome byte-identical to a from-scratch {!Recovery.run} at O(suffix)
     cost.

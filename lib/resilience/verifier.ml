@@ -18,34 +18,18 @@ module Telemetry = Turnpike_telemetry
 
 type verdict = Match | Mismatch of { addr : int; golden : int; actual : int }
 
-let data_segment_only k = k >= Layout.data_base && k < Layout.spill_base
-
-(* The reported mismatch is the LOWEST-ADDRESS one, not the first found:
-   Hashtbl iteration order depends on insertion history and hash seeding,
-   so "first found" would make reports unstable across runs and OCaml
-   versions. *)
+(* The reported mismatch is the LOWEST-ADDRESS one: [Mem.first_diff]
+   walks both memories in address order, so the report does not depend on
+   how either run laid out or shared its pages. *)
 let compare_states ~(golden : Interp.state) ~(actual : Interp.state) =
-  let bad = ref None in
-  let note addr m =
-    match !bad with
-    | Some (a, _) when a <= addr -> ()
-    | Some _ | None -> bad := Some (addr, m)
-  in
-  let check a b flip =
-    Hashtbl.iter
-      (fun k v ->
-        if data_segment_only k && v <> 0 then begin
-          let v' = Option.value (Hashtbl.find_opt b.Interp.mem k) ~default:0 in
-          if v <> v' then
-            note k
-              (if flip then Mismatch { addr = k; golden = v'; actual = v }
-               else Mismatch { addr = k; golden = v; actual = v' })
-        end)
-      a.Interp.mem
-  in
-  check golden actual false;
-  check actual golden true;
-  match !bad with Some (_, m) -> m | None -> Match
+  match
+    Mem.first_diff ~lo:Layout.data_base ~hi:Layout.spill_base golden.Interp.mem
+      actual.Interp.mem
+  with
+  | Some addr ->
+    Mismatch
+      { addr; golden = Interp.get_mem golden addr; actual = Interp.get_mem actual addr }
+  | None -> Match
 
 type outcome =
   | Recovered of { detections : Recovery.detection list; reexec_overhead : float }

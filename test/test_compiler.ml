@@ -14,19 +14,8 @@ let check_int = Alcotest.(check int)
 (* Observable output equality on the application data segment. *)
 let same_output p1 p2 =
   let s1 = Interp.run ~fuel:5_000_000 p1 and s2 = Interp.run ~fuel:5_000_000 p2 in
-  let ok = ref true in
-  let data k = k >= Layout.data_base && k < Layout.spill_base in
-  let cmp a b =
-    Hashtbl.iter
-      (fun k v ->
-        if data k && v <> 0
-           && Option.value (Hashtbl.find_opt b.Interp.mem k) ~default:0 <> v
-        then ok := false)
-      a.Interp.mem
-  in
-  cmp s1 s2;
-  cmp s2 s1;
-  !ok
+  Mem.first_diff ~lo:Layout.data_base ~hi:Layout.spill_base s1.Interp.mem s2.Interp.mem
+  = None
 
 let bench name = List.hd (Suite.find_by_name name)
 

@@ -387,13 +387,17 @@ let test_trace_fallthrough_branches () =
 let test_interp_mem_equal () =
   let prog, _ = sum_prog 6 in
   let a = Interp.run prog and b = Interp.run prog in
-  check "identical runs equal" true (Interp.mem_equal a b);
+  check "identical runs equal" true (Mem.first_diff a.Interp.mem b.Interp.mem = None);
   Interp.set_mem a 0x1234_5678 9;
-  check "divergent not equal" false (Interp.mem_equal a b);
-  (* Checkpoint-space differences are ignored by app_mem_equal. *)
+  check "divergent not equal" true
+    (Mem.first_diff a.Interp.mem b.Interp.mem = Some 0x1234_5678);
+  (* Checkpoint-space differences are ignored below [ckpt_base]. *)
   let c = Interp.run prog and d = Interp.run prog in
   Interp.set_mem c (Layout.ckpt_slot ~reg:1 ~color:0) 5;
-  check "ckpt space excluded" true (Interp.app_mem_equal c d)
+  check "ckpt space excluded" true
+    (Mem.first_diff ~hi:Layout.ckpt_base c.Interp.mem d.Interp.mem = None);
+  check "ckpt space compared" true
+    (Mem.first_diff c.Interp.mem d.Interp.mem = Some (Layout.ckpt_slot ~reg:1 ~color:0))
 
 (* ------------------------------------------------------------------ *)
 (* The decoded interpreter against the reference label stepper
@@ -404,9 +408,6 @@ let test_interp_mem_equal () =
 module Suite = Turnpike_workloads.Suite
 module Scheme = Turnpike.Scheme
 module PP = Turnpike_compiler.Pass_pipeline
-
-let sorted_bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let same_as_reference ~what ~fuel prog =
   let t, st = Interp.trace_run ~fuel prog in
@@ -424,8 +425,13 @@ let same_as_reference ~what ~fuel prog =
   if st.Interp.steps <> rst.Interp_ref.steps then
     fail "%d steps, reference %d" st.Interp.steps rst.Interp_ref.steps;
   if st.Interp.halted <> rst.Interp_ref.halted then fail "halted flags differ";
-  if sorted_bindings st.Interp.mem <> sorted_bindings rst.Interp_ref.mem then
-    fail "final memory differs";
+  (* Every address either side wrote reads the same, absent words as 0. *)
+  let check_addr a =
+    let v = Interp.get_mem st a and rv = Interp_ref.get_mem rst a in
+    if v <> rv then fail "memory at %#x is %d, reference %d" a v rv
+  in
+  Hashtbl.iter (fun a _ -> check_addr a) rst.Interp_ref.mem;
+  List.iter (fun (a, _) -> check_addr a) (Mem.bindings st.Interp.mem);
   Hashtbl.iter
     (fun r v -> if Interp.get_reg st r <> v then fail "register %s differs" (Reg.to_string r))
     rst.Interp_ref.regs;
@@ -467,8 +473,8 @@ let test_reference_fuzz () =
   done
 
 (* The trace loop allocates only what a trace must hold: per dynamic
-   instance, the events of loads and stores (they carry an address) and
-   new memory bindings. *)
+   instance, the events of loads and stores (they carry an address), and
+   a memory page on the first write to it. *)
 let test_trace_alloc_budget () =
   List.iter
     (fun name ->
@@ -528,10 +534,139 @@ let prop_trace_instr_count_matches_rerun =
       let t2, _ = Interp.trace_run prog in
       Trace.length t1 = Trace.length t2)
 
+(* Mem against a hash-table model. Random sequences of writes, reads,
+   snapshots (forks nothing writes afterwards) and forks run over data,
+   spill and checkpoint words, unaligned, negative and far addresses.
+   Every memory has its own model table, so a write that leaks through a
+   shared page into a snapshot or a sibling fork, or back, reads wrong.
+   Comparisons are checked against the hash-table loops the paged memory
+   replaced. *)
+
+type mem_op =
+  | Set of int * int * int (* memory, address index, value *)
+  | Get of int * int
+  | Snapshot of int
+  | Fork of int
+  | Diff of int * int * int * int (* memories, [lo], [hi] bound indices *)
+
+let mem_addrs =
+  let word base k = base + (k * Layout.word) in
+  Array.of_list
+    (List.init 24 (fun k -> word Layout.data_base (k * 67))
+    @ [ word Layout.data_base ((1 lsl 21) - 1); word Layout.data_base (1 lsl 21);
+        Layout.spill_base - Layout.word ]
+    @ List.map (word Layout.spill_base) [ 0; 1; 10; 300 ]
+    @ List.map (word Layout.ckpt_base) [ 0; 1; 4; 113; 600; 1 lsl 22 ]
+    @ [ Layout.data_base + 3; Layout.spill_base + 1; Layout.ckpt_base + 7;
+        Layout.data_base - Layout.word; 0; 8; -8; -1; 1 lsl 50; -(1 lsl 50);
+        (1 lsl 50) + 4; max_int; min_int ])
+
+let mem_bounds =
+  [| min_int; -8; Layout.data_base; Layout.data_base + (700 * Layout.word);
+     Layout.spill_base; Layout.ckpt_base; Layout.ckpt_base + (4 * Layout.word); max_int |]
+
+let show_mem_op = function
+  | Set (m, a, v) -> Printf.sprintf "set m%d %#x %d" m mem_addrs.(a) v
+  | Get (m, a) -> Printf.sprintf "get m%d %#x" m mem_addrs.(a)
+  | Snapshot m -> Printf.sprintf "snapshot m%d" m
+  | Fork m -> Printf.sprintf "fork m%d" m
+  | Diff (m, m', lo, hi) ->
+    Printf.sprintf "diff m%d m%d [%#x, %#x)" m m' mem_bounds.(lo) mem_bounds.(hi)
+
+let mem_ops =
+  let open QCheck.Gen in
+  let addr = int_bound (Array.length mem_addrs - 1)
+  and bound = int_bound (Array.length mem_bounds - 1)
+  and value = oneof [ small_signed_int; oneofl [ 0; max_int; min_int ] ] in
+  let op =
+    frequency
+      [
+        (8, map3 (fun m a v -> Set (m, a, v)) small_nat addr value);
+        (3, map2 (fun m a -> Get (m, a)) small_nat addr);
+        (1, map (fun m -> Snapshot m) small_nat);
+        (1, map (fun m -> Fork m) small_nat);
+        ( 2,
+          map2
+            (fun (m, m') (lo, hi) -> Diff (m, m', lo, hi))
+            (pair small_nat small_nat) (pair bound bound) );
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 80) op)
+
+let find0 tbl a = Option.value (Hashtbl.find_opt tbl a) ~default:0
+
+(* The oracles: the table loops the convergence test and the verifier
+   ran before memory was paged. Equality treats absent bindings as
+   zero, skipping some addresses. *)
+let tables_agree ~skip a b =
+  let covered a b = Hashtbl.fold (fun k v ok -> ok && (skip k || find0 b k = v)) a true in
+  covered a b && covered b a
+
+(* The lowest address, among those [keep] admits, whose values differ. *)
+let tables_first_diff ~keep a b =
+  let best = ref None in
+  let check a b =
+    Hashtbl.iter
+      (fun k v ->
+        if keep k && v <> find0 b k then
+          match !best with Some x when x <= k -> () | Some _ | None -> best := Some k)
+      a
+  in
+  check a b;
+  check b a;
+  !best
+
+let prop_mem_matches_model =
+  QCheck.Test.make ~name:"mem: paged copy-on-write = hash-table model" ~count:300 mem_ops
+    (fun ops ->
+      (* (memory, model, written after creation) *)
+      let mems = ref [| (Mem.create (), Hashtbl.create 16, true) |] in
+      let pick m = !mems.(m mod Array.length !mems) in
+      let writable m =
+        let ws = List.filter (fun (_, _, w) -> w) (Array.to_list !mems) in
+        List.nth ws (m mod List.length ws)
+      in
+      let agree (mem, model, _) a = Mem.get mem a = find0 model a in
+      let run = function
+        | Set (m, a, v) ->
+          let mem, model, _ = writable m in
+          Mem.set mem mem_addrs.(a) v;
+          Hashtbl.replace model mem_addrs.(a) v;
+          true
+        | Get (m, a) -> agree (pick m) mem_addrs.(a)
+        | (Snapshot m | Fork m) as op ->
+          let mem, model, _ = pick m in
+          let w = match op with Fork _ -> true | _ -> false in
+          mems := Array.append !mems [| (Mem.fork mem, Hashtbl.copy model, w) |];
+          true
+        | Diff (m, m', lo, hi) ->
+          let a, ta, _ = pick m and b, tb, _ = pick m' in
+          let lo = mem_bounds.(lo) and hi = mem_bounds.(hi) in
+          let data k = k >= Layout.data_base && k < Layout.spill_base in
+          (Mem.first_diff ~hi:Layout.ckpt_base a b = None)
+          = tables_agree ~skip:Layout.is_ckpt_addr ta tb
+          && Mem.first_diff ~lo:Layout.data_base ~hi:Layout.spill_base a b
+             = tables_first_diff ~keep:data ta tb
+          && Mem.first_diff ~lo ~hi a b = tables_first_diff ~keep:(fun k -> k >= lo && k < hi) ta tb
+          && Mem.first_diff a b = tables_first_diff ~keep:(fun _ -> true) ta tb
+      in
+      List.for_all run ops
+      && Array.for_all
+           (fun ((mem, model, _) as m) ->
+             Array.for_all (agree m) mem_addrs
+             && Mem.bindings mem
+                = List.sort compare
+                    (Hashtbl.fold (fun k v acc -> if v <> 0 then (k, v) :: acc else acc) model []))
+           !mems)
+
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
     [ prop_eval_add_sub_inverse; prop_eval_cmp_total_order; prop_rename_compose;
-      prop_interp_sum_closed_form; prop_trace_instr_count_matches_rerun ]
+      prop_interp_sum_closed_form; prop_trace_instr_count_matches_rerun;
+      prop_mem_matches_model ]
 
 let tests =
   [

@@ -61,11 +61,12 @@ let test_codegen_matches_expression_eval name =
       match Pass_pipeline.region_info c blk.Recovery_codegen.region with
       | None -> ()
       | Some info ->
-        (* (a) run the block on a scratch state sharing the final memory. *)
+        (* (a) run the block on a scratch state over a fork of the final
+           memory. *)
         let st =
           {
             Interp.regs = [||];
-            mem = final.Interp.mem;
+            mem = Mem.fork final.Interp.mem;
             block = 0;
             index = 0;
             steps = 0;
@@ -178,7 +179,7 @@ let prop_lowering_matches_eval =
       let st =
         {
           Interp.regs = [||];
-          mem = Hashtbl.create 64;
+          mem = Mem.create ();
           block = 0;
           index = 0;
           steps = 0;

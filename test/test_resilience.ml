@@ -286,7 +286,7 @@ let test_verifier_mismatch_reporting () =
 
 let test_verifier_reports_lowest_address_mismatch () =
   (* With several corrupted words, the report must name the lowest address
-     — not whichever Hashtbl iteration happens to visit first. *)
+     — not whichever difference a walk of memory happens to meet first. *)
   let f = Func.create ~name:"cmp" ~entry:"a" [ Block.create "a" ] in
   let prog = Prog.create f in
   let golden = Interp.init prog and actual = Interp.init prog in
@@ -332,7 +332,7 @@ let test_exit_drain_commits_fallback_ckpts () =
       let plain = Interp.run compiled.Pass_pipeline.prog in
       let out = Recovery.run ~config:Recovery.turnstile_config compiled in
       check (name ^ " drained executor memory = plain interpreter") true
-        (Interp.mem_equal plain out.Recovery.state))
+        (Mem.first_diff plain.Interp.mem out.Recovery.state.Interp.mem = None))
     [ "libquan"; "radix" ]
 
 let test_fuel_exhaustion_reason_has_triage_fields () =
@@ -387,6 +387,58 @@ let test_snapshot_fork_byte_identical () =
   let forked_4 = Verifier.run_campaign ~jobs:4 ~plan ~golden ~compiled faults in
   check "campaign report fork = scratch (jobs 1)" true (scratch_1 = forked_1);
   check "campaign report identical at jobs 1 and 4" true (forked_1 = forked_4)
+
+let test_early_exit_outcomes_own_memory () =
+  (* A fork that reconverges adopts the pilot's final state. The plan
+     and its pilot are shared by every fork of a campaign, on every
+     domain, so each outcome must get its own registers and memory: a
+     write to one outcome reaches neither another outcome nor the pilot. *)
+  let c = compiled_of "mcf" in
+  let plan = Snapshot.record c.Turnpike.Run.compiled in
+  let outcomes =
+    List.map (Snapshot.fork plan) (Injector.campaign ~seed:7 ~count:8 c.Turnpike.Run.trace)
+  in
+  let pilot = (Snapshot.pilot_outcome plan).Recovery.state in
+  let addr = Layout.data_base and reg = 1 in
+  let mem0 = Interp.get_mem pilot addr and reg0 = Interp.get_reg pilot reg in
+  List.iteri
+    (fun i (o : Recovery.outcome) ->
+      Interp.set_mem o.Recovery.state addr (mem0 + 1 + i);
+      Interp.set_reg o.Recovery.state reg (reg0 + 1 + i))
+    outcomes;
+  check_int "pilot memory untouched" mem0 (Interp.get_mem pilot addr);
+  check_int "pilot registers untouched" reg0 (Interp.get_reg pilot reg);
+  List.iteri
+    (fun i (o : Recovery.outcome) ->
+      check_int (Printf.sprintf "outcome %d memory is its own" i) (mem0 + 1 + i)
+        (Interp.get_mem o.Recovery.state addr);
+      check_int (Printf.sprintf "outcome %d registers are its own" i) (reg0 + 1 + i)
+        (Interp.get_reg o.Recovery.state reg))
+    outcomes
+
+(* Fork allocation budget: a forked fault allocates what its own replay
+   needs (events, undo entries, the pages it writes, one page table per
+   fork), not a copy of the pilot's memory. Measured on the three chase
+   kernels with the most data words, as minor words per forked fault,
+   [compare_states] included. A deterministic stand-in for "forks got
+   cheaper" that host noise cannot move. *)
+let test_fork_alloc_budget () =
+  let params = { Turnpike.Run.default_params with Turnpike.Run.scale = 2 } in
+  let budget = 22_000. in
+  List.iter
+    (fun name ->
+      let b = List.find (fun b -> Suite.qualified_name b = name) (Suite.all ()) in
+      let c = Turnpike.Run.compile_with params Turnpike.Scheme.turnpike b in
+      let compiled = c.Turnpike.Run.compiled and golden = c.Turnpike.Run.final in
+      let faults = Injector.campaign ~seed:1 ~count:64 c.Turnpike.Run.trace in
+      let plan = Snapshot.record compiled in
+      let before = Gc.minor_words () in
+      List.iter (fun f -> ignore (Verifier.run_one ~plan ~golden ~compiled f)) faults;
+      let per_fault = (Gc.minor_words () -. before) /. float_of_int (List.length faults) in
+      check
+        (Printf.sprintf "%s: %.0f words per forked fault (budget %.0f)" name per_fault budget)
+        true (per_fault <= budget))
+    [ "mcf@2017"; "astar@2006"; "radiosity@splash3" ]
 
 let test_snapshot_fork_forensic_parity () =
   (* The forensic lifecycle must not observe the replay strategy: a fault
@@ -599,6 +651,8 @@ let tests =
       test_fuel_exhaustion_reason_has_triage_fields );
     ("snapshot fork byte-identical", `Slow, test_snapshot_fork_byte_identical);
     ("snapshot fork forensic parity", `Slow, test_snapshot_fork_forensic_parity);
+    ("early-exit outcomes own their memory", `Quick, test_early_exit_outcomes_own_memory);
+    ("fork allocation budget", `Quick, test_fork_alloc_budget);
     ( "snapshot fork byte-identical (unsound config)",
       `Slow,
       test_snapshot_fork_byte_identical_unsound_config );
