@@ -1,8 +1,7 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (§6). Each experiment prints the same rows/series the paper
-   reports, with per-suite and overall means. `--micro` additionally runs
-   Bechamel micro-benchmarks of the simulator primitives (one Test.make per
-   experiment family).
+   reports, with per-suite and overall means. Performance is measured by
+   bench/perf, and the design-space explorer runs as `turnpike-cli explore`.
 
    Usage:
      dune exec bench/main.exe                  # all experiments
@@ -11,7 +10,6 @@
      dune exec bench/main.exe -- --jobs 4      # 4 worker domains (0 = auto)
      dune exec bench/main.exe -- resilience --faults 100 --seed 3
      dune exec bench/main.exe -- resilience --ci 0.01   # stop at +/-1% SDC CI
-     dune exec bench/main.exe -- --micro       # harness micro-benchmarks
      dune exec bench/main.exe -- --profile     # per-pass spans + pool utilization
 
    Experiment grids — and the per-fault injection campaign — run on the
@@ -31,7 +29,6 @@ let csv_dir : string option ref = ref None
 (* Shared campaign knobs (--seed/--faults/--ci/--confidence/--batch/--jobs):
    one arg spec with turnpike-cli, see Campaign_args. *)
 let campaign = ref Turnpike.Campaign_args.default
-let explore_grid_name = ref "default"
 let default_campaign_faults = 24
 
 let csv name render rows =
@@ -502,59 +499,6 @@ let run_energy () =
     ts tp
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the harness primitives. *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let bench = List.hd (Suite.find_by_name "libquan") in
-  let compiled =
-    Run.compile_with
-      { Run.default_params with scale = 2; fuel = 100_000 }
-      Scheme.turnpike bench
-  in
-  let machine = Turnpike_arch.Machine.turnpike ~wcdl:10 () in
-  let prog = bench.Suite.build ~scale:1 in
-  let tests =
-    [
-      Test.make ~name:"compile-turnpike" (Staged.stage (fun () ->
-          ignore
-            (Turnpike_compiler.Pass_pipeline.compile
-               ~opts:Turnpike_compiler.Pass_pipeline.turnpike_opts prog)));
-      Test.make ~name:"trace-interp" (Staged.stage (fun () ->
-          ignore (Turnpike_ir.Interp.trace_run ~fuel:20_000 compiled.Run.compiled.Run.Pass_pipeline.prog)));
-      Test.make ~name:"timing-simulate" (Staged.stage (fun () ->
-          ignore (Turnpike_arch.Timing.simulate machine compiled.Run.trace)));
-      Test.make ~name:"cache-access" (Staged.stage (
-          let c = Turnpike_arch.Cache.create ~name:"l1" ~size_bytes:65536 ~assoc:2 ~line_bytes:64 in
-          let i = ref 0 in
-          fun () ->
-            incr i;
-            ignore (Turnpike_arch.Cache.access c ~write:false (!i * 40))));
-      Test.make ~name:"sensor-wcdl" (Staged.stage (fun () ->
-          ignore (Turnpike_arch.Sensor.wcdl
-                    (Turnpike_arch.Sensor.create ~num_sensors:300 ~clock_ghz:2.5 ()))));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  Report.section "Bechamel micro-benchmarks (harness primitives)";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "%-32s (no estimate)\n%!" name)
-        results)
-    (List.map (fun t -> Test.make_grouped ~name:"turnpike" [ t ]) tests)
-
-(* ------------------------------------------------------------------ *)
 (* --profile: wall-clock telemetry for the harness itself — per-pass
    compile spans and pool utilization. The Run compile cache memoizes
    compilation, so the pass profile drives [Pass_pipeline.compile]
@@ -618,101 +562,6 @@ let profile () =
     (Telemetry.length pool_tel) (Telemetry.dropped pool_tel)
 
 (* ------------------------------------------------------------------ *)
-(* analysis: wall-clock cost of the static soundness checker at each
-   check level, plus its verdicts. The JSON artifact at the repo root
-   (BENCH_analysis_overhead.json) comes from the sibling
-   analysis_overhead.exe; this table is the interactive view. *)
-
-let run_analysis () =
-  let module PP = Turnpike_compiler.Pass_pipeline in
-  Report.section "Static checker: compile-time cost per check level (turnpike opts)";
-  let scale = (!params).Run.scale in
-  let benches = Suite.all () in
-  let progs = List.map (fun b -> b.Suite.build ~scale) benches in
-  let opts = Scheme.compile_opts Scheme.turnpike ~sb_size:4 in
-  let levels = [ ("off", PP.Off); ("final", PP.Final); ("per-pass", PP.PerPass) ] in
-  let cols =
-    Report.[ { title = "check level"; width = 12 }; { title = "wall ms"; width = 8 };
-             { title = "diags"; width = 6 }; { title = "errors"; width = 6 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (label, check) ->
-      let t0 = Unix.gettimeofday () in
-      let diags = ref 0 and errors = ref 0 in
-      List.iter
-        (fun prog ->
-          let c = PP.compile ~opts ~check prog in
-          diags := !diags + List.length c.PP.diags;
-          errors := !errors + Turnpike_analysis.Diag.error_count c.PP.diags)
-        progs;
-      let ms = 1000. *. (Unix.gettimeofday () -. t0) in
-      Report.print_row cols
-        [ label; Printf.sprintf "%.1f" ms; string_of_int !diags; string_of_int !errors ])
-    levels;
-  Printf.printf
-    "(diagnostics are informational audits; errors must be 0 on shipped workloads)\n"
-
-(* ------------------------------------------------------------------ *)
-(* explore: cross-layer design-space exploration (not part of the default
-   run-all set — a grid sweep is a deliberate choice, like --micro). *)
-
-let explore_budget () =
-  (* --faults / --ci override the campaign of the full-scale budget. *)
-  let ca = !campaign in
-  let full = Turnpike.Explore.full_budget !params in
-  {
-    full with
-    Turnpike.Explore.max_faults =
-      Option.value ~default:full.Turnpike.Explore.max_faults
-        ca.Turnpike.Campaign_args.faults;
-    ci_half_width =
-      Option.value ~default:full.Turnpike.Explore.ci_half_width
-        ca.Turnpike.Campaign_args.ci;
-  }
-
-let run_explore () =
-  let module X = Turnpike.Explore in
-  let module DP = Turnpike.Design_point in
-  Report.section "Design-space exploration";
-  let spec =
-    match DP.spec_of_string !explore_grid_name with
-    | Ok s -> s
-    | Error msg ->
-      Printf.eprintf "--grid: %s\n" msg;
-      exit 2
-  in
-  let report =
-    X.run ~budget:(explore_budget ())
-      ~seed:(!campaign).Turnpike.Campaign_args.seed ~params:!params ~spec ()
-  in
-  Printf.printf "grid %s: %d points over {%s}, seed %d\n" !explore_grid_name
-    report.X.grid_size
-    (String.concat ", " report.X.benches)
-    report.X.seed;
-  let cols =
-    Report.[ { title = "design point"; width = 34 }; { title = "overhead"; width = 8 };
-             { title = "area um^2"; width = 10 }; { title = "pJ/kinstr"; width = 9 };
-             { title = "SDC rate"; width = 8 }; { title = "faults"; width = 6 } ]
-  in
-  Report.subsection "Pareto frontier";
-  Report.print_header cols;
-  List.iter
-    (fun (r : X.point_result) ->
-      let o = r.X.objectives in
-      Report.print_row cols
-        [ DP.id r.X.point; Report.fmt_overhead o.X.overhead;
-          Printf.sprintf "%.1f" o.X.area_um2;
-          Printf.sprintf "%.2f" o.X.energy_pj_per_kinstr;
-          Printf.sprintf "%.4f" o.X.sdc_rate; string_of_int o.X.faults ])
-    report.X.frontier;
-  Printf.printf "frontier re-validation at full scale: %s\n"
-    (if report.X.validated then "ok (objectives reproduced exactly)" else "FAILED");
-  csv "explore_grid" Turnpike.Csv_export.explore_grid report;
-  csv "explore_pareto" Turnpike.Csv_export.explore_pareto report;
-  if not report.X.validated then exit 1
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -723,12 +572,12 @@ let experiments =
     ("table1", run_table1); ("resilience", run_resilience);
     ("energy", run_energy); ("ablation50", run_ablation50);
     ("unroll", run_unroll); ("motivation", run_motivation);
-    ("analysis", run_analysis); ("explore", run_explore);
   ]
 
-(* A grid sweep is opt-in, like --micro: keep it out of the run-all set. *)
-let default_experiments =
-  List.filter (fun (n, _) -> n <> "explore") experiments
+let int_flag flag v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None -> failwith (Printf.sprintf "%s expects a number, got %s" flag v)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -744,20 +593,14 @@ let () =
       match args with
       | [] -> List.rev sel
       | "--scale" :: n :: rest ->
-        params := { !params with Run.scale = int_of_string n };
+        params := { !params with Run.scale = int_flag "--scale" n };
         parse sel rest
       | "--fuel" :: n :: rest ->
-        params := { !params with Run.fuel = int_of_string n };
-        parse sel rest
-      | "--grid" :: g :: rest ->
-        explore_grid_name := g;
+        params := { !params with Run.fuel = int_flag "--fuel" n };
         parse sel rest
       | "--csv" :: dir :: rest ->
         (try Unix.mkdir dir 0o755 with _ -> ());
         csv_dir := Some dir;
-        parse sel rest
-      | "--micro" :: rest ->
-        micro ();
         parse sel rest
       | "--profile" :: rest ->
         profile ();
@@ -765,8 +608,8 @@ let () =
       | x :: rest when List.mem_assoc x experiments -> parse (x :: sel) rest
       | x :: _ ->
         Printf.eprintf
-          "unknown argument %s; known: %s --scale N --fuel N --grid G %s \
-           --micro --profile --csv DIR\n"
+          "unknown argument %s; known: %s --scale N --fuel N %s --profile \
+           --csv DIR\n"
           x
           (String.concat " " (List.map fst experiments))
           Turnpike.Campaign_args.usage;
@@ -774,8 +617,8 @@ let () =
   in
   let selected = try parse [] args with Failure msg -> Printf.eprintf "%s\n" msg; exit 2 in
   let selected =
-    if selected = [] && not (List.mem "--micro" args || List.mem "--profile" args)
-    then List.map fst default_experiments
+    if selected = [] && not (List.mem "--profile" args)
+    then List.map fst experiments
     else selected
   in
   (* fig14 and fig15 share a driver; avoid printing it twice. *)

@@ -56,8 +56,6 @@ let clq ~entries = ram ~bytes:(clq_bytes ~entries)
 
 let add a b = { area_um2 = a.area_um2 +. b.area_um2; energy_pj = a.energy_pj +. b.energy_pj }
 
-let turnpike_total ~nregs ~clq_entries = add (color_maps ~nregs ()) (clq ~entries:clq_entries)
-
 let ratio a b =
   { area_um2 = a.area_um2 /. b.area_um2; energy_pj = a.energy_pj /. b.energy_pj }
 

@@ -28,7 +28,6 @@ val clq : entries:int -> cost
 
 val add : cost -> cost -> cost
 val ratio : cost -> cost -> cost
-val turnpike_total : nregs:int -> clq_entries:int -> cost
 
 type table1_row = { label : string; area_um2 : float; energy_pj : float }
 

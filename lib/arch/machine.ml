@@ -72,7 +72,6 @@ let of_sensors t ~num_sensors ~clock_ghz =
 let with_wcdl t wcdl = { t with wcdl }
 let with_sb t sb_size = { t with sb_size }
 let with_clq t clq = { t with clq }
-let with_coloring t coloring = { t with coloring }
 
 let with_color_bits t bits =
   if bits < 0 then invalid_arg "Machine.with_color_bits: bits must be >= 0";

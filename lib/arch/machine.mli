@@ -45,7 +45,6 @@ val of_sensors : t -> num_sensors:int -> clock_ghz:float -> t
 val with_wcdl : t -> int -> t
 val with_sb : t -> int -> t
 val with_clq : t -> Clq.design option -> t
-val with_coloring : t -> bool -> t
 
 val with_color_bits : t -> int -> t
 (** Configure coloring from a bit width: [0] disables coloring entirely;

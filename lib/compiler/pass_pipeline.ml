@@ -348,16 +348,6 @@ let pass_names (opts : opts) =
     (fun p -> if p.enabled opts then Some p.pname else None)
     passes
 
-let pass_dirties (opts : opts) =
-  List.filter_map
-    (fun p -> if p.enabled opts then Some (p.pname, p.dirties) else None)
-    passes
-
-let pass_reads (opts : opts) =
-  List.filter_map
-    (fun p -> if p.enabled opts then Some (p.pname, p.reads) else None)
-    passes
-
 (* --- user-composable pipelines ------------------------------------ *)
 
 let all_pass_names = List.map (fun p -> p.pname) passes

@@ -76,15 +76,6 @@ val pass_names : opts -> string list
 (** The exact pass sequence {!compile} runs for these options, in order —
     the profiling span per compile is one per name here. *)
 
-val pass_dirties : opts -> (string * Turnpike_analysis.Facet.Set.t) list
-(** The enabled passes paired with the facet sets they declare they may
-    dirty — the contract the incremental registry schedules by. *)
-
-val pass_reads : opts -> (string * Turnpike_analysis.Facet.Set.t) list
-(** The enabled passes paired with the facet sets their own
-    transformations depend on — the contract {!resolve_pipeline}
-    validates user-composed pipelines against. *)
-
 val resolve_pipeline : opts:opts -> string -> (string list, string) result
 (** Parse and validate a user [--pipeline] spec against [opts],
     returning the ordered pass list to hand to {!compile}'s [pipeline]
@@ -102,7 +93,8 @@ val resolve_pipeline : opts:opts -> string -> (string list, string) result
     ([regalloc]; plus [partition_and_checkpoint] and [region_metadata]
     under a resilient scheme), or orders passes unsoundly: for passes
     [P] canonically before [Q], if [P] may dirty a facet [Q] reads
-    (per {!pass_dirties}/{!pass_reads}), [Q] cannot run before [P]. *)
+    (each pass declares the facet set it may dirty and the facet set
+    its transformation reads), [Q] cannot run before [P]. *)
 
 val compile :
   ?opts:opts ->

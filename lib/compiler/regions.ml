@@ -273,17 +273,6 @@ let num_regions t = Array.length t.regions
 
 let regions t = Array.to_list t.regions
 
-(* Maximum SB writes of any single region, path-insensitively (the sum over
-   the region's blocks is a safe upper bound for the tree's worst path). *)
-let max_region_sb_writes func t =
-  Array.fold_left
-    (fun acc r ->
-      let writes =
-        List.fold_left (fun a l -> a + Block.num_stores (Func.block func l)) 0 r.blocks
-      in
-      max acc writes)
-    0 t.regions
-
 (* Worst path SB writes within one region tree. *)
 let worst_path_sb_writes func t id =
   match region t id with

@@ -38,9 +38,6 @@ val region : t -> int -> region option
 val num_regions : t -> int
 val regions : t -> region list
 
-val max_region_sb_writes : Func.t -> t -> int
-(** Largest per-region SB-write total (block-sum upper bound). *)
-
 val worst_path_sb_writes : Func.t -> t -> int -> int
 (** Worst-path SB writes within one region's tree. *)
 

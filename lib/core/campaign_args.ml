@@ -1,7 +1,7 @@
 (* The shared argument spec of every campaign-driving entry point:
-   turnpike-cli inject, bench resilience and the explorer front ends all
-   parse these five knobs through this module, so flag names, defaults and
-   doc strings exist exactly once. *)
+   turnpike-cli inject and explore and bench/main.exe resilience all parse
+   these five knobs through this module, so flag names, defaults and doc
+   strings exist exactly once. *)
 
 module Verifier = Turnpike_resilience.Verifier
 
@@ -12,7 +12,6 @@ type t = {
   confidence : float;
   batch : int;
   jobs : int option;
-  forensics : bool;
 }
 
 let default =
@@ -23,7 +22,6 @@ let default =
     confidence = 0.95;
     batch = 32;
     jobs = None;
-    forensics = false;
   }
 
 let doc_seed = "Campaign seed (fault draws and batch order)."
@@ -50,7 +48,7 @@ let doc_forensics =
    --jobs count and across snapshot-forked vs --scratch replay."
 
 let usage =
-  "--seed S --faults N --ci W --confidence C --batch B --jobs N --forensics"
+  "--seed S --faults N --ci W --confidence C --batch B --jobs N"
 
 let value_of flag convert = function
   | [] -> failwith (Printf.sprintf "%s expects a value" flag)
@@ -78,7 +76,6 @@ let consume t = function
   | "--jobs" :: rest ->
     let n, rest = value_of "--jobs" int_of_string_opt rest in
     Some ({ t with jobs = Some n }, rest)
-  | "--forensics" :: rest -> Some ({ t with forensics = true }, rest)
   | _ -> None
 
 let apply_jobs t =

@@ -1,7 +1,7 @@
 (** One argument spec for every campaign-driving entry point.
 
-    [turnpike-cli inject], [bench resilience] and [bench explore] /
-    [turnpike-cli explore] all take the same five knobs — seed, CI
+    [turnpike-cli inject], [turnpike-cli explore] and
+    [bench/main.exe resilience] all take the same five knobs — seed, CI
     half-width, confidence, batch size and job count — and used to each
     re-declare flag names, defaults and docs. This module is the single
     source of truth: the {!t} record carries the values, {!consume} is
@@ -18,7 +18,6 @@ type t = {
   confidence : float;  (** confidence level of the stopping interval *)
   batch : int;  (** faults per sequential batch of the stopping loop *)
   jobs : int option;  (** worker domains; [None] = leave pool untouched *)
-  forensics : bool;  (** record per-fault lifecycles and attribution *)
 }
 
 val default : t
@@ -28,10 +27,10 @@ val default : t
 val consume : t -> string list -> (t * string list) option
 (** [consume t args] recognizes one leading
     [--seed N | --faults N | --ci W | --confidence C | --batch B |
-    --jobs N] pair (or the bare [--forensics] flag) and returns the
-    updated record plus the remaining arguments; [None] when the head is
-    not one of these flags (the caller's own parser proceeds). Malformed
-    values raise [Failure] with the flag name. *)
+    --jobs N] pair and returns the updated record plus the remaining
+    arguments; [None] when the head is not one of these flags (the
+    caller's own parser proceeds). Malformed values raise [Failure] with
+    the flag name. *)
 
 val usage : string
 (** One-line usage fragment listing the shared flags. *)

@@ -61,9 +61,6 @@ let lint_cell ?(per_pass = false) ?(full_recheck = false) ?(sb_size = 4)
   ( Diag.sort (compiled.Pass_pipeline.diags @ extra),
     compiled.Pass_pipeline.check_log )
 
-let lint_one ?per_pass ?full_recheck ?sb_size ?scale scheme bench =
-  fst (lint_cell ?per_pass ?full_recheck ?sb_size ?scale scheme bench)
-
 let run ?(per_pass = false) ?full_recheck ?sb_size ?scale ?jobs ~schemes
     benches =
   let cells =

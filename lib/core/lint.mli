@@ -35,20 +35,6 @@ type report = {
   infos : int;
 }
 
-val lint_one :
-  ?per_pass:bool ->
-  ?full_recheck:bool ->
-  ?sb_size:int ->
-  ?scale:int ->
-  Scheme.t ->
-  Suite.entry ->
-  Diag.t list
-(** Compile one benchmark under one scheme with checking on ([Final], or
-    incremental [PerPass] when [per_pass] — diagnostics then carry pass
-    provenance; [full_recheck] forces the non-incremental [PerPassFull]
-    oracle) and return the sorted diagnostics, machine-parameter checks
-    included. *)
-
 val run :
   ?per_pass:bool ->
   ?full_recheck:bool ->
@@ -59,9 +45,13 @@ val run :
   Suite.entry list ->
   report
 (** Lint the full (benchmark × scheme) grid over the {!Turnpike_parallel} pool.
-    [full_recheck] (with [per_pass]) re-runs every check after every pass
-    instead of only the invalidated ones — the report must come out
-    byte-identical; [tools/check.sh] diffs the two. *)
+    Each cell compiles with checking on ([Final], or incremental
+    [PerPass] when [per_pass] — diagnostics then carry pass provenance)
+    and reports its sorted diagnostics, machine-parameter checks
+    included. [full_recheck] (with [per_pass]) re-runs every check after
+    every pass instead of only the invalidated ones — the report must
+    come out byte-identical; the test suite and [tools/check.sh] diff the
+    two. *)
 
 val max_severity : report -> Diag.severity option
 (** Highest severity across the whole report, if any diagnostics. *)

@@ -51,7 +51,3 @@ let iter f bs =
       done
   done
 
-let of_reg_set ~max_id s =
-  let bs = create ~max_id in
-  Reg.Set.iter (fun r -> add bs r) s;
-  bs

@@ -44,6 +44,3 @@ val transfer : gen:t -> kill:t -> t -> t
 val iter : (int -> unit) -> t -> unit
 (** Applies the callback to every member, in increasing order. *)
 
-val of_reg_set : max_id:int -> Reg.Set.t -> t
-(** Bitset view of a register set (ids above [max_id] are the caller's
-    bug, as with {!add}). *)

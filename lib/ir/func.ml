@@ -30,8 +30,6 @@ let blocks f = List.map (block f) f.order
 
 let entry_block f = block f f.entry
 
-let num_blocks f = List.length f.order
-
 let num_instrs f =
   List.fold_left (fun acc b -> acc + Block.num_instrs b) 0 (blocks f)
 

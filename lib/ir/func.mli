@@ -20,7 +20,6 @@ val block_opt : t -> string -> Block.t option
 val labels : t -> string list
 val blocks : t -> Block.t list
 val entry_block : t -> Block.t
-val num_blocks : t -> int
 val num_instrs : t -> int
 val iter_blocks : (Block.t -> unit) -> t -> unit
 val fold_instrs : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a

@@ -74,8 +74,6 @@ let is_store = function Store _ -> true | _ -> false
 
 let is_ckpt = function Ckpt _ -> true | _ -> false
 
-let is_load = function Load _ -> true | _ -> false
-
 let is_boundary = function Boundary _ -> true | _ -> false
 
 (* Stores that occupy a store-buffer entry at commit: regular stores and

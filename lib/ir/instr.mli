@@ -48,7 +48,6 @@ val iter_uses : (Reg.t -> unit) -> t -> unit
 
 val is_store : t -> bool
 val is_ckpt : t -> bool
-val is_load : t -> bool
 val is_boundary : t -> bool
 
 val is_sb_write : t -> bool

@@ -6,21 +6,6 @@ type t = {
   live_out : (string, Reg.Set.t) Hashtbl.t;
 }
 
-let block_use_def (b : Block.t) =
-  (* use = read before any write in the block (terminator included). *)
-  let use = ref Reg.Set.empty and def = ref Reg.Set.empty in
-  Array.iter
-    (fun i ->
-      List.iter
-        (fun r -> if not (Reg.Set.mem r !def) then use := Reg.Set.add r !use)
-        (Instr.uses i);
-      List.iter (fun r -> def := Reg.Set.add r !def) (Instr.defs i))
-    b.Block.body;
-  List.iter
-    (fun r -> if not (Reg.Set.mem r !def) then use := Reg.Set.add r !use)
-    (Block.term_uses b);
-  (!use, !def)
-
 (* The fixpoint runs on {!Bitset}s over a compacted id universe —
    physical registers keep their ids, virtuals are shifted down next to
    them — and only the converged sets are materialized as the public

@@ -15,6 +15,3 @@ val live_before_each : t -> Block.t -> Reg.Set.t array
     holds the registers live immediately before instruction [i], and the
     final slot the registers live before the terminator. *)
 
-val block_use_def : Block.t -> Reg.Set.t * Reg.Set.t
-(** Upward-exposed uses and defs of a block (terminator included in
-    uses). *)

@@ -10,8 +10,6 @@ let live_in_regs t = List.map fst t.reg_init
 
 let with_func t func = { t with func }
 
-let map_func f t = { t with func = f t.func }
-
 let validate t =
   let errs = Func.validate t.func in
   let errs =

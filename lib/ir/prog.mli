@@ -13,7 +13,6 @@ val live_in_regs : t -> Reg.t list
 (** The input registers (live at program entry). *)
 
 val with_func : t -> Func.t -> t
-val map_func : (Func.t -> Func.t) -> t -> t
 
 val validate : t -> string list
 (** Structural checks over function and images; empty when well formed. *)

@@ -21,11 +21,9 @@ type plan = private {
   pilot : Recovery.outcome;
 }
 
-val default_every : int
-(** Snapshot cadence in steps (512). *)
-
 val record : ?config:Recovery.config -> ?every:int -> Pass_pipeline.t -> plan
-(** Run the fault-free pilot and capture its snapshots.
+(** Run the fault-free pilot and capture a snapshot every [every] steps
+    (default 512).
     @raise Invalid_argument when [every <= 0].
     @raise Recovery.Out_of_fuel when the pilot itself exhausts its fuel —
     no plan exists for a program the configuration cannot run. *)

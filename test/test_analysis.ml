@@ -508,7 +508,15 @@ let test_full_grid_clean_and_deterministic () =
     rep1.Turnpike.Lint.warnings;
   let rep4 = report ~jobs:4 in
   check_str "lint JSON is byte-identical at any job count"
-    (Turnpike.Lint.to_json rep1) (Turnpike.Lint.to_json rep4)
+    (Turnpike.Lint.to_json rep1) (Turnpike.Lint.to_json rep4);
+  (* The incremental engine (facet invalidation) must match the forced
+     re-run of every check after every pass, cell for cell. *)
+  let full =
+    Turnpike.Lint.run ~per_pass:true ~full_recheck:true ~scale:2 ~jobs:1
+      ~schemes (Suite.all ())
+  in
+  check_str "incremental lint JSON equals the full re-check"
+    (Turnpike.Lint.to_json rep1) (Turnpike.Lint.to_json full)
 
 (* ------------------------------------------------------------------ *)
 

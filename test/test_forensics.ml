@@ -157,6 +157,24 @@ let test_campaign_jobs_invariant () =
          acc + Forensics.counts_total row.Forensics.counts)
        0 s.Forensics.by_register)
 
+let test_tracing_never_changes_outcomes () =
+  (* One sink per fault is pure observation: on every kernel the traced
+     campaign must classify each fault exactly as the untraced one. *)
+  let params = { Turnpike.Run.default_params with Turnpike.Run.scale = 2 } in
+  List.iter
+    (fun b ->
+      let c = Turnpike.Run.compile_with params Turnpike.Scheme.turnpike b in
+      let compiled = c.Turnpike.Run.compiled in
+      let golden = c.Turnpike.Run.final in
+      let faults = Injector.campaign ~seed:7 ~count:16 c.Turnpike.Run.trace in
+      let plan = Snapshot.record compiled in
+      let _, traced = Forensics.campaign ~jobs:1 ~plan ~golden ~compiled faults in
+      check
+        (Suite.qualified_name b ^ ": traced report = untraced report")
+        true
+        (traced = Verifier.run_campaign ~jobs:1 ~plan ~golden ~compiled faults))
+    (Suite.all ())
+
 let test_wilson_trajectory_jobs_invariant () =
   let c = compiled_of "libquan" in
   let compiled = c.Turnpike.Run.compiled in
@@ -282,6 +300,7 @@ let tests =
     ("masked fault has no lifecycle", `Quick, test_masked_fault_has_no_lifecycle);
     ("classify and vulnerability math", `Quick, test_classify_and_vulnerability);
     ("campaign byte-identical across --jobs", `Quick, test_campaign_jobs_invariant);
+    ("tracing never changes an outcome", `Quick, test_tracing_never_changes_outcomes);
     ( "wilson trajectory byte-identical across --jobs",
       `Slow,
       test_wilson_trajectory_jobs_invariant );

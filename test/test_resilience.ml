@@ -388,6 +388,27 @@ let test_snapshot_fork_byte_identical () =
   check "campaign report fork = scratch (jobs 1)" true (scratch_1 = forked_1);
   check "campaign report identical at jobs 1 and 4" true (forked_1 = forked_4)
 
+let test_snapshot_fork_every_kernel () =
+  (* The same differential over the whole suite at scale 2: a fork must
+     reproduce the from-scratch outcome of every fault on every kernel. *)
+  let params = { Turnpike.Run.default_params with Turnpike.Run.scale = 2 } in
+  List.iter
+    (fun b ->
+      let c = Turnpike.Run.compile_with params Turnpike.Scheme.turnpike b in
+      let compiled = c.Turnpike.Run.compiled in
+      let golden = c.Turnpike.Run.final in
+      let faults = Injector.campaign ~seed:7 ~count:16 c.Turnpike.Run.trace in
+      let plan = Snapshot.record compiled in
+      List.iteri
+        (fun i fault ->
+          check
+            (Printf.sprintf "%s fault %d fork = scratch" (Suite.qualified_name b) i)
+            true
+            (Verifier.run_one ~plan ~golden ~compiled fault
+            = Verifier.run_one ~golden ~compiled fault))
+        faults)
+    (Suite.all ())
+
 let test_early_exit_outcomes_own_memory () =
   (* A fork that reconverges adopts the pilot's final state. The plan
      and its pilot are shared by every fork of a campaign, on every
@@ -650,6 +671,7 @@ let tests =
       `Quick,
       test_fuel_exhaustion_reason_has_triage_fields );
     ("snapshot fork byte-identical", `Slow, test_snapshot_fork_byte_identical);
+    ("snapshot fork = scratch on every kernel", `Slow, test_snapshot_fork_every_kernel);
     ("snapshot fork forensic parity", `Slow, test_snapshot_fork_forensic_parity);
     ("early-exit outcomes own their memory", `Quick, test_early_exit_outcomes_own_memory);
     ("fork allocation budget", `Quick, test_fork_alloc_budget);

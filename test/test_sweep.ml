@@ -132,6 +132,8 @@ let test_campaign_args () =
   | _ -> Alcotest.fail "--ci not consumed");
   check "unknown flag left to the caller" true
     (CA.consume t [ "--scale"; "4" ] = None);
+  check "--forensics is not a campaign flag" true
+    (CA.consume t [ "--forensics" ] = None);
   check "no stopping without --ci" true (CA.stopping t = None);
   (match CA.stopping { t with CA.ci = Some 0.02; confidence = 0.9; batch = 16 } with
   | Some s ->

@@ -226,6 +226,26 @@ let test_vuln_report_jobs_invariant () =
     (Turnpike.Lint.vuln_to_text r1)
     (Turnpike.Lint.vuln_to_text r4)
 
+let test_vuln_independent_of_check_mode () =
+  (* The static tables are a pure function of the compiled binary: turning
+     the soundness checks on (whole-program or per pass) must not move a
+     single window, row or score. *)
+  let opts = Turnpike.Scheme.compile_opts Turnpike.Scheme.turnpike ~sb_size:4 in
+  List.iter
+    (fun b ->
+      let prog = b.Suite.build ~scale:2 in
+      let vuln check =
+        Vuln.compute
+          (Analysis.Context.with_machine ~wcdl:10
+             (Pass_pipeline.analysis_context
+                (Pass_pipeline.compile ~opts ~check prog)))
+      in
+      let off = vuln Pass_pipeline.Off in
+      let name = Suite.qualified_name b in
+      check (name ^ ": Final = Off") true (vuln Pass_pipeline.Final = off);
+      check (name ^ ": PerPass = Off") true (vuln Pass_pipeline.PerPass = off))
+    (Suite.all ())
+
 let test_vuln_csv_missing_columns () =
   (* The writers reuse the sweep exports' missing-column tolerance: a
      key one scheme never ranks renders "nan", never loses the file. *)
@@ -339,6 +359,8 @@ let tests =
       test_static_mutant_conviction;
     Alcotest.test_case "vuln report identical at any --jobs" `Quick
       test_vuln_report_jobs_invariant;
+    Alcotest.test_case "vuln tables independent of check mode" `Quick
+      test_vuln_independent_of_check_mode;
     Alcotest.test_case "csv writers tolerate missing columns" `Quick
       test_vuln_csv_missing_columns;
     Alcotest.test_case "static ranking predicts dynamic forensics" `Slow

@@ -17,12 +17,19 @@
 #                             byte-identical at any job count and across
 #                             fork vs scratch replay (and that the report
 #                             subcommand convicts a planted compiler bug),
-#                             that .tk kernel compiles and campaigns are
-#                             byte-identical at any job count, that a bad
-#                             --pipeline spec exits 1 with a diagnostic,
-#                             that every command block in docs/TUTORIAL.md
-#                             runs verbatim, and (advisorily) that the
-#                             odoc docs build.
+#                             that the design-space explorer
+#                             (turnpike-cli explore) writes byte-identical
+#                             CSVs and stdout at any job count and
+#                             re-validates its frontier, that static
+#                             vulnerability tables are byte-identical at
+#                             any job count, that .tk kernel compiles and
+#                             campaigns are byte-identical at any job
+#                             count, that a bad --pipeline spec exits 1
+#                             with a diagnostic, that bench/main.exe
+#                             rejects a malformed --scale and an unknown
+#                             flag with exit 2, that every command block
+#                             in docs/TUTORIAL.md runs verbatim, and
+#                             (advisorily) that the odoc docs build.
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -162,11 +169,10 @@ echo "== explore smoke: tiny design grid at --jobs 1 vs --jobs 4 =="
 # at any job count, and its frontier must re-validate at full scale
 # (non-zero exit otherwise). Both turnpike points are on the tiny grid's
 # frontier; the out-of-order one has the lowest overhead.
-mkdir -p "$tmp/explore1" "$tmp/explore4"
-dune exec --no-build bench/main.exe -- explore --grid tiny --scale 1 \
-  --fuel 20000 --jobs 1 --csv "$tmp/explore1" > "$tmp/explore_j1.txt"
-dune exec --no-build bench/main.exe -- explore --grid tiny --scale 1 \
-  --fuel 20000 --jobs 4 --csv "$tmp/explore4" > "$tmp/explore_j4.txt"
+dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
+  --jobs 1 --csv "$tmp/explore1" > "$tmp/explore_j1.txt"
+dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
+  --jobs 4 --csv "$tmp/explore4" > "$tmp/explore_j4.txt"
 diff -r "$tmp/explore1" "$tmp/explore4"
 diff <(grep -v '^\[csv written' "$tmp/explore_j1.txt") \
      <(grep -v '^\[csv written' "$tmp/explore_j4.txt")
@@ -174,10 +180,6 @@ grep -q 're-validation at full scale: ok' "$tmp/explore_j1.txt"
 grep -q 'ooo/sb4/clq2/cb2/s300/turnpike' "$tmp/explore_j1.txt"
 test -s "$tmp/explore1/explore_grid.csv"
 test -s "$tmp/explore1/explore_pareto.csv"
-# The CLI front end drives the same engine.
-dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
-  --jobs 2 > "$tmp/explore_cli.txt"
-grep -q 'Pareto frontier' "$tmp/explore_cli.txt"
 
 echo "== vuln smoke: static ACE/AVF tables at --jobs 1 vs --jobs 4 =="
 # The static vulnerability report must be byte-identical at any job
@@ -239,6 +241,20 @@ if dune exec --no-build bin/turnpike_cli.exe -- compile examples/triad.tk \
   exit 1
 fi
 grep -q 'must run before' "$tmp/pipe_order.err"
+
+echo "== bench smoke: bad arguments exit 2 and name the flag =="
+# bench/main.exe parses its own arguments: a malformed number and a flag
+# it does not know must each exit 2 with the flag named on stderr.
+status=0
+dune exec --no-build bench/main.exe -- --scale abc table1 > /dev/null \
+  2> "$tmp/bench_scale.err" || status=$?
+test "$status" -eq 2
+grep -q -- '--scale expects a number, got abc' "$tmp/bench_scale.err"
+status=0
+dune exec --no-build bench/main.exe -- --forensics table1 > /dev/null \
+  2> "$tmp/bench_forensics.err" || status=$?
+test "$status" -eq 2
+grep -q -- 'unknown argument --forensics' "$tmp/bench_forensics.err"
 
 echo "== tutorial smoke: docs/TUTORIAL.md command blocks run verbatim =="
 # Every ```sh block in the tutorial executes in a scratch directory with
