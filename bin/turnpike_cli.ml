@@ -79,6 +79,28 @@ let scale_arg =
    one arg spec in Turnpike.Campaign_args (also used by bench). *)
 module CA = Turnpike.Campaign_args
 
+(* Out-of-range campaign flags exit 2 before any work, as malformed ones
+   do; Campaign_args.validate names the flag. *)
+let check_campaign ca =
+  match CA.validate ca with
+  | Ok () -> ()
+  | Error msg ->
+    prerr_endline ("turnpike-cli: " ^ msg);
+    exit 2
+
+(* Create a --csv output directory (one level, as mkdir does), or exit 1
+   naming the path and the reason. An existing directory is kept. *)
+let make_dir dir =
+  match Unix.mkdir dir 0o755 with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _)
+    when (try Sys.is_directory dir with Sys_error _ -> false) ->
+    ()
+  | exception Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "turnpike-cli: cannot create directory %s: %s\n" dir
+      (Unix.error_message e);
+    exit 1
+
 (* Worker domains for experiment grids (see Turnpike_parallel). 0 = auto
    (CPU count); 1 preserves strictly sequential execution. The term is
    evaluated for its side effect before the command body runs. *)
@@ -294,6 +316,8 @@ let inject_cmd =
   in
   let run () name faults seed scale scratch every ci confidence batch forensics
       fjsonl ftrace fcsv json =
+    let ca = { CA.default with CA.seed; ci; confidence; batch } in
+    check_campaign ca;
     match find_bench name with
     | Error e ->
       prerr_endline e;
@@ -344,7 +368,6 @@ let inject_cmd =
             r.V.achieved_half_width r.V.batches
             (if r.V.exhausted then "; fault supply exhausted" else "")
       in
-      let ca = { CA.default with CA.seed; ci; confidence; batch } in
       let failed =
         if not forensics then
           match CA.stopping ca with
@@ -408,7 +431,7 @@ let inject_cmd =
             ftrace;
           Option.iter
             (fun dir ->
-              (try Unix.mkdir dir 0o755 with _ -> ());
+              make_dir dir;
               Turnpike.Csv_export.forensics ~dir records summary;
               if not json then Printf.printf "[forensic csv written under %s]\n" dir)
             fcsv;
@@ -648,7 +671,7 @@ let report_cmd =
       match csv_dir with
       | None -> ()
       | Some dir ->
-        (try Unix.mkdir dir 0o755 with _ -> ());
+        make_dir dir;
         Turnpike.Csv_export.forensics ~dir records summary;
         if not json then Printf.printf "[forensic csv written under %s]\n" dir
   in
@@ -761,7 +784,7 @@ let lint_cmd =
         match vcsv with
         | None -> ()
         | Some dir ->
-          (try Unix.mkdir dir 0o755 with _ -> ());
+          make_dir dir;
           Turnpike.Csv_export.vuln ~dir report;
           if not json then Printf.printf "[vuln csv written under %s]\n" dir
       end
@@ -948,11 +971,13 @@ let explore_cmd =
     Arg.(value & flag & info [ "forensics" ] ~doc:CA.doc_forensics)
   in
   let run () grid scale seed ci faults csv_dir forensics =
+    check_campaign { CA.default with CA.ci };
     match DP.spec_of_string grid with
     | Error msg ->
       prerr_endline msg;
       exit 1
     | Ok spec ->
+      Option.iter make_dir csv_dir;
       let params = { Turnpike.Run.default_params with Turnpike.Run.scale } in
       let full = X.full_budget params in
       let budget =
@@ -996,7 +1021,6 @@ let explore_cmd =
       (match csv_dir with
       | None -> ()
       | Some dir ->
-        (try Unix.mkdir dir 0o755 with _ -> ());
         let grid_path = Filename.concat dir "explore_grid.csv" in
         let pareto_path = Filename.concat dir "explore_pareto.csv" in
         Turnpike.Csv_export.explore_grid ~path:grid_path report;

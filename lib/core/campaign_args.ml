@@ -57,7 +57,20 @@ let value_of flag convert = function
     | Some x -> (x, rest)
     | None -> failwith (Printf.sprintf "%s expects a number, got %s" flag v))
 
-let consume t = function
+(* The ranges the verifier's stopping rule accepts, checked where the flags
+   are parsed so that a bad value fails before any work. *)
+let validate t =
+  match t with
+  | { ci = Some w; _ } when not (w > 0.0) ->
+    Error (Printf.sprintf "--ci expects a positive half-width, got %g" w)
+  | { confidence = c; _ } when not (c > 0.0 && c < 1.0) ->
+    Error
+      (Printf.sprintf "--confidence expects a level strictly between 0 and 1, got %g" c)
+  | { batch; _ } when batch <= 0 ->
+    Error (Printf.sprintf "--batch expects a positive count, got %d" batch)
+  | _ -> Ok ()
+
+let parse t = function
   | "--seed" :: rest ->
     let seed, rest = value_of "--seed" int_of_string_opt rest in
     Some ({ t with seed }, rest)
@@ -77,6 +90,12 @@ let consume t = function
     let n, rest = value_of "--jobs" int_of_string_opt rest in
     Some ({ t with jobs = Some n }, rest)
   | _ -> None
+
+let consume t args =
+  Option.map
+    (fun (t, rest) ->
+      match validate t with Ok () -> (t, rest) | Error msg -> failwith msg)
+    (parse t args)
 
 let apply_jobs t =
   match t.jobs with None -> () | Some n -> Turnpike_parallel.set_default_jobs n

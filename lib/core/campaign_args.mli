@@ -29,8 +29,15 @@ val consume : t -> string list -> (t * string list) option
     [--seed N | --faults N | --ci W | --confidence C | --batch B |
     --jobs N] pair and returns the updated record plus the remaining
     arguments; [None] when the head is not one of these flags (the
-    caller's own parser proceeds). Malformed values raise [Failure] with
-    the flag name. *)
+    caller's own parser proceeds). Malformed values, and values
+    {!validate} rejects, raise [Failure] with the flag name. *)
+
+val validate : t -> (unit, string) result
+(** Check the ranges the stopping rule needs: [--ci] positive,
+    [--confidence] strictly between 0 and 1, [--batch] positive. The
+    error message names the offending flag. {!consume} applies it to
+    every flag it parses; the Cmdliner front ends call it before any
+    work. *)
 
 val usage : string
 (** One-line usage fragment listing the shared flags. *)

@@ -1,15 +1,16 @@
 (* Design-space exploration: every grid point is scored once, at the
    full-scale budget, and the Pareto frontier of those scores is
-   re-validated. Scoring is split in two deterministic passes: timing
-   simulation fans out over (point x benchmark) on the domain pool, while
-   fault campaigns are walked sequentially per campaign key (the verifier
-   fans out per fault internally — same structure as
-   Experiments.campaign_over, which avoids nesting domain pools) and
-   shared across points a campaign cannot distinguish (the core model,
-   the color-pool width). *)
+   re-validated. Scoring is two index-ordered fan-outs on the domain pool,
+   each over distinct work only: one task per distinct timing simulation
+   (points that lower to the same core model on the same binary share
+   one), then one task per (campaign key, benchmark) that runs its whole
+   CI-stopped campaign inside the worker. A map issued from a worker runs
+   sequentially, so the verifier's per-batch fan-out spawns no domain
+   there, and the results are identical at any job count. *)
 
 module Suite = Turnpike_workloads.Suite
 module Sim_stats = Turnpike_arch.Sim_stats
+module Machine = Turnpike_arch.Machine
 module Machine_model = Turnpike_arch.Machine_model
 module Cost_model = Turnpike_arch.Cost_model
 module Sensor = Turnpike_arch.Sensor
@@ -106,7 +107,7 @@ let dynamic_energy_pj (p : Design_point.t) (stats : Sim_stats.t) =
 (* ------------------------------------------------------------------ *)
 (* Evaluation under a budget. *)
 
-let run_params (_params : Run.params) budget (p : Design_point.t) =
+let run_params budget (p : Design_point.t) =
   {
     Run.scale = budget.scale;
     fuel = budget.fuel;
@@ -115,23 +116,15 @@ let run_params (_params : Run.params) budget (p : Design_point.t) =
     baseline_sb = p.Design_point.sb_entries;
   }
 
-(* Timing + energy of one (point, benchmark) pair: overhead against the
-   unprotected baseline of the same core at the same SB depth. [None]
-   when the baseline trace is degenerate (zero simulated cycles). *)
-let timing_of ~params ~budget (p : Design_point.t) b =
-  let bp = run_params params budget p in
-  let c = Run.compile_with bp p.Design_point.rung b in
-  let base = Run.compile_with bp Scheme.baseline b in
-  let stats = Machine_model.simulate (Design_point.machine_model p) c.Run.trace in
-  let bstats =
-    Machine_model.simulate (Design_point.baseline_model p) base.Run.trace
-  in
-  if bstats.Sim_stats.cycles <= 0 then None
-  else
-    Some
-      ( float_of_int stats.Sim_stats.cycles /. float_of_int bstats.Sim_stats.cycles,
-        1000.0 *. dynamic_energy_pj p stats
-        /. float_of_int (max 1 stats.Sim_stats.instructions) )
+(* A simulation is a pure function of (core model, trace), and a trace of
+   (benchmark, compile key) under one budget. The in-order model's name is
+   the point id, a label no timing result reads, so it is blanked: points
+   that differ only in axes a core ignores then share one simulation (the
+   OoO core's CLQ and color bits; everything but core and SB depth for a
+   baseline). *)
+let sim_model = function
+  | Machine_model.In_order m -> Machine_model.In_order { m with Machine.name = "" }
+  | Machine_model.Out_of_order _ as m -> m
 
 (* A fault campaign only observes the binary (rung, SB depth), the
    functional recovery configuration (CLQ, coloring on/off, WCDL) and the
@@ -169,9 +162,9 @@ let key_point k : Design_point.t =
    resilience experiments do): each fault forks the recovery executor
    from the nearest snapshot, and the verifier's sequential stopping rule
    keeps the consumed fault count deterministic at any job count. *)
-let run_campaign ~params ~budget ~seed ~forensics key b =
+let run_campaign ~budget ~seed ~forensics key b =
   let p = key_point key in
-  let bp = run_params params budget p in
+  let bp = run_params budget p in
   let bp = { bp with Run.scale = max 1 (bp.Run.scale / 4) } in
   let c = Run.compile_with bp key.rung b in
   if not c.Run.trace.Trace.complete then (0, 0, [])
@@ -206,76 +199,116 @@ let run_campaign ~params ~budget ~seed ~forensics key b =
     (ci.Verifier.report.Verifier.sdc, ci.Verifier.report.Verifier.total, records)
   end
 
-(* Score every point under one budget. Two passes: timing on the
-   domain pool, then one campaign per distinct key (first-appearance
-   order). Returns (point, objectives) in the input (grid) order. *)
-let score_batch ?(forensics = false) ~benches ~params ~budget ~seed points =
-  let timing =
-    Turnpike_parallel.grid ~items:points ~configs:benches (fun p b ->
-        timing_of ~params ~budget p b)
+(* First-appearance order of the distinct [key x] over [xs]. *)
+let distinct key xs =
+  List.fold_left
+    (fun acc x ->
+      let k = key x in
+      if List.mem k acc then acc else k :: acc)
+    [] xs
+  |> List.rev
+
+(* Score every point under one budget. Two fan-outs, each over distinct
+   work in first-appearance order: the simulations (every point needs its
+   own core and its baseline on each benchmark), then one whole campaign
+   per resilient (campaign key, benchmark). Returns (point, objectives,
+   rollup) in the input (grid) order. *)
+let score_batch ?(forensics = false) ~benches ~budget ~seed points =
+  let benches = Array.of_list benches in
+  let sims = Hashtbl.create 64 and sim_tasks = ref [] in
+  let sim (p : Design_point.t) model (scheme : Scheme.t) b =
+    let model = sim_model model in
+    let key = (model, b, Scheme.compile_key scheme ~sb_size:p.Design_point.sb_entries) in
+    match Hashtbl.find_opt sims key with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length sims in
+      Hashtbl.add sims key i;
+      sim_tasks := (run_params budget p, model, scheme, benches.(b)) :: !sim_tasks;
+      i
+  in
+  let sim_pairs =
+    List.map
+      (fun p ->
+        Array.init (Array.length benches) (fun b ->
+            ( sim p (Design_point.machine_model p) p.Design_point.rung b,
+              sim p (Design_point.baseline_model p) Scheme.baseline b )))
+      points
+  in
+  let stats =
+    Turnpike_parallel.map
+      (fun (bp, model, scheme, b) ->
+        Machine_model.simulate model (Run.compile_with bp scheme b).Run.trace)
+      (Array.of_list (List.rev !sim_tasks))
   in
   let keys =
-    List.fold_left
-      (fun acc p ->
-        let k = campaign_key p in
-        if List.mem k acc then acc else k :: acc)
-      [] points
-    |> List.rev
-  in
-  let campaigns =
-    if budget.max_faults <= 0 then []
+    if budget.max_faults <= 0 then [||]
     else
-      List.map
-        (fun k ->
-          let by =
-            if not k.rung.Scheme.resilient then (0, 0, [])
-            else
-              List.fold_left
-                (fun (sdc, total, records) b ->
-                  let s, t, r = run_campaign ~params ~budget ~seed ~forensics k b in
-                  (sdc + s, total + t, records @ r))
-                (0, 0, []) benches
-          in
-          (k, by))
-        keys
+      distinct campaign_key points
+      |> List.filter (fun k -> k.rung.Scheme.resilient)
+      |> Array.of_list
   in
-  (* One attribution rollup per campaign key (shared, like the campaign
+  let nb = Array.length benches in
+  let runs =
+    Turnpike_parallel.map
+      (fun i -> run_campaign ~budget ~seed ~forensics keys.(i / nb) benches.(i mod nb))
+      (Array.init (Array.length keys * nb) Fun.id)
+  in
+  (* Sum each key's campaigns over the benchmarks, in benchmark order,
+     with one attribution rollup per key (shared, like the campaign
      itself, by every point the campaign cannot distinguish). *)
-  let rollups =
-    List.map
-      (fun (k, (_, _, records)) ->
-        ( k,
-          if forensics && records <> [] then
-            Some (Forensics.summarize ~rung:k.rung.Scheme.name records)
-          else None ))
-      campaigns
+  let campaigns =
+    Array.to_list keys
+    |> List.mapi (fun ki k ->
+           let sdc, total, records =
+             Array.fold_left
+               (fun (sdc, total, records) (s, t, r) -> (sdc + s, total + t, records @ r))
+               (0, 0, [])
+               (Array.sub runs (ki * nb) nb)
+           in
+           let rollup =
+             if forensics && records <> [] then
+               Some (Forensics.summarize ~rung:k.rung.Scheme.name records)
+             else None
+           in
+           (k, (sdc, total, rollup)))
   in
-  List.map
-    (fun (p, by_bench) ->
-      let measured = List.filter_map snd by_bench in
-      let overhead = Report.geomean (List.map fst measured) in
-      let energy = Report.arith_mean (List.map snd measured) in
-      let sdc, faults =
-        match List.assoc_opt (campaign_key p) campaigns with
-        | Some (s, t, _) -> (s, t)
-        | None -> (0, 0)
+  List.map2
+    (fun p pairs ->
+      let measured =
+        Array.to_list pairs
+        |> List.filter_map (fun (s, base) ->
+               let stats = stats.(s) and bstats = stats.(base) in
+               (* Overhead against the unprotected baseline of the same core
+                  at the same SB depth; a degenerate baseline (zero cycles)
+                  leaves the benchmark out. *)
+               if bstats.Sim_stats.cycles <= 0 then None
+               else
+                 Some
+                   ( float_of_int stats.Sim_stats.cycles
+                     /. float_of_int bstats.Sim_stats.cycles,
+                     1000.0 *. dynamic_energy_pj p stats
+                     /. float_of_int (max 1 stats.Sim_stats.instructions) ))
+      in
+      let sdc, faults, rollup =
+        Option.value ~default:(0, 0, None) (List.assoc_opt (campaign_key p) campaigns)
       in
       let sdc_rate =
         if faults > 0 then float_of_int sdc /. float_of_int faults else 0.0
       in
       ( p,
         {
-          overhead;
+          overhead = Report.geomean (List.map fst measured);
           area_um2 = area_um2 p;
-          energy_pj_per_kinstr = energy;
+          energy_pj_per_kinstr = Report.arith_mean (List.map snd measured);
           sdc_rate;
           faults;
         },
-        Option.join (List.assoc_opt (campaign_key p) rollups) ))
-    timing
+        rollup ))
+    points sim_pairs
 
-let score ~benches ~params ~budget ~seed p =
-  match score_batch ~benches ~params ~budget ~seed [ p ] with
+let score ~benches ~budget ~seed p =
+  match score_batch ~benches ~budget ~seed [ p ] with
   | [ (_, o, _) ] -> o
   | _ -> assert false
 
@@ -304,7 +337,7 @@ let run ?benches ?budget ?(seed = 7) ?(params = Run.default_params)
   let benches = match benches with Some bs -> bs | None -> default_benches () in
   let budget = match budget with Some b -> b | None -> full_budget params in
   let points = Design_point.grid spec in
-  let scored = score_batch ~forensics ~benches ~params ~budget ~seed points in
+  let scored = score_batch ~forensics ~benches ~budget ~seed points in
   let frontier_ids =
     Pareto.frontier ~objectives:(fun (_, o, _) -> objective_vector o) scored
     |> List.map (fun (p, _, _) -> Design_point.id p)
@@ -324,9 +357,10 @@ let run ?benches ?budget ?(seed = 7) ?(params = Run.default_params)
   (* Re-validate the frontier: re-running the evaluation of a frontier
      point must reproduce its recorded objectives exactly. *)
   let validated =
-    List.for_all
-      (fun r -> score ~benches ~params ~budget ~seed r.point = r.objectives)
+    Turnpike_parallel.map_list
+      (fun r -> score ~benches ~budget ~seed r.point = r.objectives)
       frontier
+    |> List.for_all Fun.id
   in
   {
     grid_size = List.length points;

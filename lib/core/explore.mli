@@ -70,18 +70,17 @@ val default_benches : unit -> Suite.entry list
 
 val score :
   benches:Suite.entry list ->
-  params:Run.params ->
   budget:budget ->
   seed:int ->
   Design_point.t ->
   objectives
 (** Evaluate one design point under one budget: compile each benchmark
-    under the point's rung (cached), simulate on the point's
-    {!Design_point.machine_model} and its unprotected baseline, and run a
-    CI-stopped fault campaign per benchmark under the point's
-    {!Design_point.recovery_config}. Identical to the batched evaluation
-    {!run} performs — re-scoring a point reproduces its objectives
-    bit-for-bit. *)
+    under the point's rung at the budget's scale and fuel (cached),
+    simulate on the point's {!Design_point.machine_model} and its
+    unprotected baseline, and run a CI-stopped fault campaign per
+    benchmark under the point's {!Design_point.recovery_config}. It runs
+    the same code as the batched evaluation in {!run}, on a batch of one
+    point, so re-scoring a point reproduces its objectives bit-for-bit. *)
 
 (** {1 The explorer} *)
 
@@ -121,10 +120,17 @@ val run :
   report
 (** Explore [spec]'s grid: score every point once under [budget]
     (default {!full_budget}[ params]), take the Pareto frontier of those
-    scores and re-validate it. Campaign work is shared across points that
-    differ only in axes a campaign cannot observe (the core model, the
-    color-pool width), and the whole run is deterministic at any job
-    count. With [forensics] (default false) every campaign records
-    per-fault lifecycles and each {!point_result} carries the attribution
-    rollup; sinks never influence outcomes, so scores, the frontier and
-    validation are unchanged. *)
+    scores and re-validate it. Scoring runs two fan-outs on the domain
+    pool, each over distinct work only. The first has one task per
+    distinct simulation: a point's core and its baseline are shared with
+    every point that lowers to the same model on the same binary (on the
+    default grid, 132 simulations serve 64 points × 3 benchmarks × 2
+    models). The second has one task per (campaign key, benchmark): a
+    campaign is shared by every point that differs only in axes it cannot
+    observe (the core model, the color-pool width), and runs whole inside
+    its worker. Re-validation re-scores each frontier point alone through
+    {!score}, one pool task per point. The whole run is deterministic at
+    any job count. With [forensics] (default false) every campaign
+    records per-fault lifecycles and each {!point_result} carries the
+    attribution rollup; sinks never influence outcomes, so scores, the
+    frontier and validation are unchanged. *)

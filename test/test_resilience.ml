@@ -75,32 +75,38 @@ let test_injector_no_duplicate_faults () =
           Hashtbl.replace seen key ())
         faults)
     [ 1; 7; 42; 1234 ];
-  (* A request beyond the trace's distinct site/bit space tops up to
-     exactly that space, never past it and never with repeats. *)
-  let tiny =
-    let b = Builder.create "tiny" in
-    Builder.label b "entry";
-    let r = Builder.fresh_reg b in
-    Builder.mov b ~dst:r (Imm 3);
-    Builder.add b ~dst:r ~a:r (Imm 1);
-    Builder.ret b;
-    Builder.finish b
-  in
-  let opts = Turnpike.Scheme.compile_opts Turnpike.Scheme.turnpike ~sb_size:4 in
-  let compiled = Pass_pipeline.compile ~opts tiny in
-  let trace, _ = Interp.trace_run compiled.Pass_pipeline.prog in
-  let faults = Injector.campaign ~seed:3 ~count:10_000 trace in
-  let distinct =
-    let t = Hashtbl.create 64 in
-    List.iter
-      (fun (f : Fault.t) ->
-        Hashtbl.replace t (f.Fault.at_step, f.Fault.reg, f.Fault.xor_mask) ())
-      faults;
-    Hashtbl.length t
-  in
-  check_int "tiny trace: all distinct" (List.length faults) distinct;
-  check "tiny trace: site space exhausted, not exceeded" true
-    (List.length faults < 10_000 && List.length faults > 0)
+  (* A request beyond a trace's site/bit space tops up to exactly that
+     space — 63 bits per distinct strike site (the write's step + 1,
+     clamped into the trace, and its register) — never past it and never
+     with repeats. Write steps are distinct, so strike sites are too,
+     except that writes at the final two steps both strike the last one
+     and collide when they hit the same register. *)
+  let alu d = Trace.Alu { dst = Some d; srcs = [] } in
+  let load d = Trace.Load { dst = d; srcs = []; addr = 64; kind = Instr.App_mem } in
+  let store = Trace.Store { srcs = [ 1 ]; addr = 64; cls = Trace.Regular_app } in
+  List.iter
+    (fun (what, events, strike_sites) ->
+      let trace = { Trace.events; complete = true } in
+      check_int (what ^ ": strike sites") strike_sites (Injector.strike_sites trace);
+      let faults = Injector.campaign ~seed:3 ~count:10_000 trace in
+      let distinct =
+        let t = Hashtbl.create 256 in
+        List.iter
+          (fun (f : Fault.t) ->
+            Hashtbl.replace t (f.Fault.at_step, f.Fault.reg, f.Fault.xor_mask) ())
+          faults;
+        Hashtbl.length t
+      in
+      check_int (what ^ ": all distinct") (List.length faults) distinct;
+      check_int (what ^ ": 63 x strike sites") (63 * strike_sites) (List.length faults))
+    [
+      ("one write", [| alu 1 |], 1);
+      ("final two writes, same register", [| alu 5; alu 5 |], 1);
+      ("final two writes, same register, 4 events", [| store; alu 1; alu 2; load 2 |], 2);
+      ("final two writes, different registers", [| store; alu 1; alu 2; load 3 |], 3);
+      ("same register, not at the end", [| alu 2; load 2; store; alu 1 |], 3);
+      ("a write then a store", [| alu 1; alu 1; store |], 2);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Recovery executor *)

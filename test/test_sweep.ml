@@ -145,24 +145,46 @@ let test_campaign_args () =
   (try
      ignore (CA.consume t [ "--seed"; "x" ]);
      Alcotest.fail "malformed value accepted"
-   with Failure _ -> ())
+   with Failure _ -> ());
+  (* Out-of-range values fail where they are parsed, naming the flag. *)
+  List.iter
+    (fun args ->
+      let flag = List.hd args in
+      match CA.consume t args with
+      | _ -> Alcotest.fail (flag ^ " out of range accepted")
+      | exception Failure msg ->
+        check (flag ^ " named") true (String.starts_with ~prefix:flag msg))
+    [ [ "--ci"; "0" ]; [ "--ci"; "nan" ]; [ "--confidence"; "1" ]; [ "--batch"; "0" ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Explorer: determinism across job counts, one rung, validation. *)
 
 let explore_params = { Run.default_params with Run.scale = 1; fuel = 20_000 }
 
-let run_tiny () =
-  Explore.run ~seed:7 ~params:explore_params ~spec:DP.tiny_spec ()
+let run_tiny ?forensics () =
+  Explore.run ?forensics ~seed:7 ~params:explore_params ~spec:DP.tiny_spec ()
 
 let test_explore_deterministic_across_jobs () =
   let saved = Parallel.effective_jobs () in
   Parallel.set_default_jobs 1;
-  let r1 = run_tiny () in
+  let r1 = run_tiny () and f1 = run_tiny ~forensics:true () in
   Parallel.set_default_jobs 4;
-  let r4 = run_tiny () in
+  let r4 = run_tiny () and f4 = run_tiny ~forensics:true () in
   Parallel.set_default_jobs saved;
   check "reports identical at jobs 1 vs 4" true (r1 = r4);
+  (* With forensics, campaigns record lifecycles on pool workers: the
+     rollups must not depend on the job count, and stripping them must
+     give back the plain run's report. *)
+  check "forensics reports identical at jobs 1 vs 4" true (f1 = f4);
+  check "forensics run carries rollups" true
+    (List.exists (fun p -> p.Explore.forensics <> None) f1.Explore.results);
+  let strip r =
+    let strip = List.map (fun p -> { p with Explore.forensics = None }) in
+    { r with
+      Explore.results = strip r.Explore.results;
+      frontier = strip r.Explore.frontier }
+  in
+  check "forensics stripped = plain run" true (strip f1 = r1);
   (* Byte-level: the rendered CSV artifacts match too. *)
   let render r =
     let path = Filename.temp_file "explore" ".csv" in
@@ -203,8 +225,8 @@ let test_explore_score_matches_batch () =
   List.iter
     (fun p ->
       let o =
-        Explore.score ~benches:(Explore.default_benches ())
-          ~params:explore_params ~budget ~seed:7 p.Explore.point
+        Explore.score ~benches:(Explore.default_benches ()) ~budget ~seed:7
+          p.Explore.point
       in
       check "re-scoring a point is bit-identical" true
         (o = p.Explore.objectives))

@@ -19,8 +19,11 @@
 #                             subcommand convicts a planted compiler bug),
 #                             that the design-space explorer
 #                             (turnpike-cli explore) writes byte-identical
-#                             CSVs and stdout at any job count and
-#                             re-validates its frontier, that static
+#                             CSVs and stdout at any job count (also with
+#                             --forensics) and re-validates its frontier,
+#                             that out-of-range campaign flags exit 2 and
+#                             an uncreatable --csv directory exits 1,
+#                             never with an uncaught exception, that static
 #                             vulnerability tables are byte-identical at
 #                             any job count, that .tk kernel compiles and
 #                             campaigns are byte-identical at any job
@@ -180,6 +183,41 @@ grep -q 're-validation at full scale: ok' "$tmp/explore_j1.txt"
 grep -q 'ooo/sb4/clq2/cb2/s300/turnpike' "$tmp/explore_j1.txt"
 test -s "$tmp/explore1/explore_grid.csv"
 test -s "$tmp/explore1/explore_pareto.csv"
+# With --forensics the campaigns record lifecycles on pool workers; the
+# per-point rollups must print identically at any job count.
+dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
+  --jobs 1 --forensics > "$tmp/explore_forensics_j1.txt"
+dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
+  --jobs 4 --forensics > "$tmp/explore_forensics_j4.txt"
+diff "$tmp/explore_forensics_j1.txt" "$tmp/explore_forensics_j4.txt"
+grep -q 'forensics\[turnpike\]' "$tmp/explore_forensics_j1.txt"
+
+echo "== CLI smoke: bad campaign flags exit 2, an uncreatable --csv dir exits 1 =="
+# Each row: expected exit code | text stderr must contain | arguments.
+# Out-of-range flags are rejected before any work; none may end in an
+# uncaught exception.
+while IFS='|' read -r want needle args; do
+  status=0
+  # shellcheck disable=SC2086  # $args is a word list on purpose
+  dune exec --no-build bin/turnpike_cli.exe -- $args < /dev/null > /dev/null \
+    2> "$tmp/bad_flag.err" || status=$?
+  if [ "$status" -ne "$want" ]; then
+    echo "turnpike-cli $args: exit $status, expected $want" >&2
+    cat "$tmp/bad_flag.err" >&2
+    exit 1
+  fi
+  grep -q -- "$needle" "$tmp/bad_flag.err"
+  if grep -q 'uncaught exception' "$tmp/bad_flag.err"; then
+    echo "turnpike-cli $args: uncaught exception" >&2
+    exit 1
+  fi
+done <<'EOF'
+2|--ci|explore --grid tiny --scale 1 --ci 0
+2|--ci|inject -b libquan --scale 1 --ci 0
+2|--batch|inject -b libquan --scale 1 --batch 0 --ci 0.1
+2|--confidence|inject -b libquan --scale 1 --confidence 2 --ci 0.1
+1|/nonexistent/dir/x|explore --grid tiny --scale 1 --csv /nonexistent/dir/x
+EOF
 
 echo "== vuln smoke: static ACE/AVF tables at --jobs 1 vs --jobs 4 =="
 # The static vulnerability report must be byte-identical at any job
