@@ -410,69 +410,68 @@ let run_table1 () =
 let campaign_faults () =
   Option.value ~default:default_campaign_faults (!campaign).Turnpike.Campaign_args.faults
 
-let run_resilience_ci stopping =
-  Report.section
-    "Fault injection: sequential stopping on the SDC-rate confidence interval";
-  let rows =
-    E.resilience_campaign_ci ~params:!params ~max_faults:(campaign_faults ())
-      ~seed:(!campaign).Turnpike.Campaign_args.seed ~stopping ()
-  in
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "faults"; width = 7 };
-             { title = "SDC rate"; width = 8 }; { title = "ci low"; width = 7 };
-             { title = "ci high"; width = 7 }; { title = "+/-"; width = 7 };
-             { title = "batches"; width = 7 }; { title = "stopped"; width = 9 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.resilience_ci_row) ->
-      Report.print_row cols
-        [ r.ci_bench; string_of_int r.ci.E.Verifier.report.E.Verifier.total;
-          Printf.sprintf "%.4f" r.ci.E.Verifier.sdc_rate;
-          Printf.sprintf "%.4f" r.ci.E.Verifier.ci_low;
-          Printf.sprintf "%.4f" r.ci.E.Verifier.ci_high;
-          Printf.sprintf "%.4f" r.ci.E.Verifier.achieved_half_width;
-          string_of_int r.ci.E.Verifier.batches;
-          (if r.ci.E.Verifier.exhausted then "supply" else "interval") ])
-    rows;
-  Printf.printf
-    "(stop target: half-width %.4f at %g%% confidence; 'supply' = fault list \
-     exhausted first)\n"
-    stopping.E.Verifier.half_width
-    (100.0 *. stopping.E.Verifier.confidence)
-
 let run_resilience () =
-  match Turnpike.Campaign_args.stopping !campaign with
-  | Some stopping -> run_resilience_ci stopping
-  | None ->
-  Report.section "Fault injection: SDC-freedom campaign (beyond the paper's figures)";
+  let stopping = Turnpike.Campaign_args.stopping !campaign in
+  Report.section
+    (match stopping with
+    | None -> "Fault injection: SDC-freedom campaign (beyond the paper's figures)"
+    | Some _ ->
+      "Fault injection: sequential stopping on the SDC-rate confidence interval");
   let rows =
-    E.resilience_campaign ~params:!params ~faults:(campaign_faults ())
-      ~seed:(!campaign).Turnpike.Campaign_args.seed ()
+    E.resilience ~params:!params ~faults:(campaign_faults ())
+      ~seed:(!campaign).Turnpike.Campaign_args.seed ?stopping ()
   in
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "faults"; width = 7 };
-             { title = "recovered"; width = 9 }; { title = "SDC"; width = 5 };
-             { title = "crashed"; width = 7 }; { title = "parity"; width = 7 };
-             { title = "sensor"; width = 7 }; { title = "reexec +%"; width = 9 } ]
-  in
-  Report.print_header cols;
-  let totals = ref (0, 0, 0) in
-  List.iter
-    (fun (r : E.resilience_row) ->
-      let rep = r.report in
-      let t, s, c = !totals in
-      totals := (t + rep.E.Verifier.total, s + rep.E.Verifier.sdc, c + rep.E.Verifier.crashed);
-      Report.print_row cols
-        [ r.bench; string_of_int rep.E.Verifier.total;
-          string_of_int rep.E.Verifier.recovered; string_of_int rep.E.Verifier.sdc;
-          string_of_int rep.E.Verifier.crashed;
-          string_of_int rep.E.Verifier.parity_detections;
-          string_of_int rep.E.Verifier.sensor_detections;
-          Printf.sprintf "%.2f" (100. *. rep.E.Verifier.mean_reexec_overhead) ])
-    rows;
-  let t, s, c = !totals in
-  Printf.printf "TOTAL: %d faults, %d SDC, %d crashes (SDC-freedom requires 0/0)\n" t s c
+  match stopping with
+  | None ->
+    let cols =
+      Report.[ { title = "benchmark"; width = 18 }; { title = "faults"; width = 7 };
+               { title = "recovered"; width = 9 }; { title = "SDC"; width = 5 };
+               { title = "crashed"; width = 7 }; { title = "parity"; width = 7 };
+               { title = "sensor"; width = 7 }; { title = "reexec +%"; width = 9 } ]
+    in
+    Report.print_header cols;
+    let totals = ref (0, 0, 0) in
+    List.iter
+      (fun (r : E.resilience_row) ->
+        let rep = r.campaign.E.Verifier.report in
+        let t, s, c = !totals in
+        totals := (t + rep.E.Verifier.total, s + rep.E.Verifier.sdc, c + rep.E.Verifier.crashed);
+        Report.print_row cols
+          [ r.bench; string_of_int rep.E.Verifier.total;
+            string_of_int rep.E.Verifier.recovered; string_of_int rep.E.Verifier.sdc;
+            string_of_int rep.E.Verifier.crashed;
+            string_of_int rep.E.Verifier.parity_detections;
+            string_of_int rep.E.Verifier.sensor_detections;
+            Printf.sprintf "%.2f" (100. *. rep.E.Verifier.mean_reexec_overhead) ])
+      rows;
+    let t, s, c = !totals in
+    Printf.printf "TOTAL: %d faults, %d SDC, %d crashes (SDC-freedom requires 0/0)\n" t s c
+  | Some stopping ->
+    let cols =
+      Report.[ { title = "benchmark"; width = 18 }; { title = "faults"; width = 7 };
+               { title = "SDC rate"; width = 8 }; { title = "ci low"; width = 7 };
+               { title = "ci high"; width = 7 }; { title = "+/-"; width = 7 };
+               { title = "batches"; width = 7 }; { title = "stopped"; width = 9 } ]
+    in
+    Report.print_header cols;
+    List.iter
+      (fun (r : E.resilience_row) ->
+        (* A stopping rule was given, so every campaign carries its interval. *)
+        let ci = Option.get r.campaign.E.Verifier.ci in
+        Report.print_row cols
+          [ r.bench; string_of_int r.campaign.E.Verifier.report.E.Verifier.total;
+            Printf.sprintf "%.4f" ci.E.Verifier.sdc_rate;
+            Printf.sprintf "%.4f" ci.E.Verifier.ci_low;
+            Printf.sprintf "%.4f" ci.E.Verifier.ci_high;
+            Printf.sprintf "%.4f" ci.E.Verifier.achieved_half_width;
+            string_of_int ci.E.Verifier.batches;
+            (if ci.E.Verifier.exhausted then "supply" else "interval") ])
+      rows;
+    Printf.printf
+      "(stop target: half-width %.4f at %g%% confidence; 'supply' = fault list \
+       exhausted first)\n"
+      stopping.E.Verifier.half_width
+      (100.0 *. stopping.E.Verifier.confidence)
 
 let run_energy () =
   Report.section "Resilience-hardware energy (beyond the paper's figures)";

@@ -64,16 +64,35 @@ let scheme_arg =
        & info [ "s"; "scheme" ] ~docv:"SCHEME"
            ~doc:"Resilience scheme (default turnpike).")
 
+(* A numeric flag whose range is checked when cmdliner evaluates it,
+   before the command body runs: a value out of range exits 2 naming the
+   flag, as out-of-range campaign flags do. *)
+let checked ~flag ~expects ok show arg =
+  let check v =
+    if not (ok v) then begin
+      Printf.eprintf "turnpike-cli: %s expects %s, got %s\n" flag expects (show v);
+      exit 2
+    end;
+    v
+  in
+  Term.(const check $ arg)
+
 let wcdl_arg =
-  Arg.(value & opt int 10 & info [ "w"; "wcdl" ] ~docv:"CYCLES"
-         ~doc:"Worst-case detection latency in cycles.")
+  checked ~flag:"--wcdl" ~expects:"a non-negative cycle count" (fun w -> w >= 0)
+    string_of_int
+    Arg.(value & opt int 10 & info [ "w"; "wcdl" ] ~docv:"CYCLES"
+           ~doc:"Worst-case detection latency in cycles.")
 
 let sb_arg =
-  Arg.(value & opt int 4 & info [ "sb" ] ~docv:"ENTRIES" ~doc:"Store-buffer entries.")
+  checked ~flag:"--sb" ~expects:"a positive entry count" (fun n -> n >= 1)
+    string_of_int
+    Arg.(value & opt int 4 & info [ "sb" ] ~docv:"ENTRIES" ~doc:"Store-buffer entries.")
 
 let scale_arg =
-  Arg.(value & opt int Turnpike.Run.default_scale & info [ "scale" ] ~docv:"N"
-         ~doc:"Workload scale factor (iteration multiplier).")
+  checked ~flag:"--scale" ~expects:"a positive factor" (fun n -> n >= 1)
+    string_of_int
+    Arg.(value & opt int Turnpike.Run.default_scale & info [ "scale" ] ~docv:"N"
+           ~doc:"Workload scale factor (iteration multiplier).")
 
 (* Shared campaign flags: names, defaults and doc strings come from the
    one arg spec in Turnpike.Campaign_args (also used by bench). *)
@@ -100,6 +119,32 @@ let make_dir dir =
     Printf.eprintf "turnpike-cli: cannot create directory %s: %s\n" dir
       (Unix.error_message e);
     exit 1
+
+(* Export destinations: a file, or stdout for "-". [check_output] fails
+   before any work when a file's directory does not exist; [write_output]
+   reports any later write failure. Both exit 1 naming the path. *)
+let check_output dest =
+  let dir = Filename.dirname dest in
+  if dest <> "-" && not (Sys.file_exists dir && Sys.is_directory dir) then begin
+    Printf.eprintf "turnpike-cli: cannot write %s: no directory %s\n" dest dir;
+    exit 1
+  end
+
+let write_output dest contents =
+  match dest with
+  | "-" -> print_string contents
+  | path -> (
+    try Telemetry.Export.to_file path contents
+    with Sys_error msg ->
+      (* open_out's message already leads with the path. *)
+      let prefix = path ^ ": " in
+      let reason =
+        if String.starts_with ~prefix msg then
+          String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+        else msg
+      in
+      Printf.eprintf "turnpike-cli: cannot write %s: %s\n" path reason;
+      exit 1)
 
 (* Worker domains for experiment grids (see Turnpike_parallel). 0 = auto
    (CPU count); 1 preserves strictly sequential execution. The term is
@@ -210,21 +255,14 @@ let trace_cmd =
       prerr_endline e;
       exit 1
     | Ok b ->
+      Option.iter check_output timeline;
+      Option.iter check_output jsonl;
       let params =
         { Turnpike.Run.default_params with scale; wcdl; sb_size = sb }
       in
       let t = Turnpike.Timeline.capture ~params b in
-      let write dest contents =
-        match dest with
-        | "-" -> print_string contents
-        | path -> Telemetry.Export.to_file path contents
-      in
-      (match timeline with
-      | Some dest -> write dest (Turnpike.Timeline.chrome t)
-      | None -> ());
-      (match jsonl with
-      | Some dest -> write dest (Turnpike.Timeline.jsonl t)
-      | None -> ());
+      Option.iter (fun dest -> write_output dest (Turnpike.Timeline.chrome t)) timeline;
+      Option.iter (fun dest -> write_output dest (Turnpike.Timeline.jsonl t)) jsonl;
       Printf.printf "%s: %d events across %d schemes (wcdl=%d sb=%d)\n"
         t.Turnpike.Timeline.benchmark
         (List.length t.Turnpike.Timeline.events)
@@ -265,12 +303,6 @@ let inject_cmd =
       & info [ "scratch" ]
           ~doc:"Replay every fault from step 0 instead of forking from \
                 pilot snapshots (same report, slower).")
-  in
-  let every_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "snapshot-every" ] ~docv:"K"
-          ~doc:"Pilot snapshot cadence in steps (0 = default cadence).")
   in
   let forensics_arg =
     Arg.(value & flag & info [ "forensics" ] ~doc:CA.doc_forensics)
@@ -314,8 +346,8 @@ let inject_cmd =
              records with the fault draw and verdict) instead of text. \
              Implies --forensics.")
   in
-  let run () name faults seed scale scratch every ci confidence batch forensics
-      fjsonl ftrace fcsv json =
+  let run () name faults seed scale scratch ci confidence batch forensics fjsonl
+      ftrace fcsv json =
     let ca = { CA.default with CA.seed; ci; confidence; batch } in
     check_campaign ca;
     match find_bench name with
@@ -323,6 +355,8 @@ let inject_cmd =
       prerr_endline e;
       exit 1
     | Ok b ->
+      Option.iter check_output fjsonl;
+      Option.iter check_output ftrace;
       let forensics =
         forensics || fjsonl <> None || ftrace <> None || fcsv <> None || json
       in
@@ -339,111 +373,78 @@ let inject_cmd =
       let module F = Turnpike_resilience.Forensics in
       let module Snapshot = Turnpike_resilience.Snapshot in
       let plan =
-        if scratch then None
-        else
-          Some
-            (Snapshot.record
-               ?every:(if every > 0 then Some every else None)
-               c.Turnpike.Run.compiled)
+        if scratch then None else Some (Snapshot.record c.Turnpike.Run.compiled)
       in
       let campaign =
         Turnpike_resilience.Injector.campaign ~seed ~count:faults c.Turnpike.Run.trace
       in
       let golden = c.Turnpike.Run.final in
       let compiled = c.Turnpike.Run.compiled in
-      let print_report (rep : V.campaign_report) =
-        if not json then
-          Printf.printf
-            "%s: %d faults -> %d recovered, %d SDC, %d crashed (parity %d, sensor %d)\n"
-            (Suite.qualified_name b) rep.V.total rep.V.recovered rep.V.sdc
-            rep.V.crashed rep.V.parity_detections rep.V.sensor_detections;
-        rep.V.sdc > 0 || rep.V.crashed > 0
+      (* The Wilson-trajectory sink sorts after every per-fault sink
+         (task = fault supply size), so the merged export order is a
+         total, jobs-independent order. *)
+      let traj = Telemetry.create ~task:(List.length campaign) () in
+      let stopping = CA.stopping ca in
+      let records, r =
+        if forensics then
+          F.campaign ?plan ?stopping ~tel:traj ~golden ~compiled campaign
+        else ([], V.run_campaign ?plan ?stopping ~golden ~compiled campaign)
       in
-      let print_ci (r : V.ci_report) =
-        if not json then
-          Printf.printf
-            "  SDC rate %.4f in [%.4f, %.4f] at %g%% confidence (+/- %.4f, \
-             %d batches%s)\n"
-            r.V.sdc_rate r.V.ci_low r.V.ci_high (100.0 *. confidence)
-            r.V.achieved_half_width r.V.batches
-            (if r.V.exhausted then "; fault supply exhausted" else "")
-      in
-      let failed =
-        if not forensics then
-          match CA.stopping ca with
-          | None ->
-            print_report (V.run_campaign ?plan ~golden ~compiled campaign)
-          | Some stopping ->
-            let r =
-              V.run_campaign_ci ?plan ~stopping ~golden ~compiled campaign
-            in
-            let failed = print_report r.V.report in
-            print_ci r;
-            failed
+      let rep = r.V.report in
+      if not json then begin
+        Printf.printf
+          "%s: %d faults -> %d recovered, %d SDC, %d crashed (parity %d, sensor %d)\n"
+          (Suite.qualified_name b) rep.V.total rep.V.recovered rep.V.sdc
+          rep.V.crashed rep.V.parity_detections rep.V.sensor_detections;
+        Option.iter
+          (fun (ci : V.ci) ->
+            Printf.printf
+              "  SDC rate %.4f in [%.4f, %.4f] at %g%% confidence (+/- %.4f, \
+               %d batches%s)\n"
+              ci.V.sdc_rate ci.V.ci_low ci.V.ci_high (100.0 *. confidence)
+              ci.V.achieved_half_width ci.V.batches
+              (if ci.V.exhausted then "; fault supply exhausted" else ""))
+          r.V.ci
+      end;
+      if forensics then begin
+        let summary = F.summarize ~rung:"turnpike" records in
+        let dropped = F.total_dropped records + Telemetry.dropped traj in
+        if json then
+          Printf.printf "{\"benchmark\":\"%s\",\"summary\":%s,\"faults\":[%s]}\n"
+            (Suite.qualified_name b)
+            (F.summary_to_json summary)
+            (String.concat "," (List.map F.record_to_json records))
         else begin
-          (* The Wilson-trajectory sink sorts after every per-fault sink
-             (task = fault supply size), so the merged export order is a
-             total, jobs-independent order. *)
-          let traj = Telemetry.create ~task:(List.length campaign) () in
-          let records, failed =
-            match CA.stopping ca with
-            | None ->
-              let records, rep = F.campaign ?plan ~golden ~compiled campaign in
-              (records, print_report rep)
-            | Some stopping ->
-              let records, r =
-                F.campaign_ci ?plan ~stopping ~tel:traj ~golden ~compiled
-                  campaign
-              in
-              let failed = print_report r.V.report in
-              print_ci r;
-              (records, failed)
-          in
-          let summary = F.summarize ~rung:"turnpike" records in
-          let dropped = F.total_dropped records + Telemetry.dropped traj in
-          if json then
-            Printf.printf "{\"benchmark\":\"%s\",\"summary\":%s,\"faults\":[%s]}\n"
-              (Suite.qualified_name b)
-              (F.summary_to_json summary)
-              (String.concat "," (List.map F.record_to_json records))
-          else begin
-            let cls = summary.F.by_class in
-            Printf.printf
-              "  forensics: %d/%d landed; masked %d, detected %d, sdc %d, \
-               crashed %d\n"
-              summary.F.landed summary.F.total cls.F.masked cls.F.detected
-              cls.F.sdc cls.F.crashed;
-            Printf.printf
-              "  mean detect latency %.1f, mean rewind %.1f, dropped events %d\n"
-              summary.F.mean_detect_latency summary.F.mean_rewind dropped
-          end;
-          let write dest contents =
-            match dest with
-            | "-" -> print_string contents
-            | path -> Telemetry.Export.to_file path contents
-          in
-          let events = F.merged_events records @ Telemetry.events traj in
-          Option.iter
-            (fun dest -> write dest (Telemetry.Export.jsonl ~dropped events))
-            fjsonl;
-          Option.iter
-            (fun dest -> write dest (Telemetry.Export.chrome ~dropped events))
-            ftrace;
-          Option.iter
-            (fun dir ->
-              make_dir dir;
-              Turnpike.Csv_export.forensics ~dir records summary;
-              if not json then Printf.printf "[forensic csv written under %s]\n" dir)
-            fcsv;
-          failed
-        end
-      in
-      if failed then exit 1
+          let cls = summary.F.by_class in
+          Printf.printf
+            "  forensics: %d/%d landed; masked %d, detected %d, sdc %d, \
+             crashed %d\n"
+            summary.F.landed summary.F.total cls.F.masked cls.F.detected
+            cls.F.sdc cls.F.crashed;
+          Printf.printf
+            "  mean detect latency %.1f, mean rewind %.1f, dropped events %d\n"
+            summary.F.mean_detect_latency summary.F.mean_rewind dropped
+        end;
+        let events = F.merged_events records @ Telemetry.events traj in
+        Option.iter
+          (fun dest -> write_output dest (Telemetry.Export.jsonl ~dropped events))
+          fjsonl;
+        Option.iter
+          (fun dest -> write_output dest (Telemetry.Export.chrome ~dropped events))
+          ftrace;
+        Option.iter
+          (fun dir ->
+            make_dir dir;
+            Turnpike.Csv_export.forensics ~dir records summary;
+            if not json then Printf.printf "[forensic csv written under %s]\n" dir)
+          fcsv
+      end;
+      if rep.V.sdc > 0 || rep.V.crashed > 0 then exit 1
   in
   Cmd.v (Cmd.info "inject" ~doc)
     Term.(
       const run $ jobs_arg $ bench_arg $ faults_arg $ seed_arg $ scale_arg
-      $ scratch_arg $ every_arg $ ci_arg $ confidence_arg $ batch_arg
+      $ scratch_arg $ ci_arg $ confidence_arg $ batch_arg
       $ forensics_arg $ fjsonl_arg $ ftrace_arg $ fcsv_arg $ fjson_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -926,10 +927,15 @@ let cost_cmd =
 let wcdl_cmd =
   let doc = "Query the acoustic-sensor model (paper Fig 18)." in
   let sensors_arg =
-    Arg.(value & opt int 300 & info [ "n"; "sensors" ] ~docv:"N" ~doc:"Deployed sensors.")
+    checked ~flag:"--sensors" ~expects:"a positive count" (fun n -> n >= 1)
+      string_of_int
+      Arg.(value & opt int 300 & info [ "n"; "sensors" ] ~docv:"N" ~doc:"Deployed sensors.")
   in
   let clock_arg =
-    Arg.(value & opt float 2.5 & info [ "f"; "ghz" ] ~docv:"GHZ" ~doc:"Core clock.")
+    checked ~flag:"--ghz" ~expects:"a positive finite clock"
+      (fun g -> Float.is_finite g && g > 0.0)
+      (Printf.sprintf "%g")
+      Arg.(value & opt float 2.5 & info [ "f"; "ghz" ] ~docv:"GHZ" ~doc:"Core clock.")
   in
   let run sensors ghz =
     let s = Turnpike_arch.Sensor.create ~num_sensors:sensors ~clock_ghz:ghz () in

@@ -85,10 +85,7 @@ let () =
   let compiled = Turnpike_compiler.Pass_pipeline.compile ~opts prog in
   let trace, golden = Interp.trace_run compiled.Turnpike_compiler.Pass_pipeline.prog in
   let faults = Injector.campaign ~seed:2024 ~count:60 trace in
-  let report =
-    Verifier.run_campaign ~golden ~compiled:compiled
-      faults
-  in
+  let report = (Verifier.run_campaign ~golden ~compiled faults).Verifier.report in
   Printf.printf
     "\nfault campaign: %d single-bit register strikes mid-flight\n"
     report.Verifier.total;

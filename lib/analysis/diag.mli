@@ -32,21 +32,16 @@ val make :
 (** [make ~check ~severity ~func ?block ?instr ?pass message] builds one
     diagnostic. *)
 
-val severity_to_string : severity -> string
-(** ["info"], ["warn"] or ["error"]. *)
-
 val max_severity : t list -> severity option
 (** Highest severity present, [None] on the empty list. *)
 
 val error_count : t list -> int
 (** Number of [Error]-severity diagnostics in the list. *)
 
-val compare_diag : t -> t -> int
-(** Deterministic order: function, block, instruction, check, severity
-    (most severe first), message, pass. *)
-
 val sort : t list -> t list
-(** Sort by {!compare_diag} and drop exact duplicates. *)
+(** Sort in a deterministic order (function, block, instruction, check,
+    severity with the most severe first, message, pass) and drop exact
+    duplicates. *)
 
 val with_pass : string option -> t -> t
 (** Replace the pass provenance field. *)

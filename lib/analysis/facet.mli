@@ -39,9 +39,6 @@ val equal : t -> t -> bool
 (** Facet sets, ordered per {!compare}. *)
 module Set : Set.S with type elt = t
 
-val all_list : t list
-(** Every facet, in declaration order. *)
-
 val all : Set.t
 (** The universe — what a fresh (never-checked) pipeline state dirties. *)
 

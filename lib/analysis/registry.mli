@@ -31,9 +31,6 @@ type pair = {
 val whole_checks : whole list
 (** Every registered whole-program check, in registration order. *)
 
-val pair_checks : pair list
-(** Every registered pair check, in registration order. *)
-
 val names : string list
 (** All check names, whole and pair, in registration order. *)
 

@@ -14,6 +14,9 @@
 open Turnpike_ir
 
 let name = "vuln"
+
+(* Assumed iterations per loop-nesting level: the static stand-in for
+   trip counts. *)
 let loop_weight = 8.0
 
 (* A fault escapes detection when it propagates out of its region before

@@ -15,9 +15,10 @@
     compared key-for-key ({!Rank.agreement}).
 
     The estimate is an execution-frequency model, not a cycle-accurate
-    one: each static position is weighted by [loop_weight]{^ depth}
-    (loop trip counts are unknowable statically), ACE fractions come
-    from {!Context.liveness}, and detection escape falls with region
+    one: each static position is weighted by 8{^ depth}, 8 being the
+    assumed iterations per loop-nesting level (loop trip counts are
+    unknowable statically), ACE fractions come from
+    {!Context.liveness}, and detection escape falls with region
     mass relative to the configured WCDL ({!Context.t.wcdl}). Coverage
     gaps ({!Recoverability.uncovered_live_ins}) are charged as
     unbounded exposure — which is what convicts the drop-ckpt mutant
@@ -27,10 +28,6 @@ open Turnpike_ir
 
 val name : string
 (** ["vuln"] — the registry check name. *)
-
-val loop_weight : float
-(** Assumed iterations per loop-nesting level (static stand-in for trip
-    count); a block at depth [d] weighs [loop_weight ** d]. *)
 
 (** One ranked table row. [exposure] is the raw weighted ACE mass;
     [score] additionally folds in detection escape, coverage gaps and

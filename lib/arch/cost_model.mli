@@ -9,10 +9,6 @@ val cam : entries:int -> cost
 (** Content-addressed structure (store buffer).
     @raise Invalid_argument on non-positive entries. *)
 
-val ram : bytes:int -> cost
-(** RAM structure (color maps, compact CLQ).
-    @raise Invalid_argument on non-positive size. *)
-
 val store_buffer : entries:int -> cost
 
 val color_map_bytes : ?colors:int -> nregs:int -> unit -> int

@@ -13,8 +13,6 @@ type t = {
   coloring : bool;
   colors : int;
   branch_penalty : int;
-  mul_latency : int;
-  div_latency : int;
   baseline_drain : int;
   nregs : int;
   mem : Mem_hierarchy.config;
@@ -33,8 +31,6 @@ let base =
     coloring = false;
     colors = Turnpike_ir.Layout.colors;
     branch_penalty = 2;
-    mul_latency = 3;
-    div_latency = 12;
     baseline_drain = 2;
     nregs = 32;
     mem = Mem_hierarchy.default_config;

@@ -18,8 +18,6 @@ type t = {
       (** checkpoint color-pool size per register (default
           {!Turnpike_ir.Layout.colors}); only read when [coloring] is on *)
   branch_penalty : int;  (** taken-branch redirect bubble *)
-  mul_latency : int;
-  div_latency : int;
   baseline_drain : int;  (** SB residency of a store without verification *)
   nregs : int;  (** architectural registers *)
   mem : Mem_hierarchy.config;

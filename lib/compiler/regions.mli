@@ -38,9 +38,7 @@ val region : t -> int -> region option
 val num_regions : t -> int
 val regions : t -> region list
 
-val worst_path_sb_writes : Func.t -> t -> int -> int
-(** Worst-path SB writes within one region's tree. *)
-
 val worst_region_path : Func.t -> t -> int
-(** Maximum of {!worst_path_sb_writes} over all regions — must stay at or
-    below the machine's SB size for deadlock freedom. *)
+(** Maximum over all regions of the worst-path SB writes within one
+    region's tree — must stay at or below the machine's SB size for
+    deadlock freedom. *)

@@ -24,9 +24,6 @@ val copy : t -> t
 (** Snapshot the current counter values (the pass profiler diffs a copy
     taken before a pass against the live record after it). *)
 
-val to_assoc : t -> (string * int) list
-(** Every counter as [(field_name, value)], in declaration order. *)
-
 val diff : before:t -> after:t -> (string * int) list
 (** The non-zero counter deltas between two snapshots — what one compile
     pass contributed, attached to its profiling span. *)

@@ -24,18 +24,6 @@ val explore_grid : path:string -> Explore.report -> unit
 val explore_pareto : path:string -> Explore.report -> unit
 (** The Pareto-optimal subset only, same columns and order. *)
 
-val forensics_records :
-  path:string -> Turnpike_resilience.Forensics.record list -> unit
-(** One row per injected fault, in fault order: the draw, the outcome
-    class and the lifecycle landmarks (site, region, detection kind and
-    latency, rewind, sink drops). *)
-
-val forensics_table :
-  path:string -> Turnpike_resilience.Forensics.table -> unit
-(** One ranked attribution table (by_site / by_register / by_region):
-    class counts and the derated vulnerability per key, most dangerous
-    first. *)
-
 val forensics :
   dir:string ->
   Turnpike_resilience.Forensics.record list ->

@@ -79,45 +79,42 @@ let recovery_config p ~fuel =
 (* ------------------------------------------------------------------ *)
 
 type spec = {
-  cores : core Sweep.axis;
-  sb_entries : int Sweep.axis;
-  clq_entries : int Sweep.axis;
-  color_bits : int Sweep.axis;
-  sensors : int Sweep.axis;
-  rungs : Scheme.t Sweep.axis;
+  cores : core list;
+  sb_entries : int list;
+  clq_entries : int list;
+  color_bits : int list;
+  sensors : int list;
+  rungs : Scheme.t list;
 }
-
-let core_axis values = Sweep.axis ~name:"core" ~show:core_name values
-let rung_axis values = Sweep.axis ~name:"rung" ~show:(fun (s : Scheme.t) -> s.Scheme.name) values
 
 let default_spec =
   {
-    cores = core_axis [ In_order; Out_of_order ];
-    sb_entries = Sweep.ints ~name:"sb" [ 4; 8 ];
-    clq_entries = Sweep.ints ~name:"clq" [ 0; 2 ];
-    color_bits = Sweep.ints ~name:"color_bits" [ 0; 2 ];
-    sensors = Sweep.ints ~name:"sensors" [ 100; 300 ];
-    rungs = rung_axis [ Scheme.turnstile; Scheme.turnpike ];
+    cores = [ In_order; Out_of_order ];
+    sb_entries = [ 4; 8 ];
+    clq_entries = [ 0; 2 ];
+    color_bits = [ 0; 2 ];
+    sensors = [ 100; 300 ];
+    rungs = [ Scheme.turnstile; Scheme.turnpike ];
   }
 
 let tiny_spec =
   {
-    cores = core_axis [ In_order; Out_of_order ];
-    sb_entries = Sweep.ints ~name:"sb" [ 4 ];
-    clq_entries = Sweep.ints ~name:"clq" [ 2 ];
-    color_bits = Sweep.ints ~name:"color_bits" [ 2 ];
-    sensors = Sweep.ints ~name:"sensors" [ 300 ];
-    rungs = rung_axis [ Scheme.turnstile; Scheme.turnpike ];
+    cores = [ In_order; Out_of_order ];
+    sb_entries = [ 4 ];
+    clq_entries = [ 2 ];
+    color_bits = [ 2 ];
+    sensors = [ 300 ];
+    rungs = [ Scheme.turnstile; Scheme.turnpike ];
   }
 
 let wide_spec =
   {
-    cores = core_axis [ In_order; Out_of_order ];
-    sb_entries = Sweep.ints ~name:"sb" [ 4; 8; 16 ];
-    clq_entries = Sweep.ints ~name:"clq" [ 0; 2; 4 ];
-    color_bits = Sweep.ints ~name:"color_bits" [ 0; 1; 2 ];
-    sensors = Sweep.ints ~name:"sensors" [ 100; 200; 300 ];
-    rungs = rung_axis [ Scheme.turnstile; Scheme.fast_release; Scheme.turnpike ];
+    cores = [ In_order; Out_of_order ];
+    sb_entries = [ 4; 8; 16 ];
+    clq_entries = [ 0; 2; 4 ];
+    color_bits = [ 0; 1; 2 ];
+    sensors = [ 100; 200; 300 ];
+    rungs = [ Scheme.turnstile; Scheme.fast_release; Scheme.turnpike ];
   }
 
 let spec_of_string = function
@@ -142,12 +139,12 @@ let grid spec =
                       List.map
                         (fun rung ->
                           { core; sb_entries; clq_entries; color_bits; sensors; rung })
-                        spec.rungs.Sweep.values)
-                    spec.sensors.Sweep.values)
-                spec.color_bits.Sweep.values)
-            spec.clq_entries.Sweep.values)
-        spec.sb_entries.Sweep.values)
-    spec.cores.Sweep.values
+                        spec.rungs)
+                    spec.sensors)
+                spec.color_bits)
+            spec.clq_entries)
+        spec.sb_entries)
+    spec.cores
 
 let csv_header = [ "core"; "sb"; "clq"; "color_bits"; "sensors"; "wcdl"; "rung" ]
 

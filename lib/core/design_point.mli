@@ -13,9 +13,6 @@ module Recovery = Turnpike_resilience.Recovery
 
 type core = In_order | Out_of_order
 
-val core_name : core -> string
-(** ["inorder"] / ["ooo"]. *)
-
 type t = {
   core : core;
   sb_entries : int;
@@ -60,15 +57,15 @@ val recovery_config : t -> fuel:int -> Recovery.config
 (** {1 Grid construction} *)
 
 type spec = {
-  cores : core Sweep.axis;
-  sb_entries : int Sweep.axis;
-  clq_entries : int Sweep.axis;
-  color_bits : int Sweep.axis;
-  sensors : int Sweep.axis;
-  rungs : Scheme.t Sweep.axis;
+  cores : core list;
+  sb_entries : int list;
+  clq_entries : int list;
+  color_bits : int list;
+  sensors : int list;
+  rungs : Scheme.t list;
 }
-(** Declarative description of a design grid: one {!Sweep.axis} per
-    dimension. *)
+(** Declarative description of a design grid: the candidate values of
+    each dimension, swept in list order. *)
 
 val default_spec : spec
 (** The default 64-point exploration grid: {in-order, OoO} × SB {4, 8} ×

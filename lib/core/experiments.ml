@@ -56,15 +56,8 @@ type clq_design_row = {
   war_free_compact : float;
 }
 
-let clq_axis =
-  Sweep.axis ~name:"clq"
-    ~show:(function
-      | Clq.Ideal -> "ideal"
-      | Clq.Compact n -> Printf.sprintf "compact%d" n)
-    [ Clq.Ideal; Clq.Compact 2 ]
-
 let fig14_15 ?(params = Run.default_params) () =
-  Sweep.grid ~items:(benchmarks ()) ~axis:clq_axis
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:[ Clq.Ideal; Clq.Compact 2 ]
     (fun b clq ->
       let scheme = Scheme.with_clq Scheme.fast_release (Some clq) in
       Run.normalized_with { params with wcdl = 10 } scheme b)
@@ -99,10 +92,9 @@ let fig18 () =
 type wcdl_sweep_row = { bench : string; overheads : (int * float) list }
 
 let wcdls = [ 10; 20; 30; 40; 50 ]
-let wcdl_axis = Sweep.ints ~name:"wcdl" wcdls
 
 let wcdl_sweep ?(params = Run.default_params) scheme =
-  Sweep.grid ~items:(benchmarks ()) ~axis:wcdl_axis
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:wcdls
     (fun b wcdl -> fst (Run.normalized_with { params with wcdl } scheme b))
   |> List.map (fun (b, overheads) ->
          { bench = Suite.qualified_name b; overheads })
@@ -428,14 +420,10 @@ let energy ?(params = Run.default_params) () =
    exercising the full recovery machinery (the property the whole design
    exists to provide). *)
 
-module Recovery = Turnpike_resilience.Recovery
 module Injector = Turnpike_resilience.Injector
 module Verifier = Turnpike_resilience.Verifier
 
-type resilience_row = {
-  bench : string;
-  report : Verifier.campaign_report;
-}
+type resilience_row = { bench : string; campaign : Verifier.campaign }
 
 module Snapshot = Turnpike_resilience.Snapshot
 
@@ -444,7 +432,8 @@ module Snapshot = Turnpike_resilience.Snapshot
    where each task replays the interpreter under the recovery executor —
    the heaviest simulation work the pool carries. One fault-free pilot per
    benchmark records the snapshots every fault then forks from. *)
-let campaign_over ?(params = Run.default_params) ~f () =
+let resilience ?(params = Run.default_params) ?(faults = 24) ?(seed = 7) ?stopping
+    () =
   let params = { params with scale = max 1 (params.scale / 4); sb_size = 4 } in
   List.filter_map
     (fun b ->
@@ -452,23 +441,13 @@ let campaign_over ?(params = Run.default_params) ~f () =
       if not c.Run.trace.Turnpike_ir.Trace.complete then None
       else begin
         let plan = Snapshot.record c.Run.compiled in
-        Some (Suite.qualified_name b, f c plan)
+        let faults = Injector.campaign ~seed ~count:faults c.Run.trace in
+        Some
+          {
+            bench = Suite.qualified_name b;
+            campaign =
+              Verifier.run_campaign ~plan ?stopping ~golden:c.Run.final
+                ~compiled:c.Run.compiled faults;
+          }
       end)
     (benchmarks ())
-
-let resilience_campaign ?params ?(faults = 24) ?(seed = 7) () =
-  campaign_over ?params () ~f:(fun c plan ->
-      let campaign = Injector.campaign ~seed ~count:faults c.Run.trace in
-      Verifier.run_campaign ~plan ~golden:c.Run.final ~compiled:c.Run.compiled
-        campaign)
-  |> List.map (fun (bench, report) -> { bench; report })
-
-type resilience_ci_row = { ci_bench : string; ci : Verifier.ci_report }
-
-let resilience_campaign_ci ?params ?(max_faults = 4096) ?(seed = 7)
-    ?(stopping = Verifier.default_stopping) () =
-  campaign_over ?params () ~f:(fun c plan ->
-      let campaign = Injector.campaign ~seed ~count:max_faults c.Run.trace in
-      Verifier.run_campaign_ci ~plan ~stopping ~golden:c.Run.final
-        ~compiled:c.Run.compiled campaign)
-  |> List.map (fun (ci_bench, ci) -> { ci_bench; ci })

@@ -1,5 +1,6 @@
-(** One driver per table/figure of the paper's evaluation (§6), plus a
-    fault-injection SDC-freedom campaign that exercises the recovery
+(** One driver per table/figure of the paper's evaluation (§6), plus one
+    fault-injection SDC-freedom campaign ({!resilience}, at a fixed fault
+    count or under a Wilson stopping rule) that exercises the recovery
     machinery end to end. Each driver returns structured rows; the bench
     harness renders them. Every driver takes its run configuration as
     [?params] (default {!Run.default_params}) and pins the knobs its
@@ -10,10 +11,8 @@ module Suite = Turnpike_workloads.Suite
 module Sensor = Turnpike_arch.Sensor
 module Cost_model = Turnpike_arch.Cost_model
 module Verifier = Turnpike_resilience.Verifier
-module Clq = Turnpike_arch.Clq
 
 val benchmarks : unit -> Suite.entry list
-val spec_benchmarks : unit -> Suite.entry list
 
 (** {1 Fig 4 — checkpoint ratio vs store-buffer size} *)
 
@@ -31,9 +30,6 @@ type clq_design_row = {
   war_free_compact : float;
 }
 
-val clq_axis : Clq.design Sweep.axis
-(** The ideal-vs-compact CLQ grid dimension ([ideal], [compact2]). *)
-
 val fig14_15 : ?params:Run.params -> unit -> clq_design_row list
 
 (** {1 Fig 18 — detection latency vs sensor count} *)
@@ -47,10 +43,7 @@ val fig18 : unit -> fig18_row list
 type wcdl_sweep_row = { bench : string; overheads : (int * float) list }
 
 val wcdls : int list
-
-val wcdl_axis : int Sweep.axis
-(** {!wcdls} as a declarative {!Sweep} dimension — the grid both WCDL
-    figures sweep over. *)
+(** The WCDLs both WCDL figures sweep over, in cycles. *)
 
 val wcdl_sweep : ?params:Run.params -> Scheme.t -> wcdl_sweep_row list
 val fig19 : ?params:Run.params -> unit -> wcdl_sweep_row list
@@ -156,26 +149,21 @@ val energy : ?params:Run.params -> unit -> energy_row list
 
 (** {1 Fault-injection campaign (beyond the paper's figures)} *)
 
-type resilience_row = { bench : string; report : Verifier.campaign_report }
+type resilience_row = { bench : string; campaign : Verifier.campaign }
 
-val resilience_campaign :
-  ?params:Run.params -> ?faults:int -> ?seed:int -> unit -> resilience_row list
+val resilience :
+  ?params:Run.params ->
+  ?faults:int ->
+  ?seed:int ->
+  ?stopping:Verifier.stopping ->
+  unit ->
+  resilience_row list
 (** Inject single-bit faults across each (completed) benchmark trace and
     verify every run recovers to the golden output — SDC-freedom. Each
     benchmark runs one fault-free pilot recording executor snapshots; every
     fault forks from the snapshot nearest its strike site (byte-identical
-    to a from-scratch replay, at O(suffix) cost). *)
-
-type resilience_ci_row = { ci_bench : string; ci : Verifier.ci_report }
-
-val resilience_campaign_ci :
-  ?params:Run.params ->
-  ?max_faults:int ->
-  ?seed:int ->
-  ?stopping:Verifier.stopping ->
-  unit ->
-  resilience_ci_row list
-(** Like {!resilience_campaign}, but with sequential stopping: per
-    benchmark, seeded faults (at most [max_faults] distinct ones) are
-    consumed in batches until the Wilson confidence interval on the SDC
-    rate reaches [stopping.half_width]. Deterministic at any job count. *)
+    to a from-scratch replay, at O(suffix) cost). [faults] (default 24)
+    seeded faults per benchmark run through {!Verifier.run_campaign}: all
+    of them without [stopping]; with it, batches until the Wilson
+    confidence interval on the SDC rate reaches [stopping.half_width], so
+    [faults] is the supply. Deterministic at any job count. *)

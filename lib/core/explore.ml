@@ -184,19 +184,16 @@ let run_campaign ~budget ~seed ~forensics key b =
        fault: sinks never influence outcomes, so the (sdc, total) pair —
        and therefore the frontier and its validation — is identical
        either way. *)
-    let ci, records =
+    let records, r =
       if forensics then
-        let records, ci =
-          Forensics.campaign_ci ~config ~plan ~stopping ~golden:c.Run.final
-            ~compiled:c.Run.compiled faults
-        in
-        (ci, records)
+        Forensics.campaign ~config ~plan ~stopping ~golden:c.Run.final
+          ~compiled:c.Run.compiled faults
       else
-        ( Verifier.run_campaign_ci ~config ~plan ~stopping ~golden:c.Run.final
-            ~compiled:c.Run.compiled faults,
-          [] )
+        ( [],
+          Verifier.run_campaign ~config ~plan ~stopping ~golden:c.Run.final
+            ~compiled:c.Run.compiled faults )
     in
-    (ci.Verifier.report.Verifier.sdc, ci.Verifier.report.Verifier.total, records)
+    (r.Verifier.report.Verifier.sdc, r.Verifier.report.Verifier.total, records)
   end
 
 (* First-appearance order of the distinct [key x] over [xs]. *)

@@ -13,7 +13,8 @@
     order is fixed ({!Design_point.grid}), parallel fan-out is
     index-ordered ({!Turnpike_parallel}), and campaigns use seeded fault
     lists with sequential stopping
-    ({!Turnpike_resilience.Verifier.run_campaign_ci}). *)
+    ({!Turnpike_resilience.Verifier.run_campaign} under a stopping
+    rule). *)
 
 module Suite = Turnpike_workloads.Suite
 

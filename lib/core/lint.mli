@@ -80,17 +80,6 @@ type vuln_entry = {
 
 type vuln_report = { ventries : vuln_entry list }
 
-val vuln_cell :
-  ?sb_size:int ->
-  ?scale:int ->
-  ?wcdl:int ->
-  Scheme.t ->
-  Suite.entry ->
-  Turnpike_analysis.Vuln.t
-(** Compile one cell fresh (checking off) and run the static estimate
-    under the scheme's machine parameters; [wcdl] defaults to 10, the
-    value {!run} feeds the capacity checks. *)
-
 val run_vuln :
   ?sb_size:int ->
   ?scale:int ->
@@ -99,7 +88,10 @@ val run_vuln :
   schemes:Scheme.t list ->
   Suite.entry list ->
   vuln_report
-(** Fan {!vuln_cell} over the grid; deterministic at any job count. *)
+(** Compile every (scheme, benchmark) cell fresh (checking off) and run
+    the static estimate under the scheme's machine parameters, fanned over
+    the pool; [wcdl] defaults to 10, the value {!run} feeds the capacity
+    checks. Deterministic at any job count. *)
 
 val vuln_to_text : ?top:int -> vuln_report -> string
 (** Ranked region/register/site tables per cell ([top] rows each,

@@ -19,18 +19,14 @@ type t = {
   dropped : int;  (** capacity-overflow events across all rungs *)
 }
 
-val track_names : string list
-(** Names of the timing model's tracks (tid 0..4), used as Chrome thread
-    names. *)
-
 val capture : ?jobs:int -> ?params:Run.params -> Suite.entry -> t
 (** Simulate the ladder (fanning rungs over the pool) and collect the
     merged timeline. *)
 
 val chrome : t -> string
 (** Chrome trace-event JSON: one process per ladder rung (named
-    ["scheme/benchmark"]), tracks named per {!track_names}. Loadable in
-    Perfetto. *)
+    ["scheme/benchmark"]), one named thread per timing-model track
+    (regions, stalls, verify, store-buffer, clq). Loadable in Perfetto. *)
 
 val jsonl : t -> string
 (** Self-describing JSONL export of the merged events. *)

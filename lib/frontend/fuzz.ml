@@ -5,6 +5,7 @@
 
 module Data_gen = Turnpike_workloads.Data_gen
 
+(* Upper bound on any generated loop's trip count. *)
 let max_trip = 16
 
 type gen = {

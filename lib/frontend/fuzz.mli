@@ -15,8 +15,5 @@
 
     The same [seed] always yields the same program text. *)
 
-val max_trip : int
-(** Upper bound on any generated loop's trip count. *)
-
 val generate : seed:int -> string
 (** [generate ~seed] returns the text of one random [.tk] program. *)

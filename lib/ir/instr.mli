@@ -66,7 +66,5 @@ val eval_cmp : cmp -> int -> int -> int
 val to_string : t -> string
 val binop_to_string : binop -> string
 val cmp_to_string : cmp -> string
-val operand_to_string : operand -> string
-
 val rename : (Reg.t -> Reg.t) -> t -> t
 (** [rename f i] applies [f] to every register of [i] (defs and uses). *)

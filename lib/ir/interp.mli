@@ -76,8 +76,6 @@ type hooks = {
 
 val no_hooks : hooks
 
-val default_ckpt : state -> Reg.t -> unit
-
 val exec_instr : hooks -> state -> Instr.t -> unit
 (** Execute one instruction's data semantics (no PC update). *)
 

@@ -13,7 +13,6 @@
    at any --jobs count and across snapshot-forked vs --scratch replays. *)
 
 open Turnpike_ir
-module Parallel = Turnpike_parallel
 module Telemetry = Turnpike_telemetry
 module Histogram = Turnpike_telemetry.Histogram
 module Pass_pipeline = Turnpike_compiler.Pass_pipeline
@@ -240,8 +239,9 @@ let summarize ?(rung = "") records =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Campaign glue: one sink per fault (task = fault index), records built
-   in fault order after the parallel fan-out. *)
+(* Campaign glue: [campaign] runs the one campaign driver,
+   [Verifier.run_campaign], with one sink per fault (task = fault index)
+   and builds records in fault order after the parallel fan-out. *)
 
 let merged_events records =
   List.concat_map (fun r -> r.events) records
@@ -249,42 +249,21 @@ let merged_events records =
 let total_dropped records =
   List.fold_left (fun acc r -> acc + r.dropped) 0 records
 
-let campaign ?jobs ?config ?plan ~golden ~compiled faults =
+(* Only the consumed prefix has outcomes; under a stopping rule the
+   unconsumed tail's sinks stay empty and are not turned into records. *)
+let campaign ?jobs ?config ?plan ?stopping ?tel ~golden ~compiled faults =
   let arr = Array.of_list faults in
-  let sinks = Array.init (Array.length arr) (fun i -> Telemetry.create ~task:i ()) in
-  let outcomes =
-    Parallel.map ?jobs
-      (fun (i, fault) ->
-        Verifier.run_one ?config ?plan ~tel:sinks.(i) ~golden ~compiled fault)
-      (Array.mapi (fun i f -> (i, f)) arr)
+  let sinks = Array.mapi (fun i _ -> Telemetry.create ~task:i ()) arr in
+  let c =
+    Verifier.run_campaign ?jobs ?config ?plan ?stopping ?tel
+      ~sink_for:(Array.get sinks) ~golden ~compiled faults
   in
   let records =
     List.mapi
-      (fun i fault -> record_of ~index:i ~fault ~outcome:outcomes.(i) sinks.(i))
-      faults
+      (fun i outcome -> record_of ~index:i ~fault:arr.(i) ~outcome sinks.(i))
+      c.Verifier.outcomes
   in
-  (records, Verifier.reduce (Array.to_list outcomes))
-
-let campaign_ci ?jobs ?config ?plan ?stopping ?tel ~golden ~compiled faults =
-  let sinks =
-    Array.init (List.length faults) (fun i -> Telemetry.create ~task:i ())
-  in
-  let ci =
-    Verifier.run_campaign_ci ?jobs ?config ?plan ?stopping ?tel
-      ~sink_for:(fun i -> sinks.(i))
-      ~golden ~compiled faults
-  in
-  (* Only the consumed prefix has outcomes; the unconsumed tail's sinks
-     are empty and are not turned into records. *)
-  let consumed = List.length ci.Verifier.outcomes in
-  let records =
-    List.mapi
-      (fun i (fault, outcome) -> record_of ~index:i ~fault ~outcome sinks.(i))
-      (List.combine
-         (List.filteri (fun i _ -> i < consumed) faults)
-         ci.Verifier.outcomes)
-  in
-  (records, ci)
+  (records, c)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization. *)

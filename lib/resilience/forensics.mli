@@ -1,7 +1,9 @@
 (** AVF-style vulnerability attribution over fault campaigns.
 
     Every fault of a campaign gets its own telemetry sink (task = fault
-    index) receiving the {!Recovery} forensic lifecycle, and the verifier
+    index) receiving the {!Recovery} forensic lifecycle — {!campaign}
+    wraps the one campaign driver, {!Verifier.run_campaign}, at a fixed
+    fault count or under a stopping rule alike — and the verifier
     outcomes are folded into vulnerability histograms keyed by static
     instruction site, struck register and static region, derated by
     class: masked and detected-recovered faults contribute nothing,
@@ -98,30 +100,21 @@ val campaign :
   ?jobs:int ->
   ?config:Recovery.config ->
   ?plan:Snapshot.plan ->
-  golden:Interp.state ->
-  compiled:Pass_pipeline.t ->
-  Fault.t list ->
-  record list * Verifier.campaign_report
-(** {!Verifier.run_one} per fault on the domain pool, one sink per fault,
-    folded into records (fault order) plus the usual campaign report. *)
-
-val campaign_ci :
-  ?jobs:int ->
-  ?config:Recovery.config ->
-  ?plan:Snapshot.plan ->
   ?stopping:Verifier.stopping ->
   ?tel:Telemetry.sink ->
   golden:Interp.state ->
   compiled:Pass_pipeline.t ->
   Fault.t list ->
-  record list * Verifier.ci_report
-(** CI-stopped variant: records cover exactly the consumed prefix; [tel]
-    receives the Wilson trajectory (see {!Verifier.run_campaign_ci}). *)
+  record list * Verifier.campaign
+(** {!Verifier.run_campaign} with one sink per fault, its outcomes folded
+    into records (fault order). The records cover exactly the faults the
+    campaign consumed: all of them without [stopping], the consumed
+    prefix with it. [tel] receives the Wilson trajectory under
+    [stopping]. *)
 
 (** {2 Serialization} *)
 
 val record_to_json : record -> string
-val counts_to_json : counts -> string
 val table_to_json : table -> string
 val summary_to_json : summary -> string
 

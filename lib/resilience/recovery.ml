@@ -32,7 +32,6 @@ type config = {
   verify_delay : int; (* steps from region end to verification *)
   coloring : bool;
   clq : Clq.design option;
-  nregs : int;
   unsafe_ckpt_release : bool;
       (* Fig 16: release checkpoints without coloring — intentionally
          unsound, used to demonstrate why coloring exists. *)
@@ -43,7 +42,6 @@ type config = {
          differential oracle feeds it deliberately wrong claims to show
          the static checker's verdicts have dynamic teeth. *)
   fuel : int;
-  max_recoveries : int;
 }
 
 let default_config =
@@ -51,12 +49,15 @@ let default_config =
     verify_delay = 40;
     coloring = true;
     clq = Some (Clq.Compact 2);
-    nregs = 32;
     unsafe_ckpt_release = false;
     honor_static_claims = false;
     fuel = 4_000_000;
-    max_recoveries = 8;
   }
+
+(* Architectural registers the checkpoint coloring covers, and the
+   recoveries one run may perform before it is declared failed. *)
+let nregs = 32
+let max_recoveries = 8
 
 let turnstile_config =
   { default_config with coloring = false; clq = None }
@@ -355,7 +356,7 @@ let restore_register ex reg =
   | None -> read_verified_slot ex reg
 
 let recover ex ~kind =
-  if ex.recoveries >= ex.cfg.max_recoveries then
+  if ex.recoveries >= max_recoveries then
     raise (Recovery_failed "recovery limit exceeded");
   if Telemetry.enabled ex.tel then
     forensic_instant ex "detect"
@@ -493,7 +494,7 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
     code = Interp.decode compiled.Pass_pipeline.prog;
     st = Interp.init compiled.Pass_pipeline.prog;
     clq = Option.map Clq.create config.clq;
-    col = (if config.coloring then Some (Coloring.create ~nregs:config.nregs ()) else None);
+    col = (if config.coloring then Some (Coloring.create ~nregs ()) else None);
     verified_loc = Hashtbl.create 32;
     claim_bypass =
       claim_table config.honor_static_claims

@@ -22,7 +22,6 @@ type config = {
   verify_delay : int;  (** steps from region end to verification (WCDL stand-in) *)
   coloring : bool;
   clq : Clq.design option;
-  nregs : int;
   unsafe_ckpt_release : bool;
       (** paper Fig 16: release checkpoints without coloring — intentionally
           unsound; exists to demonstrate why coloring is necessary *)
@@ -33,7 +32,6 @@ type config = {
           when the claims are; the differential oracle feeds it wrong
           claims to cross-check the static checker dynamically *)
   fuel : int;
-  max_recoveries : int;
 }
 
 val default_config : config
@@ -91,7 +89,8 @@ val run :
     functions of executor state: the stream is byte-identical across
     [--jobs] counts and across snapshot-forked vs from-scratch replays.
     @raise Recovery_failed when recovery cannot proceed (by design only
-    reachable through [unsafe_ckpt_release] or broken compilation).
+    reachable through [unsafe_ckpt_release] or broken compilation), or
+    when one run needs more than 8 recoveries.
     @raise Out_of_fuel when the fuel budget is exhausted. *)
 
 (** {2 Snapshot / fork support}

@@ -4,13 +4,15 @@
    spill slots and checkpoint storage are implementation details that
    legitimately differ between compilation schemes.
 
-   The campaign is structured as a pure per-fault function [run_one]
-   fanned out on the Turnpike_parallel domain pool, followed by a
-   deterministic index-ordered reduction [reduce]. Each fault replays the
-   whole interpreter under the recovery executor, so this is where the
-   pool parallelizes real simulation work; the reduction folds outcomes
-   in fault order, so the report (floating-point sums included) is
-   bit-identical at any job count. *)
+   A campaign is a pure per-fault function [run_one] fanned out on the
+   Turnpike_parallel domain pool, followed by a deterministic
+   index-ordered reduction [reduce]. Each fault replays the whole
+   interpreter under the recovery executor, so this is where the pool
+   parallelizes real simulation work; the reduction folds outcomes in
+   fault order, so the report (floating-point sums included) is
+   bit-identical at any job count. [run_campaign] is the only driver: it
+   runs a fixed fault list in one batch, or Wilson-stopped batches when
+   given a stopping rule. *)
 
 open Turnpike_ir
 module Parallel = Turnpike_parallel
@@ -188,12 +190,10 @@ let reduce outcomes =
       (if !recovered = 0 then 0.0 else !reexec_sum /. float_of_int !recovered);
   }
 
-let run_campaign ?jobs ?config ?plan ~golden ~compiled faults =
-  Parallel.map_list ?jobs (run_one ?config ?plan ~golden ~compiled) faults |> reduce
-
 (* ------------------------------------------------------------------ *)
-(* Sequential stopping: stream the seeded fault list in fixed-size batches
-   and stop once a Wilson score interval on the SDC rate is narrow enough.
+(* Campaigns. Under a stopping rule the seeded fault list streams in
+   fixed-size batches until a Wilson score interval on the SDC rate is
+   narrow enough.
    Everything the stopping decision depends on — batch boundaries, fault
    order, outcome folds — derives from the seeded list, never from
    wall-clock or completion order, so the stopping point and the report
@@ -268,8 +268,7 @@ let wilson_interval ~confidence ~positives ~total =
     (Float.max 0.0 (center -. half), Float.min 1.0 (center +. half))
   end
 
-type ci_report = {
-  report : campaign_report;
+type ci = {
   sdc_rate : float;
   ci_low : float;
   ci_high : float;
@@ -277,11 +276,14 @@ type ci_report = {
   confidence : float;
   batches : int;
   exhausted : bool;
-  outcomes : outcome list;
 }
 
-let run_campaign_ci ?jobs ?config ?plan ?(stopping = default_stopping)
-    ?(tel = Telemetry.null) ?sink_for ~golden ~compiled faults =
+type campaign = { report : campaign_report; outcomes : outcome list; ci : ci option }
+
+(* Run the indexed faults in batches of [stopping.batch] until the Wilson
+   interval is narrow enough or the list runs dry; the outcomes of the
+   consumed prefix, in fault order, and where the interval stopped. *)
+let run_stopping ?jobs ~tel ~run stopping indexed =
   if stopping.batch <= 0 then invalid_arg "Verifier: batch must be positive";
   if not (stopping.half_width > 0.0) then
     invalid_arg "Verifier: half_width must be positive";
@@ -292,10 +294,6 @@ let run_campaign_ci ?jobs ?config ?plan ?(stopping = default_stopping)
       | x :: tl -> go (n - 1) (x :: acc) tl
     in
     go n [] l
-  in
-  let run_indexed (i, fault) =
-    let tel = match sink_for with Some f -> f i | None -> Telemetry.null in
-    run_one ?config ?plan ~tel ~golden ~compiled fault
   in
   let interval outcomes_rev =
     let total = List.length outcomes_rev in
@@ -332,33 +330,47 @@ let run_campaign_ci ?jobs ?config ?plan ?(stopping = default_stopping)
         ]
     end
   in
-  let rec go outcomes_rev consumed batches remaining =
+  let rec go outcomes_rev batches remaining =
     match remaining with
     | [] -> (outcomes_rev, batches, true)
     | _ ->
       let batch, rest = take stopping.batch remaining in
-      let indexed = List.mapi (fun i f -> (consumed + i, f)) batch in
-      let results = Parallel.map_list ?jobs run_indexed indexed in
+      let results = Parallel.map_list ?jobs run batch in
       let outcomes_rev = List.rev_append results outcomes_rev in
       let total, _, _, _, half = interval outcomes_rev in
       emit_trajectory ~batches:(batches + 1) outcomes_rev;
       if total >= stopping.min_faults && half <= stopping.half_width then
         (outcomes_rev, batches + 1, false)
-      else go outcomes_rev total (batches + 1) rest
+      else go outcomes_rev (batches + 1) rest
   in
-  let outcomes_rev, batches, exhausted = go [] 0 0 faults in
+  let outcomes_rev, batches, exhausted = go [] 0 indexed in
   let total, positives, low, high, half = interval outcomes_rev in
-  let outcomes = List.rev outcomes_rev in
-  let report = reduce outcomes in
-  {
-    report;
-    sdc_rate =
-      (if total = 0 then 0.0 else float_of_int positives /. float_of_int total);
-    ci_low = low;
-    ci_high = high;
-    achieved_half_width = half;
-    confidence = stopping.confidence;
-    batches;
-    exhausted;
-    outcomes;
-  }
+  ( List.rev outcomes_rev,
+    {
+      sdc_rate =
+        (if total = 0 then 0.0 else float_of_int positives /. float_of_int total);
+      ci_low = low;
+      ci_high = high;
+      achieved_half_width = half;
+      confidence = stopping.confidence;
+      batches;
+      exhausted;
+    } )
+
+(* The one campaign driver: without a stopping rule every fault runs in one
+   batch on the pool ([map_list run_one |> reduce]). *)
+let run_campaign ?jobs ?config ?plan ?stopping ?(tel = Telemetry.null) ?sink_for
+    ~golden ~compiled faults =
+  let run (i, fault) =
+    let tel = match sink_for with Some f -> f i | None -> Telemetry.null in
+    run_one ?config ?plan ~tel ~golden ~compiled fault
+  in
+  let indexed = List.mapi (fun i f -> (i, f)) faults in
+  let outcomes, ci =
+    match stopping with
+    | None -> (Parallel.map_list ?jobs run indexed, None)
+    | Some stopping ->
+      let outcomes, ci = run_stopping ?jobs ~tel ~run stopping indexed in
+      (outcomes, Some ci)
+  in
+  { report = reduce outcomes; outcomes; ci }

@@ -5,8 +5,10 @@
 
     A campaign is [run_one] per fault — a pure function replaying the
     recovery executor — fanned out on the {!Turnpike_parallel} domain
-    pool, then folded by the deterministic, fault-ordered {!reduce}. The
-    resulting {!campaign_report} is identical at any job count. *)
+    pool, then folded by the deterministic, fault-ordered {!reduce}.
+    {!run_campaign} is the one campaign driver, for a fixed fault count
+    and under a Wilson stopping rule alike; its result is identical at
+    any job count. *)
 
 open Turnpike_ir
 
@@ -27,9 +29,6 @@ type outcome =
           diverges — [mismatch] is the lowest-address difference. *)
   | Crashed of { reason : string }
       (** Recovery failure or fuel exhaustion. *)
-
-val detection_name : Recovery.detection -> string
-(** ["sensor"] / ["parity"]. *)
 
 val class_name : outcome -> string
 (** The forensic class of an outcome: ["masked"] (recovered with no
@@ -59,10 +58,6 @@ val run_one :
     classification detail; forked and from-scratch replays emit
     byte-identical streams. *)
 
-val verdict_to_json : verdict -> string
-(** [Match] is ["null"]; a mismatch is
-    [{"addr":A,"golden":G,"actual":V}]. *)
-
 val outcome_to_json : outcome -> string
 (** One machine-readable JSON object per outcome, keyed by
     [{"class":...}] with per-class detail (detections, reexec overhead,
@@ -86,27 +81,17 @@ val reduce : outcome list -> campaign_report
     deterministic: the floating-point overhead sum is accumulated in list
     order, so equal outcome lists give bit-equal reports. *)
 
-val run_campaign :
-  ?jobs:int ->
-  ?config:Recovery.config ->
-  ?plan:Snapshot.plan ->
-  golden:Interp.state ->
-  compiled:Turnpike_compiler.Pass_pipeline.t ->
-  Fault.t list ->
-  campaign_report
-(** [Parallel.map_list run_one faults |> reduce]: every fault replays the
-    interpreter independently on the domain pool ([?jobs] overrides the
-    pool width, default the global [--jobs] setting), and the report is
-    identical at any job count. [plan] forwards to {!run_one}. *)
+(** {2 Campaigns}
 
-(** {2 Sequential stopping}
-
-    Instead of a fixed fault count, stream the seeded fault list in
-    fixed-size batches and stop as soon as a Wilson score confidence
-    interval on the SDC rate is narrow enough ("SDC rate ± 1% at 95%").
-    Batch boundaries and fault order derive from the seeded list — never
-    from wall-clock or completion order — so the stopping point and the
-    final report are identical at any job count. *)
+    Without a stopping rule a campaign runs its whole fault list. With
+    one, it streams the seeded list in fixed-size batches and stops as
+    soon as a Wilson score confidence interval on the SDC rate is narrow
+    enough ("SDC rate ± 1% at 95%"); the Wilson interval stays well
+    behaved at zero observed SDCs, where the Wald interval would collapse
+    to zero width and stop at once. Batch boundaries and fault order
+    derive from the seeded list — never from wall-clock or completion
+    order — so the stopping point and the report are identical at any job
+    count. *)
 
 type stopping = {
   half_width : float;  (** target CI half-width on the SDC rate *)
@@ -118,15 +103,8 @@ type stopping = {
 val default_stopping : stopping
 (** ± 0.05 at 95% confidence, 32-fault batches, at least 64 faults. *)
 
-val wilson_interval :
-  confidence:float -> positives:int -> total:int -> float * float
-(** Wilson score interval [(low, high)] for a binomial proportion; well
-    behaved at zero observed positives (the Wald interval would collapse
-    to zero width there and stop immediately). [(0, 1)] when [total <= 0].
-    @raise Invalid_argument when [confidence] is outside (0,1). *)
-
-type ci_report = {
-  report : campaign_report;  (** over exactly the faults consumed *)
+(** Where a stopping rule left the interval. *)
+type ci = {
   sdc_rate : float;
   ci_low : float;
   ci_high : float;
@@ -135,12 +113,17 @@ type ci_report = {
   batches : int;  (** batches consumed before stopping *)
   exhausted : bool;
       (** the fault list ran dry before the target width was reached *)
+}
+
+type campaign = {
+  report : campaign_report;  (** over exactly the faults consumed *)
   outcomes : outcome list;
       (** per-fault outcomes for exactly the consumed prefix, in fault
           order — the forensics layer attributes from these *)
+  ci : ci option;  (** [Some] exactly when a stopping rule was given *)
 }
 
-val run_campaign_ci :
+val run_campaign :
   ?jobs:int ->
   ?config:Recovery.config ->
   ?plan:Snapshot.plan ->
@@ -150,17 +133,21 @@ val run_campaign_ci :
   golden:Interp.state ->
   compiled:Turnpike_compiler.Pass_pipeline.t ->
   Fault.t list ->
-  ci_report
-(** Run batches of [stopping.batch] faults (each fanned out on the domain
-    pool) until the Wilson interval's half-width reaches
-    [stopping.half_width] with at least [stopping.min_faults] consumed, or
-    the list is exhausted. Deterministic at any [?jobs].
+  campaign
+(** Without [stopping], [Parallel.map_list run_one faults |> reduce]:
+    every fault replays the interpreter independently on the domain pool
+    ([?jobs] overrides the pool width, default the global [--jobs]
+    setting). With [stopping], run batches of [stopping.batch] faults
+    (each fanned out on the pool) until the Wilson interval's half-width
+    reaches [stopping.half_width] with at least [stopping.min_faults]
+    consumed, or the list is exhausted. Either way the result is
+    identical at any [?jobs]; [plan] forwards to {!run_one}.
 
-    [tel] receives one ["wilson_trajectory"] counter per consumed batch
-    (args: batch index, consumed faults, running SDC / recovered counts,
-    CI bounds and half-width), emitted by the sequential driver after the
+    [sink_for i] supplies the forensic sink for the fault at absolute
+    index [i] in [faults] (see {!run_one}). Under a stopping rule [tel]
+    receives one ["wilson_trajectory"] counter per consumed batch (args:
+    batch index, consumed faults, running SDC / recovered counts, CI
+    bounds and half-width), emitted by the sequential driver after the
     deterministic fold — so long campaigns are observable in flight and
-    the trajectory is byte-identical at any job count. [sink_for i]
-    supplies the forensic sink for the fault at absolute index [i] in
-    [faults] (see {!run_one}).
-    @raise Invalid_argument on non-positive [batch] or [half_width]. *)
+    the trajectory is byte-identical at any job count.
+    @raise Invalid_argument on a non-positive [batch] or [half_width]. *)

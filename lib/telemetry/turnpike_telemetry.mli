@@ -45,11 +45,9 @@ val null : sink
 (** The permanently disabled sink: {!emit} returns immediately, nothing is
     ever stored. Default everywhere telemetry is optional. *)
 
-val default_capacity : int
-
 val create : ?task:int -> ?capacity:int -> unit -> sink
-(** An enabled sink holding at most [capacity] (default
-    {!default_capacity}) events; further emissions are counted in
+(** An enabled sink holding at most [capacity] (default 1,000,000)
+    events; further emissions are counted in
     {!dropped} instead of stored. [task] (default 0) keys every event this
     sink produces. Pushes are serialized internally, so one sink may be
     shared across domains. @raise Invalid_argument on non-positive
@@ -166,11 +164,9 @@ module Export : sig
       used by every exporter here — shared so layers above emit JSON with
       identical byte-level conventions. *)
 
-  val event_to_json : event -> string
-  (** One self-describing JSON object (includes task/seq). *)
-
   val jsonl : ?dropped:int -> event list -> string
-  (** One event per line, {!event_to_json} format. A positive [dropped]
+  (** One self-describing JSON object (task and seq included) per event
+      and line. A positive [dropped]
       total (from {!total_dropped}) appends a final
       [{"meta":"telemetry","dropped":N}] line so capacity overflow is
       never silent; [dropped = 0] (the default) adds nothing. *)

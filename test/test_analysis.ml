@@ -330,7 +330,7 @@ let convicted ?config c =
   let trace, golden = Interp.trace_run ~fuel:400_000 c.PP.prog in
   check "mutant trace complete" true trace.Trace.complete;
   let faults = Injector.campaign ~seed:11 ~count:40 trace in
-  let rep = Verifier.run_campaign ?config ~golden ~compiled:c faults in
+  let rep = (Verifier.run_campaign ?config ~golden ~compiled:c faults).Verifier.report in
   rep.Verifier.sdc + rep.Verifier.crashed
 
 let mutant_errors ~pass c =

@@ -241,12 +241,13 @@ let test_table1_reproduces_paper () =
     (tp.E.Cost_model.area_um2 > 9.0 && tp.E.Cost_model.area_um2 < 11.0)
 
 let test_resilience_campaign_summary () =
-  let rows = E.resilience_campaign ~params:small ~faults:4 () in
+  let rows = E.resilience ~params:small ~faults:4 () in
   check "campaign covers benchmarks" true (List.length rows >= 30);
   List.iter
     (fun (r : E.resilience_row) ->
-      check_int (r.E.bench ^ " zero SDC") 0 r.E.report.E.Verifier.sdc;
-      check_int (r.E.bench ^ " zero crashes") 0 r.E.report.E.Verifier.crashed)
+      let rep = r.E.campaign.E.Verifier.report in
+      check_int (r.E.bench ^ " zero SDC") 0 rep.E.Verifier.sdc;
+      check_int (r.E.bench ^ " zero crashes") 0 rep.E.Verifier.crashed)
     rows
 
 let tests =

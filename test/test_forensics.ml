@@ -186,27 +186,27 @@ let test_wilson_trajectory_jobs_invariant () =
   in
   let run jobs =
     let traj = Telemetry.create ~task:(List.length faults) () in
-    let records, ci =
-      Forensics.campaign_ci ~jobs ~plan ~stopping ~tel:traj ~golden ~compiled
+    let records, c =
+      Forensics.campaign ~jobs ~plan ~stopping ~tel:traj ~golden ~compiled
         faults
     in
-    (records, ci, Telemetry.events traj)
+    (records, c, Telemetry.events traj)
   in
-  let r1, ci1, t1 = run 1 in
-  let r4, ci4, t4 = run 4 in
-  check "ci reports identical at jobs 1 and 4" true (ci1 = ci4);
+  let r1, c1, t1 = run 1 in
+  let r4, c4, t4 = run 4 in
+  check "ci campaigns identical at jobs 1 and 4" true (c1 = c4);
   check "records identical at jobs 1 and 4" true (r1 = r4);
   check_str "trajectory bytes identical at jobs 1 and 4"
     (Telemetry.Export.jsonl t1) (Telemetry.Export.jsonl t4);
-  check_int "one counter per consumed batch" ci1.Verifier.batches
+  check_int "one counter per consumed batch" (Option.get c1.Verifier.ci).Verifier.batches
     (List.length t1);
   check_int "records cover exactly the consumed prefix"
-    ci1.Verifier.report.Verifier.total (List.length r1);
+    c1.Verifier.report.Verifier.total (List.length r1);
   (* The last trajectory sample is the final report. *)
   let last = List.nth t1 (List.length t1 - 1) in
   check "final sample consumed the whole campaign" true
     (List.assoc_opt "consumed" last.Telemetry.args
-    = Some (Telemetry.Int ci1.Verifier.report.Verifier.total));
+    = Some (Telemetry.Int c1.Verifier.report.Verifier.total));
   check "trajectory samples are wilson counters" true
     (List.for_all
        (fun (e : Telemetry.event) ->
@@ -234,7 +234,8 @@ let test_mutant_conviction () =
     let trace, golden = Interp.trace_run ~fuel:400_000 m.Pass_pipeline.prog in
     check "mutant trace complete" true trace.Trace.complete;
     let faults = Injector.campaign ~seed:11 ~count:40 trace in
-    let records, rep = Forensics.campaign ~golden ~compiled:m faults in
+    let records, c = Forensics.campaign ~golden ~compiled:m faults in
+    let rep = c.Verifier.report in
     check "campaign convicts the mutant dynamically" true
       (rep.Verifier.sdc + rep.Verifier.crashed > 0);
     let s = Forensics.summarize ~rung:"turnstile+drop-ckpt" records in

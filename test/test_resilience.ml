@@ -151,8 +151,9 @@ let test_fault_campaigns_sdc_free () =
       let c = compiled_of name in
       let faults = Injector.campaign ~seed:11 ~count:12 c.Turnpike.Run.trace in
       let rep =
-        Verifier.run_campaign ~golden:c.Turnpike.Run.final
-          ~compiled:c.Turnpike.Run.compiled faults
+        (Verifier.run_campaign ~golden:c.Turnpike.Run.final
+           ~compiled:c.Turnpike.Run.compiled faults)
+          .Verifier.report
       in
       check_int (name ^ " zero SDC") 0 rep.Verifier.sdc;
       check_int (name ^ " zero crashes") 0 rep.Verifier.crashed;
@@ -166,8 +167,9 @@ let test_fault_campaign_turnstile_config () =
   in
   let faults = Injector.campaign ~seed:4 ~count:10 c.Turnpike.Run.trace in
   let rep =
-    Verifier.run_campaign ~config:Recovery.turnstile_config
-      ~golden:c.Turnpike.Run.final ~compiled:c.Turnpike.Run.compiled faults
+    (Verifier.run_campaign ~config:Recovery.turnstile_config
+       ~golden:c.Turnpike.Run.final ~compiled:c.Turnpike.Run.compiled faults)
+      .Verifier.report
   in
   check_int "turnstile zero SDC" 0 rep.Verifier.sdc;
   check_int "turnstile zero crashes" 0 rep.Verifier.crashed
@@ -236,8 +238,9 @@ let test_unsafe_ckpt_release_reproduces_fig16 () =
   let config = { Recovery.default_config with Recovery.coloring = false; unsafe_ckpt_release = true } in
   let faults = Injector.campaign ~seed:2 ~count:40 c.Turnpike.Run.trace in
   let rep =
-    Verifier.run_campaign ~config ~golden:c.Turnpike.Run.final
-      ~compiled:c.Turnpike.Run.compiled faults
+    (Verifier.run_campaign ~config ~golden:c.Turnpike.Run.final
+       ~compiled:c.Turnpike.Run.compiled faults)
+      .Verifier.report
   in
   check "unsafe release corrupts at least one run" true
     (rep.Verifier.sdc + rep.Verifier.crashed > 0)
@@ -542,23 +545,51 @@ let test_ci_stopping_deterministic () =
   let stopping =
     { Verifier.half_width = 0.05; confidence = 0.95; batch = 16; min_faults = 32 }
   in
-  let a = Verifier.run_campaign_ci ~jobs:1 ~plan ~stopping ~golden ~compiled faults in
-  let b = Verifier.run_campaign_ci ~jobs:4 ~plan ~stopping ~golden ~compiled faults in
-  check "ci report identical at jobs 1 and 4" true (a = b);
-  check "stopped before exhausting the supply" false a.Verifier.exhausted;
+  let a = Verifier.run_campaign ~jobs:1 ~plan ~stopping ~golden ~compiled faults in
+  let b = Verifier.run_campaign ~jobs:4 ~plan ~stopping ~golden ~compiled faults in
+  check "ci campaign identical at jobs 1 and 4" true (a = b);
+  let ci = Option.get a.Verifier.ci in
+  check "stopped before exhausting the supply" false ci.Verifier.exhausted;
   check "interval reached the target" true
-    (a.Verifier.achieved_half_width <= stopping.Verifier.half_width);
+    (ci.Verifier.achieved_half_width <= stopping.Verifier.half_width);
   check_int "consumed a whole number of batches"
-    (a.Verifier.batches * stopping.Verifier.batch)
+    (ci.Verifier.batches * stopping.Verifier.batch)
     a.Verifier.report.Verifier.total;
-  check "zero SDC rate" true (a.Verifier.sdc_rate = 0.0);
+  check_int "one outcome per consumed fault" a.Verifier.report.Verifier.total
+    (List.length a.Verifier.outcomes);
+  check "zero SDC rate" true (ci.Verifier.sdc_rate = 0.0);
   check "interval covers the rate" true
-    (a.Verifier.ci_low <= a.Verifier.sdc_rate
-    && a.Verifier.sdc_rate <= a.Verifier.ci_high);
+    (ci.Verifier.ci_low <= ci.Verifier.sdc_rate
+    && ci.Verifier.sdc_rate <= ci.Verifier.ci_high);
   (* Wilson sanity at zero positives: the lower bound is 0 and the upper
      bound is strictly positive. *)
-  check "lower bound 0" true (a.Verifier.ci_low = 0.0);
-  check "upper bound positive" true (a.Verifier.ci_high > 0.0)
+  check "lower bound 0" true (ci.Verifier.ci_low = 0.0);
+  check "upper bound positive" true (ci.Verifier.ci_high > 0.0)
+
+let test_ci_stopping_exhausted_supply () =
+  (* A rule the supply cannot satisfy (min_faults above the fault count)
+     consumes every fault: the same report and outcomes as no rule on the
+     same list, with the interval marked exhausted. *)
+  let c = compiled_of "libquan" in
+  let compiled = c.Turnpike.Run.compiled in
+  let golden = c.Turnpike.Run.final in
+  let faults = Injector.campaign ~seed:5 ~count:40 c.Turnpike.Run.trace in
+  let plan = Snapshot.record compiled in
+  let stopping =
+    { Verifier.half_width = 0.5; confidence = 0.95; batch = 16; min_faults = 41 }
+  in
+  let fixed = Verifier.run_campaign ~jobs:2 ~plan ~golden ~compiled faults in
+  let ci = Verifier.run_campaign ~jobs:2 ~plan ~stopping ~golden ~compiled faults in
+  check "no rule, no interval" true (fixed.Verifier.ci = None);
+  check "same report as no rule" true (ci.Verifier.report = fixed.Verifier.report);
+  check "same outcomes as no rule" true
+    (ci.Verifier.outcomes = fixed.Verifier.outcomes);
+  check_int "every fault consumed" 40 ci.Verifier.report.Verifier.total;
+  match ci.Verifier.ci with
+  | None -> Alcotest.fail "a stopping rule must report its interval"
+  | Some i ->
+    check "supply exhausted" true i.Verifier.exhausted;
+    check_int "three batches of at most 16" 3 i.Verifier.batches
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: randomized single faults always recover. *)
@@ -685,6 +716,7 @@ let tests =
       `Slow,
       test_snapshot_fork_byte_identical_unsound_config );
     ("CI stopping deterministic", `Slow, test_ci_stopping_deterministic);
+    ("CI stopping on an exhausted supply", `Quick, test_ci_stopping_exhausted_supply);
     ("golden campaigns", `Slow, test_golden_campaigns);
     ("no-fault matches golden", `Quick, test_no_fault_matches_golden);
     ("no-fault turnstile config", `Quick, test_no_fault_turnstile_config);

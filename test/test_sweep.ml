@@ -1,10 +1,9 @@
-(* Tests for the sweep API and the design-space explorer: Pareto
+(* Tests for the figure sweeps and the design-space explorer: Pareto
    dominance on crafted vectors, grid construction, the shared campaign
    arg spec, determinism of the explorer at different job counts, and the
-   golden-CSV guarantee that the Sweep refactor of the WCDL/CLQ figures
-   did not move a byte of their output. *)
+   golden-CSV guarantee that the WCDL/CLQ figure sweeps do not move a byte
+   of their output. *)
 
-module Sweep = Turnpike.Sweep
 module Pareto = Turnpike.Pareto
 module DP = Turnpike.Design_point
 module Explore = Turnpike.Explore
@@ -58,20 +57,11 @@ let test_frontier () =
     = [ [| 1.0 |] ])
 
 (* ------------------------------------------------------------------ *)
-(* Sweep axes and design grids. *)
+(* Figure sweeps and design grids. *)
 
 let test_axis () =
-  Alcotest.check_raises "empty axis rejected"
-    (Invalid_argument "Sweep.axis wcdl: empty value list") (fun () ->
-      ignore (Sweep.ints ~name:"wcdl" []));
-  let a = Sweep.ints ~name:"wcdl" [ 10; 20 ] in
-  check "values kept in order" true (a.Sweep.values = [ 10; 20 ]);
-  Alcotest.(check string) "int show" "20" (a.Sweep.show 20);
   check_int "wcdl figures sweep the paper's five latencies" 5
-    (List.length E.wcdl_axis.Sweep.values);
-  check "clq axis labels" true
-    (List.map E.clq_axis.Sweep.show E.clq_axis.Sweep.values
-    = [ "ideal"; "compact2" ])
+    (List.length E.wcdls)
 
 let test_grid_enumeration () =
   let pts = DP.grid DP.tiny_spec in
@@ -233,9 +223,9 @@ let test_explore_score_matches_batch () =
     r.Explore.results
 
 (* ------------------------------------------------------------------ *)
-(* Golden CSVs: the Sweep refactor of fig19/fig20/fig14_15 kept their
-   CSV output byte-identical to the pre-refactor capture (committed under
-   test/golden, generated at scale 1, fuel 20000, jobs 1). *)
+(* Golden CSVs: fig19/fig20/fig14_15 must keep their CSV output
+   byte-identical to the capture committed under test/golden (generated
+   at scale 1, fuel 20000, jobs 1). *)
 
 let golden_params = { Run.default_params with Run.scale = 1; fuel = 20_000 }
 

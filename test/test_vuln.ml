@@ -306,7 +306,7 @@ let test_static_predicts_dynamic_regions () =
         let faults = Injector.campaign ~seed:11 ~count:192 c.Turnpike.Run.trace in
         let plan = Snapshot.record compiled in
         let records, _ci =
-          Forensics.campaign_ci ~plan ~stopping ~golden:c.Turnpike.Run.final
+          Forensics.campaign ~plan ~stopping ~golden:c.Turnpike.Run.final
             ~compiled faults
         in
         let s = Forensics.summarize records in

@@ -10,7 +10,8 @@
 #                             well-formed JSON. Also asserts that
 #                             snapshot-forked campaigns are byte-identical
 #                             to from-scratch replays, that --ci stopping
-#                             is deterministic at any job count, that the
+#                             is deterministic at any job count (in the
+#                             CLI and in the bench table), that the
 #                             incremental per-pass lint report is
 #                             byte-identical to the forced full re-check,
 #                             that forensic lifecycle exports are
@@ -21,9 +22,10 @@
 #                             (turnpike-cli explore) writes byte-identical
 #                             CSVs and stdout at any job count (also with
 #                             --forensics) and re-validates its frontier,
-#                             that out-of-range campaign flags exit 2 and
-#                             an uncreatable --csv directory exits 1,
-#                             never with an uncaught exception, that static
+#                             that out-of-range campaign and numeric flags
+#                             exit 2 and an uncreatable --csv directory or
+#                             unwritable export path exits 1, never with
+#                             an uncaught exception, that static
 #                             vulnerability tables are byte-identical at
 #                             any job count, that .tk kernel compiles and
 #                             campaigns are byte-identical at any job
@@ -64,6 +66,14 @@ dune exec --no-build bench/main.exe -- resilience --scale 2 --fuel 20000 \
 dune exec --no-build bench/main.exe -- resilience --scale 2 --fuel 20000 \
   --faults 8 --seed 3 --jobs 4 > "$tmp/camp_j4.txt"
 diff "$tmp/camp_j1.txt" "$tmp/camp_j4.txt"
+# The same table under a stopping rule: identical stopping points and
+# intervals at any job count.
+dune exec --no-build bench/main.exe -- resilience --scale 2 --fuel 20000 \
+  --faults 32 --seed 3 --ci 0.1 --batch 8 --jobs 1 > "$tmp/camp_ci_j1.txt"
+dune exec --no-build bench/main.exe -- resilience --scale 2 --fuel 20000 \
+  --faults 32 --seed 3 --ci 0.1 --batch 8 --jobs 4 > "$tmp/camp_ci_j4.txt"
+diff "$tmp/camp_ci_j1.txt" "$tmp/camp_ci_j4.txt"
+grep -q 'stop target' "$tmp/camp_ci_j1.txt"
 
 echo "== campaign smoke: snapshot-forked vs from-scratch parity =="
 # The snapshot/fork replay path (default) must produce a report
@@ -192,10 +202,10 @@ dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
 diff "$tmp/explore_forensics_j1.txt" "$tmp/explore_forensics_j4.txt"
 grep -q 'forensics\[turnpike\]' "$tmp/explore_forensics_j1.txt"
 
-echo "== CLI smoke: bad campaign flags exit 2, an uncreatable --csv dir exits 1 =="
+echo "== CLI smoke: bad flags exit 2, unwritable output paths exit 1 =="
 # Each row: expected exit code | text stderr must contain | arguments.
-# Out-of-range flags are rejected before any work; none may end in an
-# uncaught exception.
+# Out-of-range flags and missing output directories are rejected before
+# any work; none may end in an uncaught exception.
 while IFS='|' read -r want needle args; do
   status=0
   # shellcheck disable=SC2086  # $args is a word list on purpose
@@ -217,6 +227,17 @@ done <<'EOF'
 2|--batch|inject -b libquan --scale 1 --batch 0 --ci 0.1
 2|--confidence|inject -b libquan --scale 1 --confidence 2 --ci 0.1
 1|/nonexistent/dir/x|explore --grid tiny --scale 1 --csv /nonexistent/dir/x
+2|--sb|run -b mcf --sb 0
+2|--sb|run -b mcf --sb=-3
+2|--sb|lint -b lbm --sb 0
+2|--scale|run -b mcf --scale 0
+2|--wcdl|run -b mcf --wcdl=-5
+2|--sensors|wcdl --sensors 0
+2|--ghz|wcdl --ghz 0
+1|/nonexistent/dir/x.json|trace -b lbm --scale 1 --timeline /nonexistent/dir/x.json
+1|/nonexistent/dir/x.jsonl|trace -b lbm --scale 1 --jsonl /nonexistent/dir/x.jsonl
+1|/nonexistent/dir/x.jsonl|inject -b libquan --scale 1 -n 4 --jsonl /nonexistent/dir/x.jsonl
+1|/nonexistent/dir/x.json|inject -b libquan --scale 1 -n 4 --trace /nonexistent/dir/x.json
 EOF
 
 echo "== vuln smoke: static ACE/AVF tables at --jobs 1 vs --jobs 4 =="
