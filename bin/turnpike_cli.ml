@@ -348,7 +348,7 @@ let inject_cmd =
   in
   let run () name faults seed scale scratch ci confidence batch forensics fjsonl
       ftrace fcsv json =
-    let ca = { CA.default with CA.seed; ci; confidence; batch } in
+    let ca = { CA.default with CA.seed; faults = Some faults; ci; confidence; batch } in
     check_campaign ca;
     match find_bench name with
     | Error e ->
@@ -463,12 +463,16 @@ let report_cmd =
      tops the table. Output is byte-identical at any --jobs count."
   in
   let faults_arg =
-    Arg.(value & opt int 60 & info [ "n"; "faults" ] ~docv:"N" ~doc:CA.doc_faults)
+    checked ~flag:"--faults" ~expects:"a positive count" (fun n -> n >= 1)
+      string_of_int
+      Arg.(value & opt int 60 & info [ "n"; "faults" ] ~docv:"N" ~doc:CA.doc_faults)
   in
   let top_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "top" ] ~docv:"N" ~doc:"Rows per attribution table.")
+    checked ~flag:"--top" ~expects:"a positive row count" (fun n -> n >= 1)
+      string_of_int
+      Arg.(
+        value & opt int 8
+        & info [ "top" ] ~docv:"N" ~doc:"Rows per attribution table.")
   in
   let mutant_arg =
     Arg.(
@@ -977,7 +981,7 @@ let explore_cmd =
     Arg.(value & flag & info [ "forensics" ] ~doc:CA.doc_forensics)
   in
   let run () grid scale seed ci faults csv_dir forensics =
-    check_campaign { CA.default with CA.ci };
+    check_campaign { CA.default with CA.ci; faults };
     match DP.spec_of_string grid with
     | Error msg ->
       prerr_endline msg;

@@ -36,8 +36,8 @@ let () =
   dump ra.Regalloc.func;
 
   (* Phase 2: SB-aware partitioning + eager checkpointing. *)
-  ignore (Regions.partition ~budget:2 prog.Prog.func);
-  let _, inserted = Checkpoint.insert prog.Prog.func in
+  let cfg = Regions.partition ~budget:2 prog.Prog.func in
+  let _, inserted = Checkpoint.insert ~cfg prog.Prog.func in
   banner (Printf.sprintf "Regions + eager checkpoints (%d inserted)" inserted);
   dump prog.Prog.func;
 

@@ -36,10 +36,9 @@ let region_blocks_bottom_up func regions (r : Regions.region) =
   (* !order is now top-down (head first); bottom-up is its reverse. *)
   List.rev !order
 
-let insert ?(entry_live = []) func =
-  let cfg = Cfg.build func in
+let insert ?(entry_live = []) ~cfg func =
   let live = Liveness.compute cfg func in
-  let regions = Regions.of_func func in
+  let regions = Regions.of_cfg cfg func in
   let inserted = ref 0 in
   (* need_in.(region head traversal): registers that must still be
      checkpointed above the current point. *)
@@ -105,7 +104,7 @@ let insert ?(entry_live = []) func =
     Block.set_body entry body;
     inserted := !inserted + List.length prologue
   end;
-  (func, !inserted)
+  (regions, !inserted)
 
 let count func =
   Func.fold_instrs (fun acc i -> if Instr.is_ckpt i then acc + 1 else acc) 0 func

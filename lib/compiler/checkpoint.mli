@@ -7,10 +7,11 @@
 
 open Turnpike_ir
 
-val insert : ?entry_live:Reg.t list -> Func.t -> Func.t * int
-(** Insert checkpoints (in place; the function is also returned) and report
-    how many were inserted. Requires boundary markers
-    ({!Regions.partition} must have run). *)
+val insert : ?entry_live:Reg.t list -> cfg:Cfg.t -> Func.t -> Regions.t * int
+(** Insert checkpoints in place and report how many were inserted, with
+    the region structure they were placed against (checkpoints do not
+    change it). Requires boundary markers and the function's current CFG —
+    the one {!Regions.partition} returns. *)
 
 val strip : Func.t -> Func.t
 (** Remove all checkpoint instructions (in place). *)

@@ -16,10 +16,8 @@ let may_alias (ka, ba, oa) (kb, bb, ob) =
   else if Reg.is_zero ba && Reg.is_zero bb then oa = ob
   else true
 
-let compute func =
-  let cfg = Cfg.build func in
+let compute cfg live func =
   let dom = Dominance.compute cfg in
-  let live = Liveness.compute cfg func in
   (* All load accesses of the function, once. *)
   let loads =
     Func.fold_instrs

@@ -20,6 +20,6 @@ type t = {
 
 val empty : t
 
-val compute : Func.t -> t
-(** Conservative claim inference on the final (post-scheduling) function.
-    Results are sorted and deterministic. *)
+val compute : Cfg.t -> Liveness.t -> Func.t -> t
+(** Conservative claim inference on the final (post-scheduling) function,
+    given its CFG and liveness. Results are sorted and deterministic. *)

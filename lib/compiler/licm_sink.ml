@@ -19,7 +19,7 @@ let run func =
   let dom = Dominance.compute cfg in
   let loops = Loop_info.compute cfg dom in
   let live = Liveness.compute cfg func in
-  let regions = Regions.of_func func in
+  let regions = Regions.of_cfg cfg func in
   let moved = ref 0 in
   let depth l = Loop_info.depth loops l in
   (* For each region: map checkpoint (block, reg) to a sink target block. *)

@@ -85,12 +85,15 @@ let partition_and_checkpoint func ~sb_size ~entry_live stats =
   (* Each round partitions with the previous round's checkpoints still in
      place (so they count against the store budget), then re-inserts
      checkpoints relative to the new boundaries. The budget tightens when
-     re-partitioning alone stops making progress. *)
+     re-partitioning alone stops making progress. A round builds each
+     analysis once: boundary and checkpoint edits leave the CFG that
+     partitioning built valid, so dominance, loops and checkpoint
+     insertion share it, and the budget is measured on the region
+     structure the checkpoints were placed against. *)
   let rec attempt budget iter =
-    ignore (Regions.partition ~budget func);
+    let cfg = Regions.partition ~budget func in
     ignore (Checkpoint.strip func);
-    let _, inserted = Checkpoint.insert ~entry_live func in
-    let structure = Regions.of_func func in
+    let structure, inserted = Checkpoint.insert ~entry_live ~cfg func in
     let worst = Regions.worst_region_path func structure in
     if worst <= target || iter >= 8 then begin
       stats.Static_stats.ckpts_inserted <- inserted;
@@ -106,9 +109,7 @@ let partition_and_checkpoint func ~sb_size ~entry_live stats =
   in
   attempt target 0
 
-let live_in_table func regions =
-  let cfg = Cfg.build func in
-  let live = Liveness.compute cfg func in
+let live_in_table live regions =
   List.map
     (fun (r : Regions.region) ->
       {
@@ -333,12 +334,13 @@ let passes : pass list =
         (fun env ->
           let func = env.prog.Prog.func in
           env.stats.Static_stats.code_size <- count_code_size func;
-          let structure = Regions.of_func func in
-          let infos = live_in_table func structure in
-          let regions = Array.of_list infos in
+          (* one CFG and one liveness for the live-in table and the claims *)
+          let cfg = Cfg.build func in
+          let live = Liveness.compute cfg func in
+          let regions = Array.of_list (live_in_table live (Regions.of_cfg cfg func)) in
           Array.sort (fun a b -> compare a.id b.id) regions;
           env.regions <- regions;
-          env.claims <- Claims.compute func;
+          env.claims <- Claims.compute cfg live func;
           true);
     };
   ]

@@ -37,7 +37,7 @@ let strip func =
    therefore placed at the legal position with the FEWEST live registers
    (liveness-aware region formation), never separating an eager
    checkpoint from the definition right above it. *)
-let split_oversized_blocks func ~budget =
+let split_blocks func ~budget oversized =
   (* Partitioning may run several times on the same function (the pipeline
      iterates with checkpoints in place), so fresh labels must dodge the
      labels of earlier rounds. *)
@@ -49,9 +49,6 @@ let split_oversized_blocks func ~budget =
   in
   let cfg = Cfg.build func in
   let live = Liveness.compute cfg func in
-  let oversized =
-    List.filter (fun b -> Block.num_stores b > budget) (Func.blocks func)
-  in
   List.iter
     (fun (b : Block.t) ->
       let body = b.Block.body in
@@ -135,6 +132,13 @@ let split_oversized_blocks func ~budget =
         | [] -> ()))
     oversized
 
+(* The CFG and liveness that place the cuts are built only when some
+   block is over budget. *)
+let split_oversized_blocks func ~budget =
+  match List.filter (fun b -> Block.num_stores b > budget) (Func.blocks func) with
+  | [] -> ()
+  | oversized -> split_blocks func ~budget oversized
+
 let mandatory_heads func cfg loops =
   let heads = ref (SS.singleton func.Func.entry) in
   List.iter
@@ -198,7 +202,7 @@ let partition ?(budget = 2) func =
   let heads = mandatory_heads func cfg loops in
   let heads = budget_heads func cfg heads ~budget in
   insert_boundaries func heads;
-  func
+  cfg
 
 let head_of_block (b : Block.t) =
   match Array.length b.Block.body with
@@ -206,8 +210,7 @@ let head_of_block (b : Block.t) =
   | _ -> (
     match b.Block.body.(0) with Instr.Boundary id -> Some id | _ -> None)
 
-let of_func func =
-  let cfg = Cfg.build func in
+let of_cfg cfg func =
   let of_block = Hashtbl.create 64 in
   let members = Hashtbl.create 16 in
   let add id l =
@@ -263,6 +266,8 @@ let of_func func =
         { id; head; blocks = List.rev blocks })
   in
   { regions; of_block }
+
+let of_func func = of_cfg (Cfg.build func) func
 
 let region_of t l = Hashtbl.find_opt t.of_block l
 

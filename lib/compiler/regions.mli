@@ -17,11 +17,13 @@ type region = {
 
 type t
 
-val partition : ?budget:int -> Func.t -> Func.t
+val partition : ?budget:int -> Func.t -> Cfg.t
 (** Strip any existing boundaries and re-partition the function in place
-    (oversized blocks are physically split; the same function is
-    returned). [budget] is the max SB writes per region path, normally
-    [sb_size / 2]. @raise Invalid_argument when [budget < 1]. *)
+    (oversized blocks are physically split), returning the CFG of the
+    result: boundary and checkpoint edits leave it valid, so checkpoint
+    insertion can reuse it. [budget] is the max SB writes per region
+    path, normally [sb_size / 2].
+    @raise Invalid_argument when [budget < 1]. *)
 
 val strip : Func.t -> Func.t
 (** Remove all boundary markers (in place). *)
@@ -30,6 +32,9 @@ val of_func : Func.t -> t
 (** Recover the region structure from boundary markers.
     @raise Invalid_argument if a non-head block has several predecessors
     (partitioning invariant violation). *)
+
+val of_cfg : Cfg.t -> Func.t -> t
+(** {!of_func} on a CFG the caller already holds for the function. *)
 
 val region_of : t -> string -> int option
 (** Region id of a block. *)

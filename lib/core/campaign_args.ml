@@ -57,10 +57,13 @@ let value_of flag convert = function
     | Some x -> (x, rest)
     | None -> failwith (Printf.sprintf "%s expects a number, got %s" flag v))
 
-(* The ranges the verifier's stopping rule accepts, checked where the flags
-   are parsed so that a bad value fails before any work. *)
+(* The ranges a campaign and the verifier's stopping rule accept, checked
+   where the flags are parsed so that a bad value fails before any work.
+   An empty campaign would report "0 SDC" over nothing: a vacuous pass. *)
 let validate t =
   match t with
+  | { faults = Some n; _ } when n < 1 ->
+    Error (Printf.sprintf "--faults expects a positive count, got %d" n)
   | { ci = Some w; _ } when not (w > 0.0) ->
     Error (Printf.sprintf "--ci expects a positive half-width, got %g" w)
   | { confidence = c; _ } when not (c > 0.0 && c < 1.0) ->

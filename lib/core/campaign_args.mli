@@ -33,7 +33,8 @@ val consume : t -> string list -> (t * string list) option
     {!validate} rejects, raise [Failure] with the flag name. *)
 
 val validate : t -> (unit, string) result
-(** Check the ranges the stopping rule needs: [--ci] positive,
+(** Check the ranges a campaign and its stopping rule need: [--faults]
+    at least 1 (an empty campaign is a vacuous pass), [--ci] positive,
     [--confidence] strictly between 0 and 1, [--batch] positive. The
     error message names the offending flag. {!consume} applies it to
     every flag it parses; the Cmdliner front ends call it before any

@@ -42,12 +42,27 @@ let transfer ~gen ~kill src =
   done;
   out
 
+(* The in-place form for fixpoints that keep one set per block: no
+   allocation per visit, and the answer says whether [dst] moved. *)
+let transfer_into ~dst ~gen ~kill src =
+  let changed = ref false in
+  for w = 0 to Array.length dst - 1 do
+    let v = src.(w) land lnot kill.(w) lor gen.(w) in
+    if v <> dst.(w) then begin
+      dst.(w) <- v;
+      changed := true
+    end
+  done;
+  !changed
+
 let iter f bs =
   for w = 0 to Array.length bs - 1 do
-    let word = bs.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    (* shift the word down, so the scan stops at its highest member *)
+    let word = ref bs.(w) and id = ref (w * bits_per_word) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then f !id;
+      word := !word lsr 1;
+      incr id
+    done
   done
 

@@ -1,7 +1,7 @@
 (** Dense integer bitsets for register dataflow.
 
-    Register ids are small dense integers ({!Reg.t}), so the
-    fixpoint-heavy checks (definite assignment, checkpoint coverage) run
+    Register ids are small dense integers ({!Reg.t}), so liveness and
+    the fixpoint-heavy checks (definite assignment, checkpoint coverage) run
     their transfer functions on flat int-array bitsets instead of tree
     sets: set algebra becomes a short word loop with no allocation, which
     matters when the per-pass engine re-runs a check after most passes.
@@ -40,6 +40,11 @@ val inter_into : dst:t -> t -> unit
 val transfer : gen:t -> kill:t -> t -> t
 (** [(src \ kill) ∪ gen], freshly allocated — the classic dataflow block
     transfer. *)
+
+val transfer_into : dst:t -> gen:t -> kill:t -> t -> bool
+(** [dst := (src \ kill) ∪ gen] in place — {!transfer} without the
+    allocation, for fixpoints that keep one set per block — reporting
+    whether [dst] changed. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Applies the callback to every member, in increasing order. *)

@@ -1,78 +1,65 @@
-(* Iterative dominator computation (Cooper-Harvey-Kennedy) over the RPO of
-   reachable blocks. *)
+(* Iterative dominator computation (Cooper-Harvey-Kennedy) over the RPO
+   numbers of the reachable blocks: the tree is one int array, and a
+   dominance query walks it upward by index (a dominator's RPO number is
+   below its dominee's, so the walk stops as soon as it passes [dom]). *)
 
 type t = {
   cfg : Cfg.t;
-  idom : (string, string) Hashtbl.t; (* entry maps to itself *)
+  idom : int array;
+      (* by RPO number; the entry (0) maps to itself. -1 until decided,
+         and for good on a block whose only predecessors the layout order
+         leaves out (hand-built IR), which then has no dominator *)
 }
 
 let compute cfg =
-  let rpo = Array.of_list (Cfg.reverse_postorder cfg) in
-  let index = Hashtbl.create 64 in
-  Array.iteri (fun i l -> Hashtbl.replace index l i) rpo;
-  let entry = rpo.(0) in
-  let idom = Hashtbl.create 64 in
-  Hashtbl.replace idom entry entry;
-  let intersect a b =
-    (* Walk up the (partially built) dominator tree in RPO-index space. *)
-    let rec up x y =
-      if String.equal x y then x
-      else
-        let ix = Hashtbl.find index x and iy = Hashtbl.find index y in
-        if ix > iy then up (Hashtbl.find idom x) y else up x (Hashtbl.find idom y)
-    in
-    up a b
+  let n = Cfg.num_reachable cfg in
+  let idom = Array.make n (-1) in
+  idom.(0) <- 0;
+  let rec intersect x y =
+    if x = y then x else if x > y then intersect idom.(x) y else intersect x idom.(y)
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iter
-      (fun l ->
-        if not (String.equal l entry) then begin
-          let processed_preds =
-            List.filter
-              (fun p -> Hashtbl.mem idom p && Hashtbl.mem index p)
-              (Cfg.predecessors cfg l)
-          in
-          match processed_preds with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            (match Hashtbl.find_opt idom l with
-            | Some old when String.equal old new_idom -> ()
-            | _ ->
-              Hashtbl.replace idom l new_idom;
-              changed := true)
-        end)
-      rpo
+    for k = 1 to n - 1 do
+      let new_idom =
+        Array.fold_left
+          (fun acc p -> if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
+          (-1) (Cfg.rpo_preds cfg k)
+      in
+      if new_idom >= 0 && new_idom <> idom.(k) then begin
+        idom.(k) <- new_idom;
+        changed := true
+      end
+    done
   done;
   { cfg; idom }
 
 let idom t l =
-  match Hashtbl.find_opt t.idom l with
-  | Some d when not (String.equal d l) -> Some d
-  | Some _ -> None (* entry *)
+  match Cfg.rpo_number t.cfg l with
+  | Some k when k > 0 && t.idom.(k) >= 0 -> Some (Cfg.rpo_label t.cfg t.idom.(k))
+  | Some _ -> None (* entry, or no predecessor in the layout order *)
   | None -> None (* unreachable *)
 
 let dominates t ~dom ~sub =
-  if not (Cfg.is_reachable t.cfg sub) then false
-  else
-    let rec up x =
-      if String.equal x dom then true
-      else
-        match Hashtbl.find_opt t.idom x with
-        | Some d when not (String.equal d x) -> up d
-        | _ -> false
-    in
-    up sub
+  match (Cfg.rpo_number t.cfg dom, Cfg.rpo_number t.cfg sub) with
+  | Some d, Some s ->
+    let x = ref s in
+    while !x > d do
+      x := t.idom.(!x)
+    done;
+    !x = d
+  | _ -> false
 
 let strictly_dominates t ~dom ~sub =
   (not (String.equal dom sub)) && dominates t ~dom ~sub
 
 let dominators t l =
-  let rec up x acc =
-    match Hashtbl.find_opt t.idom x with
-    | Some d when not (String.equal d x) -> up d (d :: acc)
-    | _ -> acc
-  in
-  if Cfg.is_reachable t.cfg l then l :: up l [] else []
+  match Cfg.rpo_number t.cfg l with
+  | None -> []
+  | Some k ->
+    let rec up x acc =
+      let d = t.idom.(x) in
+      if x = 0 || d < 0 then acc else up d (Cfg.rpo_label t.cfg d :: acc)
+    in
+    l :: up k []

@@ -1,7 +1,7 @@
-(* Committed goldens under test/golden. They are declared as test deps
-   (copied next to the executable by dune); resolve them relative to the
-   binary so `dune exec test/test_main.exe` from the repo root finds them
-   too. *)
+(* Committed test data under test/golden and test/regress. Both are
+   declared as test deps (copied next to the executable by dune); resolve
+   them relative to the binary so `dune exec test/test_main.exe` from the
+   repo root finds them too. *)
 
 let read path =
   let ic = open_in_bin path in
@@ -9,16 +9,18 @@ let read path =
   close_in ic;
   s
 
-let dir =
+let find_dir name =
   let candidates =
     [
-      Filename.concat (Filename.dirname Sys.executable_name) "golden";
-      "golden"; Filename.concat "test" "golden";
+      Filename.concat (Filename.dirname Sys.executable_name) name;
+      name; Filename.concat "test" name;
     ]
   in
   match List.find_opt Sys.file_exists candidates with
   | Some d -> d
-  | None -> "golden"
+  | None -> name
+
+let dir = find_dir "golden"
 
 let path name = Filename.concat dir name
 

@@ -118,7 +118,7 @@ let test_ckpt_live_out_covered () =
   let before = Checkpoint.count f in
   ignore (Checkpoint.strip f);
   check_int "strip removes all" 0 (Checkpoint.count f);
-  let _, inserted = Checkpoint.insert f in
+  let _, inserted = Checkpoint.insert ~cfg:(Cfg.build f) f in
   check_int "reinsert same count" before inserted
 
 (* A program whose input register is live into a join region, so the
@@ -574,6 +574,62 @@ let prop_partition_hard_cap =
       let f = c.Pass_pipeline.prog.Prog.func in
       Regions.worst_region_path f (Regions.of_func f) <= 4)
 
+(* ------------------------------------------------------------------ *)
+(* Codegen golden for programs nobody wrote by hand: one line per fuzz
+   seed 0–199 in test/golden/compiled.txt, the MD5 over turnstile and
+   turnpike of everything a checked compile decides — the code, the
+   static counters, the region live-in table, the sorted recovery
+   expressions, the release claims and the per-pass diagnostic keys. *)
+
+module Scheme = Turnpike.Scheme
+
+let compiled_digest prog =
+  let one (s : Scheme.t) =
+    let c =
+      Pass_pipeline.compile ~opts:(Scheme.compile_opts s ~sb_size:4)
+        ~check:Pass_pipeline.PerPass prog
+    in
+    let region (r : Pass_pipeline.region_info) =
+      Printf.sprintf "%d %s %s" r.Pass_pipeline.id r.Pass_pipeline.head
+        (String.concat "," (List.map Reg.to_string r.Pass_pipeline.live_in))
+    in
+    let expr (r, e) = Reg.to_string r ^ "=" ^ Recovery_expr.to_string e in
+    let sites l =
+      String.concat " " (List.map (fun (b, i) -> Printf.sprintf "%s:%d" b i) l)
+    in
+    String.concat "\n"
+      ([
+         Func.to_string c.Pass_pipeline.prog.Prog.func;
+         Static_stats.to_string c.Pass_pipeline.stats;
+       ]
+      @ List.map region (Array.to_list c.Pass_pipeline.regions)
+      @ List.map expr
+          (List.sort compare
+             (Hashtbl.fold (fun r e acc -> (r, e) :: acc)
+                c.Pass_pipeline.recovery_exprs []))
+      @ [
+          sites c.Pass_pipeline.claims.Claims.bypass_stores;
+          sites c.Pass_pipeline.claims.Claims.direct_ckpts;
+        ]
+      @ List.map Turnpike_analysis.Diag.key c.Pass_pipeline.diags)
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n====\n" (List.map one [ Scheme.turnstile; Scheme.turnpike ])))
+
+let test_compiled_golden () =
+  let got =
+    List.init 200 (fun seed ->
+        let src = Turnpike_frontend.Fuzz.generate ~seed in
+        match
+          Turnpike_frontend.Tk.compile_string
+            ~file:(Printf.sprintf "<fuzz-%d>" seed) ~scale:1 src
+        with
+        | Ok prog -> (string_of_int seed, compiled_digest prog)
+        | Error e -> Alcotest.failf "seed %d rejected: %s" seed e)
+  in
+  Golden_file.check_keyed ~file:"compiled.txt" ~what:"compiled code" got
+
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
     [ prop_pipeline_preserves_random_streams;
@@ -619,5 +675,6 @@ let tests =
     ("pipeline baseline has no markers", `Quick, test_pipeline_baseline_has_no_markers);
     ("pipeline input not mutated", `Quick, test_pipeline_input_not_mutated);
     ("pipeline code size increase", `Quick, test_pipeline_code_size_increase_positive);
+    ("compiled fuzz programs golden", `Quick, test_compiled_golden);
   ]
   @ qcheck

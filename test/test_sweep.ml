@@ -144,7 +144,10 @@ let test_campaign_args () =
       | _ -> Alcotest.fail (flag ^ " out of range accepted")
       | exception Failure msg ->
         check (flag ^ " named") true (String.starts_with ~prefix:flag msg))
-    [ [ "--ci"; "0" ]; [ "--ci"; "nan" ]; [ "--confidence"; "1" ]; [ "--batch"; "0" ] ]
+    [
+      [ "--faults"; "0" ]; [ "--faults"; "-3" ]; [ "--ci"; "0" ]; [ "--ci"; "nan" ];
+      [ "--confidence"; "1" ]; [ "--batch"; "0" ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Explorer: determinism across job counts, one rung, validation. *)

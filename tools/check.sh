@@ -23,6 +23,7 @@
 #                             CSVs and stdout at any job count (also with
 #                             --forensics) and re-validates its frontier,
 #                             that out-of-range campaign and numeric flags
+#                             (an empty campaign or table included)
 #                             exit 2 and an uncreatable --csv directory or
 #                             unwritable export path exits 1, never with
 #                             an uncaught exception, that static
@@ -31,8 +32,9 @@
 #                             campaigns are byte-identical at any job
 #                             count, that a bad --pipeline spec exits 1
 #                             with a diagnostic, that bench/main.exe
-#                             rejects a malformed --scale and an unknown
-#                             flag with exit 2, that every command block
+#                             rejects a malformed --scale, an unknown
+#                             flag and an empty campaign (--faults 0)
+#                             with exit 2, that every command block
 #                             in docs/TUTORIAL.md runs verbatim, and
 #                             (advisorily) that the odoc docs build.
 #
@@ -226,6 +228,11 @@ done <<'EOF'
 2|--ci|inject -b libquan --scale 1 --ci 0
 2|--batch|inject -b libquan --scale 1 --batch 0 --ci 0.1
 2|--confidence|inject -b libquan --scale 1 --confidence 2 --ci 0.1
+2|--faults|inject -b libquan --scale 1 -n 0
+2|--faults|report -b mcf --scale 1 -n 0
+2|--top|report -b mcf --scale 1 --top 0
+2|--top|report -b mcf --scale 1 --top=-1
+2|--faults|explore --grid tiny --scale 1 -n 0
 1|/nonexistent/dir/x|explore --grid tiny --scale 1 --csv /nonexistent/dir/x
 2|--sb|run -b mcf --sb 0
 2|--sb|run -b mcf --sb=-3
@@ -314,6 +321,13 @@ dune exec --no-build bench/main.exe -- --forensics table1 > /dev/null \
   2> "$tmp/bench_forensics.err" || status=$?
 test "$status" -eq 2
 grep -q -- 'unknown argument --forensics' "$tmp/bench_forensics.err"
+# An empty campaign is a vacuous pass of the SDC-freedom claim, not a
+# result: --faults 0 must be refused before any work.
+status=0
+dune exec --no-build bench/main.exe -- resilience --faults 0 > /dev/null \
+  2> "$tmp/bench_faults.err" || status=$?
+test "$status" -eq 2
+grep -q -- '--faults expects a positive count, got 0' "$tmp/bench_faults.err"
 
 echo "== tutorial smoke: docs/TUTORIAL.md command blocks run verbatim =="
 # Every ```sh block in the tutorial executes in a scratch directory with
