@@ -1,12 +1,21 @@
 (* Set-associative write-back, write-allocate cache with true-LRU
    replacement. Timing is supplied by the enclosing hierarchy; this module
-   only tracks hit/miss state. *)
+   only tracks hit/miss state.
 
-type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable lru : int }
+   The lines are three flat arrays indexed by [set * assoc + way], so a
+   probe scans consecutive ints instead of chasing one record per way. A
+   line's LRU stamp is the tick of its last access, and 0 while the line
+   is invalid: lines never go invalid once filled, and every access stamps
+   a fresh tick, so the victim (the last invalid way, else the least
+   recently used) is the last way with the smallest stamp. *)
 
 type t = {
   name : string;
-  sets : line array array;
+  assoc : int;
+  tags : int array;
+  lru : int array; (* tick of the line's last access; 0 = invalid *)
+  dirty : Bytes.t; (* '\001' for a dirty line *)
+  set_mask : int;
   set_bits : int;
   line_bits : int;
   mutable tick : int;
@@ -25,47 +34,53 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
     invalid_arg "Cache.create: size not divisible by assoc*line";
   let n_sets = size_bytes / (assoc * line_bytes) in
   let set_bits = log2_exact n_sets and line_bits = log2_exact line_bytes in
-  let sets =
-    Array.init n_sets (fun _ ->
-        Array.init assoc (fun _ -> { tag = 0; valid = false; dirty = false; lru = 0 }))
-  in
-  { name; sets; set_bits; line_bits; tick = 0; hits = 0; misses = 0; writebacks = 0 }
+  let lines = n_sets * assoc in
+  {
+    name;
+    assoc;
+    tags = Array.make lines 0;
+    lru = Array.make lines 0;
+    dirty = Bytes.make lines '\000';
+    set_mask = n_sets - 1;
+    set_bits;
+    line_bits;
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    writebacks = 0;
+  }
 
-let touch t line =
+let touch t i =
   t.tick <- t.tick + 1;
-  line.lru <- t.tick
+  t.lru.(i) <- t.tick
 
 let access t ~write addr =
   let line_addr = addr lsr t.line_bits in
-  let set = t.sets.(line_addr land ((1 lsl t.set_bits) - 1)) in
+  let first = (line_addr land t.set_mask) * t.assoc in
+  let stop = first + t.assoc in
   let tag = line_addr lsr t.set_bits in
-  let ways = Array.length set in
-  (* A tag is resident in at most one way. *)
-  let w = ref 0 in
-  while !w < ways && not (set.(!w).valid && set.(!w).tag = tag) do
-    incr w
+  (* A tag is resident in at most one valid way. *)
+  let i = ref first in
+  while !i < stop && not (t.tags.(!i) = tag && t.lru.(!i) <> 0) do
+    incr i
   done;
-  if !w < ways then begin
-    let l = set.(!w) in
-    touch t l;
-    if write then l.dirty <- true;
+  if !i < stop then begin
+    touch t !i;
+    if write then Bytes.set t.dirty !i '\001';
     t.hits <- t.hits + 1;
     `Hit
   end
   else begin
     t.misses <- t.misses + 1;
-    (* Victim = least recently used (invalid lines first). *)
-    let victim = ref 0 in
-    for w = 0 to ways - 1 do
-      let l = set.(w) and v = set.(!victim) in
-      if not l.valid then victim := w
-      else if v.valid && l.lru < v.lru then victim := w
+    let victim = ref first in
+    for w = first + 1 to stop - 1 do
+      if t.lru.(w) <= t.lru.(!victim) then victim := w
     done;
-    let v = set.(!victim) in
-    if v.valid && v.dirty then t.writebacks <- t.writebacks + 1;
-    v.valid <- true;
-    v.tag <- tag;
-    v.dirty <- write;
+    let v = !victim in
+    (* Only a valid line was ever written, so a dirty victim is valid. *)
+    if Bytes.get t.dirty v = '\001' then t.writebacks <- t.writebacks + 1;
+    t.tags.(v) <- tag;
+    Bytes.set t.dirty v (if write then '\001' else '\000');
     touch t v;
     `Miss
   end

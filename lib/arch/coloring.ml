@@ -2,13 +2,25 @@
    checkpoint storage locations per register, so that checkpoint stores can
    be released to cache without verification while the previously verified
    checkpoint value stays intact. Three logical maps: Available (free
-   colors), Used (per un-verified region) and Verified. *)
+   colors), Used (per un-verified region) and Verified.
 
-type cstate = Free | Used of int (* dynamic region *) | Verified
+   The three maps are one flat int cell per (register, color): [free],
+   [verified], or the dynamic region that uses it. A log keeps every
+   coloring of a region not yet verified, in assignment order, so a
+   verification or a discard visits only the registers its regions colored
+   instead of every cell. *)
+
+let free = min_int
+let verified = min_int + 1
 
 type t = {
   nregs : int;
-  states : cstate array array; (* states.(reg).(color) *)
+  colors : int;
+  cells : int array; (* cells.(reg * colors + color) *)
+  mutable log : int array; (* (region, reg, color) triples, oldest first *)
+  mutable logged : int; (* triples in [log] *)
+  seen : int array; (* per register: the last [epoch] that promoted it *)
+  mutable epoch : int; (* verifications so far *)
   mutable fast_assigned : int;
   mutable fallbacks : int;
 }
@@ -18,115 +30,150 @@ let create ?(colors = Turnpike_ir.Layout.colors) ~nregs () =
   if colors <= 0 then invalid_arg "Coloring.create: colors must be positive";
   {
     nregs;
-    states = Array.init nregs (fun _ -> Array.make colors Free);
+    colors;
+    cells = Array.make (nregs * colors) free;
+    log = Array.make 48 0;
+    logged = 0;
+    seen = Array.make nregs 0;
+    epoch = 0;
     fast_assigned = 0;
     fallbacks = 0;
   }
 
-let copy t = { t with states = Array.map Array.copy t.states }
+let copy t =
+  {
+    t with
+    cells = Array.copy t.cells;
+    log = Array.copy t.log;
+    seen = Array.copy t.seen;
+  }
 
 let in_range t reg = reg >= 0 && reg < t.nregs
 
+(* The first color of [reg] whose cell holds [v], or -1. *)
+let find t ~reg v =
+  let base = reg * t.colors in
+  let c = ref 0 in
+  while !c < t.colors && t.cells.(base + !c) <> v do
+    incr c
+  done;
+  if !c < t.colors then !c else -1
+
+(* Every verified color of [reg] except [keep] returns to the pool. *)
+let free_verified t ~reg ~keep =
+  let base = reg * t.colors in
+  for c = 0 to t.colors - 1 do
+    if c <> keep && t.cells.(base + c) = verified then t.cells.(base + c) <- free
+  done
+
+let log_coloring t ~region ~reg ~color =
+  let k = 3 * t.logged in
+  if k = Array.length t.log then begin
+    let grown = Array.make (2 * k) 0 in
+    Array.blit t.log 0 grown 0 k;
+    t.log <- grown
+  end;
+  t.log.(k) <- region;
+  t.log.(k + 1) <- reg;
+  t.log.(k + 2) <- color;
+  t.logged <- t.logged + 1
+
 let try_assign t ~reg ~region =
   if not (in_range t reg) then None
-  else begin
-    let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Free -> Some c | Used _ | Verified -> find (c + 1)
-    in
-    match find 0 with
-    | Some c ->
-      row.(c) <- Used region;
-      t.fast_assigned <- t.fast_assigned + 1;
-      Some c
-    | None ->
+  else
+    match find t ~reg free with
+    | -1 ->
       t.fallbacks <- t.fallbacks + 1;
       None
+    | c ->
+      t.cells.((reg * t.colors) + c) <- region;
+      log_coloring t ~region ~reg ~color:c;
+      t.fast_assigned <- t.fast_assigned + 1;
+      Some c
+
+(* Log entry [i] moves to slot [kept]: the compaction step of
+   {!on_region_verified} and {!discard_unverified}, which drop the entries
+   they consume and keep the others in order. *)
+let keep_entry t ~i ~kept =
+  if kept <> i then begin
+    let src = 3 * i and dst = 3 * kept in
+    t.log.(dst) <- t.log.(src);
+    t.log.(dst + 1) <- t.log.(src + 1);
+    t.log.(dst + 2) <- t.log.(src + 2)
   end
 
 let on_region_verified t ~region =
-  (* For every register checkpointed by [region] through a color: the old
-     verified color returns to the pool and the region's color becomes the
-     verified one. Runs at every region verification, so it loops rather
-     than allocating closures. *)
-  for reg = 0 to Array.length t.states - 1 do
-    let row = t.states.(reg) in
-    let newly = ref (-1) in
-    for c = 0 to Array.length row - 1 do
-      match row.(c) with
-      | Used r when r = region -> newly := c
-      | Free | Used _ | Verified -> ()
-    done;
-    if !newly >= 0 then begin
-      for c = 0 to Array.length row - 1 do
-        match row.(c) with Verified -> row.(c) <- Free | Free | Used _ -> ()
-      done;
-      row.(!newly) <- Verified
+  (* For every register [region] checkpointed through a color: the
+     highest-index color the region holds for it becomes the verified one,
+     and the old verified color returns to the pool. Runs at every region
+     verification, so it loops rather than allocating closures. *)
+  t.epoch <- t.epoch + 1;
+  let kept = ref 0 in
+  for i = 0 to t.logged - 1 do
+    if t.log.(3 * i) <> region then begin
+      keep_entry t ~i ~kept:!kept;
+      incr kept
     end
-  done
+    else begin
+      let reg = t.log.((3 * i) + 1) in
+      if t.seen.(reg) <> t.epoch then begin
+        t.seen.(reg) <- t.epoch;
+        let base = reg * t.colors in
+        let newly = ref (-1) in
+        for c = 0 to t.colors - 1 do
+          if t.cells.(base + c) = region then newly := c
+        done;
+        if !newly >= 0 then begin
+          free_verified t ~reg ~keep:(-1);
+          t.cells.(base + !newly) <- verified
+        end
+      end
+    end
+  done;
+  t.logged <- !kept
 
-let verified_color t ~reg =
+let color_of t ~reg v =
   if not (in_range t reg) then None
-  else
-    let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Verified -> Some c | Free | Used _ -> find (c + 1)
-    in
-    find 0
+  else match find t ~reg v with -1 -> None | c -> Some c
 
-let used_color t ~reg ~region =
-  if not (in_range t reg) then None
-  else
-    let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Used r when r = region -> Some c | _ -> find (c + 1)
-    in
-    find 0
+let verified_color t ~reg = color_of t ~reg verified
 
-let free_color t ~reg =
-  if not (in_range t reg) then None
-  else
-    let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Free -> Some c | Used _ | Verified -> find (c + 1)
-    in
-    find 0
+let used_color t ~reg ~region = color_of t ~reg region
+
+let free_color t ~reg = color_of t ~reg free
 
 let force_verified t ~reg ~color =
   (* A quarantined (fallback) checkpoint drains into [color] at its
      region's verification: that slot becomes the verified storage and any
      other verified color returns to the pool. *)
   if in_range t reg then begin
-    let row = t.states.(reg) in
-    Array.iteri (fun c s -> if c <> color && s = Verified then row.(c) <- Free) row;
-    row.(color) <- Verified
+    if color < 0 || color >= t.colors then invalid_arg "index out of bounds";
+    free_verified t ~reg ~keep:color;
+    t.cells.((reg * t.colors) + color) <- verified
   end
 
 let invalidate_verified t ~reg =
   (* A quarantined (fallback) checkpoint of [reg] just verified: the base
      slot now holds the verified value, so any previously verified color
      returns to the pool. *)
-  if in_range t reg then
-    Array.iteri
-      (fun c s -> if s = Verified then t.states.(reg).(c) <- Free)
-      t.states.(reg)
+  if in_range t reg then free_verified t ~reg ~keep:(-1)
 
 let discard_unverified t ~regions =
   (* Error recovery: colors assigned by regions that will be re-executed
      (or were corrupted) return to the pool. *)
-  Array.iter
-    (fun row ->
-      Array.iteri
-        (fun c s ->
-          match s with
-          | Used r when List.mem r regions -> row.(c) <- Free
-          | Used _ | Free | Verified -> ())
-        row)
-    t.states
+  let kept = ref 0 in
+  for i = 0 to t.logged - 1 do
+    let region = t.log.(3 * i) in
+    if not (List.mem region regions) then begin
+      keep_entry t ~i ~kept:!kept;
+      incr kept
+    end
+    else begin
+      let cell = (t.log.((3 * i) + 1) * t.colors) + t.log.((3 * i) + 2) in
+      if t.cells.(cell) = region then t.cells.(cell) <- free
+    end
+  done;
+  t.logged <- !kept
 
 let fast_assigned t = t.fast_assigned
 let fallbacks t = t.fallbacks

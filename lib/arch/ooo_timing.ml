@@ -92,9 +92,16 @@ let rec release_stores t = function
     Mem_hierarchy.store_release t.mem r.Store_buffer.addr;
     release_stores t rest
 
+(* Returns at once unless a region verifies or an SB entry's release time
+   has passed by [cycle]. [cycle] may be earlier than on the previous call
+   (dispatch cycles are not monotonic); the test stays exact because
+   [Rbb.pop_verified] and [Store_buffer.release_up_to] act only on what is
+   due by the cycle they are given. *)
 let settle t ~cycle =
-  drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
-  release_stores t (Store_buffer.release_up_to t.sb cycle)
+  if Store_buffer.due t.sb cycle || Rbb.due t.rbb ~cycle then begin
+    drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
+    release_stores t (Store_buffer.release_up_to t.sb cycle)
+  end
 
 (* Claim one unit of a resource pool no earlier than [at]; the pool grants
    each unit one operation per cycle. *)

@@ -6,7 +6,9 @@
    The entries live in fixed-size parallel arrays, oldest first in slots
    [0, count), so the per-cycle operations scan a few ints and allocate
    nothing. A quarantined entry (no release time yet) holds [quarantined]
-   in [release_at]. *)
+   in [release_at]. [earliest] is kept equal to the smallest [release_at]
+   by every operation, so the timing models ask whether any release is due
+   in O(1) and skip the scan when none is. *)
 
 let quarantined = max_int
 
@@ -16,6 +18,7 @@ type t = {
   region : int array; (* dynamic region sequence number *)
   is_ckpt : bool array;
   release_at : int array;
+  mutable earliest : int; (* min of [release_at] over [0, count) *)
   mutable count : int;
   mutable occupancy_samples : int;
   mutable occupancy_total : int;
@@ -29,6 +32,7 @@ let create size =
     region = Array.make size 0;
     is_ckpt = Array.make size false;
     release_at = Array.make size quarantined;
+    earliest = quarantined;
     count = 0;
     occupancy_samples = 0;
     occupancy_total = 0;
@@ -52,7 +56,9 @@ let alloc t ~addr ~region ~is_ckpt ~release_at =
   t.addr.(i) <- addr;
   t.region.(i) <- region;
   t.is_ckpt.(i) <- is_ckpt;
-  t.release_at.(i) <- (match release_at with Some r -> r | None -> quarantined);
+  let r = match release_at with Some r -> r | None -> quarantined in
+  t.release_at.(i) <- r;
+  if r < t.earliest then t.earliest <- r;
   t.count <- i + 1
 
 let contains_addr t addr =
@@ -72,48 +78,58 @@ let assign_releases t ~region ~start =
       incr next
     end
   done;
+  if !next > start && start < t.earliest then t.earliest <- start;
   !next
 
 type released = { addr : int; is_ckpt : bool; region : int; at : int }
 
-let release_up_to (t : t) cycle =
-  (* Collect the due entries back to front, so the list comes out oldest
-     first, then close the gaps they leave in one forward pass. *)
-  let released = ref [] in
-  for i = t.count - 1 downto 0 do
-    if t.release_at.(i) <= cycle then
-      released :=
-        {
-          addr = t.addr.(i);
-          is_ckpt = t.is_ckpt.(i);
-          region = t.region.(i);
-          at = t.release_at.(i);
-        }
-        :: !released
-  done;
-  (match !released with
-  | [] -> ()
-  | _ :: _ ->
-    let kept = ref 0 in
-    for i = 0 to t.count - 1 do
-      if t.release_at.(i) > cycle then begin
-        let k = !kept in
-        t.addr.(k) <- t.addr.(i);
-        t.region.(k) <- t.region.(i);
-        t.is_ckpt.(k) <- t.is_ckpt.(i);
-        t.release_at.(k) <- t.release_at.(i);
-        kept := k + 1
-      end
-    done;
-    t.count <- !kept);
-  !released
+let due (t : t) cycle = t.earliest <= cycle
 
-let earliest_release (t : t) =
+(* The smallest release time over [0, count). *)
+let rescan_earliest (t : t) =
   let earliest = ref quarantined in
   for i = 0 to t.count - 1 do
     if t.release_at.(i) < !earliest then earliest := t.release_at.(i)
   done;
-  if !earliest = quarantined then None else Some !earliest
+  t.earliest <- !earliest
+
+let release_up_to (t : t) cycle =
+  if cycle < t.earliest then []
+  else begin
+    (* Collect the due entries back to front, so the list comes out oldest
+       first, then close the gaps they leave in one forward pass. *)
+    let released = ref [] in
+    for i = t.count - 1 downto 0 do
+      if t.release_at.(i) <= cycle then
+        released :=
+          {
+            addr = t.addr.(i);
+            is_ckpt = t.is_ckpt.(i);
+            region = t.region.(i);
+            at = t.release_at.(i);
+          }
+          :: !released
+    done;
+    let kept = ref 0 and earliest = ref quarantined in
+    for i = 0 to t.count - 1 do
+      let r = t.release_at.(i) in
+      if r > cycle then begin
+        let k = !kept in
+        t.addr.(k) <- t.addr.(i);
+        t.region.(k) <- t.region.(i);
+        t.is_ckpt.(k) <- t.is_ckpt.(i);
+        t.release_at.(k) <- r;
+        if r < !earliest then earliest := r;
+        kept := k + 1
+      end
+    done;
+    t.count <- !kept;
+    t.earliest <- !earliest;
+    !released
+  end
+
+let earliest_release (t : t) =
+  if t.earliest = quarantined then None else Some t.earliest
 
 let all_unreleasable (t : t) ~current_region =
   let i = ref 0 in
@@ -134,5 +150,6 @@ let force_release_oldest (t : t) =
     Array.blit t.is_ckpt 1 t.is_ckpt 0 n;
     Array.blit t.release_at 1 t.release_at 0 n;
     t.count <- n;
+    rescan_earliest t;
     Some oldest
   end

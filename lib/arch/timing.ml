@@ -32,6 +32,7 @@ let track_clq = 4
 
 type t = {
   tel : Telemetry.sink;
+  tel_on : bool; (* [Telemetry.enabled tel] *)
   machine : Machine.t;
   mem : Mem_hierarchy.t;
   sb : Store_buffer.t;
@@ -52,6 +53,7 @@ type t = {
 let create ?(tel = Telemetry.null) (machine : Machine.t) =
   {
     tel;
+    tel_on = Telemetry.enabled tel;
     machine;
     mem = Mem_hierarchy.create machine.mem;
     sb = Store_buffer.create machine.sb_size;
@@ -70,10 +72,13 @@ let create ?(tel = Telemetry.null) (machine : Machine.t) =
   }
 
 (* Cycle-stamped timeline events. Every site guards on the sink's immutable
-   [enabled] flag, so a disabled run pays one field load per site and
-   allocates nothing. Timestamps are simulated cycles, never wall clock —
-   that is what makes the export deterministic across [--jobs]. *)
-let ev_enabled t = Telemetry.enabled t.tel
+   [enabled] flag, copied into [t] so that a disabled run pays one field
+   load per site, not a call into [Telemetry] (calls between modules are
+   not inlined when the library is built with [-opaque], as dune's dev
+   profile does), and allocates nothing. Timestamps are simulated cycles,
+   never wall clock — that is what makes the export deterministic across
+   [--jobs]. *)
+let ev_enabled t = t.tel_on
 
 let ev_stall t ~name ~from ~until =
   if ev_enabled t && until > from then
@@ -145,9 +150,14 @@ let rec release_stores t = function
         "release";
     release_stores t rest
 
+(* Nothing is due by [cycle] unless the oldest closed region verifies by
+   then or a store-buffer entry's release time has passed, so [settle]
+   returns at once on most of its calls. *)
 let settle t ~cycle =
-  drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
-  release_stores t (Store_buffer.release_up_to t.sb cycle)
+  if Store_buffer.due t.sb cycle || Rbb.due t.rbb ~cycle then begin
+    drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
+    release_stores t (Store_buffer.release_up_to t.sb cycle)
+  end
 
 (* Move the issue point to [c] (settling background state), resetting the
    per-cycle slot count when the cycle advances. *)

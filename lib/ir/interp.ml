@@ -259,19 +259,26 @@ let run ?(fuel = 10_000_000) ?(hooks = no_hooks) (prog : Prog.t) =
   if not st.halted then raise Out_of_fuel;
   st
 
+(* [trace_run] appends events to chunks of [chunk_size] slots, small
+   enough to be allocated in the minor heap, where storing an event costs
+   no write barrier, and concatenates them once at the end. *)
+let chunk_size = 256
+
 let trace_run ?(fuel = 1_000_000) (prog : Prog.t) =
   let p = decode prog in
   let filler = Trace.Boundary { region = 0 } in
-  let events = ref [||] and n = ref 0 in
+  let full = ref [] (* filled chunks, newest first *) in
+  let chunk = ref (Array.make chunk_size filler) and n = ref 0 in
   let on_event e =
-    if !n = Array.length !events then begin
-      let grown = Array.make (max 1024 (2 * !n)) filler in
-      Array.blit !events 0 grown 0 !n;
-      events := grown
+    if !n = chunk_size then begin
+      full := !chunk :: !full;
+      chunk := Array.make chunk_size filler;
+      n := 0
     end;
-    Array.unsafe_set !events !n e;
+    Array.unsafe_set !chunk !n e;
     incr n
   in
   let st = init prog in
   run_for { no_hooks with on_event } p st ~fuel;
-  ({ Trace.events = Array.sub !events 0 !n; complete = st.halted }, st)
+  let events = Array.concat (List.rev (Array.sub !chunk 0 !n :: !full)) in
+  ({ Trace.events; complete = st.halted }, st)

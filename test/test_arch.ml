@@ -74,6 +74,35 @@ let prop_cache_model_equivalence =
           hit_model = hit_cache)
         addrs)
 
+(* The flat-array cache against the record-per-line one it replaced
+   (test/cache_ref.ml): seeded random geometries and access sequences,
+   reads and writes, with an address space a few times the cache so that
+   sets fill, lines get evicted and dirty victims get written back. Every
+   access must hit or miss alike, and every counter must agree after it. *)
+let test_cache_matches_reference () =
+  for seed = 0 to 299 do
+    let rng = Random.State.make [| seed |] in
+    let int n = Random.State.int rng n in
+    let line_bytes = 1 lsl int 7 and assoc = 1 + int 8 and sets = 1 lsl int 4 in
+    let size_bytes = line_bytes * assoc * sets in
+    let c = Cache.create ~name:"new" ~size_bytes ~assoc ~line_bytes in
+    let r = Cache_ref.create ~name:"ref" ~size_bytes ~assoc ~line_bytes in
+    let span = 1 + int (4 * size_bytes) in
+    for step = 1 to 400 do
+      let addr = if int 50 = 0 then -1 - int span else int span in
+      let write = int 3 = 0 in
+      if Cache.access c ~write addr <> Cache_ref.access r ~write addr then
+        Alcotest.failf "seed %d, access %d (%s %d): hit/miss disagrees with the reference"
+          seed step (if write then "write" else "read") addr;
+      if
+        Cache.hits c <> Cache_ref.hits r
+        || Cache.misses c <> Cache_ref.misses r
+        || Cache.writebacks c <> Cache_ref.writebacks r
+        || Cache.hit_rate c <> Cache_ref.hit_rate r
+      then Alcotest.failf "seed %d, access %d: counters disagree with the reference" seed step
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Mem hierarchy / Sensor *)
 
@@ -315,7 +344,16 @@ let test_sb_matches_reference () =
         Store_buffer.occupancy sb <> Ref_sb.occupancy rf
         || Store_buffer.is_full sb <> Ref_sb.is_full rf
         || Store_buffer.mean_occupancy sb <> Ref_sb.mean_occupancy rf
-      then fail "occupancy"
+      then fail "occupancy";
+      (* The kept earliest release time, against a scan of the reference,
+         and the O(1) due test the timing models gate [settle] on. *)
+      let earliest = Ref_sb.earliest_release rf in
+      if Store_buffer.earliest_release sb <> earliest then fail "kept earliest_release";
+      List.iter
+        (fun c ->
+          let due = match earliest with Some r -> r <= c | None -> false in
+          if Store_buffer.due sb c <> due then fail "due")
+        [ !cycle; !cycle + 5; !cycle + 20 ]
     done
   done
 
@@ -515,6 +553,96 @@ let prop_coloring_single_verified =
         ignore c;
         Coloring.verified_color col ~reg:0 = None)
 
+(* The flat-cell, logged coloring against the cell-scanning one it
+   replaced (test/coloring_ref.ml): seeded random operation sequences over
+   a few registers and pool sizes. Regions open in order and verify oldest
+   first (as in both executors) or out of order; discards, fallback
+   drains, invalidations and deep copies interleave. No register is
+   colored twice in one region here — the rule for that case changed,
+   and [coloring: a repeated coloring in one region] covers it. After
+   every operation every query must answer as the reference's. *)
+let test_coloring_matches_reference () =
+  for seed = 0 to 299 do
+    let rng = Random.State.make [| seed |] in
+    let int n = Random.State.int rng n in
+    let nregs = 1 + int 5 and colors = 1 + int 4 in
+    let col = ref (Coloring.create ~colors ~nregs ())
+    and rf = ref (Coloring_ref.create ~colors ~nregs ()) in
+    let current = ref 0 and pending = ref [] (* oldest first *) in
+    let colored = Hashtbl.create 16 (* (reg, region) pairs colored *) in
+    let fail step op =
+      Alcotest.failf "seed %d, step %d: %s disagrees with the reference" seed step op
+    in
+    let reg () = int (nregs + 2) - 1 (* includes the out-of-range -1 and nregs *) in
+    for step = 1 to 300 do
+      (match int 10 with
+      | 0 | 1 | 2 ->
+        let reg = reg () in
+        if not (Hashtbl.mem colored (reg, !current)) then begin
+          Hashtbl.replace colored (reg, !current) ();
+          if
+            Coloring.try_assign !col ~reg ~region:!current
+            <> Coloring_ref.try_assign !rf ~reg ~region:!current
+          then fail step "try_assign"
+        end
+      | 3 ->
+        pending := !pending @ [ !current ];
+        incr current
+      | 4 -> (
+        match !pending with
+        | oldest :: rest ->
+          Coloring.on_region_verified !col ~region:oldest;
+          Coloring_ref.on_region_verified !rf ~region:oldest;
+          pending := rest
+        | [] -> ())
+      | 5 -> (
+        match !pending with
+        | [] -> ()
+        | l ->
+          let r = List.nth l (int (List.length l)) in
+          Coloring.on_region_verified !col ~region:r;
+          Coloring_ref.on_region_verified !rf ~region:r;
+          pending := List.filter (( <> ) r) l)
+      | 6 ->
+        let regions = List.filter (fun _ -> int 2 = 0) (!current :: !pending) in
+        Coloring.discard_unverified !col ~regions;
+        Coloring_ref.discard_unverified !rf ~regions;
+        pending := List.filter (fun r -> not (List.mem r regions)) !pending
+      | 7 ->
+        let reg = reg () and color = int colors in
+        Coloring.force_verified !col ~reg ~color;
+        Coloring_ref.force_verified !rf ~reg ~color
+      | 8 ->
+        let reg = reg () in
+        Coloring.invalidate_verified !col ~reg;
+        Coloring_ref.invalidate_verified !rf ~reg
+      | _ ->
+        (* Continue on deep copies while the originals take one more
+           assignment each; the copies must not see it. *)
+        let c = Coloring.copy !col and r = Coloring_ref.copy !rf in
+        ignore (Coloring.try_assign !col ~reg:0 ~region:(-5));
+        ignore (Coloring_ref.try_assign !rf ~reg:0 ~region:(-5));
+        col := c;
+        rf := r);
+      if
+        Coloring.fast_assigned !col <> Coloring_ref.fast_assigned !rf
+        || Coloring.fallbacks !col <> Coloring_ref.fallbacks !rf
+      then fail step "counters";
+      for reg = -1 to nregs do
+        if Coloring.verified_color !col ~reg <> Coloring_ref.verified_color !rf ~reg then
+          fail step "verified_color";
+        if Coloring.free_color !col ~reg <> Coloring_ref.free_color !rf ~reg then
+          fail step "free_color";
+        for region = -1 to !current do
+          if
+            Coloring.used_color !col ~reg ~region
+            <> Coloring_ref.used_color !rf ~reg ~region
+          then fail step "used_color"
+        done
+      done
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Timing model on hand-built traces *)
 
@@ -669,6 +797,30 @@ let test_timing_strict_partitioning_raises () =
        ignore (Timing.simulate machine { Trace.events = Array.of_list events; complete = true });
        false
      with Timing.Partitioning_violation _ -> true)
+
+(* The non-strict escape hatch: a region that issues more stores than the
+   SB holds force-releases its oldest entry instead of raising. Region 1
+   first waits for region 0's entries to verify and drain, then overflows
+   the SB three times; the last store waits for region 1 to verify. The
+   scale-1 golden and the sweep never take this path, so these counts pin
+   the forced release, which the settle gate must see like any other. *)
+let test_timing_nonstrict_partitioning () =
+  let store i = Trace.Store { srcs = []; addr = 8 * i; cls = Trace.Regular_app } in
+  let events =
+    [ Trace.Boundary { region = 0 }; store 1; store 2; Trace.Boundary { region = 1 } ]
+    @ List.init 7 (fun i -> store (10 + i))
+    @ [ Trace.Boundary { region = 2 }; store 30; alu () ]
+  in
+  let trace = { Trace.events = Array.of_list events; complete = true } in
+  List.iter
+    (fun (wcdl, cycles, stalls) ->
+      let s = Timing.simulate (Machine.turnstile ~wcdl ()) trace in
+      let what = Printf.sprintf "WCDL %d: " wcdl in
+      check_int (what ^ "partition violations") 3 s.Sim_stats.partition_violations;
+      check_int (what ^ "cycles") cycles s.Sim_stats.cycles;
+      check_int (what ^ "sb-full stall cycles") stalls s.Sim_stats.sb_full_stall_cycles;
+      check_int (what ^ "quarantined") 10 s.Sim_stats.quarantined)
+    [ (10, 26, 19); (30, 66, 59) ]
 
 let test_timing_wcdl_monotonic () =
   (* More WCDL never makes a verified run faster. *)
@@ -839,6 +991,7 @@ let tests =
     ("cache LRU eviction", `Quick, test_cache_lru_eviction);
     ("cache writeback", `Quick, test_cache_writeback);
     ("cache invalid size", `Quick, test_cache_invalid);
+    ("cache matches record-per-line reference", `Quick, test_cache_matches_reference);
     ("hierarchy latencies", `Quick, test_hierarchy_latencies);
     ("hierarchy L2 hit", `Quick, test_hierarchy_l2_hit);
     ("sensor paper anchor", `Quick, test_sensor_anchor);
@@ -860,6 +1013,7 @@ let tests =
     ("coloring pool exhaustion", `Quick, test_coloring_pool_exhaustion);
     ("coloring discard on recovery", `Quick, test_coloring_discard);
     ("coloring fallback drain", `Quick, test_coloring_force_verified);
+    ("coloring matches cell-scanning reference", `Quick, test_coloring_matches_reference);
     ("timing dual issue", `Quick, test_timing_dual_issue);
     ("timing dependent chain", `Quick, test_timing_dependent_chain);
     ("timing load miss latency", `Quick, test_timing_load_latency);
@@ -873,6 +1027,7 @@ let tests =
     ("timing checkpoint coloring", `Quick, test_timing_ckpt_coloring);
     ("timing turnstile ckpt quarantine", `Quick, test_timing_ckpt_without_coloring_quarantines);
     ("timing strict partitioning", `Quick, test_timing_strict_partitioning_raises);
+    ("timing non-strict partitioning", `Quick, test_timing_nonstrict_partitioning);
     ("timing monotonic in WCDL", `Quick, test_timing_wcdl_monotonic);
     ("ooo hides independent latency", `Quick, test_ooo_hides_independent_latency);
     ("ooo window bounds overlap", `Quick, test_ooo_window_bounds_overlap);

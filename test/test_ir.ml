@@ -472,6 +472,42 @@ let test_reference_fuzz () =
         (compiled Scheme.turnstile prog)
   done
 
+(* [Interp.trace_run] fills 256-slot chunks and concatenates them at the
+   end, so a trace that ends just before, at or just after a chunk
+   boundary must come out whole, and so must an empty one. Each step emits
+   at most one event, so bisecting on the fuel finds a cut of any length. *)
+let test_reference_chunk_boundaries () =
+  let prog =
+    compiled Scheme.turnpike ((List.hd (Suite.find_by_name "libquan")).Suite.build ~scale:1)
+  in
+  let events fuel = Trace.length (fst (Interp_ref.trace_run ~fuel prog)) in
+  (* the smallest fuel whose trace has [n] events *)
+  let fuel_for n =
+    let rec above hi = if events hi >= n then hi else above (2 * hi) in
+    let rec bisect lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if events mid >= n then bisect lo mid else bisect (mid + 1) hi
+    in
+    bisect 0 (above n)
+  in
+  List.iter
+    (fun n ->
+      let fuel = fuel_for n in
+      check_int (Printf.sprintf "fuel %d cuts %d events" fuel n) n
+        (Trace.length (fst (Interp.trace_run ~fuel prog)));
+      same_as_reference ~what:(Printf.sprintf "libquan cut at %d events" n) ~fuel prog)
+    [ 255; 256; 257; 511; 512; 513 ];
+  (* A fall-through jump and a return: steps, but no event. *)
+  let b = Builder.create "silent" in
+  Builder.label b "a";
+  Builder.label b "b";
+  Builder.ret b;
+  let silent = Builder.finish b in
+  check_int "silent program: no event" 0 (Trace.length (fst (Interp.trace_run silent)));
+  same_as_reference ~what:"silent program" ~fuel:100 silent
+
 (* ------------------------------------------------------------------ *)
 (* The dense block-index analyses against the string-keyed ones they
    replaced (Analysis_ref): every public query of Cfg, Liveness,
@@ -914,6 +950,7 @@ let tests =
     ("interp mem equality", `Quick, test_interp_mem_equal);
     ("interp = reference on suite kernels", `Quick, test_reference_suite);
     ("interp = reference on fuzzed programs", `Quick, test_reference_fuzz);
+    ("interp = reference at trace chunk boundaries", `Quick, test_reference_chunk_boundaries);
     ("interp trace allocation budget", `Quick, test_trace_alloc_budget);
     ("analyses = reference on kernels, examples, fuzz", `Quick,
       test_analyses_match_reference);

@@ -267,11 +267,9 @@ module Sim_stats = Turnpike_arch.Sim_stats
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let sim_stats_line bench =
-  let p = golden_params in
-  let trace s ~sb_size =
-    (Run.compile_with { p with Run.sb_size } s bench).Run.trace
-  in
+(* One kernel's 13 points (baseline; turnstile and turnpike at each WCDL;
+   OoO baseline and OoO turnstile) at [p], from the traces [trace] gives. *)
+let sweep_points (p : Run.params) ~trace =
   let inorder s ~wcdl ~sb_size tr =
     Timing.simulate (Scheme.machine s ~wcdl ~sb_size) tr
   in
@@ -279,17 +277,22 @@ let sim_stats_line bench =
   let tt = trace Scheme.turnstile ~sb_size:p.Run.sb_size in
   let tp = trace Scheme.turnpike ~sb_size:p.Run.sb_size in
   let at s tr = List.map (fun wcdl -> inorder s ~wcdl ~sb_size:p.Run.sb_size tr) E.wcdls in
-  let points =
-    (inorder Scheme.baseline ~wcdl:p.Run.wcdl ~sb_size:p.Run.baseline_sb tb
-    :: at Scheme.turnstile tt)
-    @ at Scheme.turnpike tp
-    @ [
-        Ooo_timing.simulate Ooo_timing.default_config tb;
-        Ooo_timing.simulate (Ooo_timing.turnstile_config ~wcdl:p.Run.wcdl ()) tt;
-      ]
-  in
+  (inorder Scheme.baseline ~wcdl:p.Run.wcdl ~sb_size:p.Run.baseline_sb tb
+  :: at Scheme.turnstile tt)
+  @ at Scheme.turnpike tp
+  @ [
+      Ooo_timing.simulate Ooo_timing.default_config tb;
+      Ooo_timing.simulate (Ooo_timing.turnstile_config ~wcdl:p.Run.wcdl ()) tt;
+    ]
+
+let points_line bench points =
   ( Suite.qualified_name bench,
     md5 (String.concat "\n" (List.map Sim_stats.to_json points)) )
+
+let sim_stats_line bench =
+  let p = golden_params in
+  let trace s ~sb_size = (Run.compile_with { p with Run.sb_size } s bench).Run.trace in
+  points_line bench (sweep_points p ~trace)
 
 let sim_stats_golden () =
   let libquan = List.hd (Suite.find_by_name "libquan") in
@@ -300,6 +303,31 @@ let sim_stats_golden () =
 let test_golden_sim_stats () =
   Golden_file.check_keyed ~file:"sim_stats.txt" ~what:"simulated statistics"
     (sim_stats_golden ())
+
+(* The same 13 points at the operating point the [sweep] perf workload
+   runs, [Run.default_params] (scale 8, fuel 400000), one line per kernel
+   in test/golden/sim_stats_sweep.txt. The scale-1 golden above leaves
+   some simulator paths cold (longer regions, deeper SB and RBB queues);
+   this one pins every row that workload hashes. Traces are built outside
+   the [Run] cache, one kernel at a time, so the test holds one kernel's
+   traces at once. *)
+let sweep_trace (p : Run.params) prog s ~sb_size =
+  let opts = Scheme.compile_opts s ~sb_size in
+  let compiled = Turnpike_compiler.Pass_pipeline.compile ~opts prog in
+  fst (Turnpike_ir.Interp.trace_run ~fuel:p.Run.fuel compiled.Turnpike_compiler.Pass_pipeline.prog)
+
+let sim_stats_sweep_golden () =
+  let p = Run.default_params in
+  List.map
+    (fun bench ->
+      let prog = bench.Suite.build ~scale:p.Run.scale in
+      points_line bench (sweep_points p ~trace:(sweep_trace p prog)))
+    (Suite.all ())
+
+let test_golden_sim_stats_sweep () =
+  Golden_file.check_keyed ~file:"sim_stats_sweep.txt"
+    ~what:"simulated statistics at the sweep operating point"
+    (sim_stats_sweep_golden ())
 
 (* Every explorer score on the default grid, pinned: one line per design
    point (scale 1, fuel 20000, seed 7, default benches) holding the four
@@ -339,5 +367,6 @@ let tests =
     Alcotest.test_case "golden-fig20" `Slow test_golden_fig20;
     Alcotest.test_case "golden-fig14-15" `Slow test_golden_fig14_15;
     Alcotest.test_case "golden-sim-stats" `Slow test_golden_sim_stats;
+    Alcotest.test_case "golden-sim-stats-sweep" `Slow test_golden_sim_stats_sweep;
     Alcotest.test_case "golden-explore" `Slow test_golden_explore;
   ]

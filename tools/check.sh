@@ -3,7 +3,10 @@
 #
 #   tools/check.sh            build, run the test suite, then verify that
 #                             --jobs 1 and --jobs 4 produce byte-identical
-#                             output for the experiment grid (fig19 CSV),
+#                             output for the experiment grid (the fig19
+#                             and fig20 CSVs and stdout, and the
+#                             motivation table, which runs the
+#                             out-of-order model),
 #                             the fault-injection campaign (resilience
 #                             table), and the telemetry timeline export
 #                             (turnpike-cli trace), which must also be
@@ -48,19 +51,20 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== determinism smoke: fig19 CSV at --jobs 1 vs --jobs 4 =="
+echo "== determinism smoke: fig19, fig20, motivation at --jobs 1 vs --jobs 4 =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/csv1" "$tmp/csv4"
-dune exec --no-build bench/main.exe -- fig19 --scale 1 --fuel 20000 \
-  --jobs 1 --csv "$tmp/csv1" > "$tmp/fig19_j1.txt"
-dune exec --no-build bench/main.exe -- fig19 --scale 1 --fuel 20000 \
-  --jobs 4 --csv "$tmp/csv4" > "$tmp/fig19_j4.txt"
+dune exec --no-build bench/main.exe -- fig19 fig20 motivation --scale 1 \
+  --fuel 20000 --jobs 1 --csv "$tmp/csv1" > "$tmp/figs_j1.txt"
+dune exec --no-build bench/main.exe -- fig19 fig20 motivation --scale 1 \
+  --fuel 20000 --jobs 4 --csv "$tmp/csv4" > "$tmp/figs_j4.txt"
 diff -r "$tmp/csv1" "$tmp/csv4"
-# The "[csv written to ...]" line names the (different) temp dirs; every
-# other stdout byte must match.
-diff <(grep -v '^\[csv written' "$tmp/fig19_j1.txt") \
-     <(grep -v '^\[csv written' "$tmp/fig19_j4.txt")
+# The "[csv written to ...]" lines name the (different) temp dirs; every
+# other stdout byte must match, the motivation table's OoO overheads
+# included.
+diff <(grep -v '^\[csv written' "$tmp/figs_j1.txt") \
+     <(grep -v '^\[csv written' "$tmp/figs_j4.txt")
 
 echo "== determinism smoke: injection campaign at --jobs 1 vs --jobs 4 =="
 dune exec --no-build bench/main.exe -- resilience --scale 2 --fuel 20000 \
