@@ -19,8 +19,6 @@ type t = {
   cells : int array; (* cells.(reg * colors + color) *)
   mutable log : int array; (* (region, reg, color) triples, oldest first *)
   mutable logged : int; (* triples in [log] *)
-  seen : int array; (* per register: the last [epoch] that promoted it *)
-  mutable epoch : int; (* verifications so far *)
   mutable fast_assigned : int;
   mutable fallbacks : int;
 }
@@ -34,19 +32,11 @@ let create ?(colors = Turnpike_ir.Layout.colors) ~nregs () =
     cells = Array.make (nregs * colors) free;
     log = Array.make 48 0;
     logged = 0;
-    seen = Array.make nregs 0;
-    epoch = 0;
     fast_assigned = 0;
     fallbacks = 0;
   }
 
-let copy t =
-  {
-    t with
-    cells = Array.copy t.cells;
-    log = Array.copy t.log;
-    seen = Array.copy t.seen;
-  }
+let copy t = { t with cells = Array.copy t.cells; log = Array.copy t.log }
 
 let in_range t reg = reg >= 0 && reg < t.nregs
 
@@ -103,11 +93,13 @@ let keep_entry t ~i ~kept =
   end
 
 let on_region_verified t ~region =
-  (* For every register [region] checkpointed through a color: the
-     highest-index color the region holds for it becomes the verified one,
-     and the old verified color returns to the pool. Runs at every region
-     verification, so it loops rather than allocating closures. *)
-  t.epoch <- t.epoch + 1;
+  (* The region's colorings, in assignment order: each color becomes its
+     register's verified one and the color verified before it returns to
+     the pool, so a register colored twice ends with its newest checkpoint
+     verified and no color left held by a verified region. A logged color
+     that no longer holds the region (a fallback drain took it) is
+     skipped. Runs at every region verification, so it loops rather than
+     allocating closures. *)
   let kept = ref 0 in
   for i = 0 to t.logged - 1 do
     if t.log.(3 * i) <> region then begin
@@ -115,18 +107,11 @@ let on_region_verified t ~region =
       incr kept
     end
     else begin
-      let reg = t.log.((3 * i) + 1) in
-      if t.seen.(reg) <> t.epoch then begin
-        t.seen.(reg) <- t.epoch;
-        let base = reg * t.colors in
-        let newly = ref (-1) in
-        for c = 0 to t.colors - 1 do
-          if t.cells.(base + c) = region then newly := c
-        done;
-        if !newly >= 0 then begin
-          free_verified t ~reg ~keep:(-1);
-          t.cells.(base + !newly) <- verified
-        end
+      let reg = t.log.((3 * i) + 1) and color = t.log.((3 * i) + 2) in
+      let cell = (reg * t.colors) + color in
+      if t.cells.(cell) = region then begin
+        free_verified t ~reg ~keep:color;
+        t.cells.(cell) <- verified
       end
     end
   done;

@@ -28,9 +28,12 @@ val try_assign : t -> reg:int -> region:int -> int option
     for that register is exhausted or [reg] is out of range. *)
 
 val on_region_verified : t -> region:int -> unit
-(** Region verified: for each register it checkpointed through a color, the
-    old verified color returns to the pool and the region's color becomes
-    the verified one. *)
+(** Region verified: its colorings take effect in the order they were
+    assigned. Each color becomes its register's verified color, and the
+    color verified before it returns to the pool. A register the region
+    colored more than once thus ends with its last coloring verified — the
+    newest checkpoint, the one recovery reads — and its earlier colors back
+    in the pool. *)
 
 val verified_color : t -> reg:int -> int option
 (** Color holding the most recently verified checkpoint of [reg] — where

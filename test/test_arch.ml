@@ -553,14 +553,46 @@ let prop_coloring_single_verified =
         ignore c;
         Coloring.verified_color col ~reg:0 = None)
 
+(* A region that colors one register twice. Its colorings take effect in
+   assignment order, so the newest checkpoint ends verified — the one
+   [Recovery.verify_region]'s last-checkpoint-wins replay points at — and
+   the older color goes back to the pool instead of staying held by a
+   region that has already verified. *)
+let test_coloring_repeated_in_region () =
+  let col = Coloring.create ~colors:4 ~nregs:2 () in
+  let assign region =
+    match Coloring.try_assign col ~reg:1 ~region with
+    | Some c -> c
+    | None -> Alcotest.failf "region %d: pool exhausted" region
+  in
+  check_int "region 0 takes color 0" 0 (assign 0);
+  check_int "region 1 takes color 1" 1 (assign 1);
+  check_int "region 2 takes color 2" 2 (assign 2);
+  Coloring.on_region_verified col ~region:0;
+  Coloring.on_region_verified col ~region:1;
+  (* Region 2 checkpoints the register again: color 0 is free again, so
+     the newer checkpoint takes the lower index. *)
+  check_int "region 2 again takes color 0" 0 (assign 2);
+  Coloring.on_region_verified col ~region:2;
+  Alcotest.(check (option int)) "the newest checkpoint is verified" (Some 0)
+    (Coloring.verified_color col ~reg:1);
+  Alcotest.(check (option int)) "region 2 holds no color" None
+    (Coloring.used_color col ~reg:1 ~region:2);
+  (* Every color but the verified one is free: three fast assignments. *)
+  List.iter
+    (fun expected -> check_int "freed color reused" expected (assign 3))
+    [ 1; 2; 3 ];
+  check "then the pool is exhausted" true (Coloring.try_assign col ~reg:1 ~region:3 = None)
+
 (* The flat-cell, logged coloring against the cell-scanning one it
    replaced (test/coloring_ref.ml): seeded random operation sequences over
    a few registers and pool sizes. Regions open in order and verify oldest
    first (as in both executors) or out of order; discards, fallback
    drains, invalidations and deep copies interleave. No register is
-   colored twice in one region here — the rule for that case changed,
-   and [coloring: a repeated coloring in one region] covers it. After
-   every operation every query must answer as the reference's. *)
+   colored twice in one region here: the rule for that case changed (a
+   region's colorings now take effect in assignment order), and
+   [test_coloring_repeated_in_region] covers it. After every operation
+   every query must answer as the reference's. *)
 let test_coloring_matches_reference () =
   for seed = 0 to 299 do
     let rng = Random.State.make [| seed |] in
@@ -1013,6 +1045,8 @@ let tests =
     ("coloring pool exhaustion", `Quick, test_coloring_pool_exhaustion);
     ("coloring discard on recovery", `Quick, test_coloring_discard);
     ("coloring fallback drain", `Quick, test_coloring_force_verified);
+    ("coloring: a register colored twice in one region", `Quick,
+      test_coloring_repeated_in_region);
     ("coloring matches cell-scanning reference", `Quick, test_coloring_matches_reference);
     ("timing dual issue", `Quick, test_timing_dual_issue);
     ("timing dependent chain", `Quick, test_timing_dependent_chain);
