@@ -59,14 +59,17 @@ let access t ~write addr =
   let first = (line_addr land t.set_mask) * t.assoc in
   let stop = first + t.assoc in
   let tag = line_addr lsr t.set_bits in
-  (* A tag is resident in at most one valid way. *)
+  let tags = t.tags and lru = t.lru in
+  (* [first, stop) lies inside the arrays: [set_mask] keeps the set index
+     below the number of sets. A tag is resident in at most one valid
+     way. *)
   let i = ref first in
-  while !i < stop && not (t.tags.(!i) = tag && t.lru.(!i) <> 0) do
+  while !i < stop && not (Array.unsafe_get tags !i = tag && Array.unsafe_get lru !i <> 0) do
     incr i
   done;
   if !i < stop then begin
     touch t !i;
-    if write then Bytes.set t.dirty !i '\001';
+    if write then Bytes.unsafe_set t.dirty !i '\001';
     t.hits <- t.hits + 1;
     `Hit
   end
@@ -74,13 +77,13 @@ let access t ~write addr =
     t.misses <- t.misses + 1;
     let victim = ref first in
     for w = first + 1 to stop - 1 do
-      if t.lru.(w) <= t.lru.(!victim) then victim := w
+      if Array.unsafe_get lru w <= Array.unsafe_get lru !victim then victim := w
     done;
     let v = !victim in
     (* Only a valid line was ever written, so a dirty victim is valid. *)
-    if Bytes.get t.dirty v = '\001' then t.writebacks <- t.writebacks + 1;
-    t.tags.(v) <- tag;
-    Bytes.set t.dirty v (if write then '\001' else '\000');
+    if Bytes.unsafe_get t.dirty v = '\001' then t.writebacks <- t.writebacks + 1;
+    Array.unsafe_set tags v tag;
+    Bytes.unsafe_set t.dirty v (if write then '\001' else '\000');
     touch t v;
     `Miss
   end

@@ -16,8 +16,11 @@ let rec latest_from t acc = function
 
 let latest t srcs = latest_from t 0 srcs
 
+(* Compares with [Reg.zero] rather than calling [Reg.is_zero]: this runs
+   on every simulated register write, and a call into another library is
+   not inlined when it is built with [-opaque] (dune's dev profile). *)
 let set t r c =
-  if not (Turnpike_ir.Reg.is_zero r) then begin
+  if r <> Turnpike_ir.Reg.zero then begin
     let n = Array.length t.cycles in
     if r >= n then begin
       let grown = Array.make (Int.max (r + 1) (2 * n)) 0 in
