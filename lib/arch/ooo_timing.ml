@@ -54,6 +54,7 @@ type t = {
   mutable issued : int;
   mutable drain_free_at : int;
   mutable last_completion : int;
+  mutable due_at : int; (* no background event is due before this cycle *)
   stats : Sim_stats.t;
 }
 
@@ -73,6 +74,7 @@ let create cfg =
     issued = 0;
     drain_free_at = 0;
     last_completion = 0;
+    due_at = max_int;
     stats = Sim_stats.create ();
   }
 
@@ -92,15 +94,21 @@ let rec release_stores t = function
     Mem_hierarchy.store_release t.mem r.Store_buffer.addr;
     release_stores t rest
 
-(* Returns at once unless a region verifies or an SB entry's release time
-   has passed by [cycle]. [cycle] may be earlier than on the previous call
-   (dispatch cycles are not monotonic); the test stays exact because
+let next_due t =
+  let r = match Store_buffer.earliest_release t.sb with Some r -> r | None -> max_int in
+  match Rbb.next_verify_time t.rbb with Some v -> Int.min r v | None -> r
+
+(* As in {!Timing}: [due_at] never exceeds [next_due t], so [settle]
+   returns at once unless a release or a verification may be due by
+   [cycle]. [cycle] may be earlier than on the previous call (dispatch
+   cycles are not monotonic); the gate stays exact because
    [Rbb.pop_verified] and [Store_buffer.release_up_to] act only on what is
    due by the cycle they are given. *)
 let settle t ~cycle =
-  if Store_buffer.due t.sb cycle || Rbb.due t.rbb ~cycle then begin
+  if cycle >= t.due_at then begin
     drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
-    release_stores t (Store_buffer.release_up_to t.sb cycle)
+    release_stores t (Store_buffer.release_up_to t.sb cycle);
+    t.due_at <- next_due t
   end
 
 (* Claim one unit of a resource pool no earlier than [at]; the pool grants
@@ -176,7 +184,10 @@ let store t ~ready ~addr ~is_ckpt =
       ~release_at:None;
     t.stats.Sim_stats.quarantined <- t.stats.Sim_stats.quarantined + 1
   end
-  else Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(Some (at + 2));
+  else begin
+    Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(Some (at + 2));
+    t.due_at <- Int.min t.due_at (at + 2)
+  end;
   if is_ckpt then t.stats.Sim_stats.ckpts <- t.stats.Sim_stats.ckpts + 1
   else t.stats.Sim_stats.stores <- t.stats.Sim_stats.stores + 1
 
@@ -185,7 +196,8 @@ let run_event t (e : Trace.event) =
   | Trace.Boundary { region } ->
     (match Rbb.current t.rbb with
     | Some _ ->
-      ignore (Rbb.close_region t.rbb ~end_cycle:t.last_completion ~wcdl:t.cfg.wcdl)
+      ignore (Rbb.close_region t.rbb ~end_cycle:t.last_completion ~wcdl:t.cfg.wcdl);
+      t.due_at <- Int.min t.due_at (t.last_completion + t.cfg.wcdl)
     | None -> ());
     (* The 16-entry RBB of an OoO core effectively never fills on these
        traces; regions open at the current completion frontier. *)

@@ -45,11 +45,6 @@ let next_verify_time t =
   | [] -> None
   | r :: _ -> r.verify_at
 
-let due t ~cycle =
-  match t.pending with
-  | { verify_at = Some v; _ } :: _ -> v <= cycle
-  | _ -> false
-
 let rec pop_verified t ~cycle =
   (* Regions verify in order; pop every closed region whose WCDL window has
      elapsed by [cycle], oldest first. *)

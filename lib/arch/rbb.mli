@@ -36,10 +36,6 @@ val close_region : t -> end_cycle:int -> wcdl:int -> region
 val next_verify_time : t -> int option
 (** Verification time of the oldest closed region. *)
 
-val due : t -> cycle:int -> bool
-(** The oldest closed region verifies by [cycle]: exactly when
-    {!pop_verified} would pop one. Allocation-free. *)
-
 val pop_verified : t -> cycle:int -> region list
 (** Remove (in order) every closed region verified by [cycle]. Allocates
     nothing when none is. *)

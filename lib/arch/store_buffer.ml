@@ -7,8 +7,8 @@
    [0, count), so the per-cycle operations scan a few ints and allocate
    nothing. A quarantined entry (no release time yet) holds [quarantined]
    in [release_at]. [earliest] is kept equal to the smallest [release_at]
-   by every operation, so the timing models ask whether any release is due
-   in O(1) and skip the scan when none is. *)
+   by every operation, so the timing models learn when the next release is
+   due in O(1), and [release_up_to] skips its scan when none is. *)
 
 let quarantined = max_int
 
@@ -82,8 +82,6 @@ let assign_releases t ~region ~start =
   !next
 
 type released = { addr : int; is_ckpt : bool; region : int; at : int }
-
-let due (t : t) cycle = t.earliest <= cycle
 
 (* The smallest release time over [0, count). *)
 let rescan_earliest (t : t) =

@@ -49,11 +49,6 @@ val earliest_release : t -> int option
 (** Earliest assigned release time, if any entry has one. Kept current by
     every operation, so it costs O(1). *)
 
-val due : t -> int -> bool
-(** [due t cycle]: some entry's release time has passed by [cycle] —
-    exactly when [release_up_to t cycle] would release an entry. O(1) and
-    allocation-free: the timing models test it before they settle. *)
-
 val all_unreleasable : t -> current_region:int -> bool
 (** True when the buffer is non-empty and every entry belongs to the
     still-open region — the deadlock the SB-aware partitioner must

@@ -48,6 +48,7 @@ type t = {
   mutable store_port_cycle : int; (* last cycle the store AGU was used *)
   mutable fetch_ready : int; (* earliest issue after a taken branch *)
   mutable drain_free_at : int; (* next free SB->L1 drain cycle *)
+  mutable due_at : int; (* no background event is due before this cycle *)
 }
 
 let create ?(tel = Telemetry.null) (machine : Machine.t) =
@@ -69,6 +70,7 @@ let create ?(tel = Telemetry.null) (machine : Machine.t) =
     store_port_cycle = -1;
     fetch_ready = 0;
     drain_free_at = 0;
+    due_at = max_int;
   }
 
 (* Cycle-stamped timeline events. Every site guards on the sink's immutable
@@ -150,13 +152,22 @@ let rec release_stores t = function
         "release";
     release_stores t rest
 
-(* Nothing is due by [cycle] unless the oldest closed region verifies by
-   then or a store-buffer entry's release time has passed, so [settle]
-   returns at once on most of its calls. *)
+(* The sooner of the store buffer's earliest release and the oldest closed
+   region's verification: before it, [settle] has nothing to do. *)
+let next_due t =
+  let r = match Store_buffer.earliest_release t.sb with Some r -> r | None -> max_int in
+  match Rbb.next_verify_time t.rbb with Some v -> Int.min r v | None -> r
+
+(* [due_at] never exceeds [next_due t]: [settle] recomputes it after doing
+   work, and the two operations that can bring either time forward (a
+   baseline store's release time, a region closing) lower it. So [settle]
+   returns at once on most of its calls without a call into another
+   module. *)
 let settle t ~cycle =
-  if Store_buffer.due t.sb cycle || Rbb.due t.rbb ~cycle then begin
+  if cycle >= t.due_at then begin
     drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
-    release_stores t (Store_buffer.release_up_to t.sb cycle)
+    release_stores t (Store_buffer.release_up_to t.sb cycle);
+    t.due_at <- next_due t
   end
 
 (* Move the issue point to [c] (settling background state), resetting the
@@ -240,7 +251,9 @@ let handle_boundary t ~static_id =
   (* Close the running region, if any. *)
   (match Rbb.current t.rbb with
   | Some _ ->
-    ev_region_close t (Rbb.close_region t.rbb ~end_cycle:t.cycle ~wcdl:t.machine.wcdl)
+    let r = Rbb.close_region t.rbb ~end_cycle:t.cycle ~wcdl:t.machine.wcdl in
+    t.due_at <- Int.min t.due_at (t.cycle + t.machine.wcdl);
+    ev_region_close t r
   | None -> ());
   (* A new region needs an RBB entry: stall while too many regions are
      still unverified. *)
@@ -273,8 +286,9 @@ let handle_store t ~ready ~addr ~is_ckpt =
     (* Baseline: a store occupies the SB briefly while it drains to L1. *)
     if Store_buffer.is_full t.sb then wait_for_sb_entry t;
     let c = issue t ~ready ~port:Store_port in
-    Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt
-      ~release_at:(Some (c + t.machine.baseline_drain))
+    let release = c + t.machine.baseline_drain in
+    Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(Some release);
+    t.due_at <- Int.min t.due_at release
   end
   else begin
     let region = Rbb.current_seq t.rbb in

@@ -345,15 +345,10 @@ let test_sb_matches_reference () =
         || Store_buffer.is_full sb <> Ref_sb.is_full rf
         || Store_buffer.mean_occupancy sb <> Ref_sb.mean_occupancy rf
       then fail "occupancy";
-      (* The kept earliest release time, against a scan of the reference,
-         and the O(1) due test the timing models gate [settle] on. *)
-      let earliest = Ref_sb.earliest_release rf in
-      if Store_buffer.earliest_release sb <> earliest then fail "kept earliest_release";
-      List.iter
-        (fun c ->
-          let due = match earliest with Some r -> r <= c | None -> false in
-          if Store_buffer.due sb c <> due then fail "due")
-        [ !cycle; !cycle + 5; !cycle + 20 ]
+      (* The kept earliest release time, which the timing models gate
+         [settle] on, against a scan of the reference. *)
+      if Store_buffer.earliest_release sb <> Ref_sb.earliest_release rf then
+        fail "kept earliest_release"
     done
   done
 
