@@ -239,7 +239,10 @@ let run_event t (e : Trace.event) =
 let simulate cfg trace =
   let t = create cfg in
   ignore (Rbb.open_region t.rbb ~static_id:(-1));
-  Trace.iter (run_event t) trace;
+  let events = trace.Trace.events in
+  for i = 0 to Array.length events - 1 do
+    run_event t events.(i)
+  done;
   t.stats.Sim_stats.cycles <- t.last_completion + 1;
   t.stats.Sim_stats.complete <- trace.Trace.complete;
   t.stats.Sim_stats.branch_mispredicts <- Branch_predictor.mispredicts t.predictor;
