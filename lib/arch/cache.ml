@@ -3,7 +3,7 @@
    only tracks hit/miss state.
 
    The lines are three flat arrays indexed by [set * assoc + way], so a
-   probe scans consecutive ints instead of chasing one record per way. A
+   probe scans consecutive ints. A
    line's LRU stamp is the tick of its last access, and 0 while the line
    is invalid: lines never go invalid once filled, and every access stamps
    a fresh tick, so the victim (the last invalid way, else the least

@@ -7,8 +7,8 @@
    The three maps are one flat int cell per (register, color): [free],
    [verified], or the dynamic region that uses it. A log keeps every
    coloring of a region not yet verified, in assignment order, so a
-   verification or a discard visits only the registers its regions colored
-   instead of every cell. *)
+   verification or a discard visits only the registers its regions
+   colored. *)
 
 let free = min_int
 let verified = min_int + 1
