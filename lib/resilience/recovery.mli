@@ -124,14 +124,15 @@ val resume :
   snapshots:snapshot array ->
   pilot_outcome:outcome ->
   from:snapshot ->
-  fault:Fault.t ->
+  faults:Fault.t list ->
   Pass_pipeline.t ->
   outcome
-(** Fork a single-fault run from [from] (which must satisfy
-    [snapshot_step from <= fault.at_step]) recorded by a {!capture_pilot}
-    of the same [config] and compiled program. The outcome's [state],
-    [recoveries] and [detections] are byte-identical to
-    [run ~fault ~config]; on a convergence early exit the release/ckpt
+(** Fork a run with [faults] (none, one or several, sorted as {!run}
+    sorts them) from [from], which must precede every strike
+    ([snapshot_step from <= f.at_step] for each fault [f]) and be recorded
+    by a {!capture_pilot} of the same [config] and compiled program. The
+    outcome's [state], [recoveries] and [detections] are byte-identical to
+    [run ~faults ~config]; on a convergence early exit the release/ckpt
     counters reflect only the work the fork actually executed, and the
     state is the pilot's final state with its own copy of the registers
     and a fork of the memory, so writing to it reaches neither the pilot

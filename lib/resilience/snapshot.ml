@@ -40,4 +40,4 @@ let fork ?tel plan (fault : Fault.t) =
   Recovery.resume ~config:plan.config ?tel ~snapshots:plan.snaps
     ~pilot_outcome:plan.pilot
     ~from:(nearest plan ~step:fault.Fault.at_step)
-    ~fault plan.compiled
+    ~faults:[ fault ] plan.compiled

@@ -634,8 +634,10 @@ let prop_executor_matches_interp_no_fault =
 (* ------------------------------------------------------------------ *)
 (* Campaign golden: fork = scratch compares two paths of one build, so
    this pins campaign behaviour across commits. For every suite kernel at
-   scale 1, under the Turnpike recovery config (turnpike binary) and the
-   Turnstile one (turnstile binary), one line holds the MD5 of the
+   scale 1, under each config of [campaign_configs] (the Turnpike and
+   Turnstile ones on their own binaries; unsafe release, static claims
+   and a 10-step verification delay on the turnpike binary), one line
+   holds the MD5 of the
    outcomes of 24 seeded faults forked from a snapshot plan, the pilot's
    final step count and the plan's snapshot count; one more line pins the
    forensic event stream of libquan's first fault. A change to the
@@ -648,6 +650,17 @@ let campaign_configs =
   [
     ("default", Turnpike.Scheme.turnpike, Recovery.default_config);
     ("turnstile", Turnpike.Scheme.turnstile, Recovery.turnstile_config);
+    (* Fig 16: checkpoints released without coloring (SDCs and recovery
+       failures, not only recoveries). *)
+    ( "unsafe",
+      Turnpike.Scheme.turnpike,
+      { Recovery.default_config with Recovery.coloring = false; unsafe_ckpt_release = true } );
+    (* The pipeline's static release claims in place of the CLQ. *)
+    ( "claims",
+      Turnpike.Scheme.turnpike,
+      { Recovery.default_config with Recovery.honor_static_claims = true; clq = None } );
+    (* The WCDL the explorer passes as a step count. *)
+    ("delay10", Turnpike.Scheme.turnpike, { Recovery.default_config with Recovery.verify_delay = 10 });
   ]
 
 let golden_campaign scheme config b =
@@ -693,6 +706,173 @@ let test_golden_campaigns () =
   Golden_file.check_keyed ~file:"campaigns.txt" ~what:"campaign outcomes"
     (campaign_golden ())
 
+(* ------------------------------------------------------------------ *)
+(* Reference executor differential: [Recovery] only skips work that is
+   not due, so on every kernel at scale 1, under four configs and four
+   verification delays, it must produce exactly what [Recovery_ref] (the
+   per-step executor it replaced) produces: every memory word, checkpoint
+   storage included, the registers, pc, step count, recoveries,
+   detections and release counters, or the same exception; and the same
+   forensic bytes. Runs: fault-free, 8 single faults and one 2-fault run,
+   each from scratch and forked from a pilot snapshot. *)
+
+module Telemetry = Turnpike_telemetry
+
+type observed =
+  | Done of {
+      state : Interp.state;
+      recoveries : int;
+      detections : string list;
+      released : int * int * int; (* fast-released, colored, quarantined *)
+    }
+  | Raised of string
+
+(* Registers past either file's end read 0; every memory word counts,
+   checkpoint storage included. *)
+let same_state (a : Interp.state) (b : Interp.state) =
+  let get r i = if i < Array.length r then r.(i) else 0 in
+  let n = max (Array.length a.Interp.regs) (Array.length b.Interp.regs) in
+  List.for_all (fun i -> get a.Interp.regs i = get b.Interp.regs i) (List.init n Fun.id)
+  && (a.Interp.block, a.Interp.index, a.Interp.halted, a.Interp.steps)
+     = (b.Interp.block, b.Interp.index, b.Interp.halted, b.Interp.steps)
+  && Mem.first_diff a.Interp.mem b.Interp.mem = None
+
+let same_observed a b =
+  match (a, b) with
+  | Done a, Done b ->
+    same_state a.state b.state
+    && (a.recoveries, a.detections, a.released) = (b.recoveries, b.detections, b.released)
+  | Raised a, Raised b -> a = b
+  | Done _, Raised _ | Raised _, Done _ -> false
+
+let observe_new run =
+  match run () with
+  | (o : Recovery.outcome) ->
+    Done
+      {
+        state = o.Recovery.state;
+        recoveries = o.Recovery.recoveries;
+        detections =
+          List.map (function Recovery.Sensor -> "sensor" | Recovery.Parity -> "parity")
+            o.Recovery.detections;
+        released =
+          (o.Recovery.fast_released_stores, o.Recovery.colored_ckpts, o.Recovery.quarantined_writes);
+      }
+  | exception Recovery.Recovery_failed m -> Raised ("recovery failed: " ^ m)
+  | exception Recovery.Out_of_fuel { recoveries; steps } ->
+    Raised (Printf.sprintf "out of fuel: %d %d" recoveries steps)
+
+let observe_ref run =
+  match run () with
+  | (o : Recovery_ref.outcome) ->
+    Done
+      {
+        state = o.Recovery_ref.state;
+        recoveries = o.Recovery_ref.recoveries;
+        detections =
+          List.map
+            (function Recovery_ref.Sensor -> "sensor" | Recovery_ref.Parity -> "parity")
+            o.Recovery_ref.detections;
+        released =
+          ( o.Recovery_ref.fast_released_stores,
+            o.Recovery_ref.colored_ckpts,
+            o.Recovery_ref.quarantined_writes );
+      }
+  | exception Recovery_ref.Recovery_failed m -> Raised ("recovery failed: " ^ m)
+  | exception Recovery_ref.Out_of_fuel { recoveries; steps } ->
+    Raised (Printf.sprintf "out of fuel: %d %d" recoveries steps)
+
+(* One run's outcome and forensic bytes. *)
+let with_sink run =
+  let sink = Telemetry.create () in
+  let o = run sink in
+  (o, Telemetry.Export.jsonl (Telemetry.events sink))
+
+let differential_configs =
+  [
+    ("default", Turnpike.Scheme.turnpike, Recovery.default_config, Recovery_ref.default_config);
+    ("turnstile", Turnpike.Scheme.turnstile, Recovery.turnstile_config, Recovery_ref.turnstile_config);
+    ( "unsafe",
+      Turnpike.Scheme.turnpike,
+      { Recovery.default_config with Recovery.coloring = false; unsafe_ckpt_release = true },
+      { Recovery_ref.default_config with Recovery_ref.coloring = false; unsafe_ckpt_release = true } );
+    ( "claims",
+      Turnpike.Scheme.turnpike,
+      { Recovery.default_config with Recovery.honor_static_claims = true; clq = None },
+      { Recovery_ref.default_config with Recovery_ref.honor_static_claims = true; clq = None } );
+  ]
+
+(* The runs of one kernel whose outcome or forensic bytes differ from the
+   reference's. *)
+let differential_kernel b =
+  List.concat_map
+    (fun (tag, scheme, config, ref_config) ->
+      let c = Turnpike.Run.compile_with small_params scheme b in
+      let compiled = c.Turnpike.Run.compiled and trace = c.Turnpike.Run.trace in
+      let singles = List.map (fun f -> [ f ]) (Injector.campaign ~seed:3 ~count:8 trace) in
+      let runs = ([] :: singles) @ [ Injector.campaign ~seed:5 ~count:2 trace ] in
+      List.concat_map
+        (fun verify_delay ->
+          let config = { config with Recovery.verify_delay }
+          and ref_config = { ref_config with Recovery_ref.verify_delay } in
+          let plan = Snapshot.record ~config ~every:256 compiled in
+          let ref_pilot, ref_snaps = Recovery_ref.capture_pilot ~config:ref_config ~every:256 compiled in
+          let last = (Snapshot.pilot_outcome plan).Recovery.state.Interp.steps in
+          List.concat
+          @@ List.mapi
+            (fun i faults ->
+              (* A fault-free run forks from the middle of the pilot. *)
+              let first =
+                List.fold_left (fun m (f : Fault.t) -> min m f.Fault.at_step) (last / 2) faults
+              in
+              let ref_from =
+                Array.fold_left
+                  (fun acc s -> if Recovery_ref.snapshot_step s <= first then s else acc)
+                  ref_snaps.(0) ref_snaps
+              in
+              let pairs =
+                [
+                  ( "scratch",
+                    with_sink (fun tel ->
+                        observe_new (fun () -> Recovery.run ~faults ~config ~tel compiled)),
+                    with_sink (fun tel ->
+                        observe_ref (fun () ->
+                            Recovery_ref.run ~faults ~config:ref_config ~tel compiled)) );
+                  ( "forked",
+                    with_sink (fun tel ->
+                        observe_new (fun () ->
+                            Recovery.resume ~config ~tel ~snapshots:plan.Snapshot.snaps
+                              ~pilot_outcome:(Snapshot.pilot_outcome plan)
+                              ~from:(Snapshot.nearest plan ~step:first) ~faults compiled)),
+                    with_sink (fun tel ->
+                        observe_ref (fun () ->
+                            Recovery_ref.resume ~config:ref_config ~tel ~snapshots:ref_snaps
+                              ~pilot_outcome:ref_pilot ~from:ref_from ~faults compiled)) );
+                ]
+              in
+              List.filter_map
+                (fun (path, (got, got_bytes), (want, want_bytes)) ->
+                  let what =
+                    Printf.sprintf "%s/%s delay %d run %d %s" (Suite.qualified_name b) tag
+                      verify_delay i path
+                  in
+                  if not (same_observed got want) then Some (what ^ ": outcome")
+                  else if got_bytes <> want_bytes then Some (what ^ ": forensic bytes")
+                  else None)
+                pairs)
+            runs)
+        [ 0; 1; 10; 40 ])
+    differential_configs
+
+let test_reference_differential () =
+  match
+    List.concat (Turnpike_parallel.map_list ~jobs:2 differential_kernel (Suite.all ()))
+  with
+  | [] -> ()
+  | first :: _ as bad ->
+    Alcotest.failf "%d runs differ from the reference executor, first %s" (List.length bad)
+      first
+
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
     [ prop_random_faults_recover; prop_random_faults_recover_histogram;
@@ -718,6 +898,7 @@ let tests =
     ("CI stopping deterministic", `Slow, test_ci_stopping_deterministic);
     ("CI stopping on an exhausted supply", `Quick, test_ci_stopping_exhausted_supply);
     ("golden campaigns", `Slow, test_golden_campaigns);
+    ("executor = reference executor", `Slow, test_reference_differential);
     ("no-fault matches golden", `Quick, test_no_fault_matches_golden);
     ("no-fault turnstile config", `Quick, test_no_fault_turnstile_config);
     ("single fault recovers", `Quick, test_single_fault_recovers);
