@@ -8,8 +8,9 @@
    event of each direction, and each instruction gets its trace event
    built once, shared by all of its dynamic instances. The state is a
    dense register file, a paged word memory ({!Mem}) and an index-based
-   pc, so a step hashes no label and no address, and allocates only the
-   events of loads and stores, which carry their address. *)
+   pc, so a step hashes no label and no address and allocates nothing:
+   a load or a store hands its static event and its address to the hook,
+   which builds the dynamic event only if it keeps it. *)
 
 type term =
   | Jump of { target : int; event : Trace.event option }
@@ -175,6 +176,7 @@ type hooks = {
   on_ckpt : state -> Reg.t -> unit;
   on_boundary : state -> int -> unit;
   on_event : Trace.event -> unit;
+  on_access : Trace.event -> int -> unit;
   write_mem : state -> int -> int -> unit;
 }
 
@@ -183,10 +185,12 @@ let no_hooks =
     on_ckpt = default_ckpt;
     on_boundary = (fun _ _ -> ());
     on_event = (fun _ -> ());
+    on_access = (fun _ _ -> ());
     write_mem = set_mem;
   }
 
-(* The data semantics of [i], reporting its static event [e]. *)
+(* The data semantics of [i], reporting its static event [e]; a load or a
+   store reports it with the address it accessed. *)
 let exec hooks st (i : Instr.t) e =
   match i with
   | Binop (op, d, a, o) ->
@@ -201,11 +205,11 @@ let exec hooks st (i : Instr.t) e =
   | Load (d, b, off, _) ->
     let addr = get_reg st b + off in
     set_reg st d (get_mem st addr);
-    hooks.on_event (at_addr e addr)
+    hooks.on_access e addr
   | Store (s, b, off, _) ->
     let addr = get_reg st b + off in
     hooks.write_mem st addr (get_reg st s);
-    hooks.on_event (at_addr e addr)
+    hooks.on_access e addr
   | Ckpt r ->
     hooks.on_ckpt st r;
     hooks.on_event e
@@ -278,7 +282,8 @@ let trace_run ?(fuel = 1_000_000) (prog : Prog.t) =
     Array.unsafe_set !chunk !n e;
     incr n
   in
+  let on_access e addr = on_event (at_addr e addr) in
   let st = init prog in
-  run_for { no_hooks with on_event } p st ~fuel;
+  run_for { no_hooks with on_event; on_access } p st ~fuel;
   let events = Array.concat (List.rev (Array.sub !chunk 0 !n :: !full)) in
   ({ Trace.events; complete = st.halted }, st)

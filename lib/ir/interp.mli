@@ -68,6 +68,12 @@ type hooks = {
           engine substitutes color-aware behaviour. *)
   on_boundary : state -> int -> unit;
   on_event : Trace.event -> unit;
+      (** Every event but a load's or a store's. *)
+  on_access : Trace.event -> int -> unit;
+      (** A load's or a store's static event, whose address is a
+          placeholder, and the address it accessed: a hook that keeps the
+          event builds it, one that needs only the address allocates
+          nothing. *)
   write_mem : state -> int -> int -> unit;
       (** Semantics of a store's memory write. The default writes through;
           the resilience engine substitutes an undo-logged (quarantined)
@@ -86,9 +92,9 @@ val step : hooks -> program -> state -> unit
     write. A control transfer to the layout successor costs no fetch
     redirect: a fall-through unconditional jump emits no event (boundary
     block splits are PC markers, not code), and a branch's [taken] flag
-    means "fetch redirected". Events of non-memory instructions and
-    branches are shared by every dynamic instance; only loads and stores
-    allocate theirs, to carry the address. *)
+    means "fetch redirected". Every event is shared by all dynamic
+    instances of its instruction; a load or a store goes to [on_access]
+    with its address, so a step allocates nothing itself. *)
 
 val run : ?fuel:int -> ?hooks:hooks -> Prog.t -> state
 (** Decode and run to completion.
