@@ -8,8 +8,9 @@
     outcome byte-identical to a from-scratch {!Recovery.run} at O(suffix)
     cost.
 
-    A plan is immutable once recorded: forks only read it, so one plan is
-    safely shared by every domain of a parallel campaign. *)
+    Forks only read a plan, so one plan is safely shared by every domain
+    of a parallel campaign; the one cell a plan writes after it is
+    recorded, {!pilot_matches}'s cache, is atomic. *)
 
 module Pass_pipeline = Turnpike_compiler.Pass_pipeline
 
@@ -19,6 +20,8 @@ type plan = private {
   every : int;
   snaps : Recovery.snapshot array;
   pilot : Recovery.outcome;
+  checked : (Turnpike_ir.Interp.state * bool) option Atomic.t;
+      (** {!pilot_matches}'s cache *)
 }
 
 val record : ?config:Recovery.config -> ?every:int -> Pass_pipeline.t -> plan
@@ -31,6 +34,13 @@ val record : ?config:Recovery.config -> ?every:int -> Pass_pipeline.t -> plan
 val pilot_outcome : plan -> Recovery.outcome
 (** The fault-free run's outcome (also the campaign's golden-comparable
     reference for steps). *)
+
+val pilot_matches : plan -> golden:Turnpike_ir.Interp.state -> bool
+(** Whether the pilot's final memory reads as [golden]'s over the data
+    segment ({!Turnpike_ir.Layout.data_base} up to
+    {!Turnpike_ir.Layout.spill_base}), the output {!Verifier} judges.
+    Compared on the first call with a given golden (by physical equality)
+    and cached in the plan; safe to call from any domain. *)
 
 val snapshot_count : plan -> int
 

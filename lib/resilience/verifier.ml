@@ -65,6 +65,18 @@ let class_name = function
   | Sdc _ -> "sdc"
   | Crashed _ -> "crashed"
 
+(* What a run's output is compared with. A forked run's final memory
+   shares pages with the pilot's: every page, when the fork adopted the
+   pilot's suffix, and otherwise every page neither wrote since the fork's
+   snapshot. Comparing with the pilot's final memory skips those pages,
+   where the golden, built by another run, shares none. The pilot stands
+   in only when its output equals the golden's (checked once per plan),
+   so the lowest-address mismatch and its golden value stay the same. *)
+let reference ?plan golden =
+  match plan with
+  | Some p when Snapshot.pilot_matches p ~golden -> (Snapshot.pilot_outcome p).Recovery.state
+  | Some _ | None -> golden
+
 let run_one ?(config = Recovery.default_config) ?plan ?(tel = Telemetry.null)
     ~golden ~compiled fault =
   let replay () =
@@ -76,7 +88,7 @@ let run_one ?(config = Recovery.default_config) ?plan ?(tel = Telemetry.null)
     match replay () with
     | outcome -> (
       let detections = outcome.Recovery.detections in
-      match compare_states ~golden ~actual:outcome.Recovery.state with
+      match compare_states ~golden:(reference ?plan golden) ~actual:outcome.Recovery.state with
       | Match ->
         let golden_steps = max 1 golden.Interp.steps in
         Recovered

@@ -49,7 +49,11 @@ val run_one :
     fan out across domains. With [plan] (recorded from the same compiled
     program and config) the fault forks from the snapshot nearest its
     strike site instead of replaying from step 0 — same outcome, O(suffix)
-    cost. Fuel exhaustion reports the recovery count and exhaustion step in
+    cost — and its output is compared with the pilot's final memory, which
+    shares the pages the fork did not write, whenever that memory equals
+    [golden]'s output ({!Snapshot.pilot_matches}, checked once per plan):
+    the same verdict and mismatch report, without reading the shared
+    pages. Fuel exhaustion reports the recovery count and exhaustion step in
     the [Crashed] reason, distinguishing recovery livelock from a wedged
     program.
 
