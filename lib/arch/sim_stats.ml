@@ -99,6 +99,7 @@ let to_json t =
   field "sb_full_stall_cycles" (string_of_int t.sb_full_stall_cycles);
   field "data_stall_cycles" (string_of_int t.data_stall_cycles);
   field "rbb_stall_cycles" (string_of_int t.rbb_stall_cycles);
+  field "partition_violations" (string_of_int t.partition_violations);
   field "clq_overflows" (string_of_int t.clq_overflows);
   field "clq_mean_populated" (Printf.sprintf "%.4f" t.clq_mean_populated);
   field "clq_max_populated" (string_of_int t.clq_max_populated);

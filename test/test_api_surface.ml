@@ -211,6 +211,7 @@ let test_sim_stats_json () =
     go 0
   in
   check "has cycles" true (contains "\"cycles\":");
+  check "has partition violations" true (contains "\"partition_violations\":");
   check "has complete" true (contains "\"complete\":true")
 
 let test_suite_descriptions_nonempty () =
