@@ -12,9 +12,11 @@
 #                             (turnpike-cli trace), which must also be
 #                             well-formed JSON. Also asserts that
 #                             snapshot-forked campaigns are byte-identical
-#                             to from-scratch replays, that --ci stopping
-#                             is deterministic at any job count (in the
-#                             CLI and in the bench table), that the
+#                             to from-scratch replays (libquan, mcf@2017
+#                             and the chase kernel mcf@2006, whose
+#                             forensic export is compared too), that --ci
+#                             stopping is deterministic at any job count
+#                             (in the CLI and in the bench table), that the
 #                             incremental per-pass lint report is
 #                             byte-identical to the forced full re-check,
 #                             that forensic lifecycle exports are
@@ -84,8 +86,10 @@ grep -q 'stop target' "$tmp/camp_ci_j1.txt"
 echo "== campaign smoke: snapshot-forked vs from-scratch parity =="
 # The snapshot/fork replay path (default) must produce a report
 # byte-identical to replaying every fault from step 0. mcf@2017 has the
-# largest data segment, so its forks share the most memory pages.
-for b in libquan mcf@2017; do
+# largest data segment, so its forks share the most memory pages;
+# mcf@2006 chases pointers, so its forks replay long suffixes before they
+# reconverge and are judged against the pilot's final memory.
+for b in libquan mcf@2017 mcf@2006; do
   dune exec --no-build bin/turnpike_cli.exe -- inject -b "$b" --scale 2 \
     -n 16 --seed 3 --jobs 2 > "$tmp/inject_snap.txt"
   dune exec --no-build bin/turnpike_cli.exe -- inject -b "$b" --scale 2 \
@@ -123,6 +127,16 @@ dune exec --no-build bin/turnpike_cli.exe -- inject -b libquan --scale 2 \
   -n 16 --seed 3 --jobs 2 --scratch --jsonl "$tmp/forensics_scratch.jsonl" \
   > /dev/null
 diff "$tmp/forensics_j1.jsonl" "$tmp/forensics_scratch.jsonl"
+# The same on a chase kernel's long replay suffixes, report included.
+dune exec --no-build bin/turnpike_cli.exe -- inject -b mcf@2006 --scale 2 \
+  -n 16 --seed 3 --jobs 2 --forensics --jsonl "$tmp/forensics_mcf_snap.jsonl" \
+  > "$tmp/forensics_mcf_snap.txt"
+dune exec --no-build bin/turnpike_cli.exe -- inject -b mcf@2006 --scale 2 \
+  -n 16 --seed 3 --jobs 2 --forensics --scratch \
+  --jsonl "$tmp/forensics_mcf_scratch.jsonl" > "$tmp/forensics_mcf_scratch.txt"
+diff "$tmp/forensics_mcf_snap.jsonl" "$tmp/forensics_mcf_scratch.jsonl"
+diff "$tmp/forensics_mcf_snap.txt" "$tmp/forensics_mcf_scratch.txt"
+grep -q '"name":"strike"' "$tmp/forensics_mcf_snap.jsonl"
 
 echo "== forensics smoke: report convicts the drop-ckpt mutant =="
 # The vulnerability ranking must localize a planted compiler bug: the
