@@ -447,14 +447,15 @@ let test_early_exit_outcomes_own_memory () =
     outcomes
 
 (* Fork allocation budget: a forked fault allocates what its own replay
-   needs (events, undo entries, the pages it writes, one page table per
-   fork), not a copy of the pilot's memory. Measured on the three chase
-   kernels with the most data words, as minor words per forked fault,
-   [compare_states] included. A deterministic stand-in for "forks got
-   cheaper" that host noise cannot move. *)
+   needs (region records, undo entries, the pages it writes, one page
+   table per fork), not a copy of the pilot's memory, and no event per
+   load or store. Measured on the three chase kernels with the most data
+   words, as minor words per forked fault, the verdict included: at most
+   6.5k, so the budget leaves about 25% headroom. A deterministic
+   stand-in for "forks got cheaper" that host noise cannot move. *)
 let test_fork_alloc_budget () =
   let params = { Turnpike.Run.default_params with Turnpike.Run.scale = 2 } in
-  let budget = 22_000. in
+  let budget = 8_100. in
   List.iter
     (fun name ->
       let b = List.find (fun b -> Suite.qualified_name b = name) (Suite.all ()) in
