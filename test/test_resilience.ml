@@ -446,6 +446,37 @@ let test_early_exit_outcomes_own_memory () =
         (Interp.get_reg o.Recovery.state reg))
     outcomes
 
+let test_verdict_against_pilot_final () =
+  (* A fork is judged against the pilot's final memory only while that
+     equals the golden on the data segment. Against a golden the pilot
+     does not match, the verdict, mismatch report included, must still be
+     the one the golden itself gives. *)
+  let c = compiled_of "libquan" in
+  let compiled = c.Turnpike.Run.compiled and golden = c.Turnpike.Run.final in
+  let plan = Snapshot.record compiled in
+  let other = Interp.run compiled.Pass_pipeline.prog in
+  let addr = Layout.data_base + (8 * Layout.word) in
+  Interp.set_mem other addr (Interp.get_mem other addr + 1);
+  check "pilot matches the golden" true (Snapshot.pilot_matches plan ~golden);
+  check "pilot does not match the other golden" false
+    (Snapshot.pilot_matches plan ~golden:other);
+  List.iteri
+    (fun i fault ->
+      List.iter
+        (fun (what, golden) ->
+          check
+            (Printf.sprintf "fault %d: fork = scratch against %s" i what)
+            true
+            (Verifier.run_one ~plan ~golden ~compiled fault
+            = Verifier.run_one ~golden ~compiled fault))
+        [ ("the golden", golden); ("another golden", other) ];
+      match Verifier.run_one ~plan ~golden:other ~compiled fault with
+      | Verifier.Sdc { mismatch = Verifier.Mismatch { addr = a; _ }; _ } ->
+        check_int (Printf.sprintf "fault %d: mismatch at the changed word" i) addr a
+      | Verifier.Sdc _ | Verifier.Recovered _ | Verifier.Crashed _ ->
+        Alcotest.failf "fault %d: expected a mismatch against the other golden" i)
+    (Injector.campaign ~seed:9 ~count:8 c.Turnpike.Run.trace)
+
 (* Fork allocation budget: a forked fault allocates what its own replay
    needs (region records, undo entries, the pages it writes, one page
    table per fork), not a copy of the pilot's memory, and no event per
@@ -893,6 +924,7 @@ let tests =
     ("snapshot fork forensic parity", `Slow, test_snapshot_fork_forensic_parity);
     ("early-exit outcomes own their memory", `Quick, test_early_exit_outcomes_own_memory);
     ("fork allocation budget", `Quick, test_fork_alloc_budget);
+    ("verdict against the pilot's final memory", `Quick, test_verdict_against_pilot_final);
     ( "snapshot fork byte-identical (unsound config)",
       `Slow,
       test_snapshot_fork_byte_identical_unsound_config );
