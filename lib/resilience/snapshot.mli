@@ -39,8 +39,9 @@ val pilot_matches : plan -> golden:Turnpike_ir.Interp.state -> bool
 (** Whether the pilot's final memory reads as [golden]'s over the data
     segment ({!Turnpike_ir.Layout.data_base} up to
     {!Turnpike_ir.Layout.spill_base}), the output {!Verifier} judges.
-    Compared on the first call with a given golden (by physical equality)
-    and cached in the plan; safe to call from any domain. *)
+    The plan caches the answer for the last golden asked about (compared
+    by physical equality), so a campaign compares once; safe to call from
+    any domain. *)
 
 val snapshot_count : plan -> int
 
