@@ -1,7 +1,8 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (§6). Each experiment prints the same rows/series the paper
-   reports, with per-suite and overall means. Performance is measured by
-   bench/perf, and the design-space explorer runs as `turnpike-cli explore`.
+   reports, with their means over all benchmarks. Performance is measured
+   by bench/perf, and the design-space explorer runs as `turnpike-cli
+   explore`.
 
    Usage:
      dune exec bench/main.exe                  # all experiments
@@ -31,6 +32,19 @@ let csv_dir : string option ref = ref None
 let campaign = ref Turnpike.Campaign_args.default
 let default_campaign_faults = 24
 
+(* Create the --csv directory when the flag is parsed (one level, as mkdir
+   does), keeping an existing one, or exit 1 before any work, naming the
+   path and the reason. *)
+let make_dir dir =
+  match Unix.mkdir dir 0o755 with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _)
+    when (try Sys.is_directory dir with Sys_error _ -> false) ->
+    ()
+  | exception Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "cannot create directory %s: %s\n" dir (Unix.error_message e);
+    exit 1
+
 let csv name render rows =
   match !csv_dir with
   | None -> ()
@@ -38,33 +52,6 @@ let csv name render rows =
     let path = Filename.concat dir (name ^ ".csv") in
     render ~path rows;
     Printf.printf "[csv written to %s]\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Suite grouping and mean helpers. *)
-
-let suite_of_qualified name =
-  if Filename.check_suffix name "@2006" then "SPEC CPU2006"
-  else if Filename.check_suffix name "@2017" then "SPEC CPU2017"
-  else "SPLASH3"
-
-let grouped_means ~geomean rows value =
-  let mean l = if geomean then Report.geomean l else Report.arith_mean l in
-  let groups = [ "SPEC CPU2006"; "SPEC CPU2017"; "SPLASH3" ] in
-  let per_group =
-    List.map
-      (fun g ->
-        ( g,
-          mean
-            (List.filter_map
-               (fun (name, v) ->
-                 if String.equal (suite_of_qualified name) g then Some v else None)
-               (List.map (fun r -> (fst r, value (snd r))) rows)) ))
-      groups
-  in
-  let all = mean (List.map (fun r -> value (snd r)) rows) in
-  (per_group, all)
-
-let named rows name_of = List.map (fun r -> (name_of r, r)) rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -82,11 +69,10 @@ let run_fig4 () =
       Report.print_row cols
         [ r.bench; Report.fmt_pct (100. *. r.ratio_sb40); Report.fmt_pct (100. *. r.ratio_sb4) ])
     rows;
-  let nrows = named rows (fun (r : E.fig4_row) -> r.bench) in
-  let _, m40 = grouped_means ~geomean:false nrows (fun r -> 100. *. r.E.ratio_sb40) in
-  let _, m4 = grouped_means ~geomean:false nrows (fun r -> 100. *. r.E.ratio_sb4) in
+  let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf "mean checkpoint ratio: SB=40 %.2f%%  SB=4 %.2f%%  (paper: 4.1%% vs 14.98%%)\n"
-    m40 m4
+    (mean (fun r -> 100. *. r.E.ratio_sb40))
+    (mean (fun r -> 100. *. r.E.ratio_sb4))
 
 let run_fig14_15 () =
   Report.section "Figs 14/15: ideal vs compact CLQ (WAR-free + coloring only, WCDL=10)";
@@ -106,17 +92,16 @@ let run_fig14_15 () =
           Report.fmt_pct (100. *. r.war_free_ideal);
           Report.fmt_pct (100. *. r.war_free_compact) ])
     rows;
-  let nrows = named rows (fun (r : E.clq_design_row) -> r.bench) in
-  let _, oi = grouped_means ~geomean:true nrows (fun r -> r.E.overhead_ideal) in
-  let _, oc = grouped_means ~geomean:true nrows (fun r -> r.E.overhead_compact) in
-  let _, wi = grouped_means ~geomean:false nrows (fun r -> 100. *. r.E.war_free_ideal) in
-  let _, wc = grouped_means ~geomean:false nrows (fun r -> 100. *. r.E.war_free_compact) in
+  let geomean f = Report.geomean (List.map f rows) in
+  let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf
     "geomean overhead: ideal %.3f, compact %.3f (paper: compact within ~3%% of ideal)\n"
-    oi oc;
+    (geomean (fun r -> r.E.overhead_ideal))
+    (geomean (fun r -> r.E.overhead_compact));
   Printf.printf
     "mean WAR-free detection: ideal %.1f%%, compact %.1f%% (paper: ideal ~10.6%% higher)\n"
-    wi wc
+    (mean (fun r -> 100. *. r.E.war_free_ideal))
+    (mean (fun r -> 100. *. r.E.war_free_compact))
 
 let run_fig18 () =
   Report.section "Fig 18: detection latency vs deployed sensors";
@@ -147,16 +132,10 @@ let print_wcdl_sweep title paper_note rows =
       Report.print_row cols
         (r.bench :: List.map (fun (_, ov) -> Report.fmt_overhead ov) r.overheads))
     rows;
-  let nrows = named rows (fun (r : E.wcdl_sweep_row) -> r.bench) in
-  let means =
-    List.map
-      (fun w ->
-        let _, m = grouped_means ~geomean:true nrows (fun r -> List.assoc w r.E.overheads) in
-        (w, m))
-      E.wcdls
-  in
+  let geomean w = Report.geomean (List.map (fun r -> List.assoc w r.E.overheads) rows) in
   Printf.printf "geomean:            %s\n"
-    (String.concat " " (List.map (fun (_, m) -> Printf.sprintf "%-7s" (Report.fmt_overhead m)) means));
+    (String.concat " "
+       (List.map (fun w -> Printf.sprintf "%-7s" (Report.fmt_overhead (geomean w))) E.wcdls));
   print_endline paper_note
 
 let run_fig19 () =
@@ -188,12 +167,11 @@ let run_fig21 () =
         (r.bench
         :: List.map (fun n -> Report.fmt_overhead (List.assoc n r.by_scheme)) scheme_names))
     rows;
-  let nrows = named rows (fun (r : E.fig21_row) -> r.bench) in
   print_string "geomean:          ";
   List.iter
     (fun n ->
-      let _, m = grouped_means ~geomean:true nrows (fun r -> List.assoc n r.E.by_scheme) in
-      Printf.printf " %s=%.3f" n m)
+      Printf.printf " %s=%.3f" n
+        (Report.geomean (List.map (fun r -> List.assoc n r.E.by_scheme) rows)))
     scheme_names;
   print_newline ();
   print_endline
@@ -205,12 +183,11 @@ let run_ablation50 () =
     "Extension: optimization ablation ladder at WCDL=50 (paper shows only WCDL=10)";
   let rows = E.fig21_wcdl ~params:!params ~wcdl:50 () in
   let scheme_names = List.map (fun (s : Scheme.t) -> s.Scheme.name) Scheme.ladder in
-  let nrows = named rows (fun (r : E.fig21_row) -> r.bench) in
   print_string "geomean:";
   List.iter
     (fun n ->
-      let _, m = grouped_means ~geomean:true nrows (fun r -> List.assoc n r.E.by_scheme) in
-      Printf.printf " %s=%.3f" n m)
+      Printf.printf " %s=%.3f" n
+        (Report.geomean (List.map (fun r -> List.assoc n r.E.by_scheme) rows)))
     scheme_names;
   print_newline ();
   print_endline
@@ -232,12 +209,11 @@ let run_motivation () =
         [ r.bench; Report.fmt_overhead r.ooo_overhead;
           Report.fmt_overhead r.inorder_overhead ])
     rows;
-  let nrows = named rows (fun (r : E.motivation_row) -> r.bench) in
-  let _, ooo = grouped_means ~geomean:true nrows (fun r -> r.E.ooo_overhead) in
-  let _, io = grouped_means ~geomean:true nrows (fun r -> r.E.inorder_overhead) in
+  let geomean f = Report.geomean (List.map f rows) in
   Printf.printf
     "geomean: OoO %.3f, in-order %.3f (paper: ~1.08 out-of-order vs 1.29 in-order at WCDL=10)\n"
-    ooo io
+    (geomean (fun r -> r.E.ooo_overhead))
+    (geomean (fun r -> r.E.inorder_overhead))
 
 let run_unroll () =
   Report.section
@@ -261,7 +237,6 @@ let run_unroll () =
              (fun (_, ts, tp) -> [ Report.fmt_overhead ts; Report.fmt_overhead tp ])
              r.by_factor))
     rows;
-  let nrows = named rows (fun (r : E.unroll_row) -> r.bench) in
   print_string "geomean:";
   List.iter
     (fun f ->
@@ -269,9 +244,9 @@ let run_unroll () =
         let _, ts, tp = List.find (fun (f', _, _) -> f' = f) r.E.by_factor in
         if which then ts else tp
       in
-      let _, ts = grouped_means ~geomean:true nrows (pick true) in
-      let _, tp = grouped_means ~geomean:true nrows (pick false) in
-      Printf.printf "  x%d: ts=%.3f tp=%.3f" f ts tp)
+      Printf.printf "  x%d: ts=%.3f tp=%.3f" f
+        (Report.geomean (List.map (pick true) rows))
+        (Report.geomean (List.map (pick false) rows)))
     E.unroll_factors;
   print_newline ();
   print_endline
@@ -297,12 +272,11 @@ let run_fig22 () =
         (r.bench
         :: List.map (fun n -> Report.fmt_overhead (List.assoc n r.by_config)) config_names))
     rows;
-  let nrows = named rows (fun (r : E.fig22_row) -> r.bench) in
   print_string "geomean:          ";
   List.iter
     (fun n ->
-      let _, m = grouped_means ~geomean:true nrows (fun r -> List.assoc n r.E.by_config) in
-      Printf.printf " %s=%.3f" n m)
+      Printf.printf " %s=%.3f" n
+        (Report.geomean (List.map (fun r -> List.assoc n r.E.by_config) rows)))
     config_names;
   print_newline ();
   print_endline
@@ -326,8 +300,7 @@ let run_fig23 () =
         [ r.bench; f r.pruned; f r.licm_eliminated; f r.colored; f r.war_free;
           f r.ra_eliminated; f r.ivm_eliminated; f r.others ])
     rows;
-  let nrows = named rows (fun (r : E.fig23_row) -> r.bench) in
-  let mean field = snd (grouped_means ~geomean:false nrows field) in
+  let mean field = Report.arith_mean (List.map field rows) in
   Printf.printf
     "mean %%: pruned=%.1f licm=%.1f colored=%.1f war-free=%.1f ra=%.1f ivm=%.1f others=%.1f\n"
     (mean (fun r -> r.E.pruned))
@@ -368,10 +341,10 @@ let run_fig25 () =
       Report.print_row cols
         [ r.bench; Report.fmt_overhead r.overhead_clq2; Report.fmt_overhead r.overhead_clq4 ])
     rows;
-  let nrows = named rows (fun (r : E.fig25_row) -> r.bench) in
-  let _, m2 = grouped_means ~geomean:true nrows (fun r -> r.E.overhead_clq2) in
-  let _, m4 = grouped_means ~geomean:true nrows (fun r -> r.E.overhead_clq4) in
-  Printf.printf "geomean: CLQ-2 %.3f, CLQ-4 %.3f (paper: almost identical)\n" m2 m4
+  let geomean f = Report.geomean (List.map f rows) in
+  Printf.printf "geomean: CLQ-2 %.3f, CLQ-4 %.3f (paper: almost identical)\n"
+    (geomean (fun r -> r.E.overhead_clq2))
+    (geomean (fun r -> r.E.overhead_clq4))
 
 let run_fig26 () =
   Report.section "Fig 26: region size and code-size increase (Turnpike)";
@@ -388,11 +361,10 @@ let run_fig26 () =
         [ r.bench; Printf.sprintf "%.1f" r.region_size;
           Printf.sprintf "%.2f" r.code_increase_pct ])
     rows;
-  let nrows = named rows (fun (r : E.fig26_row) -> r.bench) in
-  let _, rs = grouped_means ~geomean:false nrows (fun r -> r.E.region_size) in
-  let _, cs = grouped_means ~geomean:false nrows (fun r -> r.E.code_increase_pct) in
+  let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf "mean: %.1f instructions/region, +%.2f%% code (paper: 11.2 instrs, +0.4%%)\n"
-    rs cs
+    (mean (fun r -> r.E.region_size))
+    (mean (fun r -> r.E.code_increase_pct))
 
 let run_table1 () =
   Report.section "Table 1: hardware cost (analytic CACTI model, 22nm)";
@@ -488,14 +460,13 @@ let run_energy () =
         [ r.bench; Printf.sprintf "%.2f" r.turnstile_pj_per_kinstr;
           Printf.sprintf "%.2f" r.turnpike_pj_per_kinstr ])
     rows;
-  let nrows = named rows (fun (r : E.energy_row) -> r.bench) in
-  let _, ts = grouped_means ~geomean:false nrows (fun r -> r.E.turnstile_pj_per_kinstr) in
-  let _, tp = grouped_means ~geomean:false nrows (fun r -> r.E.turnpike_pj_per_kinstr) in
+  let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf
     "mean: turnstile %.2f, turnpike %.2f pJ per 1000 instructions\n\
      (Turnpike trades store-buffer CAM quarantine traffic for cheap RAM lookups;\n\
      per-access energies from the Table 1 model)\n"
-    ts tp
+    (mean (fun r -> r.E.turnstile_pj_per_kinstr))
+    (mean (fun r -> r.E.turnpike_pj_per_kinstr))
 
 (* ------------------------------------------------------------------ *)
 (* --profile: wall-clock telemetry for the harness itself — per-pass
@@ -598,7 +569,7 @@ let () =
         params := { !params with Run.fuel = int_flag "--fuel" n };
         parse sel rest
       | "--csv" :: dir :: rest ->
-        (try Unix.mkdir dir 0o755 with _ -> ());
+        make_dir dir;
         csv_dir := Some dir;
         parse sel rest
       | "--profile" :: rest ->

@@ -97,7 +97,7 @@ let () =
 
   (* Show one recovery in action. *)
   let fault = Turnpike_resilience.Fault.single_bit ~at_step:4321 ~reg:3 ~bit:17 in
-  let out = Recovery.run ~fault compiled in
+  let out = Recovery.run ~faults:[ fault ] compiled in
   let sample k = Interp.get_mem out.Recovery.state (actuators + (k * Layout.word)) in
   let gsample k = Interp.get_mem golden (actuators + (k * Layout.word)) in
   Printf.printf

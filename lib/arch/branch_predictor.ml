@@ -31,6 +31,3 @@ let update t ~pc ~taken =
 
 let lookups t = t.lookups
 let mispredicts t = t.mispredicts
-
-let mispredict_rate t =
-  if t.lookups = 0 then 0.0 else float_of_int t.mispredicts /. float_of_int t.lookups

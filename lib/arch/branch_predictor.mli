@@ -17,4 +17,3 @@ val update : t -> pc:int -> taken:bool -> bool
 
 val lookups : t -> int
 val mispredicts : t -> int
-val mispredict_rate : t -> float

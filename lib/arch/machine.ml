@@ -59,16 +59,6 @@ let turnpike ?(wcdl = 10) ?(sb_size = 4) ?(clq = Clq.Compact 2) ?(coloring = tru
     coloring;
   }
 
-let of_sensors t ~num_sensors ~clock_ghz =
-  (* Derive the verification window from a physical sensor deployment
-     (paper Fig 18) instead of picking a WCDL directly. *)
-  let s = Sensor.create ~num_sensors ~clock_ghz () in
-  { t with wcdl = Sensor.wcdl s }
-
-let with_wcdl t wcdl = { t with wcdl }
-let with_sb t sb_size = { t with sb_size }
-let with_clq t clq = { t with clq }
-
 let with_color_bits t bits =
   if bits < 0 then invalid_arg "Machine.with_color_bits: bits must be >= 0";
   if bits = 0 then { t with coloring = false }

@@ -36,14 +36,6 @@ val turnstile : ?wcdl:int -> ?sb_size:int -> unit -> t
 val turnpike : ?wcdl:int -> ?sb_size:int -> ?clq:Clq.design -> ?coloring:bool -> unit -> t
 (** Turnpike hardware: verification with CLQ fast release and coloring. *)
 
-val of_sensors : t -> num_sensors:int -> clock_ghz:float -> t
-(** Derive the WCDL from a physical sensor deployment (paper Fig 18)
-    instead of choosing a cycle count directly. *)
-
-val with_wcdl : t -> int -> t
-val with_sb : t -> int -> t
-val with_clq : t -> Clq.design option -> t
-
 val with_color_bits : t -> int -> t
 (** Configure coloring from a bit width: [0] disables coloring entirely;
     [b > 0] enables it with a [2^b]-color pool per register — the

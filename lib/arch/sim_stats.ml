@@ -58,10 +58,6 @@ let sb_writes t = t.stores + t.ckpts
 
 let fast_released t = t.war_free_released + t.colored_released
 
-let ckpt_ratio t =
-  if t.instructions = 0 then 0.0
-  else float_of_int t.ckpts /. float_of_int t.instructions
-
 let war_free_ratio t =
   let sw = sb_writes t in
   if sw = 0 then 0.0 else float_of_int t.war_free_released /. float_of_int sw

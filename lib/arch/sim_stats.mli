@@ -35,9 +35,6 @@ val ipc : t -> float
 val sb_writes : t -> int
 val fast_released : t -> int
 
-val ckpt_ratio : t -> float
-(** Dynamic checkpoints / executed instructions (paper Fig 4). *)
-
 val war_free_ratio : t -> float
 (** WAR-free released stores / all store-buffer writes (paper Fig 15). *)
 

@@ -67,13 +67,12 @@ let baseline_model p =
     Machine_model.Out_of_order
       { Ooo.default_config with Ooo.sb_size = p.sb_entries; verification = false }
 
-let recovery_config p ~fuel =
+let recovery_config p =
   {
     Recovery.default_config with
     Recovery.verify_delay = wcdl p;
     coloring = p.color_bits > 0;
     clq = clq_design p;
-    fuel;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -49,10 +49,10 @@ val baseline_model : t -> Machine_model.t
 (** The unprotected core of the same kind and SB depth — the
     normalization denominator for this point's runtime overhead. *)
 
-val recovery_config : t -> fuel:int -> Recovery.config
+val recovery_config : t -> Recovery.config
 (** Functional-executor configuration for this point's fault campaigns:
     the WCDL stands in for [verify_delay], CLQ and coloring mirror the
-    hardware knobs. *)
+    hardware knobs, and the fuel is {!Recovery.default_config}'s. *)
 
 (** {1 Grid construction} *)
 

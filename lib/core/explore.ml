@@ -169,7 +169,7 @@ let run_campaign ~budget ~seed ~forensics key b =
   let c = Run.compile_with bp key.rung b in
   if not c.Run.trace.Trace.complete then (0, 0, [])
   else begin
-    let config = Design_point.recovery_config p ~fuel:Recovery.default_config.Recovery.fuel in
+    let config = Design_point.recovery_config p in
     let plan = Snapshot.record ~config c.Run.compiled in
     let faults = Injector.campaign ~seed ~count:budget.max_faults c.Run.trace in
     let stopping =

@@ -27,6 +27,19 @@ type report = {
   infos : int;
 }
 
+(* The analysis context of [compiled] with the scheme's machine grafted
+   on: RBB depth, compact-CLQ size and WCDL, which the capacity checks and
+   the vulnerability model read. *)
+let machine_context (scheme : Scheme.t) ~wcdl ~sb_size compiled =
+  let machine = Scheme.machine scheme ~wcdl ~sb_size in
+  Analysis.Context.with_machine ~rbb_size:machine.Machine.rbb_size
+    ?clq_entries:
+      (match machine.Machine.clq with
+      | Some (Clq.Compact n) -> Some n
+      | Some Clq.Ideal | None -> None)
+    ~wcdl:machine.Machine.wcdl
+    (Pass_pipeline.analysis_context compiled)
+
 let lint_cell ?(per_pass = false) ?(full_recheck = false) ?(sb_size = 4)
     ?(scale = Run.default_scale) (scheme : Scheme.t) (bench : Suite.entry) =
   let prog = bench.Suite.build ~scale in
@@ -41,16 +54,7 @@ let lint_cell ?(per_pass = false) ?(full_recheck = false) ?(sb_size = 4)
      depth and CLQ size on and rerun the registry for the capacity checks
      that want them. Findings already attributed to a pass keep their
      provenance — the machine pass only contributes what is new. *)
-  let machine = Scheme.machine scheme ~wcdl:10 ~sb_size in
-  let ctx =
-    Analysis.Context.with_machine ~rbb_size:machine.Machine.rbb_size
-      ?clq_entries:
-        (match machine.Machine.clq with
-        | Some (Clq.Compact n) -> Some n
-        | Some Clq.Ideal | None -> None)
-      ~wcdl:machine.Machine.wcdl
-      (Pass_pipeline.analysis_context compiled)
-  in
+  let ctx = machine_context scheme ~wcdl:10 ~sb_size compiled in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun d -> Hashtbl.replace seen (Diag.key d) ())
@@ -150,17 +154,7 @@ let vuln_cell ?(sb_size = 4) ?(scale = Run.default_scale) ?(wcdl = 10)
   let prog = bench.Suite.build ~scale in
   let opts = Scheme.compile_opts scheme ~sb_size in
   let compiled = Pass_pipeline.compile ~opts prog in
-  let machine = Scheme.machine scheme ~wcdl ~sb_size in
-  let ctx =
-    Analysis.Context.with_machine ~rbb_size:machine.Machine.rbb_size
-      ?clq_entries:
-        (match machine.Machine.clq with
-        | Some (Clq.Compact n) -> Some n
-        | Some Clq.Ideal | None -> None)
-      ~wcdl:machine.Machine.wcdl
-      (Pass_pipeline.analysis_context compiled)
-  in
-  Analysis.Vuln.compute ctx
+  Analysis.Vuln.compute (machine_context scheme ~wcdl ~sb_size compiled)
 
 let run_vuln ?sb_size ?scale ?wcdl ?jobs ~schemes benches =
   let cells =

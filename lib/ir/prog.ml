@@ -6,8 +6,6 @@ type t = {
 
 let create ?(mem_init = []) ?(reg_init = []) func = { func; mem_init; reg_init }
 
-let live_in_regs t = List.map fst t.reg_init
-
 let with_func t func = { t with func }
 
 let validate t =

@@ -9,9 +9,6 @@ type t = {
 
 val create : ?mem_init:(int * int) list -> ?reg_init:(Reg.t * int) list -> Func.t -> t
 
-val live_in_regs : t -> Reg.t list
-(** The input registers (live at program entry). *)
-
 val with_func : t -> Func.t -> t
 
 val validate : t -> string list

@@ -24,6 +24,15 @@ let single_bit ~at_step ~reg ~bit =
   if bit < 0 || bit > 62 then invalid_arg "Fault.single_bit: bit out of range";
   create ~at_step ~reg ~xor_mask:(1 lsl bit)
 
+(* A deterministic integer mixer: campaign draws and sampled detection
+   latencies both come from it. *)
+let mix a b =
+  let z = ref ((a * 0x9E3779B9) + (b * 0x85EBCA6B) + 0x165667B1) in
+  z := !z lxor (!z lsr 15);
+  z := !z * 0x2C1B3C6D;
+  z := !z lxor (!z lsr 13);
+  !z land max_int
+
 (* Register names are identifier-like and masks are ints: no escaping
    needed for a fixed-shape, machine-readable record. *)
 let to_json t =

@@ -21,6 +21,11 @@ val create : at_step:int -> reg:Reg.t -> xor_mask:int -> t
 
 val single_bit : at_step:int -> reg:Reg.t -> bit:int -> t
 
+val mix : int -> int -> int
+(** A deterministic, non-negative hash of two integers. {!Injector}
+    draws a campaign's sites and bits from it, and {!Recovery} samples
+    each strike's sensor detection latency from it. *)
+
 val to_json : t -> string
 (** One fixed-shape JSON object:
     [{"at_step":N,"reg":"rK","xor_mask":M}]. *)

@@ -5,13 +5,6 @@
 
 open Turnpike_ir
 
-let mix a b =
-  let z = ref ((a * 0x9E3779B9) + (b * 0x85EBCA6B) + 0x165667B1) in
-  z := !z lxor (!z lsr 15);
-  z := !z * 0x2C1B3C6D;
-  z := !z lxor (!z lsr 13);
-  !z land max_int
-
 (* Write sites as two parallel arrays: the step of every event that writes
    a register, in trace order, and the register it writes. Two passes (count,
    then fill), so the scan allocates nothing per event. *)
@@ -60,7 +53,7 @@ let campaign ?(seed = 42) ~count (trace : Trace.t) =
   let last_step = Array.length trace.Trace.events - 1 in
   if n = 0 || count <= 0 then []
   else begin
-    (* The site and bit draws both come from the [mix seed _] stream, so
+    (* The site and bit draws both come from the [Fault.mix seed _] stream, so
        distinct k can repeat a (step, reg, bit) triple; repeated trials
        waste campaign budget and bias the i.i.d. assumption behind the
        sequential stopping rules. Deduplicate in seeded draw order,
@@ -84,7 +77,7 @@ let campaign ?(seed = 42) ~count (trace : Trace.t) =
     let k = ref 0 in
     let max_draws = (64 * target) + 256 in
     while !added < target && !k < max_draws do
-      add (mix seed !k mod n) (mix seed ((!k * 7) + 1) mod value_bits);
+      add (Fault.mix seed !k mod n) (Fault.mix seed ((!k * 7) + 1) mod value_bits);
       incr k
     done;
     (* Hashed draws starved (tiny site space): sweep site-major so the

@@ -198,24 +198,25 @@ let set_pending ex pending =
   ex.next_verify <-
     (match pending with r :: _ -> r.end_step + ex.cfg.verify_delay | [] -> max_int)
 
+let start_region ex static_id =
+  let r =
+    {
+      seq = ex.next_seq;
+      static_id;
+      start_pos = position ex;
+      end_step = -1;
+      undo = [];
+      ckpts = [];
+    }
+  in
+  ex.next_seq <- ex.next_seq + 1;
+  ex.open_region <- Some r;
+  r
+
 let current_region ex =
   match ex.open_region with
   | Some r -> r
-  | None ->
-    (* Implicit region before the first boundary marker. *)
-    let r =
-      {
-        seq = ex.next_seq;
-        static_id = -1;
-        start_pos = position ex;
-        end_step = -1;
-        undo = [];
-        ckpts = [];
-      }
-    in
-    ex.next_seq <- ex.next_seq + 1;
-    ex.open_region <- Some r;
-    r
+  | None -> start_region ex (-1) (* implicit region before the first boundary marker *)
 
 let quarantined_write ex st addr value =
   let r = current_region ex in
@@ -295,18 +296,7 @@ let on_boundary ex static_id =
   | Some clq ->
     Clq.maybe_enable clq ~unverified_regions:(List.length ex.pending)
   | None -> ());
-  let r =
-    {
-      seq = ex.next_seq;
-      static_id;
-      start_pos = position ex;
-      end_step = -1;
-      undo = [];
-      ckpts = [];
-    }
-  in
-  ex.next_seq <- ex.next_seq + 1;
-  ex.open_region <- Some r
+  ignore (start_region ex static_id)
 
 (* The hooks fire while the pc still points at the executing instruction,
    so the current (block label, body index) identifies the static claim
@@ -511,14 +501,6 @@ let propagate_taint ex =
       ex.tainted <- List.fold_left (fun s d -> Reg.Set.remove d s) ex.tainted defs
   | None -> ()
 
-(* Deterministic mixer for sampling the sensor detection latency. *)
-let hash_mix a b =
-  let z = ref ((a * 0x9E3779B9) + (b * 0x85EBCA6B) + 0x165667B1) in
-  z := !z lxor (!z lsr 15);
-  z := !z * 0x2C1B3C6D;
-  z := !z lxor (!z lsr 13);
-  !z land max_int
-
 let claims_of config (compiled : Pass_pipeline.t) =
   if not config.honor_static_claims then None
   else begin
@@ -567,108 +549,49 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: a copy of the whole executor (interpreter state plus
-   region/quarantine/CLQ/coloring bookkeeping) taken at the top of the
-   step loop, from which faulted runs can be forked byte-identically.
-   Memory is forked, not copied: a snapshot shares the pilot's pages, the
-   pilot copies a page on its next write to it, and a fork shares the
-   snapshot's pages the same way. Nothing writes a snapshot, so every
-   domain of a campaign reads and forks it freely. Every snapshot of a
-   pilot carries the pilot's decoded program, so forks never decode: the
-   decoded program is immutable and shared. *)
+(* Snapshots. A snapshot is a frozen executor: the pilot takes one with
+   [copy] at the top of the step loop, and a fault forks from it with
+   [copy ~faults ~tel], so it carries its own config and compiled program.
+   A copy gets fresh mutable state: registers, region records, CLQ and
+   coloring tables, verified colors. Memory is forked, not copied: the
+   copy shares the original's pages and each side copies a page on its
+   next write to it. What no executor writes is shared: the config, the
+   compiled and decoded program, the claim tables and the immutable
+   lists. Nothing writes a snapshot, so every domain of a campaign forks
+   it freely. *)
 
-type snapshot = {
-  snap_step : int; (* pilot [st.steps] = fault-free position at capture *)
-  s_code : Interp.program;
-  s_regs : int array;
-  s_mem : Mem.t;
-  s_block : int;
-  s_index : int;
-  s_clq : Clq.t option;
-  s_col : Coloring.t option;
-  s_verified_color : int array;
-  s_open_region : dynamic_region option;
-  s_pending : dynamic_region list;
-  s_next_seq : int;
-  s_fast_released : int;
-  s_colored : int;
-  s_quarantined : int;
-}
+type snapshot = exec
 
-let snapshot_step s = s.snap_step
+(* A snapshot's step is the pilot's [st.steps], which is also its
+   fault-free position: the pilot never recovers. *)
+let snapshot_step (s : snapshot) = s.st.Interp.steps
 
 (* The undo/ckpt lists are immutable and safely shared; the record's
    mutable cells must be fresh. *)
 let copy_region (r : dynamic_region) = { r with end_step = r.end_step }
 
-let capture_state ex =
+(* Every other field is copied by value. Snapshots are taken only at a
+   pilot's loop top, where those fields hold what a from-scratch run has
+   there: no taint, detection, recovery or forensic mark yet, and
+   [budget = fuel - steps], which the loop keeps invariant (the budget
+   drops exactly when [Interp.step] counts a step). *)
+let copy ?(faults = []) ?(tel = Telemetry.null) ex =
+  let st = ex.st in
   {
-    snap_step = ex.st.Interp.steps;
-    s_code = ex.code;
-    s_regs = Array.copy ex.st.Interp.regs;
-    s_mem = Mem.fork ex.st.Interp.mem;
-    s_block = ex.st.Interp.block;
-    s_index = ex.st.Interp.index;
-    s_clq = Option.map Clq.copy ex.clq;
-    s_col = Option.map Coloring.copy ex.col;
-    s_verified_color = Array.copy ex.verified_color;
-    s_open_region = Option.map copy_region ex.open_region;
-    s_pending = List.map copy_region ex.pending;
-    s_next_seq = ex.next_seq;
-    s_fast_released = ex.fast_released;
-    s_colored = ex.colored;
-    s_quarantined = ex.quarantined;
+    ex with
+    st = { st with Interp.regs = Array.copy st.Interp.regs; mem = Mem.fork st.Interp.mem };
+    clq = Option.map Clq.copy ex.clq;
+    col = Option.map Coloring.copy ex.col;
+    verified_color = Array.copy ex.verified_color;
+    open_region = Option.map copy_region ex.open_region;
+    pending = List.map copy_region ex.pending;
+    remaining = faults;
+    tel;
   }
 
-let of_snapshot ?(config = default_config) ?(tel = Telemetry.null)
-    (compiled : Pass_pipeline.t) (s : snapshot) ~faults =
-  let ex =
-    {
-      cfg = config;
-      compiled;
-      code = s.s_code;
-      st =
-        {
-          Interp.regs = Array.copy s.s_regs;
-          mem = Mem.fork s.s_mem;
-          block = s.s_block;
-          index = s.s_index;
-          steps = s.snap_step;
-          halted = false;
-        };
-      clq = Option.map Clq.copy s.s_clq;
-      col = Option.map Coloring.copy s.s_col;
-      verified_color = Array.copy s.s_verified_color;
-      claims = claims_of config compiled;
-      open_region = Option.map copy_region s.s_open_region;
-      pending = [];
-      next_verify = max_int;
-      next_seq = s.s_next_seq;
-      tainted = Reg.Set.empty;
-      remaining = faults;
-      detection_step = max_int;
-      (* [budget = fuel - steps] is a loop invariant (the budget is decremented
-         exactly when [Interp.step] increments [steps]), so a fork inherits
-         exactly the budget the from-scratch run would have here. *)
-      budget = config.fuel - s.snap_step;
-      delta = 0;
-      recoveries = 0;
-      detections = [];
-      fast_released = s.s_fast_released;
-      colored = s.s_colored;
-      quarantined = s.s_quarantined;
-      tel;
-      f_strike_pos = -1;
-      f_taint_use_done = false;
-      f_reconverged = false;
-    }
-  in
-  set_pending ex (List.map copy_region s.s_pending);
-  ex
-
-(* The pilot run a fork measures convergence against: its snapshots (in
-   ascending [snap_step] order) and its final, drained state. *)
-type oracle = { snaps : snapshot array; final_steps : int; final_state : Interp.state }
+(* A fault-free run a fork measures convergence against: its snapshots,
+   in ascending step order, and its final, drained outcome. *)
+type pilot = { snapshots : snapshot array; outcome : outcome }
 
 (* Register files agree, registers past either one's end reading 0. *)
 let regs_agree a b =
@@ -678,27 +601,11 @@ let regs_agree a b =
   go 0
 
 let converged ex (s : snapshot) =
-  ex.st.Interp.block = s.s_block
-  && ex.st.Interp.index = s.s_index
+  ex.st.Interp.block = s.st.Interp.block
+  && ex.st.Interp.index = s.st.Interp.index
   && (not ex.st.Interp.halted)
-  && regs_agree ex.st.Interp.regs s.s_regs
-  && Mem.first_diff ~hi:Layout.ckpt_base ex.st.Interp.mem s.s_mem = None
-
-let drain_at_exit ex =
-  (* Every region is error-free once the program has halted cleanly (no
-     detection outlived the loop), so close the still-open region and
-     verify everything pending: quarantined writes commit and buffered
-     fallback checkpoints reach checkpoint storage. *)
-  close_open_region ex ~now:ex.st.Interp.steps;
-  let rec go () =
-    match ex.pending with
-    | [] -> ()
-    | r :: rest ->
-      set_pending ex rest;
-      verify_region ex r;
-      go ()
-  in
-  go ()
+  && regs_agree ex.st.Interp.regs s.st.Interp.regs
+  && Mem.first_diff ~hi:Layout.ckpt_base ex.st.Interp.mem s.st.Interp.mem = None
 
 let finish ex =
   {
@@ -731,7 +638,7 @@ let run_quiet ex hooks ~until =
     ex.budget <- ex.budget - 1
   done
 
-let drive ?capture ?oracle ex =
+let drive ?capture ?pilot ex =
   let st = ex.st in
   let hooks =
     {
@@ -753,10 +660,10 @@ let drive ?capture ?oracle ex =
      position are candidates. The cursor never moves backwards — after a
      recovery the position rewinds and simply catches up to it again. *)
   let oidx = ref 0 in
-  (match oracle with
-  | Some o ->
-    let pos0 = position ex in
-    while !oidx < Array.length o.snaps && o.snaps.(!oidx).snap_step <= pos0 do
+  (match pilot with
+  | Some p ->
+    let pos0 = position ex and snaps = p.snapshots in
+    while !oidx < Array.length snaps && snapshot_step snaps.(!oidx) <= pos0 do
       incr oidx
     done
   | None -> ());
@@ -765,9 +672,10 @@ let drive ?capture ?oracle ex =
      steps), and the pilot's next capture. *)
   let next_due () =
     let strike_or_check =
-      match (ex.remaining, oracle) with
+      match (ex.remaining, pilot) with
       | (f : Fault.t) :: _, _ -> f.Fault.at_step
-      | [], Some o when !oidx < Array.length o.snaps -> o.snaps.(!oidx).snap_step + ex.delta
+      | [], Some p when !oidx < Array.length p.snapshots ->
+        snapshot_step p.snapshots.(!oidx) + ex.delta
       | [], (Some _ | None) -> max_int
     in
     match capture with Some c -> min c.next strike_or_check | None -> strike_or_check
@@ -786,12 +694,12 @@ let drive ?capture ?oracle ex =
        no fault remains in flight, no detection is pending and no taint is
        live — from here the remaining run is fully determined, i.e. it
        deterministically rejoins the fault-free pilot. This is a pure
-       state predicate (never a comparison against an oracle snapshot), so
+       state predicate (never a comparison against a pilot snapshot), so
        forked and from-scratch replays emit it at the same step; it is
-       evaluated BEFORE the oracle early-exit below so a fork that adopts
-       the pilot suffix in this very iteration still emits it. A quiet run
-       changes none of its inputs, so testing it at each loop top tests it
-       at every step. *)
+       evaluated BEFORE the convergence early exit below so a fork that
+       adopts the pilot suffix in this very iteration still emits it. A
+       quiet run changes none of its inputs, so testing it at each loop top
+       tests it at every step. *)
     if
       Telemetry.enabled ex.tel
       && (not ex.f_reconverged)
@@ -809,7 +717,7 @@ let drive ?capture ?oracle ex =
     else begin
       (match capture with
       | Some c when st.Interp.steps = c.next ->
-        c.taken <- capture_state ex :: c.taken;
+        c.taken <- copy ex :: c.taken;
         c.next <- c.next + c.every
       | Some _ | None -> ());
       (* Convergence early exit: once the fault has struck, its detection
@@ -821,19 +729,19 @@ let drive ?capture ?oracle ex =
          coloring history legitimately differ after a recovery, and the
          program only reads them during recovery itself, which can no
          longer occur. *)
-      (match oracle with
-      | Some o
+      (match pilot with
+      | Some p
         when ex.remaining = []
              && (not (detection_pending ()))
              && Reg.Set.is_empty ex.tainted ->
         let pos = position ex in
-        let n = Array.length o.snaps in
-        while !oidx < n && o.snaps.(!oidx).snap_step < pos do
+        let n = Array.length p.snapshots in
+        while !oidx < n && snapshot_step p.snapshots.(!oidx) < pos do
           incr oidx
         done;
-        if !oidx < n && o.snaps.(!oidx).snap_step = pos then begin
-          if converged ex o.snaps.(!oidx) then begin
-            let left = o.final_steps - pos in
+        if !oidx < n && snapshot_step p.snapshots.(!oidx) = pos then begin
+          if converged ex p.snapshots.(!oidx) then begin
+            let left = p.outcome.state.Interp.steps - pos in
             if ex.budget >= left then early := Some left
             else
               (* The determined suffix is longer than the remaining fuel:
@@ -883,7 +791,7 @@ let drive ?capture ?oracle ex =
                sample. *)
             let d =
               1
-              + (hash_mix f.Fault.at_step f.Fault.xor_mask
+              + (Fault.mix f.Fault.at_step f.Fault.xor_mask
                 mod max 1 ex.cfg.verify_delay)
             in
             ex.detection_step <- min ex.detection_step (now + d)
@@ -905,13 +813,12 @@ let drive ?capture ?oracle ex =
   done;
   match !early with
   | Some left ->
-    let o = Option.get oracle in
     (* Adopt the pilot's final (drained) architectural state; [steps] keeps
        counting this fork's own re-executed work plus the skipped suffix,
        exactly as the full replay would have. The outcome gets its own
        registers and a fork of the pilot's memory: the pilot's state is
        shared by every fork of the campaign, on every domain. *)
-    let final = o.final_state in
+    let final = (Option.get pilot).outcome.state in
     {
       (finish ex) with
       state =
@@ -925,18 +832,19 @@ let drive ?capture ?oracle ex =
   | None ->
     if not st.Interp.halted then
       raise (Out_of_fuel { recoveries = ex.recoveries; steps = st.Interp.steps });
-    (* Drain remaining verifications so the final memory is fully committed
-       state plus quarantine-applied writes (all correct by now). *)
-    drain_at_exit ex;
+    (* Every region is error-free once the program has halted cleanly (no
+       detection outlived the loop): close the still-open region and verify
+       everything pending, so quarantined writes commit and buffered
+       fallback checkpoints reach checkpoint storage. *)
+    close_open_region ex ~now:st.Interp.steps;
+    process_verifications ex ~now:max_int;
     finish ex
 
 let by_step faults =
   List.sort (fun (a : Fault.t) b -> compare a.Fault.at_step b.Fault.at_step) faults
 
-let run ?fault ?(faults = []) ?(config = default_config) ?tel
-    (compiled : Pass_pipeline.t) =
-  let faults = by_step (match fault with Some f -> f :: faults | None -> faults) in
-  drive (make_exec ~config ~faults ?tel compiled)
+let run ?(faults = []) ?(config = default_config) ?tel (compiled : Pass_pipeline.t) =
+  drive (make_exec ~config ~faults:(by_step faults) ?tel compiled)
 
 let capture_pilot ?(config = default_config) ~every (compiled : Pass_pipeline.t) =
   if every <= 0 then invalid_arg "Recovery.capture_pilot: every must be positive";
@@ -948,16 +856,11 @@ let capture_pilot ?(config = default_config) ~every (compiled : Pass_pipeline.t)
      that adopts the pilot's suffix forks it in turn, from any domain, and
      forking a memory that owns no page does not write to it. *)
   let final = outcome.state in
-  ( { outcome with state = { final with Interp.mem = Mem.fork final.Interp.mem } },
-    Array.of_list (List.rev capture.taken) )
+  {
+    snapshots = Array.of_list (List.rev capture.taken);
+    outcome =
+      { outcome with state = { final with Interp.mem = Mem.fork final.Interp.mem } };
+  }
 
-let resume ?(config = default_config) ?tel ~snapshots ~pilot_outcome ~from ~faults
-    compiled =
-  let oracle =
-    {
-      snaps = snapshots;
-      final_steps = pilot_outcome.state.Interp.steps;
-      final_state = pilot_outcome.state;
-    }
-  in
-  drive ~oracle (of_snapshot ~config ?tel compiled from ~faults:(by_step faults))
+let resume ?tel pilot ~from ~faults =
+  drive ~pilot (copy ~faults:(by_step faults) ?tel from)

@@ -59,15 +59,14 @@ exception Out_of_fuel of { recoveries : int; steps : int }
     to tell recovery livelock from a genuinely wedged program. *)
 
 val run :
-  ?fault:Fault.t ->
   ?faults:Fault.t list ->
   ?config:config ->
   ?tel:Turnpike_telemetry.sink ->
   Pass_pipeline.t ->
   outcome
-(** Execute a compiled program, optionally injecting faults ([fault] and
-    [faults] are merged and sorted by strike step; several faults may be
-    in flight, each detected within the verification window). At exit all
+(** Execute a compiled program, optionally injecting [faults] (sorted by
+    strike step; several faults may be in flight, each detected within
+    the verification window). At exit all
     remaining verifications are drained: quarantined regions commit and
     buffered fallback checkpoints reach checkpoint storage, so the final
     memory is fully committed state.
@@ -95,50 +94,55 @@ val run :
 
 (** {2 Snapshot / fork support}
 
-    A {e pilot} is a fault-free run that copies the whole executor —
-    interpreter registers/pc plus region, quarantine, CLQ and coloring
-    bookkeeping — every [every] steps, and forks its memory
-    ({!Turnpike_ir.Mem.fork}): a snapshot shares the pilot's pages, and
-    the pilot copies a page on its next write to it. A faulted run forked from
-    the snapshot nearest (at or before) its strike site produces exactly
-    the outcome of a from-scratch {!run} with the same fault: the
-    pre-strike prefix of the faulted run is identical to the pilot, and
-    once the fault's effects have fully healed the fork recognises that its
-    state has re-converged with a later pilot snapshot and adopts the
-    pilot's suffix instead of re-executing it. *)
+    A {e pilot} is a fault-free run that takes a snapshot every [every]
+    steps. A snapshot is the executor itself, frozen at the top of its
+    step loop: interpreter registers and pc, region, quarantine, CLQ and
+    coloring bookkeeping, and the config and compiled program it runs.
+    Its memory is a {!Turnpike_ir.Mem.fork} of the pilot's: it shares the
+    pilot's pages, and the pilot copies a page on its next write to it.
+    A faulted run forked from the snapshot nearest (at or before) its
+    strike site produces exactly the outcome of a from-scratch {!run}
+    with the same fault and config: the pre-strike prefix of the faulted
+    run is identical to the pilot, and once the fault's effects have
+    fully healed the fork recognises that its state has re-converged
+    with a later pilot snapshot and adopts the pilot's suffix instead of
+    re-executing it. *)
 
 type snapshot
 
 val snapshot_step : snapshot -> int
 (** The fault-free step index (position) the snapshot was captured at. *)
 
-val capture_pilot :
-  ?config:config -> every:int -> Pass_pipeline.t -> outcome * snapshot array
-(** Fault-free run capturing a snapshot every [every] steps, starting at
-    step 0; snapshots are returned in ascending step order.
-    @raise Invalid_argument when [every <= 0]. *)
+type pilot = private {
+  snapshots : snapshot array;  (** ascending step order; [snapshots.(0)] is step 0 *)
+  outcome : outcome;  (** the fault-free run's final, drained outcome *)
+}
+
+val capture_pilot : ?config:config -> every:int -> Pass_pipeline.t -> pilot
+(** Run the program fault-free under [config], taking a snapshot every
+    [every] steps, starting at step 0. The outcome's final memory is
+    published as a fork that owns no page, so any domain may fork it.
+    @raise Invalid_argument when [every <= 0].
+    @raise Out_of_fuel when the fault-free run itself runs out of fuel. *)
 
 val resume :
-  ?config:config ->
   ?tel:Turnpike_telemetry.sink ->
-  snapshots:snapshot array ->
-  pilot_outcome:outcome ->
+  pilot ->
   from:snapshot ->
   faults:Fault.t list ->
-  Pass_pipeline.t ->
   outcome
 (** Fork a run with [faults] (none, one or several, sorted as {!run}
-    sorts them) from [from], which must precede every strike
-    ([snapshot_step from <= f.at_step] for each fault [f]) and be recorded
-    by a {!capture_pilot} of the same [config] and compiled program. The
-    outcome's [state], [recoveries] and [detections] are byte-identical to
-    [run ~faults ~config]; on a convergence early exit the release/ckpt
-    counters reflect only the work the fork actually executed, and the
-    state is the pilot's final state with its own copy of the registers
-    and a fork of the memory, so writing to it reaches neither the pilot
-    nor another outcome. The fork shares the snapshot's memory pages and
-    copies only those it writes. [tel]
-    receives the same forensic lifecycle events, byte-identical to the
-    from-scratch run's (see {!run}): no event precedes the strike, and
-    the reconvergence instant is a pure state predicate, so adopting the
-    pilot suffix early loses nothing. *)
+    sorts them) from [from], one of [pilot]'s snapshots that precedes
+    every strike ([snapshot_step from <= f.at_step] for each fault [f]).
+    The fork runs the snapshot's config and compiled program. Its
+    outcome's [state], [recoveries] and [detections] are byte-identical
+    to those of {!run} with the same faults, config and program. On a
+    convergence early exit the release/ckpt counters reflect only the
+    work the fork actually executed, and the state is the pilot's final
+    state with its own copy of the registers and a fork of the memory,
+    so writing to it reaches neither the pilot nor another outcome. The
+    fork shares the snapshot's memory pages and copies only those it
+    writes. [tel] receives the same forensic lifecycle events,
+    byte-identical to the from-scratch run's (see {!run}): no event
+    precedes the strike, and the reconvergence instant is a pure state
+    predicate, so adopting the pilot suffix early loses nothing. *)

@@ -6,14 +6,9 @@
    instead of O(trace). *)
 
 open Turnpike_ir
-module Pass_pipeline = Turnpike_compiler.Pass_pipeline
 
 type plan = {
-  config : Recovery.config;
-  compiled : Pass_pipeline.t;
-  every : int;
-  snaps : Recovery.snapshot array; (* ascending step order; [0] is step 0 *)
-  pilot : Recovery.outcome;
+  pilot : Recovery.pilot;
   checked : (Interp.state * bool) option Atomic.t;
       (* the last golden the pilot's output was compared with, and whether
          they agreed; an immutable pair, so every domain reads a whole one *)
@@ -21,11 +16,10 @@ type plan = {
 
 let default_every = 512
 
-let record ?(config = Recovery.default_config) ?(every = default_every) compiled =
-  let pilot, snaps = Recovery.capture_pilot ~config ~every compiled in
-  { config; compiled; every; snaps; pilot; checked = Atomic.make None }
+let record ?config ?(every = default_every) compiled =
+  { pilot = Recovery.capture_pilot ?config ~every compiled; checked = Atomic.make None }
 
-let pilot_outcome plan = plan.pilot
+let pilot_outcome plan = plan.pilot.Recovery.outcome
 
 (* Two domains that find no answer for the same golden both compute it and
    store the same pair, so the race costs a repeated compare, never a
@@ -36,18 +30,18 @@ let pilot_matches plan ~(golden : Interp.state) =
   | Some _ | None ->
     let agree =
       Mem.first_diff ~lo:Layout.data_base ~hi:Layout.spill_base golden.Interp.mem
-        plan.pilot.Recovery.state.Interp.mem
+        (pilot_outcome plan).Recovery.state.Interp.mem
       = None
     in
     Atomic.set plan.checked (Some (golden, agree));
     agree
 
-let snapshot_count plan = Array.length plan.snaps
+let snapshot_count plan = Array.length plan.pilot.Recovery.snapshots
 
 (* Latest snapshot at or before [step]. The array always holds a step-0
    snapshot, so the search cannot come up empty for step >= 0. *)
 let nearest plan ~step =
-  let snaps = plan.snaps in
+  let snaps = plan.pilot.Recovery.snapshots in
   let lo = ref 0 and hi = ref (Array.length snaps - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
@@ -56,7 +50,5 @@ let nearest plan ~step =
   snaps.(!lo)
 
 let fork ?tel plan (fault : Fault.t) =
-  Recovery.resume ~config:plan.config ?tel ~snapshots:plan.snaps
-    ~pilot_outcome:plan.pilot
-    ~from:(nearest plan ~step:fault.Fault.at_step)
-    ~faults:[ fault ] plan.compiled
+  Recovery.resume ?tel plan.pilot ~from:(nearest plan ~step:fault.Fault.at_step)
+    ~faults:[ fault ]

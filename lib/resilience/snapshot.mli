@@ -1,9 +1,10 @@
 (** Snapshot plans for fault campaigns.
 
-    A plan is the result of one fault-free {e pilot} run of a compiled
-    program under a recovery configuration, capturing a copy of the whole
-    executor every [every] steps; memory pages are shared, not copied
-    ({!Turnpike_ir.Mem.fork}). Each fault of a campaign then
+    A plan holds one fault-free {e pilot} run of a compiled program under
+    a recovery configuration ({!Recovery.capture_pilot}): a snapshot of
+    the executor every [every] steps, each carrying that config and
+    program, and the pilot's final outcome. Memory pages are shared, not
+    copied ({!Turnpike_ir.Mem.fork}). Each fault of a campaign then
     {!fork}s from the snapshot nearest its strike site, producing an
     outcome byte-identical to a from-scratch {!Recovery.run} at O(suffix)
     cost.
@@ -12,19 +13,14 @@
     of a parallel campaign; the one cell a plan writes after it is
     recorded, {!pilot_matches}'s cache, is atomic. *)
 
-module Pass_pipeline = Turnpike_compiler.Pass_pipeline
-
 type plan = private {
-  config : Recovery.config;
-  compiled : Pass_pipeline.t;
-  every : int;
-  snaps : Recovery.snapshot array;
-  pilot : Recovery.outcome;
+  pilot : Recovery.pilot;
   checked : (Turnpike_ir.Interp.state * bool) option Atomic.t;
       (** {!pilot_matches}'s cache *)
 }
 
-val record : ?config:Recovery.config -> ?every:int -> Pass_pipeline.t -> plan
+val record :
+  ?config:Recovery.config -> ?every:int -> Turnpike_compiler.Pass_pipeline.t -> plan
 (** Run the fault-free pilot and capture a snapshot every [every] steps
     (default 512).
     @raise Invalid_argument when [every <= 0].
@@ -50,7 +46,8 @@ val nearest : plan -> step:int -> Recovery.snapshot
     every plan, so this is total for [step >= 0]). *)
 
 val fork : ?tel:Turnpike_telemetry.sink -> plan -> Fault.t -> Recovery.outcome
-(** Replay one fault from the nearest snapshot. Byte-identical to
-    [Recovery.run ~fault ~config:plan.config plan.compiled] in [state],
-    [recoveries] and [detections] — and in the forensic events [tel]
-    receives (see {!Recovery.run}); raises the same exceptions. *)
+(** Replay one fault from the nearest snapshot, under the config and
+    program the plan was recorded with. Byte-identical to
+    [Recovery.run ~faults:[fault]] under them in [state], [recoveries]
+    and [detections] — and in the forensic events [tel] receives (see
+    {!Recovery.run}); raises the same exceptions. *)

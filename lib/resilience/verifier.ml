@@ -82,7 +82,7 @@ let run_one ?(config = Recovery.default_config) ?plan ?(tel = Telemetry.null)
   let replay () =
     match plan with
     | Some p -> Snapshot.fork ~tel p fault
-    | None -> Recovery.run ~fault ~config ~tel compiled
+    | None -> Recovery.run ~faults:[ fault ] ~config ~tel compiled
   in
   let classified =
     match replay () with

@@ -1,11 +1,9 @@
-(* Coverage for API surface not exercised elsewhere: machine presets and
-   the sensor-driven constructor, run-driver bookkeeping, CSV export,
-   report formatting, prog validation, recovery-expression utilities, and
-   assorted edge cases. *)
+(* Coverage for API surface not exercised elsewhere: machine presets,
+   run-driver bookkeeping, CSV export, report formatting, prog validation,
+   recovery-expression utilities, and assorted edge cases. *)
 
 open Turnpike_ir
 module Machine = Turnpike_arch.Machine
-module Sensor = Turnpike_arch.Sensor
 module BP = Turnpike_arch.Branch_predictor
 module Suite = Turnpike_workloads.Suite
 
@@ -23,15 +21,7 @@ let test_machine_presets () =
   check "turnstile has no coloring" false ts.Machine.coloring;
   let tp = Machine.turnpike ~wcdl:20 () in
   check "turnpike has clq" true (tp.Machine.clq <> None);
-  check "turnpike has coloring" true tp.Machine.coloring;
-  check_int "with_wcdl" 35 (Machine.with_wcdl tp 35).Machine.wcdl;
-  check_int "with_sb" 8 (Machine.with_sb tp 8).Machine.sb_size
-
-let test_machine_of_sensors () =
-  let m = Machine.of_sensors (Machine.turnpike ()) ~num_sensors:300 ~clock_ghz:2.5 in
-  check_int "300 sensors at 2.5GHz give the paper's 10-cycle WCDL" 10 m.Machine.wcdl;
-  let m30 = Machine.of_sensors (Machine.turnpike ()) ~num_sensors:30 ~clock_ghz:2.5 in
-  check "fewer sensors, longer window" true (m30.Machine.wcdl > m.Machine.wcdl)
+  check "turnpike has coloring" true tp.Machine.coloring
 
 (* ------------------------------------------------------------------ *)
 (* Branch predictor unit behaviour *)
@@ -45,8 +35,7 @@ let test_predictor_basics () =
   ignore (BP.update p ~pc:3 ~taken:false);
   ignore (BP.update p ~pc:3 ~taken:false);
   check "trained to not-taken" false (BP.predict p ~pc:3);
-  check_int "lookups counted" 4 (BP.lookups p);
-  check "rate in [0,1]" true (BP.mispredict_rate p >= 0.0 && BP.mispredict_rate p <= 1.0)
+  check_int "lookups counted" 4 (BP.lookups p)
 
 let test_predictor_aliasing_isolated () =
   let p = BP.create ~entries:4 () in
@@ -72,8 +61,7 @@ let test_prog_validate () =
   let bad_align = Prog.create ~mem_init:[ (Layout.data_base + 3, 5) ] f in
   check "misaligned image flagged" true (List.length (Prog.validate bad_align) = 1);
   let bad_reg = Prog.create ~reg_init:[ (Reg.zero, 1) ] f in
-  check "zero-reg input flagged" true (List.length (Prog.validate bad_reg) = 1);
-  Alcotest.(check (list int)) "live-in regs" [ 3 ] (Prog.live_in_regs ok)
+  check "zero-reg input flagged" true (List.length (Prog.validate bad_reg) = 1)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery expressions *)
@@ -195,7 +183,6 @@ let test_run_stats_accessors () =
   check_int "sb_writes = stores + ckpts" (s.S.stores + s.S.ckpts) (S.sb_writes s);
   check_int "fast = wf + colored" (s.S.war_free_released + s.S.colored_released)
     (S.fast_released s);
-  check "ckpt ratio in (0,1)" true (S.ckpt_ratio s > 0.0 && S.ckpt_ratio s < 1.0);
   check "war-free ratio in [0,1]" true (S.war_free_ratio s >= 0.0 && S.war_free_ratio s <= 1.0);
   check "stats printable" true (String.length (S.to_string s) > 0);
   check "static stats printable" true
@@ -223,7 +210,6 @@ let test_suite_descriptions_nonempty () =
 let tests =
   [
     ("machine presets", `Quick, test_machine_presets);
-    ("machine of_sensors", `Quick, test_machine_of_sensors);
     ("branch predictor basics", `Quick, test_predictor_basics);
     ("branch predictor aliasing", `Quick, test_predictor_aliasing_isolated);
     ("branch predictor invalid args", `Quick, test_predictor_invalid);

@@ -136,7 +136,7 @@ let test_no_fault_turnstile_config () =
 let test_single_fault_recovers () =
   let c = compiled_of "libquan" in
   let fault = Fault.single_bit ~at_step:500 ~reg:2 ~bit:3 in
-  let out = Recovery.run ~fault c.Turnpike.Run.compiled in
+  let out = Recovery.run ~faults:[ fault ] c.Turnpike.Run.compiled in
   check "recovered" true
     (Verifier.compare_states ~golden:c.Turnpike.Run.final ~actual:out.Recovery.state
     = Verifier.Match);
@@ -224,7 +224,7 @@ let test_parity_detection_on_address_taint () =
     Option.get !found
   in
   let fault = Fault.single_bit ~at_step:60 ~reg:base_reg ~bit:1 in
-  let out = Recovery.run ~fault compiled in
+  let out = Recovery.run ~faults:[ fault ] compiled in
   check "parity detection fired" true (List.mem Recovery.Parity out.Recovery.detections);
   check "recovered" true
     (Verifier.compare_states ~golden ~actual:out.Recovery.state = Verifier.Match)
@@ -251,7 +251,7 @@ let test_detection_near_program_end () =
   let c = compiled_of "libquan" in
   let len = Array.length c.Turnpike.Run.trace.Trace.events in
   let fault = Fault.single_bit ~at_step:(len - 3) ~reg:1 ~bit:2 in
-  let out = Recovery.run ~fault c.Turnpike.Run.compiled in
+  let out = Recovery.run ~faults:[ fault ] c.Turnpike.Run.compiled in
   check_int "detected after halt" 1 (List.length out.Recovery.detections);
   check "still matches" true
     (Verifier.compare_states ~golden:c.Turnpike.Run.final ~actual:out.Recovery.state
@@ -261,7 +261,7 @@ let test_fault_on_dead_register_harmless () =
   let c = compiled_of "libquan" in
   (* Register 30 is a spill scratch; at most steps it is dead. *)
   let fault = Fault.single_bit ~at_step:100 ~reg:30 ~bit:7 in
-  let out = Recovery.run ~fault c.Turnpike.Run.compiled in
+  let out = Recovery.run ~faults:[ fault ] c.Turnpike.Run.compiled in
   check "output intact" true
     (Verifier.compare_states ~golden:c.Turnpike.Run.final ~actual:out.Recovery.state
     = Verifier.Match)
@@ -633,7 +633,7 @@ let prop_random_faults_recover =
       let c = compiled_of "libquan" in
       let reg = 1 + (step mod 6) in
       let fault = Fault.single_bit ~at_step:step ~reg ~bit in
-      let out = Recovery.run ~fault c.Turnpike.Run.compiled in
+      let out = Recovery.run ~faults:[ fault ] c.Turnpike.Run.compiled in
       Verifier.compare_states ~golden:c.Turnpike.Run.final ~actual:out.Recovery.state
       = Verifier.Match)
 
@@ -644,7 +644,7 @@ let prop_random_faults_recover_histogram =
       let c = compiled_of "radix" in
       let reg = 1 + (step mod 8) in
       let fault = Fault.single_bit ~at_step:step ~reg ~bit in
-      let out = Recovery.run ~fault c.Turnpike.Run.compiled in
+      let out = Recovery.run ~faults:[ fault ] c.Turnpike.Run.compiled in
       Verifier.compare_states ~golden:c.Turnpike.Run.final ~actual:out.Recovery.state
       = Verifier.Match)
 
@@ -873,9 +873,8 @@ let differential_kernel b =
                   ( "forked",
                     with_sink (fun tel ->
                         observe_new (fun () ->
-                            Recovery.resume ~config ~tel ~snapshots:plan.Snapshot.snaps
-                              ~pilot_outcome:(Snapshot.pilot_outcome plan)
-                              ~from:(Snapshot.nearest plan ~step:first) ~faults compiled)),
+                            Recovery.resume ~tel plan.Snapshot.pilot
+                              ~from:(Snapshot.nearest plan ~step:first) ~faults)),
                     with_sink (fun tel ->
                         observe_ref (fun () ->
                             Recovery_ref.resume ~config:ref_config ~tel ~snapshots:ref_snaps

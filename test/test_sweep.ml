@@ -100,7 +100,7 @@ let test_design_point_lowering () =
   (match off with
   | DP.Machine_model.In_order m -> check "0 bits disables coloring" false m.Scheme.Machine.coloring
   | DP.Machine_model.Out_of_order _ -> Alcotest.fail "expected in-order");
-  let rc = DP.recovery_config p ~fuel:1000 in
+  let rc = DP.recovery_config p in
   check_int "campaign verify delay is the WCDL" 10
     rc.DP.Recovery.verify_delay;
   check "campaign coloring mirrors bits" true rc.DP.Recovery.coloring

@@ -39,7 +39,9 @@
 #                             with a diagnostic, that bench/main.exe
 #                             rejects a malformed --scale, an unknown
 #                             flag and an empty campaign (--faults 0)
-#                             with exit 2, that every command block
+#                             with exit 2 and an uncreatable --csv
+#                             directory with exit 1 before any work,
+#                             naming the path, that every command block
 #                             in docs/TUTORIAL.md runs verbatim, and
 #                             (advisorily) that the odoc docs build.
 #
@@ -326,7 +328,7 @@ if dune exec --no-build bin/turnpike_cli.exe -- compile examples/triad.tk \
 fi
 grep -q 'must run before' "$tmp/pipe_order.err"
 
-echo "== bench smoke: bad arguments exit 2 and name the flag =="
+echo "== bench smoke: bad arguments exit 2, an uncreatable --csv dir exits 1 =="
 # bench/main.exe parses its own arguments: a malformed number and a flag
 # it does not know must each exit 2 with the flag named on stderr.
 status=0
@@ -346,6 +348,17 @@ dune exec --no-build bench/main.exe -- resilience --faults 0 > /dev/null \
   2> "$tmp/bench_faults.err" || status=$?
 test "$status" -eq 2
 grep -q -- '--faults expects a positive count, got 0' "$tmp/bench_faults.err"
+# A --csv directory that cannot be created is refused when the flag is
+# parsed: exit 1 naming the path, not an exception after the table.
+status=0
+dune exec --no-build bench/main.exe -- fig18 --csv /nonexistent/dir/x > /dev/null \
+  2> "$tmp/bench_csv.err" || status=$?
+test "$status" -eq 1
+grep -q -- 'cannot create directory /nonexistent/dir/x' "$tmp/bench_csv.err"
+if grep -qE 'Fatal error|uncaught exception' "$tmp/bench_csv.err"; then
+  echo "bench/main.exe --csv /nonexistent/dir/x: uncaught exception" >&2
+  exit 1
+fi
 
 echo "== tutorial smoke: docs/TUTORIAL.md command blocks run verbatim =="
 # Every ```sh block in the tutorial executes in a scratch directory with
