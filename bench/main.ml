@@ -36,30 +36,33 @@ type args = {
 
 let default_campaign_faults = 24
 
-let csv a name render rows =
-  match a.csv_dir with
-  | None -> ()
-  | Some dir ->
+(* Every table prints through here: under --csv, a figure that has a CSV
+   file writes it first. *)
+let table a ?csv cols rows =
+  (match (a.csv_dir, csv) with
+  | Some dir, Some name ->
     let path = Filename.concat dir (name ^ ".csv") in
-    render ~path rows;
+    Turnpike.Csv_export.table ~path cols rows;
     Printf.printf "[csv written to %s]\n" path
+  | _ -> ());
+  Report.print_table cols rows
+
+(* "PREFIX name=geomean ..." over one keyed cell list per row. *)
+let print_geomeans prefix names cells rows =
+  print_string prefix;
+  List.iter
+    (fun n ->
+      Printf.printf " %s=%.3f" n
+        (Report.geomean (List.map (fun r -> List.assoc n (cells r)) rows)))
+    names;
+  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 
 let run_fig4 a =
   Report.section "Fig 4: checkpoint ratio vs store-buffer size (Turnstile)";
   let rows = E.fig4 ~params:a.params () in
-  csv a "fig4" Turnpike.Csv_export.fig4 rows;
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "SB=40"; width = 8 };
-             { title = "SB=4"; width = 8 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.fig4_row) ->
-      Report.print_row cols
-        [ r.bench; Report.fmt_pct (100. *. r.ratio_sb40); Report.fmt_pct (100. *. r.ratio_sb4) ])
-    rows;
+  table a ~csv:"fig4" E.fig4_columns rows;
   let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf "mean checkpoint ratio: SB=40 %.2f%%  SB=4 %.2f%%  (paper: 4.1%% vs 14.98%%)\n"
     (mean (fun r -> 100. *. r.E.ratio_sb40))
@@ -68,21 +71,7 @@ let run_fig4 a =
 let run_fig14_15 a =
   Report.section "Figs 14/15: ideal vs compact CLQ (WAR-free + coloring only, WCDL=10)";
   let rows = E.fig14_15 ~params:a.params () in
-  csv a "fig14_15" Turnpike.Csv_export.fig14_15 rows;
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "ov ideal"; width = 9 };
-             { title = "ov compact"; width = 10 }; { title = "wf ideal"; width = 9 };
-             { title = "wf compact"; width = 10 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.clq_design_row) ->
-      Report.print_row cols
-        [ r.bench; Report.fmt_overhead r.overhead_ideal;
-          Report.fmt_overhead r.overhead_compact;
-          Report.fmt_pct (100. *. r.war_free_ideal);
-          Report.fmt_pct (100. *. r.war_free_compact) ])
-    rows;
+  table a ~csv:"fig14_15" E.fig14_15_columns rows;
   let geomean f = Report.geomean (List.map f rows) in
   let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf
@@ -96,33 +85,12 @@ let run_fig14_15 a =
 
 let run_fig18 a =
   Report.section "Fig 18: detection latency vs deployed sensors";
-  let cols =
-    Report.[ { title = "#sensors"; width = 8 }; { title = "2.0GHz"; width = 7 };
-             { title = "2.5GHz"; width = 7 }; { title = "3.0GHz"; width = 7 } ]
-  in
-  Report.print_header cols;
-  csv a "fig18" Turnpike.Csv_export.fig18 (E.fig18 ());
-  List.iter
-    (fun (r : E.fig18_row) ->
-      Report.print_row cols
-        [ string_of_int r.sensors; string_of_int r.dl_2_0ghz;
-          string_of_int r.dl_2_5ghz; string_of_int r.dl_3_0ghz ])
-    (E.fig18 ());
+  table a ~csv:"fig18" E.fig18_columns (E.fig18 ());
   print_endline "(paper anchor: 300 sensors @2.5GHz -> 10 cycles; 30 sensors -> ~30 cycles)"
 
-let print_wcdl_sweep title paper_note rows =
+let run_wcdl_sweep a ~csv title paper_note rows =
   Report.section title;
-  let cols =
-    Report.(
-      { title = "benchmark"; width = 18 }
-      :: List.map (fun w -> { title = Printf.sprintf "DL%d" w; width = 7 }) E.wcdls)
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.wcdl_sweep_row) ->
-      Report.print_row cols
-        (r.bench :: List.map (fun (_, ov) -> Report.fmt_overhead ov) r.overheads))
-    rows;
+  table a ~csv (E.wcdl_sweep_columns rows) rows;
   let geomean w = Report.geomean (List.map (fun r -> List.assoc w r.E.overheads) rows) in
   Printf.printf "geomean:            %s\n"
     (String.concat " "
@@ -130,41 +98,21 @@ let print_wcdl_sweep title paper_note rows =
   print_endline paper_note
 
 let run_fig19 a =
-  let rows = E.fig19 ~params:a.params () in
-  csv a "fig19" Turnpike.Csv_export.wcdl_sweep rows;
-  print_wcdl_sweep "Fig 19: Turnpike overhead across WCDL"
-    "(paper: 0%-14% average overhead for WCDL 10-50)" rows
+  run_wcdl_sweep a ~csv:"fig19" "Fig 19: Turnpike overhead across WCDL"
+    "(paper: 0%-14% average overhead for WCDL 10-50)" (E.fig19 ~params:a.params ())
 
 let run_fig20 a =
-  let rows = E.fig20 ~params:a.params () in
-  csv a "fig20" Turnpike.Csv_export.wcdl_sweep rows;
-  print_wcdl_sweep "Fig 20: Turnstile overhead across WCDL"
-    "(paper: 29%-84% average overhead for WCDL 10-50, outliers to 5.8x)" rows
+  run_wcdl_sweep a ~csv:"fig20" "Fig 20: Turnstile overhead across WCDL"
+    "(paper: 29%-84% average overhead for WCDL 10-50, outliers to 5.8x)"
+    (E.fig20 ~params:a.params ())
+
+let scheme_names = List.map (fun (s : Scheme.t) -> s.Scheme.name) Scheme.ladder
 
 let run_fig21 a =
   Report.section "Fig 21: optimization ablation ladder (WCDL=10)";
   let rows = E.fig21 ~params:a.params () in
-  csv a "fig21" Turnpike.Csv_export.ladder rows;
-  let scheme_names = List.map (fun (s : Scheme.t) -> s.Scheme.name) Scheme.ladder in
-  let cols =
-    Report.(
-      { title = "benchmark"; width = 18 }
-      :: List.map (fun n -> { title = n; width = max 9 (String.length n) }) scheme_names)
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.fig21_row) ->
-      Report.print_row cols
-        (r.bench
-        :: List.map (fun n -> Report.fmt_overhead (List.assoc n r.by_scheme)) scheme_names))
-    rows;
-  print_string "geomean:          ";
-  List.iter
-    (fun n ->
-      Printf.printf " %s=%.3f" n
-        (Report.geomean (List.map (fun r -> List.assoc n r.E.by_scheme) rows)))
-    scheme_names;
-  print_newline ();
+  table a ~csv:"fig21" (E.fig21_columns rows) rows;
+  print_geomeans "geomean:          " scheme_names (fun r -> r.E.by_scheme) rows;
   print_endline
     "(paper geomeans: turnstile 1.29 -> war-free 1.25 -> +coloring 1.22 -> +pruning 1.12\n\
      -> +licm 1.10 -> +sched 1.07 -> +ra 1.02 -> turnpike 1.00)"
@@ -173,14 +121,7 @@ let run_ablation50 a =
   Report.section
     "Extension: optimization ablation ladder at WCDL=50 (paper shows only WCDL=10)";
   let rows = E.fig21_wcdl ~params:a.params ~wcdl:50 () in
-  let scheme_names = List.map (fun (s : Scheme.t) -> s.Scheme.name) Scheme.ladder in
-  print_string "geomean:";
-  List.iter
-    (fun n ->
-      Printf.printf " %s=%.3f" n
-        (Report.geomean (List.map (fun r -> List.assoc n r.E.by_scheme) rows)))
-    scheme_names;
-  print_newline ();
+  print_geomeans "geomean:" scheme_names (fun r -> r.E.by_scheme) rows;
   print_endline
     "(the compiler rungs — pruning/LICM/LIVM — matter more here than at WCDL=10:\n\
      every store they remove is one fewer 50-cycle quarantine)"
@@ -189,17 +130,7 @@ let run_motivation a =
   Report.section
     "Motivation (paper sections 1 and 3): the same Turnstile binary, out-of-order vs in-order";
   let rows = E.motivation ~params:a.params () in
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "OoO (SB=40)"; width = 11 };
-             { title = "in-order (SB=4)"; width = 15 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.motivation_row) ->
-      Report.print_row cols
-        [ r.bench; Report.fmt_overhead r.ooo_overhead;
-          Report.fmt_overhead r.inorder_overhead ])
-    rows;
+  table a E.motivation_columns rows;
   let geomean f = Report.geomean (List.map f rows) in
   Printf.printf
     "geomean: OoO %.3f, in-order %.3f (paper: ~1.08 out-of-order vs 1.29 in-order at WCDL=10)\n"
@@ -210,24 +141,7 @@ let run_unroll a =
   Report.section
     "Extension: loop unrolling as a region-size knob (WCDL=50; baseline re-unrolled identically)";
   let rows = E.unroll_ablation ~params:a.params () in
-  let cols =
-    Report.(
-      { title = "benchmark"; width = 18 }
-      :: List.concat_map
-           (fun f ->
-             [ { title = Printf.sprintf "ts x%d" f; width = 7 };
-               { title = Printf.sprintf "tp x%d" f; width = 7 } ])
-           E.unroll_factors)
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.unroll_row) ->
-      Report.print_row cols
-        (r.bench
-        :: List.concat_map
-             (fun (_, ts, tp) -> [ Report.fmt_overhead ts; Report.fmt_overhead tp ])
-             r.by_factor))
-    rows;
+  table a E.unroll_columns rows;
   print_string "geomean:";
   List.iter
     (fun f ->
@@ -250,47 +164,17 @@ let run_unroll a =
 let run_fig22 a =
   Report.section "Fig 22: store-buffer size sensitivity (WCDL=10)";
   let rows = E.fig22 ~params:a.params () in
-  let config_names = List.map (fun (n, _, _) -> n) E.fig22_configs in
-  let cols =
-    Report.(
-      { title = "benchmark"; width = 18 }
-      :: List.map (fun n -> { title = n; width = max 9 (String.length n) }) config_names)
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.fig22_row) ->
-      Report.print_row cols
-        (r.bench
-        :: List.map (fun n -> Report.fmt_overhead (List.assoc n r.by_config)) config_names))
-    rows;
-  print_string "geomean:          ";
-  List.iter
-    (fun n ->
-      Printf.printf " %s=%.3f" n
-        (Report.geomean (List.map (fun r -> List.assoc n r.E.by_config) rows)))
-    config_names;
-  print_newline ();
+  table a (E.fig22_columns rows) rows;
+  print_geomeans "geomean:          "
+    (List.map (fun (n, _, _) -> n) E.fig22_configs)
+    (fun r -> r.E.by_config) rows;
   print_endline
     "(paper: turnstile needs SB=40 to reach 1.09 while turnpike is ~1.00 at SB=4)"
 
 let run_fig23 a =
   Report.section "Fig 23: store breakdown (WCDL=10, 2-entry CLQ)";
   let rows = E.fig23 ~params:a.params () in
-  csv a "fig23" Turnpike.Csv_export.fig23 rows;
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "pruned"; width = 7 };
-             { title = "licm"; width = 6 }; { title = "colored"; width = 8 };
-             { title = "war-free"; width = 8 }; { title = "ra-elim"; width = 7 };
-             { title = "ivm-elim"; width = 8 }; { title = "others"; width = 7 } ]
-  in
-  Report.print_header cols;
-  let f = Printf.sprintf "%.1f" in
-  List.iter
-    (fun (r : E.fig23_row) ->
-      Report.print_row cols
-        [ r.bench; f r.pruned; f r.licm_eliminated; f r.colored; f r.war_free;
-          f r.ra_eliminated; f r.ivm_eliminated; f r.others ])
-    rows;
+  table a ~csv:"fig23" E.fig23_columns rows;
   let mean field = Report.arith_mean (List.map field rows) in
   Printf.printf
     "mean %%: pruned=%.1f licm=%.1f colored=%.1f war-free=%.1f ra=%.1f ivm=%.1f others=%.1f\n"
@@ -306,32 +190,13 @@ let run_fig23 a =
 
 let run_fig24 a =
   Report.section "Fig 24: dynamic CLQ entries populated (WCDL=10)";
-  let rows = E.fig24 ~params:a.params () in
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "average"; width = 8 };
-             { title = "maximum"; width = 8 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.fig24_row) ->
-      Report.print_row cols
-        [ r.bench; Printf.sprintf "%.2f" r.mean_entries; string_of_int r.max_entries ])
-    rows;
+  table a E.fig24_columns (E.fig24 ~params:a.params ());
   print_endline "(paper: average ~1 entry, maximum 3-4 for some applications)"
 
 let run_fig25 a =
   Report.section "Fig 25: 2-entry vs 4-entry compact CLQ (WCDL=10)";
   let rows = E.fig25 ~params:a.params () in
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "CLQ-2"; width = 7 };
-             { title = "CLQ-4"; width = 7 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.fig25_row) ->
-      Report.print_row cols
-        [ r.bench; Report.fmt_overhead r.overhead_clq2; Report.fmt_overhead r.overhead_clq4 ])
-    rows;
+  table a E.fig25_columns rows;
   let geomean f = Report.geomean (List.map f rows) in
   Printf.printf "geomean: CLQ-2 %.3f, CLQ-4 %.3f (paper: almost identical)\n"
     (geomean (fun r -> r.E.overhead_clq2))
@@ -340,35 +205,15 @@ let run_fig25 a =
 let run_fig26 a =
   Report.section "Fig 26: region size and code-size increase (Turnpike)";
   let rows = E.fig26 ~params:a.params () in
-  csv a "fig26" Turnpike.Csv_export.fig26 rows;
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 }; { title = "region size"; width = 11 };
-             { title = "code +%"; width = 8 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.fig26_row) ->
-      Report.print_row cols
-        [ r.bench; Printf.sprintf "%.1f" r.region_size;
-          Printf.sprintf "%.2f" r.code_increase_pct ])
-    rows;
+  table a ~csv:"fig26" E.fig26_columns rows;
   let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf "mean: %.1f instructions/region, +%.2f%% code (paper: 11.2 instrs, +0.4%%)\n"
     (mean (fun r -> r.E.region_size))
     (mean (fun r -> r.E.code_increase_pct))
 
-let run_table1 _ =
+let run_table1 a =
   Report.section "Table 1: hardware cost (analytic CACTI model, 22nm)";
-  let cols =
-    Report.[ { title = "structure"; width = 46 }; { title = "area (um^2)"; width = 12 };
-             { title = "dyn access (pJ)"; width = 15 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.Cost_model.table1_row) ->
-      Report.print_row cols
-        [ r.label; Printf.sprintf "%.3f" r.area_um2; Printf.sprintf "%.5f" r.energy_pj ])
-    (E.table1 ())
+  table a E.table1_columns (E.table1 ())
 
 let run_resilience a =
   let stopping = a.stopping in
@@ -380,52 +225,29 @@ let run_resilience a =
   let rows =
     E.resilience ~params:a.params ~faults:a.faults ~seed:a.seed ?stopping ()
   in
-  match stopping with
-  | None ->
-    let cols =
-      Report.[ { title = "benchmark"; width = 18 }; { title = "faults"; width = 7 };
-               { title = "recovered"; width = 9 }; { title = "SDC"; width = 5 };
-               { title = "crashed"; width = 7 }; { title = "parity"; width = 7 };
-               { title = "sensor"; width = 7 }; { title = "reexec +%"; width = 9 } ]
+  let cols =
+    match stopping with
+    | None -> E.resilience_columns
+    | Some _ -> E.resilience_ci_columns
+  in
+  table a cols rows;
+  match (rows, stopping) with
+  | [], _ ->
+    (* Every trace ran out of fuel: no campaign ran, so there is no verdict. *)
+    Printf.printf
+      "no trace completed within --fuel %d at --scale %d: nothing was injected\n"
+      a.params.Run.fuel a.params.Run.scale
+  | _, None ->
+    let sum f =
+      List.fold_left
+        (fun n (r : E.resilience_row) -> n + f r.campaign.E.Verifier.report)
+        0 rows
     in
-    Report.print_header cols;
-    let totals = ref (0, 0, 0) in
-    List.iter
-      (fun (r : E.resilience_row) ->
-        let rep = r.campaign.E.Verifier.report in
-        let t, s, c = !totals in
-        totals := (t + rep.E.Verifier.total, s + rep.E.Verifier.sdc, c + rep.E.Verifier.crashed);
-        Report.print_row cols
-          [ r.bench; string_of_int rep.E.Verifier.total;
-            string_of_int rep.E.Verifier.recovered; string_of_int rep.E.Verifier.sdc;
-            string_of_int rep.E.Verifier.crashed;
-            string_of_int rep.E.Verifier.parity_detections;
-            string_of_int rep.E.Verifier.sensor_detections;
-            Printf.sprintf "%.2f" (100. *. rep.E.Verifier.mean_reexec_overhead) ])
-      rows;
-    let t, s, c = !totals in
-    Printf.printf "TOTAL: %d faults, %d SDC, %d crashes (SDC-freedom requires 0/0)\n" t s c
-  | Some stopping ->
-    let cols =
-      Report.[ { title = "benchmark"; width = 18 }; { title = "faults"; width = 7 };
-               { title = "SDC rate"; width = 8 }; { title = "ci low"; width = 7 };
-               { title = "ci high"; width = 7 }; { title = "+/-"; width = 7 };
-               { title = "batches"; width = 7 }; { title = "stopped"; width = 9 } ]
-    in
-    Report.print_header cols;
-    List.iter
-      (fun (r : E.resilience_row) ->
-        (* A stopping rule was given, so every campaign carries its interval. *)
-        let ci = Option.get r.campaign.E.Verifier.ci in
-        Report.print_row cols
-          [ r.bench; string_of_int r.campaign.E.Verifier.report.E.Verifier.total;
-            Printf.sprintf "%.4f" ci.E.Verifier.sdc_rate;
-            Printf.sprintf "%.4f" ci.E.Verifier.ci_low;
-            Printf.sprintf "%.4f" ci.E.Verifier.ci_high;
-            Printf.sprintf "%.4f" ci.E.Verifier.achieved_half_width;
-            string_of_int ci.E.Verifier.batches;
-            (if ci.E.Verifier.exhausted then "supply" else "interval") ])
-      rows;
+    Printf.printf "TOTAL: %d faults, %d SDC, %d crashes (SDC-freedom requires 0/0)\n"
+      (sum (fun rep -> rep.E.Verifier.total))
+      (sum (fun rep -> rep.E.Verifier.sdc))
+      (sum (fun rep -> rep.E.Verifier.crashed))
+  | _, Some stopping ->
     Printf.printf
       "(stop target: half-width %.4f at %g%% confidence; 'supply' = fault list \
        exhausted first)\n"
@@ -435,18 +257,7 @@ let run_resilience a =
 let run_energy a =
   Report.section "Resilience-hardware energy (beyond the paper's figures)";
   let rows = E.energy ~params:a.params () in
-  let cols =
-    Report.[ { title = "benchmark"; width = 18 };
-             { title = "turnstile pJ/kinstr"; width = 19 };
-             { title = "turnpike pJ/kinstr"; width = 18 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (r : E.energy_row) ->
-      Report.print_row cols
-        [ r.bench; Printf.sprintf "%.2f" r.turnstile_pj_per_kinstr;
-          Printf.sprintf "%.2f" r.turnpike_pj_per_kinstr ])
-    rows;
+  table a E.energy_columns rows;
   let mean f = Report.arith_mean (List.map f rows) in
   Printf.printf
     "mean: turnstile %.2f, turnpike %.2f pJ per 1000 instructions\n\
@@ -477,24 +288,21 @@ let profile a =
       (fun (e : Telemetry.event) -> String.equal e.Telemetry.cat "compiler")
       (Telemetry.events tel)
   in
-  let cols =
-    Report.[ { title = "pass"; width = 26 }; { title = "us"; width = 8 };
-             { title = "stat deltas"; width = 44 } ]
-  in
-  Report.print_header cols;
-  List.iter
-    (fun (e : Telemetry.event) ->
-      let dur = match e.Telemetry.kind with Telemetry.Complete d -> d | _ -> 0 in
-      let deltas =
-        String.concat " "
-          (List.map
-             (fun (k, v) ->
-               match v with
-               | Telemetry.Int i -> Printf.sprintf "%s%+d" k i
-               | _ -> k)
-             e.Telemetry.args)
-      in
-      Report.print_row cols [ e.Telemetry.name; string_of_int dur; deltas ])
+  table a
+    Report.
+      [
+        str "pass" 26 (fun (e : Telemetry.event) -> e.Telemetry.name);
+        int "us" 8 (fun e ->
+            match e.Telemetry.kind with Telemetry.Complete d -> d | _ -> 0);
+        str "stat deltas" 44 (fun e ->
+            String.concat " "
+              (List.map
+                 (fun (k, v) ->
+                   match v with
+                   | Telemetry.Int i -> Printf.sprintf "%s%+d" k i
+                   | _ -> k)
+                 e.Telemetry.args));
+      ]
     spans;
   Printf.printf "%d pass spans (pipeline declares %d passes)\n" (List.length spans)
     (List.length (Turnpike_compiler.Pass_pipeline.pass_names opts));
@@ -550,10 +358,11 @@ let main () scale fuel seed faults stopping profiled selected csv_dir =
 let () =
   let open Cmdliner in
   let fuel =
-    Arg.(
-      value
-      & opt int Run.default_fuel
-      & info [ "fuel" ] ~docv:"N" ~doc:"Interpreter step budget per simulated run.")
+    Cli.positive ~flag:"--fuel" ~expects:"a positive step budget"
+      Arg.(
+        value
+        & opt int Run.default_fuel
+        & info [ "fuel" ] ~docv:"N" ~doc:"Interpreter step budget per simulated run.")
   in
   let profiled =
     Arg.(

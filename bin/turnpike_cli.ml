@@ -476,27 +476,10 @@ let report_cmd =
         "mean detect latency %.1f   mean rewind %.1f   dropped events %d\n"
         summary.F.mean_detect_latency summary.F.mean_rewind
         summary.F.dropped_events;
-      let table title key_title rows =
+      let first_rows rows = List.filteri (fun i _ -> i < top) rows in
+      let table title key rows =
         R.subsection title;
-        let cols =
-          [ { R.title = key_title; width = 24 };
-            { R.title = "total"; width = 6 }; { R.title = "masked"; width = 7 };
-            { R.title = "detect"; width = 7 }; { R.title = "sdc"; width = 5 };
-            { R.title = "crash"; width = 6 }; { R.title = "vuln"; width = 7 };
-          ]
-        in
-        R.print_header cols;
-        List.iteri
-          (fun i (row : F.row) ->
-            if i < top then
-              let c = row.F.counts in
-              R.print_row cols
-                [ row.F.key; string_of_int (F.counts_total c);
-                  string_of_int c.F.masked; string_of_int c.F.detected;
-                  string_of_int c.F.sdc; string_of_int c.F.crashed;
-                  Printf.sprintf "%.3f" (F.vulnerability c);
-                ])
-          rows
+        R.print_table (Turnpike.Csv_export.forensics_columns ~key) (first_rows rows)
       in
       table "most vulnerable sites" "site (block:index)" summary.F.by_site;
       table "most vulnerable registers" "register" summary.F.by_register;
@@ -504,24 +487,17 @@ let report_cmd =
       (match static_v with
       | None -> ()
       | Some v ->
-        let stable title key_title rows =
+        let stable title key rows =
           R.subsection title;
-          let cols =
-            [ { R.title = key_title; width = 24 };
-              { R.title = "exposure"; width = 10 };
-              { R.title = "score"; width = 10 };
-            ]
-          in
-          R.print_header cols;
-          List.iteri
-            (fun i (row : An.Vuln.row) ->
-              if i < top then
-                R.print_row cols
-                  [ row.An.Vuln.key;
-                    Printf.sprintf "%.2f" row.An.Vuln.exposure;
-                    Printf.sprintf "%.4f" row.An.Vuln.score;
-                  ])
-            rows
+          R.print_table
+            R.
+              [
+                str key 24 (fun (r : An.Vuln.row) -> r.An.Vuln.key);
+                float ~fmt:(Printf.sprintf "%.2f") "exposure" 10 (fun r ->
+                    r.An.Vuln.exposure);
+                float ~fmt:(Printf.sprintf "%.4f") "score" 10 (fun r -> r.An.Vuln.score);
+              ]
+            (first_rows rows)
         in
         Printf.printf
           "\nstatic estimate (no faults): predicted AVF %.6f, %d coverage \

@@ -23,10 +23,6 @@ let severity_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let max_severity = function
-  | [] -> None
-  | ds -> Some (List.fold_left (fun acc d -> max acc d.severity) Info ds)
-
 let error_count ds =
   List.length (List.filter (fun d -> d.severity = Error) ds)
 

@@ -32,9 +32,6 @@ val make :
 (** [make ~check ~severity ~func ?block ?instr ?pass message] builds one
     diagnostic. *)
 
-val max_severity : t list -> severity option
-(** Highest severity present, [None] on the empty list. *)
-
 val error_count : t list -> int
 (** Number of [Error]-severity diagnostics in the list. *)
 

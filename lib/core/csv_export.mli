@@ -1,28 +1,28 @@
-(** CSV rendering of experiment rows for downstream plotting
-    (`bench --csv DIR` writes one file per experiment). *)
+(** CSV rendering of experiment rows for downstream plotting.
+    [bench/main.exe --csv DIR] writes eight files: [fig4.csv],
+    [fig14_15.csv], [fig18.csv], [fig19.csv], [fig20.csv], [fig21.csv],
+    [fig23.csv] and [fig26.csv], each from its figure's column list in
+    {!Experiments}. *)
 
-val write : path:string -> header:string list -> string list list -> unit
-
-val fig4 : path:string -> Experiments.fig4_row list -> unit
-val fig14_15 : path:string -> Experiments.clq_design_row list -> unit
-val fig18 : path:string -> Experiments.fig18_row list -> unit
-
-val wcdl_sweep : path:string -> Experiments.wcdl_sweep_row list -> unit
-(** Figs 19/20: one column per WCDL. *)
-
-val ladder : path:string -> Experiments.fig21_row list -> unit
-(** Fig 21 (and its WCDL-50 extension): one column per scheme. *)
-
-val fig23 : path:string -> Experiments.fig23_row list -> unit
-val fig26 : path:string -> Experiments.fig26_row list -> unit
+val table : path:string -> 'row Report.column list -> 'row list -> unit
+(** Write the CSV rendering of [cols] over [rows] to [path]: the CSV
+    headers, then one line per row. Without columns it writes no file,
+    so a keyed table ({!Report.keyed}) with no rows leaves nothing; a
+    fixed-column table with no rows writes its header. *)
 
 val explore_grid : path:string -> Explore.report -> unit
 (** Every grid point of an exploration, in grid enumeration order: axis
-    columns ({!Design_point.csv_header}), the point's objectives and its
+    columns ({!Design_point.columns}), the point's objectives and its
     frontier membership. *)
 
 val explore_pareto : path:string -> Explore.report -> unit
 (** The Pareto-optimal subset only, same columns and order. *)
+
+val forensics_columns :
+  key:string -> Turnpike_resilience.Forensics.row Report.column list
+(** One forensic attribution table: the key (text title [key], CSV header
+    [key]), the outcome counts and the vulnerability. [turnpike-cli
+    report] prints it and {!forensics} writes it. *)
 
 val forensics :
   dir:string ->
@@ -35,10 +35,9 @@ val forensics :
 
 val vuln_table : path:string -> Lint.vuln_csv_row list -> unit
 (** One static vulnerability table axis: a [benchmark,key] row per
-    ranked key with one score column per scheme. Reuses the sweep
-    writers' missing-column tolerance ([columns_of]): a key a scheme
-    never ranks (regions differ across rungs) renders as "nan" rather
-    than losing the file. No-op on empty input. *)
+    ranked key with one score column per scheme ({!Report.keyed}): a key
+    a scheme never ranks (regions differ across rungs) renders as "nan"
+    rather than losing the file. No file on empty input. *)
 
 val vuln : dir:string -> Lint.vuln_report -> unit
 (** The full static artifact set under [dir]: [vuln_by_site.csv],

@@ -137,15 +137,14 @@ let grid spec =
         spec.sb_entries)
     spec.cores
 
-let csv_header = [ "core"; "sb"; "clq"; "color_bits"; "sensors"; "wcdl"; "rung" ]
-
-let csv_cells p =
-  [
-    core_name p.core;
-    string_of_int p.sb_entries;
-    string_of_int p.clq_entries;
-    string_of_int p.color_bits;
-    string_of_int p.sensors;
-    string_of_int (wcdl p);
-    p.rung.Scheme.name;
-  ]
+let columns point =
+  Report.
+    [
+      str "core" 0 (fun r -> core_name (point r).core);
+      int "sb" 0 (fun r -> (point r).sb_entries);
+      int "clq" 0 (fun r -> (point r).clq_entries);
+      int "color_bits" 0 (fun r -> (point r).color_bits);
+      int "sensors" 0 (fun r -> (point r).sensors);
+      int "wcdl" 0 (fun r -> wcdl (point r));
+      str "rung" 0 (fun r -> (point r).rung.Scheme.name);
+    ]

@@ -83,8 +83,7 @@ val grid : spec -> t list
     canonical enumeration order every explorer artifact reports points
     in. *)
 
-val csv_header : string list
-(** The axis columns of a design-point CSV row: core, sb, clq,
-    color_bits, sensors, wcdl, rung. *)
-
-val csv_cells : t -> string list
+val columns : ('row -> t) -> 'row Report.column list
+(** The axis columns of a design-point CSV row (core, sb, clq,
+    color_bits, sensors, wcdl, rung), over any row that carries a point;
+    the explore writers ({!Csv_export.explore_grid}) add the objectives. *)

@@ -22,6 +22,13 @@ let spec_benchmarks () =
     (fun b -> b.Suite.suite = Suite.Cpu2006 || b.Suite.suite = Suite.Cpu2017)
     (Suite.all ())
 
+(* Each figure's table is declared once, after its driver: one column
+   list renders both the printed table (Report.print_table) and, where the
+   figure has one, its CSV file (Csv_export.table). *)
+
+let pct x = Report.fmt_pct (100. *. x)
+let fixed digits = Printf.sprintf "%.*f" digits
+
 (* ------------------------------------------------------------------ *)
 (* Fig 4: checkpoint ratio (dynamic checkpoints / dynamic instructions)
    when the partitioner targets a 40-entry versus a 4-entry SB. *)
@@ -42,6 +49,14 @@ let fig4 ?(params = Run.default_params) () =
            ratio_sb40 = List.assoc 40 ratios;
            ratio_sb4 = List.assoc 4 ratios;
          })
+
+let fig4_columns =
+  Report.
+    [
+      str "benchmark" 18 (fun (r : fig4_row) -> r.bench);
+      float ~csv:"ratio_sb40" ~fmt:pct "SB=40" 8 (fun r -> r.ratio_sb40);
+      float ~csv:"ratio_sb4" ~fmt:pct "SB=4" 8 (fun r -> r.ratio_sb4);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figs 14/15: ideal (infinite CAM) vs compact (2-entry range) CLQ, with
@@ -73,6 +88,17 @@ let fig14_15 ?(params = Run.default_params) () =
            }
          | _ -> assert false)
 
+let fig14_15_columns =
+  Report.
+    [
+      str "benchmark" 18 (fun (r : clq_design_row) -> r.bench);
+      float ~csv:"overhead_ideal" "ov ideal" 9 (fun r -> r.overhead_ideal);
+      float ~csv:"overhead_compact" "ov compact" 10 (fun r -> r.overhead_compact);
+      float ~csv:"war_free_ideal" ~fmt:pct "wf ideal" 9 (fun r -> r.war_free_ideal);
+      float ~csv:"war_free_compact" ~fmt:pct "wf compact" 10 (fun r ->
+          r.war_free_compact);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Fig 18: sensor count vs detection latency for three clock rates. *)
 
@@ -85,6 +111,15 @@ let fig18 () =
       let dl f = Sensor.wcdl (Sensor.create ~num_sensors:n ~clock_ghz:f ()) in
       { sensors = n; dl_2_0ghz = dl 2.0; dl_2_5ghz = dl 2.5; dl_3_0ghz = dl 3.0 })
     counts
+
+let fig18_columns =
+  Report.
+    [
+      int ~csv:"sensors" "#sensors" 8 (fun r -> r.sensors);
+      int ~csv:"dl_2_0ghz" "2.0GHz" 7 (fun r -> r.dl_2_0ghz);
+      int ~csv:"dl_2_5ghz" "2.5GHz" 7 (fun r -> r.dl_2_5ghz);
+      int ~csv:"dl_3_0ghz" "3.0GHz" 7 (fun r -> r.dl_3_0ghz);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figs 19/20: overhead across WCDL 10..50 for Turnpike / Turnstile. *)
@@ -101,6 +136,14 @@ let wcdl_sweep ?(params = Run.default_params) scheme =
 
 let fig19 ?params () = wcdl_sweep ?params Scheme.turnpike
 let fig20 ?params () = wcdl_sweep ?params Scheme.turnstile
+
+let wcdl_sweep_columns rows =
+  Report.(
+    keyed
+      [ str "benchmark" 18 (fun (r : wcdl_sweep_row) -> r.bench) ]
+      (fun r -> r.overheads)
+      (fun w -> float ~csv:(Printf.sprintf "wcdl%d" w) (Printf.sprintf "DL%d" w) 7)
+      rows)
 
 (* ------------------------------------------------------------------ *)
 (* Fig 21: the ablation ladder at 10-cycle WCDL. *)
@@ -123,6 +166,16 @@ let fig21 ?(params = Run.default_params) () = ladder_at ~params ~wcdl:10 ()
    detection latencies the compiler rungs (fewer stores to verify) carry
    more of the win, which this sweep exposes. *)
 let fig21_wcdl ?(params = Run.default_params) ~wcdl () = ladder_at ~params ~wcdl ()
+
+(* Figs 21 and 22: one overhead column per scheme or configuration. *)
+let named_columns bench cells rows =
+  Report.(
+    keyed [ str "benchmark" 18 bench ] cells
+      (fun n -> float n (max 9 (String.length n)))
+      rows)
+
+let fig21_columns rows =
+  named_columns (fun (r : fig21_row) -> r.bench) (fun r -> r.by_scheme) rows
 
 (* ------------------------------------------------------------------ *)
 (* Fig 22: SB-size sensitivity at 10-cycle WCDL. Note the overhead is
@@ -149,6 +202,9 @@ let fig22 ?(params = Run.default_params) () =
            bench = Suite.qualified_name b;
            by_config = List.map (fun ((name, _, _), ov) -> (name, ov)) by;
          })
+
+let fig22_columns rows =
+  named_columns (fun (r : fig22_row) -> r.bench) (fun r -> r.by_config) rows
 
 (* ------------------------------------------------------------------ *)
 (* Fig 23: breakdown of all stores (of the unoptimized Turnstile binary)
@@ -231,6 +287,19 @@ let fig23 ?(params = Run.default_params) () =
       end)
     (benchmarks ())
 
+let fig23_columns =
+  let share ?csv title width get = Report.float ?csv ~fmt:(fixed 1) title width get in
+  [
+    Report.str "benchmark" 18 (fun (r : fig23_row) -> r.bench);
+    share "pruned" 7 (fun r -> r.pruned);
+    share "licm" 6 (fun r -> r.licm_eliminated);
+    share "colored" 8 (fun r -> r.colored);
+    share ~csv:"war_free" "war-free" 8 (fun r -> r.war_free);
+    share ~csv:"ra" "ra-elim" 7 (fun r -> r.ra_eliminated);
+    share ~csv:"ivm" "ivm-elim" 8 (fun r -> r.ivm_eliminated);
+    share "others" 7 (fun r -> r.others);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Figs 24/25: dynamic CLQ occupancy, and 2- vs 4-entry CLQ overhead. *)
 
@@ -247,6 +316,14 @@ let fig24 ?(params = Run.default_params) () =
       })
     (benchmarks ())
 
+let fig24_columns =
+  Report.
+    [
+      str "benchmark" 18 (fun (r : fig24_row) -> r.bench);
+      float ~fmt:(fixed 2) "average" 8 (fun r -> r.mean_entries);
+      int "maximum" 8 (fun r -> r.max_entries);
+    ]
+
 type fig25_row = { bench : string; overhead_clq2 : float; overhead_clq4 : float }
 
 let fig25 ?(params = Run.default_params) () =
@@ -260,6 +337,14 @@ let fig25 ?(params = Run.default_params) () =
            overhead_clq2 = List.assoc 2 by;
            overhead_clq4 = List.assoc 4 by;
          })
+
+let fig25_columns =
+  Report.
+    [
+      str "benchmark" 18 (fun (r : fig25_row) -> r.bench);
+      float "CLQ-2" 7 (fun r -> r.overhead_clq2);
+      float "CLQ-4" 7 (fun r -> r.overhead_clq4);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig 26: dynamic region size and static code-size increase. *)
@@ -281,10 +366,27 @@ let fig26 ?(params = Run.default_params) () =
       })
     (benchmarks ())
 
+let fig26_columns =
+  Report.
+    [
+      str "benchmark" 18 (fun (r : fig26_row) -> r.bench);
+      float ~csv:"region_size" ~fmt:(fixed 1) "region size" 11 (fun r -> r.region_size);
+      float ~csv:"code_increase_pct" ~fmt:(fixed 2) "code +%" 8 (fun r ->
+          r.code_increase_pct);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: hardware cost. *)
 
 let table1 () = Cost_model.table1 ()
+
+let table1_columns =
+  Report.
+    [
+      str "structure" 46 (fun (r : Cost_model.table1_row) -> r.Cost_model.label);
+      float ~fmt:(fixed 3) "area (um^2)" 12 (fun r -> r.Cost_model.area_um2);
+      float ~fmt:(fixed 5) "dyn access (pJ)" 15 (fun r -> r.Cost_model.energy_pj);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The paper's motivating comparison (§1, §3): Turnstile is lightweight on
@@ -315,6 +417,14 @@ let motivation ?(params = Run.default_params) ?(wcdl = 10) () =
       let inorder_overhead, _ = Run.normalized_with params Scheme.turnstile b in
       { bench = Suite.qualified_name b; ooo_overhead; inorder_overhead })
     (benchmarks ())
+
+let motivation_columns =
+  Report.
+    [
+      str "benchmark" 18 (fun (r : motivation_row) -> r.bench);
+      float "OoO (SB=40)" 11 (fun r -> r.ooo_overhead);
+      float "in-order (SB=4)" 15 (fun r -> r.inorder_overhead);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension ablation: loop unrolling as a region-size knob. SPEC loop
@@ -369,6 +479,22 @@ let unroll_ablation ?(params = Run.default_params) ?(wcdl = 50) () =
            by_factor = List.map (fun (f, (ts, tp)) -> (f, ts, tp)) by;
          })
 
+let unroll_columns =
+  let at f (r : unroll_row) = List.find (fun (f', _, _) -> f' = f) r.by_factor in
+  Report.str "benchmark" 18 (fun (r : unroll_row) -> r.bench)
+  :: List.concat_map
+       (fun f ->
+         Report.
+           [
+             float (Printf.sprintf "ts x%d" f) 7 (fun r ->
+                 let _, ts, _ = at f r in
+                 ts);
+             float (Printf.sprintf "tp x%d" f) 7 (fun r ->
+                 let _, _, tp = at f r in
+                 tp);
+           ])
+       unroll_factors
+
 (* ------------------------------------------------------------------ *)
 (* Beyond the paper's figures: per-benchmark energy of the resilience
    hardware. Each quarantined store costs two store-buffer CAM accesses
@@ -415,6 +541,14 @@ let energy ?(params = Run.default_params) () =
            }
          | _ -> assert false)
 
+let energy_columns =
+  Report.
+    [
+      str "benchmark" 18 (fun (r : energy_row) -> r.bench);
+      float ~fmt:(fixed 2) "turnstile pJ/kinstr" 19 (fun r -> r.turnstile_pj_per_kinstr);
+      float ~fmt:(fixed 2) "turnpike pJ/kinstr" 18 (fun r -> r.turnpike_pj_per_kinstr);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Beyond the paper's figures: an SDC-freedom fault-injection campaign,
    exercising the full recovery machinery (the property the whole design
@@ -451,3 +585,34 @@ let resilience ?(params = Run.default_params) ?(faults = 24) ?(seed = 7) ?stoppi
           }
       end)
     (benchmarks ())
+
+(* The fixed-count table, and the stopping-rule table (every campaign run
+   under a stopping rule carries its interval). *)
+let resilience_columns =
+  let rep (r : resilience_row) = r.campaign.Verifier.report in
+  Report.
+    [
+      str "benchmark" 18 (fun (r : resilience_row) -> r.bench);
+      int "faults" 7 (fun r -> (rep r).Verifier.total);
+      int "recovered" 9 (fun r -> (rep r).Verifier.recovered);
+      int "SDC" 5 (fun r -> (rep r).Verifier.sdc);
+      int "crashed" 7 (fun r -> (rep r).Verifier.crashed);
+      int "parity" 7 (fun r -> (rep r).Verifier.parity_detections);
+      int "sensor" 7 (fun r -> (rep r).Verifier.sensor_detections);
+      float ~fmt:(fun x -> fixed 2 (100. *. x)) "reexec +%" 9 (fun r -> (rep r).Verifier.mean_reexec_overhead);
+    ]
+
+let resilience_ci_columns =
+  let ci (r : resilience_row) = Option.get r.campaign.Verifier.ci in
+  let rate title width get = Report.float ~fmt:(fixed 4) title width (fun r -> get (ci r)) in
+  [
+    Report.str "benchmark" 18 (fun (r : resilience_row) -> r.bench);
+    Report.int "faults" 7 (fun r -> r.campaign.Verifier.report.Verifier.total);
+    rate "SDC rate" 8 (fun c -> c.Verifier.sdc_rate);
+    rate "ci low" 7 (fun c -> c.Verifier.ci_low);
+    rate "ci high" 7 (fun c -> c.Verifier.ci_high);
+    rate "+/-" 7 (fun c -> c.Verifier.achieved_half_width);
+    Report.int "batches" 7 (fun r -> (ci r).Verifier.batches);
+    Report.str "stopped" 9 (fun r ->
+        if (ci r).Verifier.exhausted then "supply" else "interval");
+  ]

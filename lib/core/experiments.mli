@@ -5,7 +5,13 @@
     harness renders them. Every driver takes its run configuration as
     [?params] (default {!Run.default_params}) and pins the knobs its
     figure mandates (e.g. the paper's 10-cycle WCDL) with
-    [{ params with ... }]. *)
+    [{ params with ... }].
+
+    Each driver's table is declared once, as a [*_columns] list next to
+    its row type: the same list renders the printed table
+    ({!Report.print_table}) and, for the eight figures that write one, the
+    CSV file ({!Csv_export.table}). The keyed tables (Figs 19–22) take the
+    rows, whose keys become the columns. *)
 
 module Suite = Turnpike_workloads.Suite
 module Sensor = Turnpike_arch.Sensor
@@ -19,6 +25,7 @@ val benchmarks : unit -> Suite.entry list
 type fig4_row = { bench : string; ratio_sb40 : float; ratio_sb4 : float }
 
 val fig4 : ?params:Run.params -> unit -> fig4_row list
+val fig4_columns : fig4_row Report.column list
 
 (** {1 Figs 14/15 — ideal vs compact CLQ design} *)
 
@@ -31,12 +38,14 @@ type clq_design_row = {
 }
 
 val fig14_15 : ?params:Run.params -> unit -> clq_design_row list
+val fig14_15_columns : clq_design_row Report.column list
 
 (** {1 Fig 18 — detection latency vs sensor count} *)
 
 type fig18_row = { sensors : int; dl_2_0ghz : int; dl_2_5ghz : int; dl_3_0ghz : int }
 
 val fig18 : unit -> fig18_row list
+val fig18_columns : fig18_row Report.column list
 
 (** {1 Figs 19/20 — overhead across WCDL 10..50} *)
 
@@ -49,6 +58,9 @@ val wcdl_sweep : ?params:Run.params -> Scheme.t -> wcdl_sweep_row list
 val fig19 : ?params:Run.params -> unit -> wcdl_sweep_row list
 val fig20 : ?params:Run.params -> unit -> wcdl_sweep_row list
 
+val wcdl_sweep_columns : wcdl_sweep_row list -> wcdl_sweep_row Report.column list
+(** One overhead column per WCDL ([DL10], CSV [wcdl10], ...). *)
+
 (** {1 Fig 21 — the optimization-ablation ladder} *)
 
 type fig21_row = { bench : string; by_scheme : (string * float) list }
@@ -60,12 +72,16 @@ val fig21_wcdl : ?params:Run.params -> wcdl:int -> unit -> fig21_row list
     long detection latencies the compiler rungs (fewer stores to verify)
     carry more of the win than at the paper's 10-cycle point. *)
 
+val fig21_columns : fig21_row list -> fig21_row Report.column list
+(** One overhead column per scheme, named as the scheme. *)
+
 (** {1 Fig 22 — store-buffer size sensitivity} *)
 
 type fig22_row = { bench : string; by_config : (string * float) list }
 
 val fig22_configs : (string * Scheme.t * int) list
 val fig22 : ?params:Run.params -> unit -> fig22_row list
+val fig22_columns : fig22_row list -> fig22_row Report.column list
 
 (** {1 Fig 23 — store breakdown} *)
 
@@ -81,26 +97,31 @@ type fig23_row = {
 }
 
 val fig23 : ?params:Run.params -> unit -> fig23_row list
+val fig23_columns : fig23_row Report.column list
 
 (** {1 Figs 24/25 — CLQ occupancy and size sensitivity} *)
 
 type fig24_row = { bench : string; mean_entries : float; max_entries : int }
 
 val fig24 : ?params:Run.params -> unit -> fig24_row list
+val fig24_columns : fig24_row Report.column list
 
 type fig25_row = { bench : string; overhead_clq2 : float; overhead_clq4 : float }
 
 val fig25 : ?params:Run.params -> unit -> fig25_row list
+val fig25_columns : fig25_row Report.column list
 
 (** {1 Fig 26 — region size and code-size increase} *)
 
 type fig26_row = { bench : string; region_size : float; code_increase_pct : float }
 
 val fig26 : ?params:Run.params -> unit -> fig26_row list
+val fig26_columns : fig26_row Report.column list
 
 (** {1 Table 1 — hardware cost} *)
 
 val table1 : unit -> Cost_model.table1_row list
+val table1_columns : Cost_model.table1_row Report.column list
 
 (** {1 The motivating OoO/in-order comparison (paper §1, §3)} *)
 
@@ -115,6 +136,8 @@ val motivation : ?params:Run.params -> ?wcdl:int -> unit -> motivation_row list
     dynamic scheduling make verification cheap out of order (paper quotes
     ~8%), while the 4-entry in-order SB makes it expensive — the gap the
     whole paper exists to close. *)
+
+val motivation_columns : motivation_row Report.column list
 
 (** {1 Unrolling ablation (beyond the paper's figures)} *)
 
@@ -133,6 +156,8 @@ val unroll_ablation : ?params:Run.params -> ?wcdl:int -> unit -> unroll_row list
     the paper's absolute numbers. Default WCDL 50, where the effect is
     largest. *)
 
+val unroll_columns : unroll_row Report.column list
+
 (** {1 Resilience-hardware energy (beyond the paper's figures)} *)
 
 type energy_row = {
@@ -146,6 +171,8 @@ val energy : ?params:Run.params -> unit -> energy_row list
     traffic vs CLQ/color-map RAM lookups) per thousand instructions, using
     the Table 1 per-access model — quantifying the paper's
     power-efficiency motivation. *)
+
+val energy_columns : energy_row Report.column list
 
 (** {1 Fault-injection campaign (beyond the paper's figures)} *)
 
@@ -167,3 +194,10 @@ val resilience :
     of them without [stopping]; with it, batches until the Wilson
     confidence interval on the SDC rate reaches [stopping.half_width], so
     [faults] is the supply. Deterministic at any job count. *)
+
+val resilience_columns : resilience_row Report.column list
+(** The fixed-count table: per-benchmark outcome and detection counts. *)
+
+val resilience_ci_columns : resilience_row Report.column list
+(** The stopping-rule table: each campaign's interval and why it stopped.
+    Every row must carry an interval (a campaign run with [stopping]). *)

@@ -20,9 +20,3 @@ let spill_slot i =
   spill_base + (i * word)
 
 let is_ckpt_addr a = a >= ckpt_base
-
-let is_spill_addr a = a >= spill_base && a < ckpt_base
-
-let ckpt_slot_reg a =
-  if not (is_ckpt_addr a) then invalid_arg "Layout.ckpt_slot_reg";
-  (a - ckpt_base) / (colors * word)

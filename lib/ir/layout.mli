@@ -27,8 +27,3 @@ val spill_slot : int -> int
 (** [spill_slot i] is the address of the [i]-th spill slot. *)
 
 val is_ckpt_addr : int -> bool
-val is_spill_addr : int -> bool
-
-val ckpt_slot_reg : int -> int
-(** Register owning a checkpoint-slot address.
-    @raise Invalid_argument if the address is not a checkpoint slot. *)

@@ -114,8 +114,6 @@ let merge sinks =
 
 let total_dropped sinks = List.fold_left (fun acc s -> acc + dropped s) 0 sinks
 
-let merge_with_drops sinks = (merge sinks, total_dropped sinks)
-
 (* ------------------------------------------------------------------ *)
 (* String-keyed counting histogram with deterministic (sorted) readout;
    the attribution layers above bin events into these. *)
@@ -130,13 +128,9 @@ module Histogram = struct
 
   let count t key = Option.value (Hashtbl.find_opt t key) ~default:0
 
-  let total t = Hashtbl.fold (fun _ n acc -> n + acc) t 0
-
   (* Sorted by key, so readout never depends on hash order. *)
   let to_list t =
     List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) t [])
-
-  let merge_into ~into t = Hashtbl.iter (fun k n -> add into ~by:n k) t
 end
 
 (* ------------------------------------------------------------------ *)

@@ -104,9 +104,6 @@ val total_dropped : sink list -> int
 (** Sum of {!dropped} across [sinks] — carried alongside {!merge} so
     bounded-capacity overflow is never silent. *)
 
-val merge_with_drops : sink list -> event list * int
-(** {!merge} paired with {!total_dropped} over the same sinks. *)
-
 (** String-keyed counting histogram with deterministic (key-sorted)
     readout; attribution layers bin events into these. Not thread-safe —
     fill from one domain or merge per-task histograms afterwards. *)
@@ -121,14 +118,8 @@ module Histogram : sig
   val count : t -> string -> int
   (** Current count for [key] (0 when absent). *)
 
-  val total : t -> int
-  (** Sum over all bins. *)
-
   val to_list : t -> (string * int) list
   (** All (key, count) bins sorted by key — never hash order. *)
-
-  val merge_into : into:t -> t -> unit
-  (** Fold every bin of the second histogram into [into]. *)
 end
 
 (** Wall-clock source for {!span_start}/{!with_span}. The stdlib has no

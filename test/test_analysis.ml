@@ -70,7 +70,6 @@ let test_diag_order_and_identity () =
   check "most severe first at same site" true
     ((List.nth sorted 0).Diag.severity = Diag.Error);
   check "severity lattice ordered" true (Diag.Info < Diag.Warn && Diag.Warn < Diag.Error);
-  check "max severity" true (Diag.max_severity sorted = Some Diag.Error);
   check_int "error count" 1 (Diag.error_count sorted);
   (* Identity ignores pass provenance: the same finding after a different
      pass is the same finding. *)

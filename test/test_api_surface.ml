@@ -86,7 +86,9 @@ let test_expr_utilities () =
 
 let test_csv_roundtrip () =
   let path = Filename.temp_file "turnpike_csv" ".csv" in
-  Turnpike.Csv_export.write ~path ~header:[ "a"; "b" ] [ [ "1"; "2" ]; [ "3"; "4" ] ];
+  Turnpike.Csv_export.table ~path
+    Turnpike.Report.[ str "a" 0 fst; str "b" 0 snd ]
+    [ ("1", "2"); ("3", "4") ];
   let ic = open_in path in
   let lines = List.init 3 (fun _ -> input_line ic) in
   close_in ic;
@@ -98,9 +100,11 @@ let test_csv_experiment_renderers () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let p n = Filename.concat dir n in
-  Turnpike.Csv_export.fig18 ~path:(p "f18.csv") (Turnpike.Experiments.fig18 ());
+  Turnpike.Csv_export.table ~path:(p "f18.csv") Turnpike.Experiments.fig18_columns
+    (Turnpike.Experiments.fig18 ());
   check "fig18 written" true (Sys.file_exists (p "f18.csv"));
-  Turnpike.Csv_export.wcdl_sweep ~path:(p "empty.csv") [];
+  Turnpike.Csv_export.table ~path:(p "empty.csv")
+    (Turnpike.Experiments.wcdl_sweep_columns []) [];
   check "empty sweep writes nothing" false (Sys.file_exists (p "empty.csv"));
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir

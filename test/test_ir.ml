@@ -79,10 +79,7 @@ let test_layout_slots () =
   check_int "ckpt slot reg stride" (Layout.colors * Layout.word)
     (Layout.ckpt_slot ~reg:4 ~color:0 - Layout.ckpt_slot ~reg:3 ~color:0);
   check "ckpt addr recognized" true (Layout.is_ckpt_addr (Layout.ckpt_slot ~reg:0 ~color:0));
-  check "spill addr recognized" true (Layout.is_spill_addr (Layout.spill_slot 0));
-  check "spill not ckpt" false (Layout.is_ckpt_addr (Layout.spill_slot 9));
-  check_int "slot owner roundtrip" 11
-    (Layout.ckpt_slot_reg (Layout.ckpt_slot ~reg:11 ~color:2))
+  check "spill not ckpt" false (Layout.is_ckpt_addr (Layout.spill_slot 9))
 
 (* ------------------------------------------------------------------ *)
 (* Instr *)

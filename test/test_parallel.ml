@@ -86,7 +86,7 @@ let sweep_csv ~jobs =
   let rows = E.fig19 ~params:small () in
   Parallel.set_default_jobs saved;
   let path = Filename.temp_file "turnpike_fig19_" ".csv" in
-  Turnpike.Csv_export.wcdl_sweep ~path rows;
+  Turnpike.Csv_export.table ~path (E.wcdl_sweep_columns rows) rows;
   let ic = open_in_bin path in
   let contents = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -177,7 +177,7 @@ let test_ladder_csv_tolerates_missing_scheme () =
       { E.bench = "b"; by_scheme = [ ("turnstile", 1.2) ] } ]
   in
   let path = Filename.temp_file "turnpike_ladder_" ".csv" in
-  Turnpike.Csv_export.ladder ~path rows;
+  Turnpike.Csv_export.table ~path (E.fig21_columns rows) rows;
   let ic = open_in path in
   let lines = List.init 3 (fun _ -> input_line ic) in
   close_in ic;

@@ -243,9 +243,9 @@ let test_explore_score_matches_batch () =
 
 let golden_params = { Run.default_params with Run.scale = 1; fuel = 20_000 }
 
-let check_golden name render rows =
+let check_golden name cols rows =
   let path = Filename.temp_file name ".csv" in
-  render ~path rows;
+  Turnpike.Csv_export.table ~path cols rows;
   let got = Golden_file.read path in
   Sys.remove path;
   Alcotest.(check string)
@@ -254,14 +254,15 @@ let check_golden name render rows =
     got
 
 let test_golden_fig19 () =
-  check_golden "fig19" Turnpike.Csv_export.wcdl_sweep (E.fig19 ~params:golden_params ())
+  let rows = E.fig19 ~params:golden_params () in
+  check_golden "fig19" (E.wcdl_sweep_columns rows) rows
 
 let test_golden_fig20 () =
-  check_golden "fig20" Turnpike.Csv_export.wcdl_sweep (E.fig20 ~params:golden_params ())
+  let rows = E.fig20 ~params:golden_params () in
+  check_golden "fig20" (E.wcdl_sweep_columns rows) rows
 
 let test_golden_fig14_15 () =
-  check_golden "fig14_15" Turnpike.Csv_export.fig14_15
-    (E.fig14_15 ~params:golden_params ())
+  check_golden "fig14_15" E.fig14_15_columns (E.fig14_15 ~params:golden_params ())
 
 (* Every simulated statistic of the sweep grid, pinned. The fig goldens
    above keep cycle ratios only, to six digits; this one hashes every

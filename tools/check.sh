@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the parallel-determinism smoke tests.
 #
-#   tools/check.sh            build, run the test suite, then verify that
+#   tools/check.sh            build, run the test suite (which diffs
+#                             bench/main.exe's scale-1 tables against
+#                             test/golden/bench.txt), then verify that
 #                             --jobs 1 and --jobs 4 produce byte-identical
-#                             output for the experiment grid (the fig19
-#                             and fig20 CSVs and stdout, and the
-#                             motivation table, which runs the
-#                             out-of-order model),
+#                             output for every bench experiment (stdout,
+#                             the motivation table's out-of-order model
+#                             included, and the eight CSV files, which
+#                             must be exactly fig4, fig14_15, fig18,
+#                             fig19, fig20, fig21, fig23 and fig26),
 #                             the fault-injection campaign (resilience
 #                             table), and the telemetry timeline export
 #                             (turnpike-cli trace), which must also be
@@ -39,11 +42,14 @@
 #                             byte-identical at any job count, that a bad
 #                             --pipeline spec exits 1 with a diagnostic,
 #                             that bench/main.exe rejects a malformed
-#                             --scale, an unknown flag and an empty
-#                             campaign (--faults 0) with exit 2 and an
+#                             --scale, an unknown flag, an empty
+#                             campaign (--faults 0) and a step budget
+#                             below 1 (--fuel) with exit 2 and an
 #                             uncreatable --csv directory with exit 1
-#                             before any work, naming the path, that its
-#                             --profile honours the flags after it, that
+#                             before any work, naming the path, that a
+#                             --fuel that completes no trace prints no
+#                             campaign verdict, that its --profile
+#                             honours the flags after it, that
 #                             every command block in docs/TUTORIAL.md
 #                             runs verbatim, and (advisorily) that the
 #                             odoc docs build.
@@ -58,20 +64,23 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== determinism smoke: fig19, fig20, motivation at --jobs 1 vs --jobs 4 =="
+echo "== determinism smoke: every bench experiment at --jobs 1 vs --jobs 4 =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/csv1" "$tmp/csv4"
-dune exec --no-build bench/main.exe -- fig19 fig20 motivation --scale 1 \
-  --fuel 20000 --jobs 1 --csv "$tmp/csv1" > "$tmp/figs_j1.txt"
-dune exec --no-build bench/main.exe -- fig19 fig20 motivation --scale 1 \
-  --fuel 20000 --jobs 4 --csv "$tmp/csv4" > "$tmp/figs_j4.txt"
+dune exec --no-build bench/main.exe -- --scale 1 --fuel 20000 --jobs 1 \
+  --csv "$tmp/csv1" > "$tmp/figs_j1.txt"
+dune exec --no-build bench/main.exe -- --scale 1 --fuel 20000 --jobs 4 \
+  --csv "$tmp/csv4" > "$tmp/figs_j4.txt"
 diff -r "$tmp/csv1" "$tmp/csv4"
 # The "[csv written to ...]" lines name the (different) temp dirs; every
 # other stdout byte must match, the motivation table's OoO overheads
 # included.
 diff <(grep -v '^\[csv written' "$tmp/figs_j1.txt") \
      <(grep -v '^\[csv written' "$tmp/figs_j4.txt")
+# Exactly the eight figures that have a CSV file write one.
+test "$(cd "$tmp/csv1" && LC_ALL=C ls | tr '\n' ' ')" = \
+  "fig14_15.csv fig18.csv fig19.csv fig20.csv fig21.csv fig23.csv fig26.csv fig4.csv "
 
 echo "== determinism smoke: injection campaign at --jobs 1 vs --jobs 4 =="
 dune exec --no-build bench/main.exe -- resilience --scale 2 --fuel 20000 \
@@ -368,6 +377,26 @@ test "$status" -eq 1
 grep -q -- 'cannot create directory /nonexistent/dir/x' "$tmp/bench_csv.err"
 if grep -qE 'Fatal error|uncaught exception' "$tmp/bench_csv.err"; then
   echo "bench/main.exe --csv /nonexistent/dir/x: uncaught exception" >&2
+  exit 1
+fi
+# A step budget below 1 is refused before any work: it used to print
+# every overhead as 1.000, and a vacuous "0 faults" campaign total.
+for args in "--fuel 0 --scale 1 fig19" "--fuel=-5 --scale 1 resilience -n 2"; do
+  status=0
+  # shellcheck disable=SC2086  # $args is a word list on purpose
+  dune exec --no-build bench/main.exe -- $args > "$tmp/bench_fuel.out" \
+    2> "$tmp/bench_fuel.err" || status=$?
+  test "$status" -eq 2
+  test ! -s "$tmp/bench_fuel.out"
+  grep -q -- '--fuel' "$tmp/bench_fuel.err"
+done
+# A budget that truncates every trace injects nothing, and says so in
+# place of the campaign total.
+dune exec --no-build bench/main.exe -- --fuel 100 --scale 1 resilience -n 2 \
+  > "$tmp/bench_fuel.out"
+grep -q 'no trace completed within --fuel 100 at --scale 1' "$tmp/bench_fuel.out"
+if grep -q 'SDC-freedom requires' "$tmp/bench_fuel.out"; then
+  echo "bench/main.exe --fuel 100 resilience: vacuous campaign total" >&2
   exit 1
 fi
 # --profile reads every flag, wherever it appears: the profile runs at
