@@ -480,19 +480,13 @@ let unroll_ablation ?(params = Run.default_params) ?(wcdl = 50) () =
          })
 
 let unroll_columns =
-  let at f (r : unroll_row) = List.find (fun (f', _, _) -> f' = f) r.by_factor in
+  let col scheme pick f =
+    Report.float (Printf.sprintf "%s x%d" scheme f) 7 (fun (r : unroll_row) ->
+        pick (List.find (fun (f', _, _) -> f' = f) r.by_factor))
+  in
   Report.str "benchmark" 18 (fun (r : unroll_row) -> r.bench)
   :: List.concat_map
-       (fun f ->
-         Report.
-           [
-             float (Printf.sprintf "ts x%d" f) 7 (fun r ->
-                 let _, ts, _ = at f r in
-                 ts);
-             float (Printf.sprintf "tp x%d" f) 7 (fun r ->
-                 let _, _, tp = at f r in
-                 tp);
-           ])
+       (fun f -> [ col "ts" (fun (_, ts, _) -> ts) f; col "tp" (fun (_, _, tp) -> tp) f ])
        unroll_factors
 
 (* ------------------------------------------------------------------ *)
@@ -599,7 +593,8 @@ let resilience_columns =
       int "crashed" 7 (fun r -> (rep r).Verifier.crashed);
       int "parity" 7 (fun r -> (rep r).Verifier.parity_detections);
       int "sensor" 7 (fun r -> (rep r).Verifier.sensor_detections);
-      float ~fmt:(fun x -> fixed 2 (100. *. x)) "reexec +%" 9 (fun r -> (rep r).Verifier.mean_reexec_overhead);
+      float ~fmt:(fun x -> fixed 2 (100. *. x)) "reexec +%" 9 (fun r ->
+          (rep r).Verifier.mean_reexec_overhead);
     ]
 
 let resilience_ci_columns =
