@@ -22,9 +22,10 @@ let spec_benchmarks () =
     (fun b -> b.Suite.suite = Suite.Cpu2006 || b.Suite.suite = Suite.Cpu2017)
     (Suite.all ())
 
-(* Each figure's table is declared once, after its driver: one column
-   list renders both the printed table (Report.print_table) and, where the
-   figure has one, its CSV file (Csv_export.table). *)
+(* Each figure's table is declared once, after the function that computes
+   its rows: one column list renders both the printed table
+   (Report.print_table) and, where the figure has one, its CSV file
+   (Csv_export.table). *)
 
 let pct x = Report.fmt_pct (100. *. x)
 let fixed digits = Printf.sprintf "%.*f" digits

@@ -7,11 +7,11 @@
     figure mandates (e.g. the paper's 10-cycle WCDL) with
     [{ params with ... }].
 
-    Each driver's table is declared once, as a [*_columns] list next to
-    its row type: the same list renders the printed table
-    ({!Report.print_table}) and, for the eight figures that write one, the
-    CSV file ({!Csv_export.table}). The keyed tables (Figs 19–22) take the
-    rows, whose keys become the columns. *)
+    Each table is declared once, as a [*_columns] list next to its row
+    type: the same list renders the printed table ({!Report.print_table})
+    and, for the eight figures that write one, the CSV file
+    ({!Csv_export.table}). The keyed tables (Figs 19–22) take the rows,
+    whose keys become the columns. *)
 
 module Suite = Turnpike_workloads.Suite
 module Sensor = Turnpike_arch.Sensor
