@@ -55,16 +55,27 @@ let positive ~flag ~expects arg =
 
 (* Worker domains for experiment grids and campaigns (see
    Turnpike_parallel), installed for its side effect before the command
-   body runs. *)
+   body runs. The OCaml 5 runtime runs at most 128 domains at once
+   (Max_domains on 64-bit), so a wider pool would fail partway through
+   spawning its workers. *)
+let max_jobs = 128
+
 let jobs =
   Term.(
     const Turnpike_parallel.set_default_jobs
-    $ Arg.(
-        value & opt int 0
-        & info [ "j"; "jobs" ] ~docv:"N"
-            ~doc:
-              "Worker domains (0, the default, means one per CPU; 1 is \
-               strictly sequential). Results are identical at any job count."))
+    $ checked ~flag:"--jobs"
+        ~expects:(Printf.sprintf "a domain count from 0 to %d" max_jobs)
+        (fun n -> n >= 0 && n <= max_jobs)
+        string_of_int
+        Arg.(
+          value & opt int 0
+          & info [ "j"; "jobs" ] ~docv:"N"
+              ~doc:
+                (Printf.sprintf
+                   "Worker domains, from 0 to %d (0, the default, means one per \
+                    CPU; 1 is strictly sequential). Results are identical at any \
+                    job count."
+                   max_jobs)))
 
 let scale =
   positive ~flag:"--scale" ~expects:"a positive factor"

@@ -13,6 +13,9 @@
 let free = min_int
 let verified = min_int + 1
 
+(* A fresh log's length: room for 16 colorings before it grows. *)
+let log_words = 48
+
 type t = {
   nregs : int;
   colors : int;
@@ -30,13 +33,15 @@ let create ?(colors = Turnpike_ir.Layout.colors) ~nregs () =
     nregs;
     colors;
     cells = Array.make (nregs * colors) free;
-    log = Array.make 48 0;
+    log = Array.make log_words 0;
     logged = 0;
     fast_assigned = 0;
     fallbacks = 0;
   }
 
-let copy t = { t with cells = Array.copy t.cells; log = Array.copy t.log }
+(* The copy keeps only the logged triples: a snapshot holds its log as it
+   is, and a fork that colors more grows it. *)
+let copy t = { t with cells = Array.copy t.cells; log = Array.sub t.log 0 (3 * t.logged) }
 
 let in_range t reg = reg >= 0 && reg < t.nregs
 
@@ -59,7 +64,7 @@ let free_verified t ~reg ~keep =
 let log_coloring t ~region ~reg ~color =
   let k = 3 * t.logged in
   if k = Array.length t.log then begin
-    let grown = Array.make (2 * k) 0 in
+    let grown = Array.make (max log_words (2 * k)) 0 in
     Array.blit t.log 0 grown 0 k;
     t.log <- grown
   end;

@@ -150,7 +150,7 @@ let init (prog : Prog.t) =
   in
   let st =
     {
-      regs = Array.make 64 0;
+      regs = Array.make (Func.max_reg func + 1) 0;
       mem = Mem.create ();
       block = entry 0 (Func.labels func);
       index = 0;

@@ -49,7 +49,8 @@ val set_mem : state -> int -> int -> unit
 
 val init : Prog.t -> state
 (** Fresh state with the program's memory image and input registers, at
-    the entry block. *)
+    the entry block. The register file holds the registers the code
+    names ({!Func.max_reg}), so a snapshot copies no more than those. *)
 
 val label : program -> state -> string
 (** The label of the pc's block (for forensic and static-claim sites). *)

@@ -117,10 +117,14 @@ type exec = {
   st : Interp.state;
   clq : Clq.t option;
   col : Coloring.t option;
-  mutable verified_color : int array;
-      (* per register, the checkpoint color whose slot holds its latest
-         verified value (0, the base slot, when none was recorded); grown
-         on demand *)
+  mutable verified_color : Bytes.t;
+      (* per register, the checkpoint color (below [Layout.colors]) whose
+         slot holds its latest verified value ('\000', the base slot, when
+         none was recorded); grown on demand *)
+  live : Reg.Set.t array array;
+      (* a pilot's registers live before each instruction, by block index
+         and instruction index (see [converged]); empty outside a pilot
+         and its snapshots and forks *)
   claims : claims option;
   mutable open_region : dynamic_region option;
   mutable pending : dynamic_region list; (* closed, unverified; oldest first *)
@@ -182,16 +186,17 @@ let forensic_instant ex name args =
          :: forensic_site ex))
 
 let set_verified_color ex reg c =
-  let n = Array.length ex.verified_color in
+  let n = Bytes.length ex.verified_color in
   if reg >= n then begin
-    let a = Array.make (max (reg + 1) (2 * n)) 0 in
-    Array.blit ex.verified_color 0 a 0 n;
-    ex.verified_color <- a
+    let b = Bytes.make (max (reg + 1) (2 * n)) '\000' in
+    Bytes.blit ex.verified_color 0 b 0 n;
+    ex.verified_color <- b
   end;
-  ex.verified_color.(reg) <- c
+  Bytes.set ex.verified_color reg (Char.chr c)
 
 let verified_color ex reg =
-  if reg < Array.length ex.verified_color then ex.verified_color.(reg) else 0
+  if reg < Bytes.length ex.verified_color then Char.code (Bytes.get ex.verified_color reg)
+  else 0
 
 let set_pending ex pending =
   ex.pending <- pending;
@@ -526,7 +531,8 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
     st = Interp.init compiled.Pass_pipeline.prog;
     clq = Option.map Clq.create config.clq;
     col = (if config.coloring then Some (Coloring.create ~nregs ()) else None);
-    verified_color = Array.make nregs 0;
+    verified_color = Bytes.make nregs '\000';
+    live = [||];
     claims = claims_of config compiled;
     open_region = None;
     pending = [];
@@ -552,13 +558,16 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
 (* Snapshots. A snapshot is a frozen executor: the pilot takes one with
    [copy] at the top of the step loop, and a fault forks from it with
    [copy ~faults ~tel], so it carries its own config and compiled program.
-   A copy gets fresh mutable state: registers, region records, CLQ and
-   coloring tables, verified colors. Memory is forked, not copied: the
-   copy shares the original's pages and each side copies a page on its
-   next write to it. What no executor writes is shared: the config, the
-   compiled and decoded program, the claim tables and the immutable
-   lists. Nothing writes a snapshot, so every domain of a campaign forks
-   it freely. *)
+   A copy gets fresh copies of only the state that can still change:
+   registers, the open region's record, CLQ and coloring tables, verified
+   colors. Memory is forked, not copied: the copy shares the original's
+   pages and each side copies a page on its next write to it. What no
+   executor writes is shared: the config, the compiled and decoded
+   program, the claim and live-register tables, the immutable lists and
+   the closed regions, which [quarantined_write], [on_ckpt] and
+   [close_open_region] never touch (they write only the open one).
+   Nothing writes a snapshot, so every domain of a campaign forks it
+   freely. *)
 
 type snapshot = exec
 
@@ -566,8 +575,8 @@ type snapshot = exec
    fault-free position: the pilot never recovers. *)
 let snapshot_step (s : snapshot) = s.st.Interp.steps
 
-(* The undo/ckpt lists are immutable and safely shared; the record's
-   mutable cells must be fresh. *)
+(* The open region's undo/ckpt lists are immutable and safely shared;
+   its record's mutable cells must be fresh. *)
 let copy_region (r : dynamic_region) = { r with end_step = r.end_step }
 
 (* Every other field is copied by value. Snapshots are taken only at a
@@ -582,9 +591,8 @@ let copy ?(faults = []) ?(tel = Telemetry.null) ex =
     st = { st with Interp.regs = Array.copy st.Interp.regs; mem = Mem.fork st.Interp.mem };
     clq = Option.map Clq.copy ex.clq;
     col = Option.map Coloring.copy ex.col;
-    verified_color = Array.copy ex.verified_color;
+    verified_color = Bytes.copy ex.verified_color;
     open_region = Option.map copy_region ex.open_region;
-    pending = List.map copy_region ex.pending;
     remaining = faults;
     tel;
   }
@@ -593,19 +601,30 @@ let copy ?(faults = []) ?(tel = Telemetry.null) ex =
    in ascending step order, and its final, drained outcome. *)
 type pilot = { snapshots : snapshot array; outcome : outcome }
 
-(* Register files agree, registers past either one's end reading 0. *)
-let regs_agree a b =
-  let get r i = if i < Array.length r then r.(i) else 0 in
-  let n = max (Array.length a) (Array.length b) in
-  let rec go i = i >= n || (get a i = get b i && go (i + 1)) in
-  go 0
+(* The registers live before each instruction of [compiled], indexed as
+   [Interp] indexes its pc: by block in layout order, then by
+   instruction, the terminator last. *)
+let live_table (compiled : Pass_pipeline.t) =
+  let func = compiled.Pass_pipeline.prog.Prog.func in
+  let live = Liveness.compute (Cfg.build func) func in
+  Array.of_list
+    (List.map (fun l -> Liveness.live_before_each live (Func.block func l)) (Func.labels func))
 
+(* Whether a fork with no fault, detection or taint left has rejoined the
+   pilot at snapshot [s]: the same pc, the same values in the registers
+   live there, and the same memory below checkpoint storage. No recovery
+   can follow, so a dead register is written before it is read on every
+   path, and the rest of the run has the pilot's control flow, memory
+   writes and step count. Checkpoint storage is only read by recovery. *)
 let converged ex (s : snapshot) =
-  ex.st.Interp.block = s.st.Interp.block
-  && ex.st.Interp.index = s.st.Interp.index
-  && (not ex.st.Interp.halted)
-  && regs_agree ex.st.Interp.regs s.st.Interp.regs
-  && Mem.first_diff ~hi:Layout.ckpt_base ex.st.Interp.mem s.st.Interp.mem = None
+  let st = ex.st and ss = s.st in
+  st.Interp.block = ss.Interp.block
+  && st.Interp.index = ss.Interp.index
+  && (not st.Interp.halted)
+  && Reg.Set.for_all
+       (fun r -> Interp.get_reg st r = Interp.get_reg ss r)
+       s.live.(ss.Interp.block).(ss.Interp.index)
+  && Mem.first_diff ~hi:Layout.ckpt_base st.Interp.mem ss.Interp.mem = None
 
 let finish ex =
   {
@@ -722,13 +741,14 @@ let drive ?capture ?pilot ex =
       | Some _ | None -> ());
       (* Convergence early exit: once the fault has struck, its detection
          has been handled and no taint is live, a fork whose architectural
-         state (pc, registers, non-checkpoint memory) matches the pilot's
-         snapshot at the same fault-free position has a fully determined
-         future — the rest of the run is the pilot's suffix. Checkpoint
-         storage is excluded from the comparison: slot contents and
-         coloring history legitimately differ after a recovery, and the
-         program only reads them during recovery itself, which can no
-         longer occur. *)
+         state (pc, live registers, non-checkpoint memory) matches the
+         pilot's snapshot at the same fault-free position has a fully
+         determined future — the rest of the run is the pilot's suffix.
+         Dead registers and checkpoint storage are excluded from the
+         comparison: the program writes a dead register before it reads
+         it, and it reads checkpoint storage, whose slot contents and
+         coloring history legitimately differ after a recovery, only
+         during recovery itself, which can no longer occur. *)
       (match pilot with
       | Some p
         when ex.remaining = []
@@ -851,7 +871,10 @@ let capture_pilot ?(config = default_config) ~every (compiled : Pass_pipeline.t)
   (* A fault-free run never recovers, so [steps] strictly increases and
      each multiple of [every] is reached once, at a loop top. *)
   let capture = { every; next = 0; taken = [] } in
-  let outcome = drive ~capture (make_exec ~config compiled) in
+  (* Built once here, eagerly, and shared by every snapshot and fork: a
+     lazy value must not be forced from two domains at once. *)
+  let ex = { (make_exec ~config compiled) with live = live_table compiled } in
+  let outcome = drive ~capture ex in
   (* Publish the final memory as a fork, which owns no page: every fork
      that adopts the pilot's suffix forks it in turn, from any domain, and
      forking a memory that owns no page does not write to it. *)

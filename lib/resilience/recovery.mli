@@ -98,15 +98,22 @@ val run :
     steps. A snapshot is the executor itself, frozen at the top of its
     step loop: interpreter registers and pc, region, quarantine, CLQ and
     coloring bookkeeping, and the config and compiled program it runs.
-    Its memory is a {!Turnpike_ir.Mem.fork} of the pilot's: it shares the
-    pilot's pages, and the pilot copies a page on its next write to it.
-    A faulted run forked from the snapshot nearest (at or before) its
-    strike site produces exactly the outcome of a from-scratch {!run}
-    with the same fault and config: the pre-strike prefix of the faulted
-    run is identical to the pilot, and once the fault's effects have
-    fully healed the fork recognises that its state has re-converged
-    with a later pilot snapshot and adopts the pilot's suffix instead of
-    re-executing it. *)
+    It copies only the state that can still change: closed regions and
+    the pilot's table of live registers are shared. Its memory is a
+    {!Turnpike_ir.Mem.fork} of the pilot's: it shares the pilot's pages,
+    and the pilot copies a page on its next write to it. A faulted run
+    forked from the snapshot nearest (at or before) its strike site
+    produces exactly the verdict-relevant outcome of a from-scratch
+    {!run} with the same fault and config: the pre-strike prefix of the
+    faulted run is identical to the pilot, and once the fault's effects
+    have fully healed (no fault left, no detection pending, no taint) the
+    fork recognises that its state has re-converged with a later pilot
+    snapshot and adopts the pilot's suffix instead of re-executing it.
+    Re-converged means the same pc, the same values in the registers
+    live before the pc's instruction, and the same memory below
+    checkpoint storage: no recovery can follow, so a dead register is
+    written before it is read on every path, and the rest of the run has
+    the pilot's control flow, memory writes and step count. *)
 
 type snapshot
 
@@ -120,8 +127,10 @@ type pilot = private {
 
 val capture_pilot : ?config:config -> every:int -> Pass_pipeline.t -> pilot
 (** Run the program fault-free under [config], taking a snapshot every
-    [every] steps, starting at step 0. The outcome's final memory is
-    published as a fork that owns no page, so any domain may fork it.
+    [every] steps, starting at step 0. The registers live before each
+    instruction are computed once, here, and shared by every snapshot and
+    fork. The outcome's final memory is published as a fork that owns no
+    page, so any domain may fork it.
     @raise Invalid_argument when [every <= 0].
     @raise Out_of_fuel when the fault-free run itself runs out of fuel. *)
 
@@ -140,12 +149,15 @@ val resume :
     sorts them) from [from], one of [pilot]'s snapshots that precedes
     every strike ([snapshot_step from <= f.at_step] for each fault [f]).
     The fork runs the snapshot's config and compiled program. Its
-    outcome's [state], [recoveries] and [detections] are byte-identical
-    to those of {!run} with the same faults, config and program. On a
-    convergence early exit the release/ckpt counters reflect only the
-    work the fork actually executed, and the state is the pilot's final
-    state with its own copy of the registers and a fork of the memory,
-    so writing to it reaches neither the pilot nor another outcome. The
+    outcome's [recoveries] and [detections], and its [state]'s pc, step
+    count, live registers and memory below checkpoint storage, are
+    byte-identical to those of {!run} with the same faults, config and
+    program. On a convergence early exit the release/ckpt counters
+    reflect only the work the fork actually executed, and the state is
+    the pilot's final state, dead registers and checkpoint storage
+    included, with its own copy of the registers and a fork of the
+    memory, so writing to it reaches neither the pilot nor another
+    outcome. The
     fork shares the snapshot's memory pages and copies only those it
     writes. [tel] receives the same forensic lifecycle events,
     byte-identical to the from-scratch run's (see {!run}): no event

@@ -2,12 +2,11 @@
 
     A plan holds one fault-free {e pilot} run of a compiled program under
     a recovery configuration ({!Recovery.capture_pilot}): a snapshot of
-    the executor every [every] steps, each carrying that config and
+    the executor every {!every} steps, each carrying that config and
     program, and the pilot's final outcome. Memory pages are shared, not
     copied ({!Turnpike_ir.Mem.fork}). Each fault of a campaign then
-    {!fork}s from the snapshot nearest its strike site, producing an
-    outcome byte-identical to a from-scratch {!Recovery.run} at O(suffix)
-    cost.
+    {!fork}s from the snapshot nearest its strike site, producing the
+    verdict of a from-scratch {!Recovery.run} at O(suffix) cost.
 
     Forks only read a plan, so one plan is safely shared by every domain
     of a parallel campaign; the one cell a plan writes after it is
@@ -19,11 +18,13 @@ type plan = private {
       (** {!pilot_matches}'s cache *)
 }
 
-val record :
-  ?config:Recovery.config -> ?every:int -> Turnpike_compiler.Pass_pipeline.t -> plan
-(** Run the fault-free pilot and capture a snapshot every [every] steps
-    (default 512).
-    @raise Invalid_argument when [every <= 0].
+val every : int
+(** The pilot's snapshot spacing in steps: 256. A fork replays at most
+    this many steps from its snapshot to its strike, and at most this
+    many from its last recovery to the next convergence check. *)
+
+val record : ?config:Recovery.config -> Turnpike_compiler.Pass_pipeline.t -> plan
+(** Run the fault-free pilot and capture a snapshot every {!every} steps.
     @raise Recovery.Out_of_fuel when the pilot itself exhausts its fuel —
     no plan exists for a program the configuration cannot run. *)
 
@@ -48,6 +49,7 @@ val nearest : plan -> step:int -> Recovery.snapshot
 val fork : ?tel:Turnpike_telemetry.sink -> plan -> Fault.t -> Recovery.outcome
 (** Replay one fault from the nearest snapshot, under the config and
     program the plan was recorded with. Byte-identical to
-    [Recovery.run ~faults:[fault]] under them in [state], [recoveries]
-    and [detections] — and in the forensic events [tel] receives (see
+    [Recovery.run ~faults:[fault]] under them in [recoveries],
+    [detections] and every part of [state] a verdict reads (see
+    {!Recovery.resume}) — and in the forensic events [tel] receives (see
     {!Recovery.run}); raises the same exceptions. *)

@@ -1,10 +1,12 @@
 (* Reference recovery executor for differential tests: the [Recovery] that
    the due-step-gated one in [Turnpike_resilience] replaced, kept as it
-   was, with two changes: [resume] takes the fault list to fork
+   was, with three changes: [resume] takes the fault list to fork
    ([~faults], sorted as [run] sorts it) where it took one fault, so that
-   fault-free and multi-fault runs can be forked too; and a load's address
+   fault-free and multi-fault runs can be forked too; a load's address
    comes from the interpreter's [on_access] hook, which now reports it,
-   instead of its event. Every loop iteration re-checks
+   instead of its event; and [converged] compares only the registers live
+   at the pc, as [Recovery]'s does, computing that liveness afresh with
+   the reference analyses at every check. Every loop iteration re-checks
    strikes, detections, verifications and the convergence oracle, and
    every checkpoint location lives in a hash table. Slower, but the new
    executor must produce exactly its outcomes, exceptions and forensic
@@ -638,19 +640,25 @@ let of_snapshot ?(config = default_config) ?(tel = Telemetry.null)
    ascending [snap_step] order) and its final, drained state. *)
 type oracle = { snaps : snapshot array; final_steps : int; final_state : Interp.state }
 
-(* Register files agree, registers past either one's end reading 0. *)
-let regs_agree a b =
-  let get r i = if i < Array.length r then r.(i) else 0 in
-  let n = max (Array.length a) (Array.length b) in
-  let rec go i = i >= n || (get a i = get b i && go (i + 1)) in
-  go 0
+(* The registers live before the pc's instruction, from the reference
+   liveness of the whole program. *)
+let live_at ex =
+  let func = ex.compiled.Pass_pipeline.prog.Prog.func in
+  let live = Analysis_ref.Liveness.compute (Analysis_ref.Cfg.build func) func in
+  let block = Func.block func (Interp.label ex.code ex.st) in
+  (Analysis_ref.Liveness.live_before_each live block).(ex.st.Interp.index)
 
+(* Once no fault, detection or taint is left no recovery can follow, and
+   a register dead at the pc is written before it is read: the fork has
+   rejoined the pilot when the pc, the live registers and the memory
+   below checkpoint storage agree. *)
 let converged ex (s : snapshot) =
+  let snap_reg r = if r > 0 && r < Array.length s.s_regs then s.s_regs.(r) else 0 in
   ex.st.Interp.block = s.s_block
   && ex.st.Interp.index = s.s_index
   && (not ex.st.Interp.halted)
-  && regs_agree ex.st.Interp.regs s.s_regs
   && Mem.first_diff ~hi:Layout.ckpt_base ex.st.Interp.mem s.s_mem = None
+  && Reg.Set.for_all (fun r -> Interp.get_reg ex.st r = snap_reg r) (live_at ex)
 
 let drain_at_exit ex =
   (* Every region is error-free once the program has halted cleanly (no

@@ -15,11 +15,12 @@
 #                             (turnpike-cli trace), which must also be
 #                             well-formed JSON. Also asserts that
 #                             snapshot-forked campaigns are byte-identical
-#                             to from-scratch replays (libquan, mcf@2017
-#                             and the chase kernel mcf@2006, whose
-#                             forensic export is compared too), that --ci
-#                             stopping is deterministic at any job count
-#                             (in the CLI and in the bench table), that the
+#                             to from-scratch replays in report, forensic
+#                             tables and lifecycle export (libquan,
+#                             mcf@2017, the chase kernel mcf@2006 and
+#                             nab@2017), that --ci stopping is
+#                             deterministic at any job count (in the CLI
+#                             and in the bench table), that the
 #                             incremental per-pass lint report is
 #                             byte-identical to the forced full re-check,
 #                             that forensic lifecycle exports are
@@ -32,9 +33,10 @@
 #                             --forensics) and re-validates its frontier,
 #                             that malformed, out-of-range and unknown
 #                             flag values (an empty campaign or table
-#                             included) exit 2 and an uncreatable --csv
-#                             directory or unwritable export path exits
-#                             1, all before any work (nothing on stdout)
+#                             included, and a --jobs outside 0..128)
+#                             exit 2 and an uncreatable --csv directory
+#                             or unwritable export path exits 1, all
+#                             before any work (nothing on stdout)
 #                             and never with an uncaught exception, that
 #                             static vulnerability tables are
 #                             byte-identical at any job count, that .tk
@@ -43,9 +45,10 @@
 #                             --pipeline spec exits 1 with a diagnostic,
 #                             that bench/main.exe rejects a malformed
 #                             --scale, an unknown flag, an empty
-#                             campaign (--faults 0) and a step budget
-#                             below 1 (--fuel) with exit 2 and an
-#                             uncreatable --csv directory with exit 1
+#                             campaign (--faults 0), a step budget
+#                             below 1 (--fuel) and a --jobs outside
+#                             0..128 with exit 2 and an uncreatable
+#                             --csv directory with exit 1
 #                             before any work, naming the path, that a
 #                             --fuel that completes no trace prints no
 #                             campaign verdict, that its --profile
@@ -98,17 +101,23 @@ diff "$tmp/camp_ci_j1.txt" "$tmp/camp_ci_j4.txt"
 grep -q 'stop target' "$tmp/camp_ci_j1.txt"
 
 echo "== campaign smoke: snapshot-forked vs from-scratch parity =="
-# The snapshot/fork replay path (default) must produce a report
-# byte-identical to replaying every fault from step 0. mcf@2017 has the
-# largest data segment, so its forks share the most memory pages;
-# mcf@2006 chases pointers, so its forks replay long suffixes before they
-# reconverge and are judged against the pilot's final memory.
-for b in libquan mcf@2017 mcf@2006; do
+# The snapshot/fork replay path (default) must produce a report, forensic
+# tables and lifecycle export byte-identical to replaying every fault
+# from step 0. mcf@2017 has the largest data segment, so its forks share
+# the most memory pages; mcf@2006 chases pointers, so its forks replay
+# long suffixes before they reconverge and are judged against the
+# pilot's final memory; nab@2017 has the most forks that differ from the
+# pilot only in registers dead at the convergence check.
+for b in libquan mcf@2017 mcf@2006 nab@2017; do
   dune exec --no-build bin/turnpike_cli.exe -- inject -b "$b" --scale 2 \
-    -n 16 --seed 3 --jobs 2 > "$tmp/inject_snap.txt"
+    -n 16 --seed 3 --jobs 2 --forensics --jsonl "$tmp/inject_snap.jsonl" \
+    > "$tmp/inject_snap.txt"
   dune exec --no-build bin/turnpike_cli.exe -- inject -b "$b" --scale 2 \
-    -n 16 --seed 3 --jobs 2 --scratch > "$tmp/inject_scratch.txt"
+    -n 16 --seed 3 --jobs 2 --forensics --scratch \
+    --jsonl "$tmp/inject_scratch.jsonl" > "$tmp/inject_scratch.txt"
   diff "$tmp/inject_snap.txt" "$tmp/inject_scratch.txt"
+  diff "$tmp/inject_snap.jsonl" "$tmp/inject_scratch.jsonl"
+  grep -q '"name":"strike"' "$tmp/inject_snap.jsonl"
 done
 
 echo "== campaign smoke: --ci stopping deterministic at --jobs 1 vs --jobs 4 =="
@@ -136,21 +145,13 @@ grep -q '"name":"strike"' "$tmp/forensics_j1.jsonl"
 
 echo "== forensics smoke: fork vs scratch lifecycle parity =="
 # Snapshot-forked and from-scratch replays must trace identical
-# lifecycles, byte for byte.
+# lifecycles, byte for byte, also against a sequential forked run. (The
+# campaign smoke above compares the two replays on four kernels, the
+# chase kernel mcf@2006's long replay suffixes included.)
 dune exec --no-build bin/turnpike_cli.exe -- inject -b libquan --scale 2 \
   -n 16 --seed 3 --jobs 2 --scratch --jsonl "$tmp/forensics_scratch.jsonl" \
   > /dev/null
 diff "$tmp/forensics_j1.jsonl" "$tmp/forensics_scratch.jsonl"
-# The same on a chase kernel's long replay suffixes, report included.
-dune exec --no-build bin/turnpike_cli.exe -- inject -b mcf@2006 --scale 2 \
-  -n 16 --seed 3 --jobs 2 --forensics --jsonl "$tmp/forensics_mcf_snap.jsonl" \
-  > "$tmp/forensics_mcf_snap.txt"
-dune exec --no-build bin/turnpike_cli.exe -- inject -b mcf@2006 --scale 2 \
-  -n 16 --seed 3 --jobs 2 --forensics --scratch \
-  --jsonl "$tmp/forensics_mcf_scratch.jsonl" > "$tmp/forensics_mcf_scratch.txt"
-diff "$tmp/forensics_mcf_snap.jsonl" "$tmp/forensics_mcf_scratch.jsonl"
-diff "$tmp/forensics_mcf_snap.txt" "$tmp/forensics_mcf_scratch.txt"
-grep -q '"name":"strike"' "$tmp/forensics_mcf_snap.jsonl"
 
 echo "== forensics smoke: report convicts the drop-ckpt mutant =="
 # The vulnerability ranking must localize a planted compiler bug: the
@@ -264,6 +265,8 @@ done <<'EOF'
 2|--top|report -b mcf --scale 1 --top 0
 2|--top|report -b mcf --scale 1 --top=-1
 2|--faults|explore --grid tiny --scale 1 -n 0
+2|--jobs|inject -b libquan --scale 1 -n 2 --jobs=-1
+2|--jobs|inject -b libquan --scale 1 -n 2 --jobs 129
 1|/nonexistent/dir/x|explore --grid tiny --scale 1 --csv /nonexistent/dir/x
 2|--sb|run -b mcf --sb 0
 2|--sb|run -b mcf --sb=-3
@@ -399,6 +402,17 @@ if grep -q 'SDC-freedom requires' "$tmp/bench_fuel.out"; then
   echo "bench/main.exe --fuel 100 resilience: vacuous campaign total" >&2
   exit 1
 fi
+# A pool width the runtime cannot hold (past 128 domains), or a negative
+# one, is refused when the flag is parsed, so no domain is started.
+for args in "--jobs=-1 table1" "--jobs 129 table1"; do
+  status=0
+  # shellcheck disable=SC2086  # $args is a word list on purpose
+  dune exec --no-build bench/main.exe -- $args > "$tmp/bench_jobs.out" \
+    2> "$tmp/bench_jobs.err" || status=$?
+  test "$status" -eq 2
+  test ! -s "$tmp/bench_jobs.out"
+  grep -q -- '--jobs expects a domain count from 0 to 128' "$tmp/bench_jobs.err"
+done
 # --profile reads every flag, wherever it appears: the profile runs at
 # the --scale given after it.
 dune exec --no-build bench/main.exe -- --profile --scale 1 --jobs 2 \
