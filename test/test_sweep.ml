@@ -341,6 +341,55 @@ let test_golden_sim_stats_sweep () =
     ~what:"simulated statistics at the sweep operating point"
     (sim_stats_sweep_golden ())
 
+(* Both timing models on programs nobody wrote by hand: one line per fuzz
+   seed 0–199 in test/golden/sim_stats_fuzz.txt. Per store-buffer size
+   (2 and 8) each program is compiled and traced under the three
+   schemes; the line hashes every [Sim_stats] field of the in-order runs
+   of all three traces at WCDL 10 and 50, of OoO turnstile on the
+   turnstile trace at both WCDLs and of OoO baseline on the baseline
+   trace. The kernel goldens above run SB 4 only; these programs also
+   overflow the CLQ and fill the RBB. *)
+let fuzz_sbs = [ 2; 8 ]
+let fuzz_wcdls = [ 10; 50 ]
+
+let sim_stats_fuzz_line seed =
+  let src = Turnpike_frontend.Fuzz.generate ~seed in
+  let prog =
+    match
+      Turnpike_frontend.Tk.compile_string ~file:(Printf.sprintf "<fuzz-%d>" seed)
+        ~scale:1 src
+    with
+    | Ok prog -> prog
+    | Error e -> Alcotest.failf "seed %d rejected: %s" seed e
+  in
+  let points sb_size =
+    let trace s =
+      let opts = Scheme.compile_opts s ~sb_size in
+      let compiled = Turnpike_compiler.Pass_pipeline.compile ~opts prog in
+      fst
+        (Turnpike_ir.Interp.trace_run ~fuel:2_000_000
+           compiled.Turnpike_compiler.Pass_pipeline.prog)
+    in
+    let tb = trace Scheme.baseline in
+    let tt = trace Scheme.turnstile in
+    let tp = trace Scheme.turnpike in
+    List.concat_map
+      (fun wcdl ->
+        List.map
+          (fun (s, tr) -> Timing.simulate (Scheme.machine s ~wcdl ~sb_size) tr)
+          [ (Scheme.baseline, tb); (Scheme.turnstile, tt); (Scheme.turnpike, tp) ]
+        @ [ Ooo_timing.simulate (Ooo_timing.turnstile_config ~wcdl ()) tt ])
+      fuzz_wcdls
+    @ [ Ooo_timing.simulate Ooo_timing.default_config tb ]
+  in
+  ( string_of_int seed,
+    md5 (String.concat "\n" (List.map Sim_stats.to_json (List.concat_map points fuzz_sbs))) )
+
+let test_golden_sim_stats_fuzz () =
+  Golden_file.check_keyed ~file:"sim_stats_fuzz.txt"
+    ~what:"simulated statistics of the fuzz program"
+    (List.init 200 sim_stats_fuzz_line)
+
 (* Every explorer score on the default grid, pinned: one line per design
    point (scale 1, fuel 20000, seed 7, default benches) holding the four
    objectives in hex-float, the fault count and frontier membership. A
@@ -380,5 +429,6 @@ let tests =
     Alcotest.test_case "golden-fig14-15" `Slow test_golden_fig14_15;
     Alcotest.test_case "golden-sim-stats" `Slow test_golden_sim_stats;
     Alcotest.test_case "golden-sim-stats-sweep" `Slow test_golden_sim_stats_sweep;
+    Alcotest.test_case "golden-sim-stats-fuzz" `Slow test_golden_sim_stats_fuzz;
     Alcotest.test_case "golden-explore" `Slow test_golden_explore;
   ]
