@@ -55,12 +55,11 @@ let positive ~flag ~expects arg =
 
 (* Worker domains for experiment grids and campaigns (see
    Turnpike_parallel), installed for its side effect before the command
-   body runs. The OCaml 5 runtime runs at most 128 domains at once
-   (Max_domains on 64-bit), so a wider pool would fail partway through
-   spawning its workers. *)
-let max_jobs = 128
-
+   body runs. The pool takes 0 to [Turnpike_parallel.max_jobs] domains
+   (the runtime's limit); the flag refuses any other width as a usage
+   error. *)
 let jobs =
+  let max_jobs = Turnpike_parallel.max_jobs in
   Term.(
     const Turnpike_parallel.set_default_jobs
     $ checked ~flag:"--jobs"

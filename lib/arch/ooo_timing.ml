@@ -45,13 +45,13 @@ type t = {
   sb : Store_buffer.t;
   rbb : Rbb.t;
   predictor : Branch_predictor.t;
-  reg_ready : Reg_ready.t;
+  mutable ready : int array; (* register ready cycles, by register id *)
   completions : int array; (* ring buffer of the last [rob_size] completions *)
   alu_free : int array;
+  mutable slot : int; (* ROB slot of the next dispatch *)
   mutable load_free : int;
   mutable store_free : int;
   mutable fetch_ready : int;
-  mutable issued : int;
   mutable drain_free_at : int;
   mutable last_completion : int;
   mutable due_at : int; (* no background event is due before this cycle *)
@@ -65,51 +65,71 @@ let create cfg =
     sb = Store_buffer.create cfg.sb_size;
     rbb = Rbb.create 16;
     predictor = Branch_predictor.create ();
-    reg_ready = Reg_ready.create ();
+    ready = Array.make 64 0;
     completions = Array.make cfg.rob_size 0;
     alu_free = Array.make cfg.alus 0;
+    slot = 0;
     load_free = 0;
     store_free = 0;
     fetch_ready = 0;
-    issued = 0;
     drain_free_at = 0;
     last_completion = 0;
     due_at = max_int;
     stats = Sim_stats.create ();
   }
 
-(* Background events up to [cycle]; toplevel walks, as in {!Timing}, so
-   the per-dispatch call allocates nothing when nothing is due. *)
-let rec drain_verified t ~cycle = function
-  | [] -> ()
-  | (r : Rbb.region) :: rest ->
-    let v = Option.value r.Rbb.verify_at ~default:cycle in
-    let start = Int.max v t.drain_free_at in
-    t.drain_free_at <- Store_buffer.assign_releases t.sb ~region:r.Rbb.seq ~start;
-    drain_verified t ~cycle rest
+(* Register ready cycles, as in {!Timing}: an array indexed by register
+   id, 0 for a register never written, doubled the first time a larger
+   id is written. *)
+let[@inline] reg_ready t r =
+  let a = t.ready in
+  if r < Array.length a then a.(r) else 0
 
-let rec release_stores t = function
-  | [] -> ()
-  | (r : Store_buffer.released) :: rest ->
-    Mem_hierarchy.store_release t.mem r.Store_buffer.addr;
-    release_stores t rest
+let rec srcs_ready t acc = function
+  | [] -> acc
+  | r :: rest -> srcs_ready t (Int.max acc (reg_ready t r)) rest
 
-let next_due t =
-  let r = match Store_buffer.earliest_release t.sb with Some r -> r | None -> max_int in
-  match Rbb.next_verify_time t.rbb with Some v -> Int.min r v | None -> r
+(* Most instructions read one register. *)
+let[@inline] sources_ready t = function
+  | [] -> 0
+  | [ r ] -> reg_ready t r
+  | r :: rest -> srcs_ready t (reg_ready t r) rest
 
-(* As in {!Timing}: [due_at] never exceeds [next_due t], so [settle]
-   returns at once unless a release or a verification may be due by
-   [cycle]. [cycle] may be earlier than on the previous call (dispatch
-   cycles are not monotonic); the gate stays exact because
-   [Rbb.pop_verified] and [Store_buffer.release_up_to] act only on what is
-   due by the cycle they are given. *)
-let settle t ~cycle =
-  if cycle >= t.due_at then begin
-    drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
-    release_stores t (Store_buffer.release_up_to t.sb cycle);
-    t.due_at <- next_due t
+let set_ready t r c =
+  if r <> Reg.zero then begin
+    let n = Array.length t.ready in
+    if r >= n then begin
+      let grown = Array.make (Int.max (r + 1) (2 * n)) 0 in
+      Array.blit t.ready 0 grown 0 n;
+      t.ready <- grown
+    end;
+    t.ready.(r) <- c
   end
+
+(* Background events up to [cycle], as in {!Timing}: verify the closed
+   regions whose window has elapsed, oldest first, then drain the due
+   stores. *)
+let rec verify_regions t ~cycle =
+  let verify_at = Rbb.next_verify_time t.rbb in
+  if verify_at <= cycle then begin
+    let region = Rbb.verify_oldest t.rbb in
+    let start = Int.max verify_at t.drain_free_at in
+    t.drain_free_at <- Store_buffer.assign_releases t.sb ~region ~start;
+    verify_regions t ~cycle
+  end
+
+let release_store ~addr ~region:_ ~is_ckpt:_ ~at:_ t =
+  Mem_hierarchy.store_release t.mem addr
+
+(* As in {!Timing}: [due_at] never exceeds the next release or
+   verification, so the callers compare with it and call this only when
+   one may be due by [cycle]. [cycle] may be earlier than on the previous
+   call (dispatch cycles are not monotonic); the gate stays exact because
+   both steps act only on what is due by the cycle they are given. *)
+let settle_due t ~cycle =
+  verify_regions t ~cycle;
+  Store_buffer.release_due t.sb ~cycle release_store t;
+  t.due_at <- Int.min (Store_buffer.earliest_release t.sb) (Rbb.next_verify_time t.rbb)
 
 (* Claim one unit of a resource pool no earlier than [at]; the pool grants
    each unit one operation per cycle. *)
@@ -122,46 +142,44 @@ let claim_pool pool ~at =
   pool.(!best) <- start + 1;
   start
 
-(* Dispatch an instruction whose sources are ready at [ready]: respect the
-   reorder window and fetch stream, claim the unit, record completion
-   [latency] cycles after the start. Returns the start cycle. *)
-let dispatch t ~ready ~unit_kind ~latency =
-  let slot = t.issued mod t.cfg.rob_size in
-  let window_ready = t.completions.(slot) in
-  let at = Int.max (Int.max window_ready t.fetch_ready) ready in
-  settle t ~cycle:at;
-  let start =
-    match unit_kind with
-    | `Alu -> claim_pool t.alu_free ~at
-    | `Load ->
-      let s = Int.max at t.load_free in
-      t.load_free <- s + 1;
-      s
-    | `Store ->
-      let s = Int.max at t.store_free in
-      t.store_free <- s + 1;
-      s
-  in
-  let completion = start + latency in
-  t.completions.(slot) <- completion;
-  t.issued <- t.issued + 1;
-  t.last_completion <- Int.max t.last_completion completion;
-  t.stats.Sim_stats.instructions <- t.stats.Sim_stats.instructions + 1;
-  start
+(* The earliest cycle at which an instruction whose sources are ready at
+   [ready] can start: inside the reorder window (the instruction that
+   last used its ROB slot has completed) and the fetch stream. Settles
+   background work due by then. *)
+let dispatch_at t ~ready =
+  let at = Int.max (Int.max t.completions.(t.slot) t.fetch_ready) ready in
+  if at >= t.due_at then settle_due t ~cycle:at;
+  at
 
-(* Wait for a free store-buffer entry no earlier than [at]. *)
+(* Record the dispatched instruction's completion in its ROB slot and
+   step to the next slot. *)
+let complete t ~completion =
+  let slot = t.slot in
+  t.completions.(slot) <- completion;
+  t.slot <- (if slot + 1 = Array.length t.completions then 0 else slot + 1);
+  if completion > t.last_completion then t.last_completion <- completion;
+  t.stats.Sim_stats.instructions <- t.stats.Sim_stats.instructions + 1
+
+(* Wait for a free store-buffer entry no earlier than [at]. When every
+   entry is quarantined in the open region, no release and no
+   verification can free one: as {!Timing} does for code partitioned
+   without regard to the SB, count a violation and force the oldest
+   entry out. *)
 let rec sb_entry_at t ~at =
-  settle t ~cycle:at;
+  if at >= t.due_at then settle_due t ~cycle:at;
   if not (Store_buffer.is_full t.sb) then at
+  else if Store_buffer.all_unreleasable t.sb ~current_region:(Rbb.current_seq t.rbb)
+  then begin
+    t.stats.Sim_stats.partition_violations <- t.stats.Sim_stats.partition_violations + 1;
+    (match Store_buffer.force_release_oldest t.sb with
+    | Some (addr, _) -> Mem_hierarchy.store_release t.mem addr
+    | None -> ());
+    at
+  end
   else
-    let next =
-      match Store_buffer.earliest_release t.sb with
-      | Some r -> Int.max r (at + 1)
-      | None -> (
-        match Rbb.next_verify_time t.rbb with
-        | Some v -> Int.max v (at + 1)
-        | None -> at + 1)
-    in
+    let r = Store_buffer.earliest_release t.sb in
+    let due = if r < max_int then r else Rbb.next_verify_time t.rbb in
+    let next = if due = max_int then at + 1 else Int.max due (at + 1) in
     t.stats.Sim_stats.sb_full_stall_cycles <-
       t.stats.Sim_stats.sb_full_stall_cycles + (next - at);
     sb_entry_at t ~at:next
@@ -171,8 +189,10 @@ let rec sb_entry_at t ~at =
    SB backpressures dispatch through the reorder window, exactly how a
    real OoO core feels quarantine pressure. *)
 let store t ~ready ~addr ~is_ckpt =
-  let start = dispatch t ~ready ~unit_kind:`Store ~latency:1 in
-  let commit_slot = (t.issued - 1) mod t.cfg.rob_size in
+  let commit_slot = t.slot in
+  let start = Int.max (dispatch_at t ~ready) t.store_free in
+  t.store_free <- start + 1;
+  complete t ~completion:(start + 1);
   let at =
     if t.cfg.verification || Store_buffer.is_full t.sb then sb_entry_at t ~at:start
     else start
@@ -181,67 +201,66 @@ let store t ~ready ~addr ~is_ckpt =
   t.last_completion <- Int.max t.last_completion (at + 1);
   if t.cfg.verification then begin
     Store_buffer.alloc t.sb ~addr ~region:(Rbb.current_seq t.rbb) ~is_ckpt
-      ~release_at:None;
+      ~release_at:max_int;
     t.stats.Sim_stats.quarantined <- t.stats.Sim_stats.quarantined + 1
   end
   else begin
-    Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(Some (at + 2));
+    Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(at + 2);
     t.due_at <- Int.min t.due_at (at + 2)
   end;
   if is_ckpt then t.stats.Sim_stats.ckpts <- t.stats.Sim_stats.ckpts + 1
   else t.stats.Sim_stats.stores <- t.stats.Sim_stats.stores + 1
 
-let run_event t (e : Trace.event) =
-  match e with
-  | Trace.Boundary { region } ->
-    (match Rbb.current t.rbb with
-    | Some _ ->
-      ignore (Rbb.close_region t.rbb ~end_cycle:t.last_completion ~wcdl:t.cfg.wcdl);
-      t.due_at <- Int.min t.due_at (t.last_completion + t.cfg.wcdl)
-    | None -> ());
-    (* The 16-entry RBB of an OoO core effectively never fills on these
-       traces; regions open at the current completion frontier. *)
-    ignore (Rbb.open_region t.rbb ~static_id:region);
-    t.stats.Sim_stats.boundaries <- t.stats.Sim_stats.boundaries + 1
-  | Trace.Alu { dst; srcs } ->
-    let ready = Reg_ready.latest t.reg_ready srcs in
-    let start = dispatch t ~ready ~unit_kind:`Alu ~latency:1 in
-    (match dst with Some d -> Reg_ready.set t.reg_ready d (start + 1) | None -> ())
-  | Trace.Load { dst; srcs; addr; kind = _ } ->
-    let lat =
-      if Store_buffer.contains_addr t.sb addr then begin
-        ignore (Mem_hierarchy.load_latency t.mem addr);
-        t.stats.Sim_stats.sb_forwards <- t.stats.Sim_stats.sb_forwards + 1;
-        t.cfg.mem.Mem_hierarchy.l1_hit
-      end
-      else Mem_hierarchy.load_latency t.mem addr
-    in
-    let ready = Reg_ready.latest t.reg_ready srcs in
-    let start = dispatch t ~ready ~unit_kind:`Load ~latency:lat in
-    Reg_ready.set t.reg_ready dst (start + lat);
-    t.stats.Sim_stats.loads <- t.stats.Sim_stats.loads + 1
-  | Trace.Store { srcs; addr; cls = _ } ->
-    store t ~ready:(Reg_ready.latest t.reg_ready srcs) ~addr ~is_ckpt:false
-  | Trace.Ckpt { src } ->
-    store t ~ready:(Reg_ready.get t.reg_ready src)
-      ~addr:(Layout.ckpt_slot ~reg:(Int.max src 0) ~color:0)
-      ~is_ckpt:true
-  | Trace.Branch { srcs; taken; pc } ->
-    let ready = Reg_ready.latest t.reg_ready srcs in
-    let start = dispatch t ~ready ~unit_kind:`Alu ~latency:1 in
-    let correct =
-      match srcs with
-      | [] -> Branch_predictor.update t.predictor ~pc ~taken:true
-      | _ :: _ -> Branch_predictor.update t.predictor ~pc ~taken
-    in
-    if not correct then t.fetch_ready <- start + 1 + t.cfg.branch_penalty
+let load t ~dst ~srcs ~addr =
+  let lat =
+    if Store_buffer.contains_addr t.sb addr then begin
+      ignore (Mem_hierarchy.load_latency t.mem addr);
+      t.stats.Sim_stats.sb_forwards <- t.stats.Sim_stats.sb_forwards + 1;
+      t.cfg.mem.Mem_hierarchy.l1_hit
+    end
+    else Mem_hierarchy.load_latency t.mem addr
+  in
+  let start = Int.max (dispatch_at t ~ready:(sources_ready t srcs)) t.load_free in
+  t.load_free <- start + 1;
+  complete t ~completion:(start + lat);
+  set_ready t dst (start + lat);
+  t.stats.Sim_stats.loads <- t.stats.Sim_stats.loads + 1
 
+let boundary t =
+  let _ : int = Rbb.close_region t.rbb ~end_cycle:t.last_completion ~wcdl:t.cfg.wcdl in
+  t.due_at <- Int.min t.due_at (t.last_completion + t.cfg.wcdl);
+  (* The OoO core never stalls on its RBB: regions open at the current
+     completion frontier, and the RBB grows past its 16 entries when short
+     regions meet a long WCDL. *)
+  let _ : int = Rbb.open_region t.rbb in
+  t.stats.Sim_stats.boundaries <- t.stats.Sim_stats.boundaries + 1
+
+(* The replay loop; ALU ops and branches are handled here, without a call
+   into another module (but the branch predictor's). *)
 let simulate cfg trace =
   let t = create cfg in
-  ignore (Rbb.open_region t.rbb ~static_id:(-1));
+  let _ : int = Rbb.open_region t.rbb in
   let events = trace.Trace.events in
   for i = 0 to Array.length events - 1 do
-    run_event t events.(i)
+    match events.(i) with
+    | Trace.Alu { dst; srcs } -> (
+      let start = claim_pool t.alu_free ~at:(dispatch_at t ~ready:(sources_ready t srcs)) in
+      complete t ~completion:(start + 1);
+      match dst with Some d -> set_ready t d (start + 1) | None -> ())
+    | Trace.Branch { srcs; taken; pc } ->
+      let start = claim_pool t.alu_free ~at:(dispatch_at t ~ready:(sources_ready t srcs)) in
+      complete t ~completion:(start + 1);
+      let taken = match srcs with [] -> true | _ :: _ -> taken in
+      if not (Branch_predictor.update t.predictor ~pc ~taken) then
+        t.fetch_ready <- start + 1 + t.cfg.branch_penalty
+    | Trace.Load { dst; srcs; addr; kind = _ } -> load t ~dst ~srcs ~addr
+    | Trace.Store { srcs; addr; cls = _ } ->
+      store t ~ready:(sources_ready t srcs) ~addr ~is_ckpt:false
+    | Trace.Ckpt { src } ->
+      store t ~ready:(reg_ready t src)
+        ~addr:(Layout.ckpt_slot ~reg:(Int.max src 0) ~color:0)
+        ~is_ckpt:true
+    | Trace.Boundary { region = _ } -> boundary t
   done;
   t.stats.Sim_stats.cycles <- t.last_completion + 1;
   t.stats.Sim_stats.complete <- trace.Trace.complete;

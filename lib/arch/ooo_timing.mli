@@ -22,3 +22,8 @@ val turnstile_config : ?wcdl:int -> unit -> config
 (** Turnstile on the OoO core: verification on. *)
 
 val simulate : config -> Turnpike_ir.Trace.t -> Sim_stats.t
+(** Replay a trace and return its counters. Under verification, a store
+    that finds every store-buffer entry quarantined in its own (still
+    open) region, which no wait can free, forces the oldest entry out and
+    counts a [partition_violation], as {!Timing.simulate} does outside
+    [strict_partitioning] mode. *)

@@ -1,55 +1,79 @@
 (* Region boundary buffer: one entry per in-flight (unverified) dynamic
-   region, recording when it will be verified. The entry also anchors the
-   recovery PC (represented here by the static region id). *)
+   region, recording when it will be verified.
 
-type region = { seq : int; static_id : int; mutable verify_at : int option }
+   Regions open, close and verify strictly in sequence order, so the
+   unverified regions are always the sequence numbers [oldest, next_seq),
+   the last of them still open when [is_open]. The buffer is a ring of
+   verify cycles indexed by sequence number: every operation reads or
+   writes a few ints and allocates nothing. The ring holds a power of two
+   entries, at least [size]; it doubles when more regions are unverified
+   than it holds, which only the out-of-order model, whose RBB never
+   stalls dispatch, lets happen. *)
 
 type t = {
   size : int;
-  mutable pending : region list; (* oldest first; all unverified *)
-  mutable current : region option; (* open region, not yet in pending *)
+  mutable verify_at : int array; (* by [seq land mask]; closed regions only *)
+  mutable mask : int;
+  mutable oldest : int; (* sequence number of the oldest unverified region *)
   mutable next_seq : int;
+  mutable is_open : bool;
 }
 
 let create size =
   if size <= 0 then invalid_arg "Rbb.create: size must be positive";
-  { size; pending = []; current = None; next_seq = 0 }
+  let cap = ref 1 in
+  while !cap < size do
+    cap := 2 * !cap
+  done;
+  {
+    size;
+    verify_at = Array.make !cap 0;
+    mask = !cap - 1;
+    oldest = 0;
+    next_seq = 0;
+    is_open = false;
+  }
 
-let current t = t.current
+let current_seq t = if t.is_open then t.next_seq - 1 else -1
 
-let current_seq t = match t.current with Some r -> r.seq | None -> -1
+let unverified_count t = t.next_seq - t.oldest
 
-let unverified_count t =
-  List.length t.pending + match t.current with Some _ -> 1 | None -> 0
+let is_full t = t.next_seq - t.oldest >= t.size
 
-let is_full t = unverified_count t >= t.size
+(* Double the ring, keeping each unverified region at its sequence
+   number's slot. *)
+let grow t =
+  let cap = 2 * Array.length t.verify_at in
+  let grown = Array.make cap 0 in
+  for seq = t.oldest to t.next_seq - 1 do
+    grown.(seq land (cap - 1)) <- t.verify_at.(seq land t.mask)
+  done;
+  t.verify_at <- grown;
+  t.mask <- cap - 1
 
-let open_region t ~static_id =
-  if t.current <> None then invalid_arg "Rbb.open_region: a region is already open";
-  let r = { seq = t.next_seq; static_id; verify_at = None } in
-  t.next_seq <- t.next_seq + 1;
-  t.current <- Some r;
-  r
+let open_region t =
+  if t.is_open then invalid_arg "Rbb.open_region: a region is already open";
+  if t.next_seq - t.oldest > t.mask then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  t.is_open <- true;
+  seq
 
 let close_region t ~end_cycle ~wcdl =
-  match t.current with
-  | None -> invalid_arg "Rbb.close_region: no open region"
-  | Some r ->
-    r.verify_at <- Some (end_cycle + wcdl);
-    t.pending <- t.pending @ [ r ];
-    t.current <- None;
-    r
+  if not t.is_open then invalid_arg "Rbb.close_region: no open region";
+  let seq = t.next_seq - 1 in
+  t.verify_at.(seq land t.mask) <- end_cycle + wcdl;
+  t.is_open <- false;
+  seq
+
+(* The closed regions are [oldest, next_seq), less the open one. *)
+let has_closed t = t.oldest < (if t.is_open then t.next_seq - 1 else t.next_seq)
 
 let next_verify_time t =
-  match t.pending with
-  | [] -> None
-  | r :: _ -> r.verify_at
+  if has_closed t then t.verify_at.(t.oldest land t.mask) else max_int
 
-let rec pop_verified t ~cycle =
-  (* Regions verify in order; pop every closed region whose WCDL window has
-     elapsed by [cycle], oldest first. *)
-  match t.pending with
-  | ({ verify_at = Some v; _ } as r) :: rest when v <= cycle ->
-    t.pending <- rest;
-    r :: pop_verified t ~cycle
-  | _ -> []
+let verify_oldest t =
+  if not (has_closed t) then invalid_arg "Rbb.verify_oldest: no closed region";
+  let seq = t.oldest in
+  t.oldest <- seq + 1;
+  seq

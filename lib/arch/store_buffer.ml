@@ -8,7 +8,9 @@
    nothing. A quarantined entry (no release time yet) holds [quarantined]
    in [release_at]. [earliest] is kept equal to the smallest [release_at]
    by every operation, so the timing models learn when the next release is
-   due in O(1), and [release_up_to] skips its scan when none is. *)
+   due in O(1), and [release_due] skips its scan when none is. Due
+   entries are released where they sit: [release_due] hands each to the
+   caller's function and closes the gaps in the same pass. *)
 
 let quarantined = max_int
 
@@ -56,9 +58,8 @@ let alloc t ~addr ~region ~is_ckpt ~release_at =
   t.addr.(i) <- addr;
   t.region.(i) <- region;
   t.is_ckpt.(i) <- is_ckpt;
-  let r = match release_at with Some r -> r | None -> quarantined in
-  t.release_at.(i) <- r;
-  if r < t.earliest then t.earliest <- r;
+  t.release_at.(i) <- release_at;
+  if release_at < t.earliest then t.earliest <- release_at;
   t.count <- i + 1
 
 let contains_addr t addr =
@@ -81,8 +82,6 @@ let assign_releases t ~region ~start =
   if !next > start && start < t.earliest then t.earliest <- start;
   !next
 
-type released = { addr : int; is_ckpt : bool; region : int; at : int }
-
 (* The smallest release time over [0, count). *)
 let rescan_earliest (t : t) =
   let earliest = ref quarantined in
@@ -91,27 +90,15 @@ let rescan_earliest (t : t) =
   done;
   t.earliest <- !earliest
 
-let release_up_to (t : t) cycle =
-  if cycle < t.earliest then []
-  else begin
-    (* Collect the due entries back to front, so the list comes out oldest
-       first, then close the gaps they leave in one forward pass. *)
-    let released = ref [] in
-    for i = t.count - 1 downto 0 do
-      if t.release_at.(i) <= cycle then
-        released :=
-          {
-            addr = t.addr.(i);
-            is_ckpt = t.is_ckpt.(i);
-            region = t.region.(i);
-            at = t.release_at.(i);
-          }
-          :: !released
-    done;
+let release_due (t : t) ~cycle f x =
+  if cycle >= t.earliest then begin
+    (* One forward pass: hand each due entry to [f], oldest first, and
+       move every kept entry down over the gaps. *)
     let kept = ref 0 and earliest = ref quarantined in
     for i = 0 to t.count - 1 do
       let r = t.release_at.(i) in
-      if r > cycle then begin
+      if r <= cycle then f ~addr:t.addr.(i) ~region:t.region.(i) ~is_ckpt:t.is_ckpt.(i) ~at:r x
+      else begin
         let k = !kept in
         t.addr.(k) <- t.addr.(i);
         t.region.(k) <- t.region.(i);
@@ -122,12 +109,10 @@ let release_up_to (t : t) cycle =
       end
     done;
     t.count <- !kept;
-    t.earliest <- !earliest;
-    !released
+    t.earliest <- !earliest
   end
 
-let earliest_release (t : t) =
-  if t.earliest = quarantined then None else Some t.earliest
+let earliest_release (t : t) = t.earliest
 
 let all_unreleasable (t : t) ~current_region =
   let i = ref 0 in

@@ -3,9 +3,8 @@
     Under verification, an entry allocated by a committed store is
     quarantined until its region is verified error-free; entries then drain
     to L1 one per cycle. In baseline mode entries carry a release time from
-    the start. The entries sit in fixed-size arrays, so the operations the
-    timing models run every cycle or store ({!alloc}, {!contains_addr},
-    {!assign_releases}, and {!release_up_to} when nothing is due) allocate
+    the start. The entries sit in fixed-size arrays and are released where
+    they sit, so every operation but {!force_release_oldest} allocates
     nothing. *)
 
 type t
@@ -21,9 +20,10 @@ val sample : t -> unit
 
 val mean_occupancy : t -> float
 
-val alloc : t -> addr:int -> region:int -> is_ckpt:bool -> release_at:int option -> unit
-(** Allocate an entry. [release_at = None] quarantines it until its region
-    is verified. @raise Invalid_argument when full (callers must wait). *)
+val alloc : t -> addr:int -> region:int -> is_ckpt:bool -> release_at:int -> unit
+(** Allocate an entry that drains at cycle [release_at]; [max_int]
+    quarantines it until its region is verified.
+    @raise Invalid_argument when full (callers must wait). *)
 
 val contains_addr : t -> int -> bool
 (** CAM probe used by the in-order fast-release constraint. *)
@@ -32,22 +32,17 @@ val assign_releases : t -> region:int -> start:int -> int
 (** Give the quarantined entries of a verified region consecutive drain
     cycles from [start]; returns the next free drain cycle. *)
 
-type released = {
-  addr : int;
-  is_ckpt : bool;
-  region : int;  (** dynamic region the entry belonged to *)
-  at : int;  (** the drain cycle the entry was assigned *)
-}
-(** What {!release_up_to} reports per drained entry — enough to stamp a
-    timeline release event with its true drain cycle and region. *)
+val release_due :
+  t -> cycle:int -> (addr:int -> region:int -> is_ckpt:bool -> at:int -> 'a -> unit) -> 'a -> unit
+(** [release_due t ~cycle f x] removes every entry whose release cycle is
+    at most [cycle], oldest first, calling [f ~addr ~region ~is_ckpt ~at x]
+    on each: [region] is the dynamic region it belonged to and [at] its
+    drain cycle, enough to stamp a timeline release event. Returns at once
+    when no entry is due. [f] must not touch [t]. *)
 
-val release_up_to : t -> int -> released list
-(** Remove and return the entries whose release time has passed, oldest
-    first. *)
-
-val earliest_release : t -> int option
-(** Earliest assigned release time, if any entry has one. Kept current by
-    every operation, so it costs O(1). *)
+val earliest_release : t -> int
+(** Earliest assigned release cycle, or [max_int] when no entry has one.
+    Kept current by every operation, so it costs O(1). *)
 
 val all_unreleasable : t -> current_region:int -> bool
 (** True when the buffer is non-empty and every entry belongs to the

@@ -41,7 +41,7 @@ type t = {
   coloring : Coloring.t option;
   predictor : Branch_predictor.t;
   stats : Sim_stats.t;
-  reg_ready : Reg_ready.t;
+  mutable ready : int array; (* register ready cycles, by register id *)
   mutable cycle : int; (* current issue cycle *)
   mutable slots : int; (* issue slots used in [cycle] *)
   mutable load_port_cycle : int; (* last cycle the load AGU was used *)
@@ -63,7 +63,7 @@ let create ?(tel = Telemetry.null) (machine : Machine.t) =
     coloring = (if machine.coloring then Some (Coloring.create ~colors:machine.Machine.colors ~nregs:machine.nregs ()) else None);
     predictor = Branch_predictor.create ();
     stats = Sim_stats.create ();
-    reg_ready = Reg_ready.create ();
+    ready = Array.make 64 0;
     cycle = 0;
     slots = 0;
     load_port_cycle = -1;
@@ -72,6 +72,37 @@ let create ?(tel = Telemetry.null) (machine : Machine.t) =
     drain_free_at = 0;
     due_at = max_int;
   }
+
+(* Register ready cycles: when each register's latest value becomes
+   available to a consumer, read on every source operand. Ids are small
+   non-negative ints (architectural registers sit below [Reg.virt_base]);
+   a register never written, the zero register included, is ready at
+   cycle 0. The array doubles the first time a larger id is written. *)
+let[@inline] reg_ready t r =
+  let a = t.ready in
+  if r < Array.length a then a.(r) else 0
+
+(* The cycle by which every listed register (and [acc]) is ready. *)
+let rec srcs_ready t acc = function
+  | [] -> acc
+  | r :: rest -> srcs_ready t (Int.max acc (reg_ready t r)) rest
+
+(* Most instructions read one register. *)
+let[@inline] sources_ready t = function
+  | [] -> 0
+  | [ r ] -> reg_ready t r
+  | r :: rest -> srcs_ready t (reg_ready t r) rest
+
+let set_ready t r c =
+  if r <> Reg.zero then begin
+    let n = Array.length t.ready in
+    if r >= n then begin
+      let grown = Array.make (Int.max (r + 1) (2 * n)) 0 in
+      Array.blit t.ready 0 grown 0 n;
+      t.ready <- grown
+    end;
+    t.ready.(r) <- c
+  end
 
 (* Cycle-stamped timeline events. Every site guards on the sink's immutable
    [enabled] flag, copied into [t] so that a disabled run pays one field
@@ -106,106 +137,100 @@ let ev_region_open t ~static_id ~seq =
       ]
   end
 
-let ev_region_close t (r : Rbb.region) =
+let ev_region_close t ~seq =
   if ev_enabled t then begin
     Telemetry.span_end t.tel ~ts:t.cycle ~tid:track_regions ~cat:"region"
-      ~args:[ ("seq", Telemetry.Int r.seq) ]
+      ~args:[ ("seq", Telemetry.Int seq) ]
       "region";
     if t.machine.verification then
       Telemetry.complete t.tel ~ts:t.cycle ~dur:t.machine.wcdl
         ~tid:track_verify ~cat:"sensor"
-        ~args:[ ("seq", Telemetry.Int r.seq) ]
+        ~args:[ ("seq", Telemetry.Int seq) ]
         "verify_window"
   end
 
-(* Process background events (region verifications, SB drains) up to and
-   including [cycle]. This runs every time the issue point moves, so it
-   walks the (usually empty) lists with toplevel functions, not closures. *)
-let rec drain_verified t ~cycle = function
-  | [] -> ()
-  | (r : Rbb.region) :: rest ->
-    let verify_at = Option.value r.verify_at ~default:cycle in
+(* Background events (region verifications, SB drains) up to and including
+   [cycle]. Verify, oldest first, every closed region whose WCDL window
+   has elapsed: its quarantined stores get drain cycles, and its
+   colorings and CLQ entries are cleared. *)
+let rec verify_regions t ~cycle =
+  let verify_at = Rbb.next_verify_time t.rbb in
+  if verify_at <= cycle then begin
+    let region = Rbb.verify_oldest t.rbb in
     let start = Int.max verify_at t.drain_free_at in
-    t.drain_free_at <- Store_buffer.assign_releases t.sb ~region:r.seq ~start;
+    t.drain_free_at <- Store_buffer.assign_releases t.sb ~region ~start;
     (match t.coloring with
-    | Some col -> Coloring.on_region_verified col ~region:r.seq
+    | Some col -> Coloring.on_region_verified col ~region
     | None -> ());
     (match t.clq with
     | Some clq ->
-      Clq.on_region_verified clq ~region:r.seq;
+      Clq.on_region_verified clq ~region;
       Clq.maybe_enable clq ~unverified_regions:(Rbb.unverified_count t.rbb)
     | None -> ());
-    drain_verified t ~cycle rest
-
-let rec release_stores t = function
-  | [] -> ()
-  | (r : Store_buffer.released) :: rest ->
-    Mem_hierarchy.store_release t.mem r.addr;
-    if ev_enabled t then
-      Telemetry.instant t.tel ~ts:r.at ~tid:track_sb ~cat:"sb"
-        ~args:
-          [
-            ("addr", Telemetry.Int r.addr);
-            ("region", Telemetry.Int r.region);
-            ("is_ckpt", Telemetry.Bool r.is_ckpt);
-          ]
-        "release";
-    release_stores t rest
-
-(* The sooner of the store buffer's earliest release and the oldest closed
-   region's verification: before it, [settle] has nothing to do. *)
-let next_due t =
-  let r = match Store_buffer.earliest_release t.sb with Some r -> r | None -> max_int in
-  match Rbb.next_verify_time t.rbb with Some v -> Int.min r v | None -> r
-
-(* [due_at] never exceeds [next_due t]: [settle] recomputes it after doing
-   work, and the two operations that can bring either time forward (a
-   baseline store's release time, a region closing) lower it. So [settle]
-   returns at once on most of its calls without a call into another
-   module. *)
-let settle t ~cycle =
-  if cycle >= t.due_at then begin
-    drain_verified t ~cycle (Rbb.pop_verified t.rbb ~cycle);
-    release_stores t (Store_buffer.release_up_to t.sb cycle);
-    t.due_at <- next_due t
+    verify_regions t ~cycle
   end
 
-(* Move the issue point to [c] (settling background state), resetting the
-   per-cycle slot count when the cycle advances. *)
-let advance_to t c =
-  if c > t.cycle then begin
-    settle t ~cycle:c;
-    t.cycle <- c;
-    t.slots <- 0
-  end
+(* A drained store reaches L1. A toplevel function, so handing it to
+   [Store_buffer.release_due] builds no closure. *)
+let release_store ~addr ~region ~is_ckpt ~at t =
+  Mem_hierarchy.store_release t.mem addr;
+  if ev_enabled t then
+    Telemetry.instant t.tel ~ts:at ~tid:track_sb ~cat:"sb"
+      ~args:
+        [
+          ("addr", Telemetry.Int addr);
+          ("region", Telemetry.Int region);
+          ("is_ckpt", Telemetry.Bool is_ckpt);
+        ]
+      "release"
 
-type port = No_port | Load_port | Store_port
+(* [due_at] never exceeds the sooner of the store buffer's earliest
+   release and the oldest closed region's verification: this sets it to
+   exactly that after doing work, and the two operations that can bring
+   either time forward (a baseline store's release time, a region
+   closing) lower it. So the callers compare [cycle] with [due_at] and
+   call this only when work may be due. *)
+let settle_due t ~cycle =
+  verify_regions t ~cycle;
+  Store_buffer.release_due t.sb ~cycle release_store t;
+  t.due_at <- Int.min (Store_buffer.earliest_release t.sb) (Rbb.next_verify_time t.rbb)
 
-let port_busy t = function
-  | No_port -> false
-  | Load_port -> t.load_port_cycle = t.cycle
-  | Store_port -> t.store_port_cycle = t.cycle
+let settle t ~cycle = if cycle >= t.due_at then settle_due t ~cycle
+
+(* Move the issue point forward to [c], a later cycle (settling
+   background state), resetting the per-cycle slot count. *)
+let[@inline] advance_to t c =
+  if c >= t.due_at then settle_due t ~cycle:c;
+  t.cycle <- c;
+  t.slots <- 0
+
+(* The first cycle after the issue point by which an event due at [c]
+   ([max_int]: none) has happened. *)
+let next_cycle t c = if c = max_int then t.cycle + 1 else Int.max c (t.cycle + 1)
 
 (* Claim an issue slot at the earliest cycle >= [ready], the cycle the
-   instruction's sources are ready. The core has one load AGU and one
-   store AGU (Cortex-A53 style), so a load and a store may issue in the
-   same cycle but two loads (or two stores) may not. Returns the issue
-   cycle. *)
-let issue t ~ready ~port =
+   instruction's sources are ready, and return it. The core has one load
+   AGU and one store AGU (Cortex-A53 style), so a load and a store may
+   issue in the same cycle but two loads (or two stores) may not:
+   [port_cycle] is the last cycle the instruction's AGU was used (-1 for
+   an instruction that needs none), and the caller records the returned
+   cycle there. One step forward always frees both a slot and the AGU. *)
+let[@inline] issue t ~ready ~port_cycle =
   let earliest = Int.max (Int.max ready t.fetch_ready) t.cycle in
-  if earliest > t.cycle then
+  if earliest > t.cycle then begin
     t.stats.data_stall_cycles <-
       t.stats.data_stall_cycles + (earliest - t.cycle);
-  advance_to t earliest;
-  while t.slots >= t.machine.issue_width || port_busy t port do
-    advance_to t (t.cycle + 1)
-  done;
+    advance_to t earliest
+  end
+  else if t.slots >= t.machine.issue_width || port_cycle = t.cycle then
+    advance_to t (t.cycle + 1);
   t.slots <- t.slots + 1;
-  (match port with
-  | No_port -> ()
-  | Load_port -> t.load_port_cycle <- t.cycle
-  | Store_port -> t.store_port_cycle <- t.cycle);
   t.cycle
+
+let issue_store t ~ready =
+  let c = issue t ~ready ~port_cycle:t.store_port_cycle in
+  t.store_port_cycle <- c;
+  c
 
 (* Wait (from the current issue point) until the store buffer has a free
    entry, charging the wait to SB-full stalls. *)
@@ -228,17 +253,9 @@ let wait_for_sb_entry t =
       | None -> ()
     end
     else begin
-      let next =
-        match Store_buffer.earliest_release t.sb with
-        | Some r -> Int.max r (t.cycle + 1)
-        | None -> (
-          match Rbb.next_verify_time t.rbb with
-          | Some v -> Int.max v (t.cycle + 1)
-          | None -> t.cycle + 1)
-      in
-      advance_to t next
-    end;
-    settle t ~cycle:t.cycle
+      let r = Store_buffer.earliest_release t.sb in
+      advance_to t (next_cycle t (if r < max_int then r else Rbb.next_verify_time t.rbb))
+    end
   done;
   if t.cycle > waited_from then begin
     t.stats.sb_full_stall_cycles <-
@@ -248,24 +265,16 @@ let wait_for_sb_entry t =
 
 let handle_boundary t ~static_id =
   settle t ~cycle:t.cycle;
-  (* Close the running region, if any. *)
-  (match Rbb.current t.rbb with
-  | Some _ ->
-    let r = Rbb.close_region t.rbb ~end_cycle:t.cycle ~wcdl:t.machine.wcdl in
-    t.due_at <- Int.min t.due_at (t.cycle + t.machine.wcdl);
-    ev_region_close t r
-  | None -> ());
+  (* Close the running region: a region is open from the start of the
+     trace on. *)
+  let seq = Rbb.close_region t.rbb ~end_cycle:t.cycle ~wcdl:t.machine.wcdl in
+  t.due_at <- Int.min t.due_at (t.cycle + t.machine.wcdl);
+  ev_region_close t ~seq;
   (* A new region needs an RBB entry: stall while too many regions are
      still unverified. *)
   let waited_from = t.cycle in
   while Rbb.is_full t.rbb do
-    let next =
-      match Rbb.next_verify_time t.rbb with
-      | Some v -> Int.max v (t.cycle + 1)
-      | None -> t.cycle + 1
-    in
-    advance_to t next;
-    settle t ~cycle:t.cycle
+    advance_to t (next_cycle t (Rbb.next_verify_time t.rbb))
   done;
   if t.cycle > waited_from then begin
     t.stats.rbb_stall_cycles <- t.stats.rbb_stall_cycles + (t.cycle - waited_from);
@@ -276,8 +285,8 @@ let handle_boundary t ~static_id =
     Clq.maybe_enable clq ~unverified_regions:(Rbb.unverified_count t.rbb);
     Clq.sample clq
   | None -> ());
-  let r = Rbb.open_region t.rbb ~static_id in
-  ev_region_open t ~static_id ~seq:r.Rbb.seq;
+  let seq = Rbb.open_region t.rbb in
+  ev_region_open t ~static_id ~seq;
   Store_buffer.sample t.sb;
   t.stats.boundaries <- t.stats.boundaries + 1
 
@@ -285,9 +294,9 @@ let handle_store t ~ready ~addr ~is_ckpt =
   if not t.machine.verification then begin
     (* Baseline: a store occupies the SB briefly while it drains to L1. *)
     if Store_buffer.is_full t.sb then wait_for_sb_entry t;
-    let c = issue t ~ready ~port:Store_port in
+    let c = issue_store t ~ready in
     let release = c + t.machine.baseline_drain in
-    Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:(Some release);
+    Store_buffer.alloc t.sb ~addr ~region:0 ~is_ckpt ~release_at:release;
     t.due_at <- Int.min t.due_at release
   end
   else begin
@@ -300,7 +309,7 @@ let handle_store t ~ready ~addr ~is_ckpt =
       && not (Store_buffer.contains_addr t.sb addr)
     in
     if fast then begin
-      let c = issue t ~ready ~port:Store_port in
+      let c = issue_store t ~ready in
       Mem_hierarchy.store_release t.mem addr;
       t.stats.war_free_released <- t.stats.war_free_released + 1;
       if ev_enabled t then
@@ -310,8 +319,8 @@ let handle_store t ~ready ~addr ~is_ckpt =
     end
     else begin
       if Store_buffer.is_full t.sb then wait_for_sb_entry t;
-      let c = issue t ~ready ~port:Store_port in
-      Store_buffer.alloc t.sb ~addr ~region ~is_ckpt ~release_at:None;
+      let c = issue_store t ~ready in
+      Store_buffer.alloc t.sb ~addr ~region ~is_ckpt ~release_at:max_int;
       t.stats.quarantined <- t.stats.quarantined + 1;
       if is_ckpt then t.stats.ckpt_quarantined <- t.stats.ckpt_quarantined + 1;
       if ev_enabled t then
@@ -335,10 +344,10 @@ let handle_ckpt t ~src =
       | Some col when Reg.is_physical src -> Coloring.try_assign col ~reg:src ~region
       | Some _ | None -> None
   in
-  let ready = Reg_ready.get t.reg_ready src in
+  let ready = reg_ready t src in
   match fast_color with
   | Some color ->
-    let c = issue t ~ready ~port:Store_port in
+    let c = issue_store t ~ready in
     Mem_hierarchy.store_release t.mem (Layout.ckpt_slot ~reg:src ~color);
     t.stats.colored_released <- t.stats.colored_released + 1;
     if ev_enabled t then
@@ -349,66 +358,35 @@ let handle_ckpt t ~src =
     let addr = Layout.ckpt_slot ~reg:(Int.max src 0) ~color:0 in
     handle_store t ~ready ~addr ~is_ckpt:true
 
-let run_event t (e : Trace.event) =
-  match e with
-  | Trace.Boundary { region } -> handle_boundary t ~static_id:region
-  | Trace.Alu { dst; srcs } ->
-    let c = issue t ~ready:(Reg_ready.latest t.reg_ready srcs) ~port:No_port in
-    (match dst with Some d -> Reg_ready.set t.reg_ready d (c + 1) | None -> ());
-    t.stats.instructions <- t.stats.instructions + 1
-  | Trace.Load { dst; srcs; addr; kind = _ } ->
-    let c = issue t ~ready:(Reg_ready.latest t.reg_ready srcs) ~port:Load_port in
-    (* Store-to-load forwarding: a load that hits a quarantined SB entry
-       gets its data from the buffer at L1-hit speed — essential when
-       verification holds stores in the SB for WCDL cycles. The cache is
-       still probed to keep its state warm for the eventual release. *)
-    let lat =
-      if Store_buffer.contains_addr t.sb addr then begin
-        ignore (Mem_hierarchy.load_latency t.mem addr);
-        t.stats.sb_forwards <- t.stats.sb_forwards + 1;
-        t.machine.mem.Mem_hierarchy.l1_hit
-      end
-      else Mem_hierarchy.load_latency t.mem addr
-    in
-    Reg_ready.set t.reg_ready dst (c + lat);
-    (match t.clq with
-    | Some clq when t.machine.verification ->
-      let overflowed = Clq.record_load clq ~region:(Rbb.current_seq t.rbb) addr in
-      if overflowed && ev_enabled t then
-        Telemetry.instant t.tel ~ts:c ~tid:track_clq ~cat:"clq"
-          ~args:[ ("addr", Telemetry.Int addr) ]
-          "overflow"
-    | Some _ | None -> ());
-    t.stats.loads <- t.stats.loads + 1;
-    t.stats.instructions <- t.stats.instructions + 1
-  | Trace.Store { srcs; addr; cls = _ } ->
-    handle_store t ~ready:(Reg_ready.latest t.reg_ready srcs) ~addr ~is_ckpt:false;
-    t.stats.stores <- t.stats.stores + 1;
-    t.stats.instructions <- t.stats.instructions + 1
-  | Trace.Ckpt { src } ->
-    handle_ckpt t ~src;
-    t.stats.ckpts <- t.stats.ckpts + 1;
-    t.stats.instructions <- t.stats.instructions + 1
-  | Trace.Branch { srcs; taken; pc } ->
-    let c = issue t ~ready:(Reg_ready.latest t.reg_ready srcs) ~port:No_port in
-    (* The bimodal predictor absorbs well-behaved branches (loop back
-       edges); only mispredictions pay the fetch-redirect bubble. An
-       unconditional non-fallthrough jump (srcs = []) is always
-       predicted by the BTB once seen, and costs nothing thereafter. *)
-    let correct =
-      match srcs with
-      | [] -> Branch_predictor.update t.predictor ~pc ~taken:true
-      | _ :: _ -> Branch_predictor.update t.predictor ~pc ~taken
-    in
-    if not correct then t.fetch_ready <- c + 1 + t.machine.branch_penalty;
-    t.stats.instructions <- t.stats.instructions + 1
+let handle_load t ~dst ~srcs ~addr =
+  let c = issue t ~ready:(sources_ready t srcs) ~port_cycle:t.load_port_cycle in
+  t.load_port_cycle <- c;
+  (* Store-to-load forwarding: a load that hits a quarantined SB entry
+     gets its data from the buffer at L1-hit speed — essential when
+     verification holds stores in the SB for WCDL cycles. The cache is
+     still probed to keep its state warm for the eventual release. *)
+  let lat =
+    if Store_buffer.contains_addr t.sb addr then begin
+      ignore (Mem_hierarchy.load_latency t.mem addr);
+      t.stats.sb_forwards <- t.stats.sb_forwards + 1;
+      t.machine.mem.Mem_hierarchy.l1_hit
+    end
+    else Mem_hierarchy.load_latency t.mem addr
+  in
+  set_ready t dst (c + lat);
+  match t.clq with
+  | Some clq when t.machine.verification ->
+    let overflowed = Clq.record_load clq ~region:(Rbb.current_seq t.rbb) addr in
+    if overflowed && ev_enabled t then
+      Telemetry.instant t.tel ~ts:c ~tid:track_clq ~cat:"clq"
+        ~args:[ ("addr", Telemetry.Int addr) ]
+        "overflow"
+  | Some _ | None -> ()
 
 let finalize t (trace : Trace.t) =
   (* Balance the timeline: the final region never sees another boundary,
      so close its span at the last simulated cycle. *)
-  (match Rbb.current t.rbb with
-  | Some r when ev_enabled t -> ev_region_close t r
-  | Some _ | None -> ());
+  ev_region_close t ~seq:(Rbb.current_seq t.rbb);
   t.stats.cycles <- t.cycle + 1;
   t.stats.complete <- trace.Trace.complete;
   (match t.clq with
@@ -425,16 +403,47 @@ let finalize t (trace : Trace.t) =
   t.stats.branch_mispredicts <- Branch_predictor.mispredicts t.predictor;
   t.stats
 
+(* The replay loop. ALU ops (most of a trace) and branches are handled
+   here, without a call into another module: their sources are read from
+   [ready], and [issue] settles background work only when [due_at] says
+   some is due. *)
 let simulate ?tel machine trace =
   let t = create ?tel machine in
   (* An implicit region is open from program start even before the first
      boundary marker (the compiler always emits one at the entry, but raw
      un-partitioned programs must still simulate). *)
-  let r = Rbb.open_region t.rbb ~static_id:(-1) in
-  ev_region_open t ~static_id:(-1) ~seq:r.Rbb.seq;
-  (* A direct call per event, not [Trace.iter]'s call through a closure. *)
+  let seq = Rbb.open_region t.rbb in
+  ev_region_open t ~static_id:(-1) ~seq;
   let events = trace.Trace.events in
+  let stats = t.stats in
   for i = 0 to Array.length events - 1 do
-    run_event t events.(i)
+    match events.(i) with
+    | Trace.Alu { dst; srcs } ->
+      let c = issue t ~ready:(sources_ready t srcs) ~port_cycle:(-1) in
+      (match dst with Some d -> set_ready t d (c + 1) | None -> ());
+      stats.instructions <- stats.instructions + 1
+    | Trace.Branch { srcs; taken; pc } ->
+      let c = issue t ~ready:(sources_ready t srcs) ~port_cycle:(-1) in
+      (* The bimodal predictor absorbs well-behaved branches (loop back
+         edges); only mispredictions pay the fetch-redirect bubble. An
+         unconditional non-fallthrough jump (srcs = []) is always
+         predicted by the BTB once seen, and costs nothing thereafter. *)
+      let taken = match srcs with [] -> true | _ :: _ -> taken in
+      if not (Branch_predictor.update t.predictor ~pc ~taken) then
+        t.fetch_ready <- c + 1 + t.machine.branch_penalty;
+      stats.instructions <- stats.instructions + 1
+    | Trace.Load { dst; srcs; addr; kind = _ } ->
+      handle_load t ~dst ~srcs ~addr;
+      stats.loads <- stats.loads + 1;
+      stats.instructions <- stats.instructions + 1
+    | Trace.Store { srcs; addr; cls = _ } ->
+      handle_store t ~ready:(sources_ready t srcs) ~addr ~is_ckpt:false;
+      stats.stores <- stats.stores + 1;
+      stats.instructions <- stats.instructions + 1
+    | Trace.Ckpt { src } ->
+      handle_ckpt t ~src;
+      stats.ckpts <- stats.ckpts + 1;
+      stats.instructions <- stats.instructions + 1
+    | Trace.Boundary { region } -> handle_boundary t ~static_id:region
   done;
   finalize t trace

@@ -44,7 +44,20 @@ let last_stats : map_stats option Atomic.t = Atomic.make None
 
 let last_map_stats () = Atomic.get last_stats
 
-let set_default_jobs n = Atomic.set default_jobs (max 0 n)
+(* The OCaml 5 runtime runs at most 128 domains at once (Max_domains on
+   64-bit), so a wider pool would fail partway through spawning its
+   workers. A width is checked before any domain is spawned. *)
+let max_jobs = 128
+
+let check_width ~fn jobs =
+  if jobs < 0 || jobs > max_jobs then
+    invalid_arg
+      (Printf.sprintf "Turnpike_parallel.%s: %d domains (the width must be from 0 to %d)"
+         fn jobs max_jobs)
+
+let set_default_jobs n =
+  check_width ~fn:"set_default_jobs" n;
+  Atomic.set default_jobs n
 
 let effective_jobs () =
   match Atomic.get default_jobs with
@@ -61,7 +74,11 @@ let inside_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let map ?jobs (f : 'a -> 'b) (tasks : 'a array) : 'b array =
   let n = Array.length tasks in
   let jobs =
-    min n (match jobs with Some j -> max 1 j | None -> effective_jobs ())
+    match jobs with
+    | Some j ->
+      check_width ~fn:"map" j;
+      min n (max 1 j)
+    | None -> min n (effective_jobs ())
   in
   let nested = Domain.DLS.get inside_worker in
   let tel = Atomic.get telemetry in

@@ -40,10 +40,16 @@ val last_map_stats : unit -> map_stats option
 (** The summary of the most recent recorded (non-nested) {!map}, if any
     map ran while an enabled telemetry sink was installed. *)
 
+val max_jobs : int
+(** 128: the widest pool, the OCaml 5 runtime's limit on domains running
+    at once. *)
+
 val set_default_jobs : int -> unit
 (** Set the pool width used when [?jobs] is not passed. [0] restores the
     default: [Domain.recommended_domain_count ()]. This is what the
-    [--jobs N] flag of the executables sets. *)
+    [--jobs N] flag of the executables sets.
+    @raise Invalid_argument naming the width unless it is from 0 to
+    {!max_jobs}. *)
 
 val effective_jobs : unit -> int
 (** The pool width that an unqualified {!map} will use right now. *)
@@ -51,11 +57,13 @@ val effective_jobs : unit -> int
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map f tasks] applies [f] to every task, distributing tasks over
     [jobs] domains (default {!effective_jobs}); [results.(i) = f tasks.(i)].
-    With [jobs = 1] (or a single task, or when called from inside another
-    [map]'s worker) everything runs sequentially in the calling domain —
-    bit-for-bit the pre-parallel behaviour. If any task raises, all
-    workers drain and the exception of the lowest-indexed failing task is
-    re-raised. *)
+    With [jobs] 0 or 1 (or a single task, or when called from inside
+    another [map]'s worker) everything runs sequentially in the calling
+    domain — bit-for-bit the pre-parallel behaviour. If any task raises,
+    all workers drain and the exception of the lowest-indexed failing
+    task is re-raised.
+    @raise Invalid_argument naming the width, before any domain is
+    spawned, unless [jobs] is from 0 to {!max_jobs}. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over lists, preserving order. *)

@@ -43,6 +43,23 @@ let test_map_reraises_lowest_index () =
           "3" msg)
     [ 1; 4 ]
 
+(* A width the runtime cannot run is refused, naming it, before any
+   domain is spawned: the map starts no domain and runs no task. *)
+let test_width_out_of_range () =
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "map ~jobs:129"
+    (Invalid_argument "Turnpike_parallel.map: 129 domains (the width must be from 0 to 128)")
+    (fun () -> ignore (Parallel.map ~jobs:129 (fun _ -> Atomic.incr ran) (Array.make 200 ())));
+  check_int "no task ran" 0 (Atomic.get ran);
+  let saved = Parallel.effective_jobs () in
+  Alcotest.check_raises "set_default_jobs (-1)"
+    (Invalid_argument
+       "Turnpike_parallel.set_default_jobs: -1 domains (the width must be from 0 to 128)")
+    (fun () -> Parallel.set_default_jobs (-1));
+  check_int "the default width is unchanged" saved (Parallel.effective_jobs ());
+  check "map ~jobs:0 runs sequentially" true
+    (Parallel.map ~jobs:0 succ [| 1; 2; 3 |] = [| 2; 3; 4 |])
+
 let test_grid_regroups_in_order () =
   let rows =
     Parallel.grid ~jobs:4 ~items:[ "a"; "b"; "c" ] ~configs:[ 1; 2 ]
@@ -191,6 +208,7 @@ let tests =
     ("map delivers results in task order", `Quick, test_map_orders_results);
     ("map on empty/singleton inputs", `Quick, test_map_empty_and_singleton);
     ("map re-raises lowest-index failure", `Quick, test_map_reraises_lowest_index);
+    ("map and default width out of range", `Quick, test_width_out_of_range);
     ("grid regroups per item in order", `Quick, test_grid_regroups_in_order);
     ("default jobs setting", `Quick, test_default_jobs_setting);
     ("nested map degrades to sequential", `Quick, test_nested_map_degrades_sequentially);

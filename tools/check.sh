@@ -33,7 +33,9 @@
 #                             --forensics) and re-validates its frontier,
 #                             that malformed, out-of-range and unknown
 #                             flag values (an empty campaign or table
-#                             included, and a --jobs outside 0..128)
+#                             included, a --jobs outside 0..128, and a
+#                             bad --sb, --wcdl or --scale in trace and
+#                             compile too)
 #                             exit 2 and an uncreatable --csv directory
 #                             or unwritable export path exits 1, all
 #                             before any work (nothing on stdout)
@@ -281,6 +283,11 @@ done <<'EOF'
 2|--sb|lint -b lbm --sb 0
 2|--scale|run -b mcf --scale 0
 2|--wcdl|run -b mcf --wcdl=-5
+2|--sb|trace -b lbm --scale 1 --sb 0
+2|--wcdl|trace -b lbm --scale 1 --wcdl=-1
+2|--scale|trace -b lbm --scale 0
+2|--sb|compile examples/triad.tk --sb 0
+2|--scale|compile examples/triad.tk --scale 0
 2|--sensors|wcdl --sensors 0
 2|--ghz|wcdl --ghz 0
 1|/nonexistent/dir/x.json|trace -b lbm --scale 1 --timeline /nonexistent/dir/x.json
