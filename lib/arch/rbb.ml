@@ -5,10 +5,10 @@
    unverified regions are always the sequence numbers [oldest, next_seq),
    the last of them still open when [is_open]. The buffer is a ring of
    verify cycles indexed by sequence number: every operation reads or
-   writes a few ints and allocates nothing. The ring holds a power of two
-   entries, at least [size]; it doubles when more regions are unverified
-   than it holds, which only the out-of-order model, whose RBB never
-   stalls dispatch, lets happen. *)
+   writes a few ints and allocates nothing. The ring starts with 16
+   slots and doubles when more regions are unverified than it holds: a
+   larger [size], or the out-of-order model, whose RBB never stalls
+   dispatch. *)
 
 type t = {
   size : int;
@@ -21,18 +21,7 @@ type t = {
 
 let create size =
   if size <= 0 then invalid_arg "Rbb.create: size must be positive";
-  let cap = ref 1 in
-  while !cap < size do
-    cap := 2 * !cap
-  done;
-  {
-    size;
-    verify_at = Array.make !cap 0;
-    mask = !cap - 1;
-    oldest = 0;
-    next_seq = 0;
-    is_open = false;
-  }
+  { size; verify_at = Array.make 16 0; mask = 15; oldest = 0; next_seq = 0; is_open = false }
 
 let current_seq t = if t.is_open then t.next_seq - 1 else -1
 

@@ -4,8 +4,8 @@
     cycle at which it verifies. Regions are numbered in the order they
     open and verify strictly in that order, so the buffer is a ring of
     verify cycles indexed by sequence number: no operation allocates
-    (the ring doubles, rarely, when more regions are unverified than it
-    holds, which only a model that never waits on {!is_full} allows). *)
+    but the rare doubling of the ring when more regions are unverified
+    than it holds. *)
 
 type t
 

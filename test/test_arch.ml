@@ -391,23 +391,25 @@ let test_rbb_in_order_verification () =
   Alcotest.(check (list int)) "verified in order" [ 0; 1 ] (verified rbb ~cycle:30)
 
 (* A model that never waits for a free entry (the out-of-order core) may
-   hold more unverified regions than the RBB's size: the ring grows and
-   keeps every verify time. *)
+   hold more unverified regions than the RBB's size, and than its ring's
+   first 16 slots: the ring grows, also after it has wrapped, and keeps
+   every verify time. *)
 let test_rbb_grows () =
   let rbb = Rbb.create 2 in
   for i = 0 to 9 do
     check_int "sequence numbers count up" i (Rbb.open_region rbb);
     ignore (Rbb.close_region rbb ~end_cycle:i ~wcdl:100)
   done;
+  check "full past its size" true (Rbb.is_full rbb);
   check_int "ten unverified" 10 (Rbb.unverified_count rbb);
   check_int "oldest first" 100 (Rbb.next_verify_time rbb);
-  check_int "verify region 0" 0 (Rbb.verify_oldest rbb);
-  check_int "then region 1" 101 (Rbb.next_verify_time rbb);
-  for i = 10 to 20 do
+  Alcotest.(check (list int)) "verify regions 0 to 4" [ 0; 1; 2; 3; 4 ] (verified rbb ~cycle:104);
+  for i = 10 to 40 do
     check_int "after the ring wrapped" i (Rbb.open_region rbb);
     ignore (Rbb.close_region rbb ~end_cycle:i ~wcdl:100)
   done;
-  for i = 1 to 20 do
+  check_int "36 unverified" 36 (Rbb.unverified_count rbb);
+  for i = 5 to 40 do
     check_int "verify time kept across growth" (i + 100) (Rbb.next_verify_time rbb);
     check_int "verified in order" i (Rbb.verify_oldest rbb)
   done;
