@@ -338,6 +338,81 @@ let test_static_predicts_dynamic_regions () =
     true
     (List.length passed >= 30)
 
+(* ------------------------------------------------------------------ *)
+(* Lint golden for programs nobody wrote by hand: one line per fuzz seed
+   0–199 and per committed regression in test/golden/lint_fuzz.txt, the
+   MD5 over turnstile and turnpike (SB 4) of everything a lint decides —
+   the per-pass diagnostics and check schedule, the registry on the
+   scheme's machine context (as bench/perf's lint builds it), and the
+   static vulnerability estimate on that context, windows and AVF bit
+   for bit. *)
+
+module Scheme = Turnpike.Scheme
+module Machine = Turnpike_arch.Machine
+module Clq = Turnpike_arch.Clq
+
+let lint_digest prog =
+  let one (s : Scheme.t) =
+    let c =
+      Pass_pipeline.compile ~opts:(Scheme.compile_opts s ~sb_size:4)
+        ~check:Pass_pipeline.PerPass prog
+    in
+    let m = Scheme.machine s ~wcdl:10 ~sb_size:4 in
+    let ctx =
+      Analysis.Context.with_machine ~rbb_size:m.Machine.rbb_size
+        ?clq_entries:
+          (match m.Machine.clq with Some (Clq.Compact n) -> Some n | _ -> None)
+        ~wcdl:m.Machine.wcdl
+        (Pass_pipeline.analysis_context c)
+    in
+    let v = Vuln.compute ctx in
+    let window (w : Vuln.window) =
+      Printf.sprintf "%s:%d %s %d %h %h" w.Vuln.w_block w.Vuln.w_index
+        (Reg.to_string w.Vuln.w_reg) w.Vuln.w_region w.Vuln.w_length
+        w.Vuln.w_bypass
+    in
+    String.concat "\n"
+      (List.map Analysis.Diag.to_json c.Pass_pipeline.diags
+      @ List.map
+          (fun (p, ran) -> p ^ ": " ^ String.concat "," ran)
+          c.Pass_pipeline.check_log
+      @ List.map Analysis.Diag.to_json (Analysis.Registry.run_whole ctx)
+      @ [ Vuln.to_json v ]
+      @ List.map window v.Vuln.windows
+      @ [ Printf.sprintf "%h" v.Vuln.predicted_avf ])
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n====\n" (List.map one [ Scheme.turnstile; Scheme.turnpike ])))
+
+let lint_golden_inputs () =
+  let fuzz =
+    List.init 200 (fun seed ->
+        let src = Turnpike_frontend.Fuzz.generate ~seed in
+        match
+          Turnpike_frontend.Tk.compile_string
+            ~file:(Printf.sprintf "<fuzz-%d>" seed) ~scale:1 src
+        with
+        | Ok prog -> (string_of_int seed, prog)
+        | Error e -> Alcotest.failf "seed %d rejected: %s" seed e)
+  in
+  let regress =
+    List.map
+      (fun file ->
+        let path = Filename.concat (Golden_file.find_dir "regress") file in
+        match Turnpike_frontend.Tk.compile_file ~scale:1 path with
+        | Ok prog -> (file, prog)
+        | Error e -> Alcotest.failf "%s: %s" file e)
+      [ "fuzz_1740.tk"; "fuzz_2173.tk"; "fuzz_6541.tk" ]
+  in
+  fuzz @ regress
+
+let test_lint_golden () =
+  let got =
+    List.map (fun (key, prog) -> (key, lint_digest prog)) (lint_golden_inputs ())
+  in
+  Golden_file.check_keyed ~file:"lint_fuzz.txt" ~what:"lint results" got
+
 let tests =
   [
     Alcotest.test_case "natural key comparator" `Quick test_key_compare;
@@ -363,6 +438,7 @@ let tests =
       test_vuln_independent_of_check_mode;
     Alcotest.test_case "csv writers tolerate missing columns" `Quick
       test_vuln_csv_missing_columns;
+    Alcotest.test_case "lint of fuzz programs golden" `Quick test_lint_golden;
     Alcotest.test_case "static ranking predicts dynamic forensics" `Slow
       test_static_predicts_dynamic_regions;
   ]
