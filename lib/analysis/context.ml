@@ -20,6 +20,7 @@ type cache = {
   mutable liveness : Liveness.t option;
   mutable dominance : Dominance.t option;
   mutable regions : Regions_view.t option;
+  mutable coverage : Coverage.t option;
 }
 
 type t = {
@@ -40,7 +41,8 @@ type t = {
   cache : cache;
 }
 
-let fresh_cache () = { cfg = None; liveness = None; dominance = None; regions = None }
+let fresh_cache () =
+  { cfg = None; liveness = None; dominance = None; regions = None; coverage = None }
 
 let make ?(entry_defined = Reg.Set.empty) ?(nregs = 32) ?(allow_virtual = false)
     ?(resilient = false) ?(sb_size = 0) ?(colors = Layout.colors) ?rbb_size
@@ -65,9 +67,11 @@ let make ?(entry_defined = Reg.Set.empty) ?(nregs = 32) ?(allow_virtual = false)
   }
 
 (* Which derived analyses a dirty-facet set staleness-kills. Liveness also
-   depends on intra-block instruction order (upward-exposed uses), so it
-   dies with [Instrs]; the region table only reads boundary markers and
-   block labels, so plain instruction edits leave it valid. *)
+   depends on the block bodies, so it dies with [Instrs] (a dependence-
+   preserving reorder keeps its block summaries); coverage's
+   last-event-wins summaries also depend on instruction order, so it dies
+   with [Instr_order] too; the region table only reads boundary markers
+   and block labels, so plain instruction edits leave it valid. *)
 let advance ~dirty ?entry_defined ?allow_virtual ?recovery_exprs ?claims
     ?iv_merges ?pass t func =
   let dirty = if func != t.func then Facet.all else dirty in
@@ -79,6 +83,10 @@ let advance ~dirty ?entry_defined ?allow_virtual ?recovery_exprs ?claims
       dominance = keep (stale [ Facet.Cfg_shape ]) t.cache.dominance;
       liveness = keep (stale [ Facet.Cfg_shape; Facet.Instrs ]) t.cache.liveness;
       regions = keep (stale [ Facet.Cfg_shape; Facet.Boundaries ]) t.cache.regions;
+      coverage =
+        keep
+          (stale [ Facet.Cfg_shape; Facet.Instrs; Facet.Instr_order ])
+          t.cache.coverage;
     }
   in
   {
@@ -113,7 +121,7 @@ let liveness t =
   match t.cache.liveness with
   | Some l -> l
   | None ->
-    let l = Liveness.compute (cfg t) t.func in
+    let l = Liveness.compute (cfg t) in
     t.cache.liveness <- Some l;
     l
 
@@ -132,3 +140,11 @@ let regions t =
     let r = Regions_view.compute (cfg t) (fun () -> dominance t) t.func in
     t.cache.regions <- Some r;
     r
+
+let coverage t =
+  match t.cache.coverage with
+  | Some c -> c
+  | None ->
+    let c = Coverage.compute (cfg t) in
+    t.cache.coverage <- Some c;
+    c

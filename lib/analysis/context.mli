@@ -95,8 +95,8 @@ val advance :
 (** Step a context across one pipeline pass that dirtied [dirty],
     carrying forward every cached analysis the dirty set leaves valid
     (CFG and dominance survive unless [Cfg_shape] is dirty; liveness
-    additionally dies with [Instrs]; the region table with
-    [Boundaries]). Omitted fields keep their previous values, except
+    additionally dies with [Instrs]; coverage with [Instrs] or
+    [Instr_order]; the region table with [Boundaries]). Omitted fields keep their previous values, except
     [pass], which is re-stamped each step. Passing a [func] that is not
     physically the previous context's function invalidates everything. *)
 
@@ -120,3 +120,8 @@ val dominance : t -> Dominance.t
 
 val regions : t -> Regions_view.t
 (** Region partition independently reconstructed from boundary markers. *)
+
+val coverage : t -> Coverage.t
+(** Checkpoint coverage at every block entry over {!cfg}: the one
+    fixpoint the recoverability and vulnerability checks and {!Vuln}
+    share. *)

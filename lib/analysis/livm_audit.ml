@@ -77,7 +77,7 @@ let run ~before (ctx : Context.t) =
     let cfg = Cfg.build before in
     let dom = Dominance.compute cfg in
     let loops = Loop_info.compute cfg dom in
-    let live = Liveness.compute cfg before in
+    let live = Liveness.compute cfg in
     List.iter
       (fun (m : Context.iv_merge) ->
         let v = Reg.to_string m.Context.victim in

@@ -2,32 +2,32 @@ let is_digit c = c >= '0' && c <= '9'
 
 (* Natural order: compare run-by-run; a digit run against a digit run is
    compared numerically (ignore leading zeros, then longer significant
-   run wins, then byte-wise), anything else byte-wise. *)
-let key_compare a b =
-  let la = String.length a and lb = String.length b in
-  let rec skip_zeros s l i = if i < l && s.[i] = '0' then skip_zeros s l (i + 1) else i in
-  let rec run_end s l i = if i < l && is_digit s.[i] then run_end s l (i + 1) else i in
-  let rec go i j =
-    if i >= la && j >= lb then compare a b
-    else if i >= la then -1
-    else if j >= lb then 1
-    else if is_digit a.[i] && is_digit b.[j] then begin
-      let ea = run_end a la i and eb = run_end b lb j in
-      let sa = skip_zeros a ea i and sb = skip_zeros b eb j in
-      let na = ea - sa and nb = eb - sb in
-      if na <> nb then compare na nb
-      else begin
-        let rec digits p q = if p >= ea then go ea eb
-          else if a.[p] <> b.[q] then Char.compare a.[p] b.[q]
-          else digits (p + 1) (q + 1)
-        in
-        digits sa sb
-      end
-    end
-    else if a.[i] <> b.[j] then Char.compare a.[i] b.[j]
-    else go (i + 1) (j + 1)
-  in
-  go 0 0
+   run wins, then byte-wise), anything else byte-wise. Top-level
+   recursion, so a comparison allocates nothing: the tables sort
+   hundreds of tied rows by key. *)
+let rec skip_zeros s l i = if i < l && s.[i] = '0' then skip_zeros s l (i + 1) else i
+
+let rec run_end s l i = if i < l && is_digit s.[i] then run_end s l (i + 1) else i
+
+let rec go a b la lb i j =
+  if i >= la && j >= lb then compare a b
+  else if i >= la then -1
+  else if j >= lb then 1
+  else if is_digit a.[i] && is_digit b.[j] then begin
+    let ea = run_end a la i and eb = run_end b lb j in
+    let sa = skip_zeros a ea i and sb = skip_zeros b eb j in
+    let na = ea - sa and nb = eb - sb in
+    if na <> nb then compare na nb else digits a b la lb ea eb sa sb
+  end
+  else if a.[i] <> b.[j] then Char.compare a.[i] b.[j]
+  else go a b la lb (i + 1) (j + 1)
+
+and digits a b la lb ea eb p q =
+  if p >= ea then go a b la lb ea eb
+  else if a.[p] <> b.[q] then Char.compare a.[p] b.[q]
+  else digits a b la lb ea eb (p + 1) (q + 1)
+
+let key_compare a b = go a b (String.length a) (String.length b) 0 0
 
 let ranks v =
   let n = Array.length v in

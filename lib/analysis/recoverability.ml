@@ -229,113 +229,29 @@ let validate_exprs ~def_sites (ctx : Context.t) =
     !diags
   end
 
-(* Not-covered sets per block entry; absent register = covered. Runs on
-   {!Bitset}s: the universe is the registers the function defines or
-   checkpoints (anything else is untouched, hence covered). *)
-let compute_notcov ctx =
-  let func = ctx.Context.func in
-  let cfg = Context.cfg ctx in
-  let rpo = Cfg.reverse_postorder cfg in
-  let max_id = ref 0 in
-  let bump r = if r > !max_id then max_id := r in
-  Func.iter_blocks
-    (fun b ->
-      Array.iter
-        (fun i ->
-          (match i with Instr.Ckpt r -> bump r | _ -> ());
-          Instr.iter_defs bump i)
-        b.Block.body)
-    func;
-  let max_id = !max_id in
-  (* The sequential transfer (Ckpt covers, def stales) collapses to a
-     last-event-wins summary per register, so each block contributes a
-     gen set (last touch was a def) and a kill set (last touch was a
-     checkpoint), computed once instead of per fixpoint iteration:
-     out = (in \ kill) ∪ gen. *)
-  (* Dense reverse-postorder indices, as in [Wellformed]: the fixpoint
-     iterations touch only arrays. *)
-  let rpo_arr = Array.of_list rpo in
-  let n = Array.length rpo_arr in
-  let idx : (string, int) Hashtbl.t = Hashtbl.create n in
-  Array.iteri (fun i l -> Hashtbl.replace idx l i) rpo_arr;
-  let gen_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  let kill_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  Array.iteri
-    (fun bi label ->
-      let gen = gen_arr.(bi) and kill = kill_arr.(bi) in
-      Array.iter
-        (fun i ->
-          (match i with
-          | Instr.Ckpt r ->
-            Bitset.add kill r;
-            Bitset.remove gen r
-          | _ -> ());
-          Instr.iter_defs
-            (fun r ->
-              Bitset.add gen r;
-              Bitset.remove kill r)
-            i)
-        (Func.block func label).Block.body)
-    rpo_arr;
-  let preds_arr =
-    Array.map
-      (fun label ->
-        List.filter_map
-          (fun p -> Hashtbl.find_opt idx p)
-          (Cfg.predecessors cfg label))
-      rpo_arr
-  in
-  let entry_i = Option.value (Hashtbl.find_opt idx func.Func.entry) ~default:0 in
-  let in_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  let out_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      let input = Bitset.create ~max_id in
-      (* The entry starts all-covered regardless of back edges into it. *)
-      if i <> entry_i then
-        List.iter
-          (fun p -> Bitset.union_into ~dst:input out_arr.(p))
-          preds_arr.(i);
-      in_arr.(i) <- input;
-      let o = Bitset.transfer ~gen:gen_arr.(i) ~kill:kill_arr.(i) input in
-      if not (Bitset.equal out_arr.(i) o) then begin
-        out_arr.(i) <- o;
-        changed := true
-      end
-    done
-  done;
-  let in_sets : (string, Bitset.t) Hashtbl.t = Hashtbl.create n in
-  Array.iteri (fun i l -> Hashtbl.replace in_sets l in_arr.(i)) rpo_arr;
-  (max_id, in_sets)
-
 (* The coverage gaps alone (no expression validation): region live-ins
    that are stale on some incoming path and carry no recovery
    expression. This is the subset of [run]'s errors the static
-   vulnerability estimate ({!Vuln}) charges as unbounded exposure. *)
+   vulnerability estimate ({!Vuln}) charges as unbounded exposure. An
+   unreachable head has no coverage to lose. *)
 let uncovered_live_ins (ctx : Context.t) =
   let rv = Context.regions ctx in
   if not rv.Regions_view.has_regions then []
   else begin
     let live = Context.liveness ctx in
-    let notcov_max, notcov_in = compute_notcov ctx in
-    let notcov_empty = Bitset.create ~max_id:notcov_max in
-    let expr_of r = List.assoc_opt r ctx.Context.recovery_exprs in
-    List.concat_map
-      (fun { Regions_view.id; head; _ } ->
-        let notcov =
-          Option.value (Hashtbl.find_opt notcov_in head) ~default:notcov_empty
-        in
-        let needed = Reg.Set.remove Reg.zero (Liveness.live_in live head) in
-        List.rev
-          (Reg.Set.fold
-             (fun r acc ->
-               if Bitset.mem notcov r && expr_of r = None then
-                 (id, head, r) :: acc
-               else acc)
-             needed []))
-      rv.Regions_view.regions
+    let cov = Context.coverage ctx in
+    let gaps = ref [] in
+    Array.iter
+      (fun { Regions_view.id; head; head_rpo; _ } ->
+        if head_rpo >= 0 then
+          Liveness.iter_live_in live head_rpo (fun r ->
+              if
+                (not (Reg.is_zero r))
+                && Coverage.uncovered cov head_rpo r
+                && not (List.mem_assoc r ctx.Context.recovery_exprs)
+              then gaps := (id, head, r) :: !gaps))
+      rv.Regions_view.regions;
+    List.rev !gaps
   end
 
 let run (ctx : Context.t) =
@@ -345,8 +261,7 @@ let run (ctx : Context.t) =
   if not rv.Regions_view.has_regions then []
   else begin
     let live = Context.liveness ctx in
-    let notcov_max, notcov_in = compute_notcov ctx in
-    let notcov_empty = Bitset.create ~max_id:notcov_max in
+    let cov = Context.coverage ctx in
     (* Only consulted for recovery expressions (validation and dependence
        stability). Rounds before pruning publishes any — notably the
        expensive post-partition one — never pay for the scan. *)
@@ -359,42 +274,45 @@ let run (ctx : Context.t) =
     let emit ?block severity msg =
       diags := Diag.make ~check:name ~severity ~func:fname ?block msg :: !diags
     in
-    (* Definition multiplicity (for expression dependence stability). *)
-    let def_count r =
-      List.length
-        (Option.value (Hashtbl.find_opt (Lazy.force def_sites) r) ~default:[])
+    (* Each expression's slot dependences, with whether the dependence
+       has several definitions (its slot value is not stable): worked
+       out once, not at every region the register is live into. *)
+    let deps =
+      List.map
+        (fun (r, e) ->
+          ( r,
+            List.map
+              (fun dep ->
+                let sites = Option.value (Hashtbl.find_opt (Lazy.force def_sites) dep) ~default:[] in
+                (dep, List.compare_length_with sites 1 > 0))
+              (List.sort_uniq Reg.compare (Recovery_expr.slots e)) ))
+        ctx.Context.recovery_exprs
     in
-    let expr_of r = List.assoc_opt r ctx.Context.recovery_exprs in
-    List.iter
-      (fun { Regions_view.id; head; _ } ->
-        let notcov =
-          Option.value (Hashtbl.find_opt notcov_in head) ~default:notcov_empty
-        in
-        let needed = Reg.Set.remove Reg.zero (Liveness.live_in live head) in
-        Reg.Set.iter
-          (fun r ->
-            if Bitset.mem notcov r then
-              match expr_of r with
-              | None ->
-                emit ~block:head Diag.Error
-                  (Printf.sprintf
-                     "register %s is live into region %d but no checkpoint covers it on every path and no recovery expression exists"
-                     (Reg.to_string r) id)
-              | Some e ->
-                List.iter
-                  (fun dep ->
-                    if Bitset.mem notcov dep then
-                      emit ~block:head Diag.Error
-                        (Printf.sprintf
-                           "recovery expression for %s reads the slot of %s, which is not covered at region %d"
-                           (Reg.to_string r) (Reg.to_string dep) id);
-                    if def_count dep > 1 then
-                      emit ~block:head Diag.Error
-                        (Printf.sprintf
-                           "recovery expression for %s depends on %s, which has multiple definitions (slot value is not stable)"
-                           (Reg.to_string r) (Reg.to_string dep)))
-                  (List.sort_uniq Reg.compare (Recovery_expr.slots e)))
-          needed)
+    Array.iter
+      (fun { Regions_view.id; head; head_rpo; _ } ->
+        if head_rpo >= 0 then
+          Liveness.iter_live_in live head_rpo (fun r ->
+              if (not (Reg.is_zero r)) && Coverage.uncovered cov head_rpo r then
+                match List.assoc_opt r deps with
+                | None ->
+                  emit ~block:head Diag.Error
+                    (Printf.sprintf
+                       "register %s is live into region %d but no checkpoint covers it on every path and no recovery expression exists"
+                       (Reg.to_string r) id)
+                | Some deps ->
+                  List.iter
+                    (fun (dep, unstable) ->
+                      if Coverage.uncovered cov head_rpo dep then
+                        emit ~block:head Diag.Error
+                          (Printf.sprintf
+                             "recovery expression for %s reads the slot of %s, which is not covered at region %d"
+                             (Reg.to_string r) (Reg.to_string dep) id);
+                      if unstable then
+                        emit ~block:head Diag.Error
+                          (Printf.sprintf
+                             "recovery expression for %s depends on %s, which has multiple definitions (slot value is not stable)"
+                             (Reg.to_string r) (Reg.to_string dep)))
+                    deps))
       rv.Regions_view.regions;
     Diag.sort !diags
   end

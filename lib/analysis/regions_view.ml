@@ -1,17 +1,21 @@
 open Turnpike_ir
 
-type region = { id : int; head : string; blocks : string list }
+type region = {
+  id : int;
+  head : string;
+  head_block : Block.t;
+  head_rpo : int;
+  members : int array;
+}
 
 type t = {
-  regions : region list;
-  region_of : (string * int) list;
+  regions : region array;
+  region_of : int array;
   has_regions : bool;
   diags : Diag.t list;
 }
 
 let check_name = "regions"
-
-let region_of_block t label = List.assoc_opt label t.region_of
 
 let compute cfg dom (func : Func.t) =
   let dom = lazy (dom ()) in
@@ -20,11 +24,14 @@ let compute cfg dom (func : Func.t) =
   let emit ?block ?instr severity msg =
     diags := Diag.make ~check:check_name ~severity ~func:fname ?block ?instr msg :: !diags
   in
-  (* Boundary markers must head their block; collect the heads. *)
-  let head_id : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let id_head : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  Func.iter_blocks
-    (fun b ->
+  (* Boundary markers must head their block; the first block in layout
+     order that opens an id is its head. A block the layout order leaves
+     out opens no region, whatever its first instruction. *)
+  let n = Cfg.num_reachable cfg in
+  let id_head : (int, Block.t) Hashtbl.t = Hashtbl.create 16 in
+  let opens = Array.make n false and opened = Array.make n 0 in
+  Cfg.iter_layout cfg
+    (fun k b ->
       Array.iteri
         (fun i instr ->
           match instr with
@@ -36,79 +43,97 @@ let compute cfg dom (func : Func.t) =
               (match Hashtbl.find_opt id_head id with
               | Some other ->
                 emit ~block:b.Block.label Diag.Error
-                  (Printf.sprintf "region id %d already used by block %s" id other)
-              | None -> Hashtbl.replace id_head id b.Block.label);
-              if not (Hashtbl.mem head_id b.Block.label) then
-                Hashtbl.replace head_id b.Block.label id
+                  (Printf.sprintf "region id %d already used by block %s" id other.Block.label)
+              | None -> Hashtbl.replace id_head id b);
+              if k >= 0 then begin
+                opens.(k) <- true;
+                opened.(k) <- id
+              end
             end
           | _ -> ())
-        b.Block.body)
-    func;
-  let has_regions = Hashtbl.length head_id > 0 in
-  let rpo = Cfg.reverse_postorder cfg in
-  let region_tbl : (string, int) Hashtbl.t = Hashtbl.create 32 in
+        b.Block.body);
+  let has_regions = Hashtbl.length id_head > 0 in
+  let heads =
+    Array.of_list
+      (List.sort
+         (fun (a, _) (b, _) -> Int.compare a b)
+         (Hashtbl.fold (fun id b acc -> (id, b) :: acc) id_head []))
+  in
+  let nregions = Array.length heads in
+  let index : (int, int) Hashtbl.t = Hashtbl.create nregions in
+  Array.iteri (fun q (id, _) -> Hashtbl.replace index id q) heads;
+  let region_of = Array.make n (-1) in
+  let head_rpo = Array.make nregions (-1) in
   if has_regions then begin
     (* Propagate region membership forward in reverse postorder: a head
        starts its own region, every other reachable block inherits the
-       region of its (unique) predecessor. *)
-    (match Hashtbl.find_opt head_id func.Func.entry with
-    | Some _ -> ()
-    | None ->
+       region of its (unique) predecessor. A predecessor later in
+       reverse postorder has no region yet. *)
+    if not opens.(0) then
       emit ~block:func.Func.entry Diag.Error
-        "entry block is not a region head (no boundary marker opens the function)");
-    List.iter
-      (fun label ->
-        match Hashtbl.find_opt head_id label with
-        | Some id -> Hashtbl.replace region_tbl label id
-        | None -> (
-          let preds = Cfg.predecessors cfg label in
-          (match preds with
-          | _ :: _ :: _ ->
-            emit ~block:label Diag.Error
-              (Printf.sprintf
-                 "block has %d predecessors but is not a region head; regions must be single-entry"
-                 (List.length preds))
-          | _ -> ());
-          let pred_regions =
-            List.sort_uniq Int.compare
-              (List.filter_map (fun p -> Hashtbl.find_opt region_tbl p) preds)
-          in
-          match pred_regions with
-          | [] -> ()
-          | [ id ] -> Hashtbl.replace region_tbl label id
-          | id :: _ :: _ ->
-            emit ~block:label Diag.Error
-              "block straddles regions: predecessors belong to different regions";
-            Hashtbl.replace region_tbl label id))
-      rpo;
+        "entry block is not a region head (no boundary marker opens the function)";
+    for k = 0 to n - 1 do
+      let b = Cfg.rpo_block cfg k in
+      if opens.(k) then begin
+        let q = Hashtbl.find index opened.(k) in
+        region_of.(k) <- q;
+        if snd heads.(q) == b then head_rpo.(q) <- k
+      end
+      else begin
+        let npreds = Cfg.rpo_pred_count cfg k in
+        if npreds >= 2 then
+          emit ~block:b.Block.label Diag.Error
+            (Printf.sprintf
+               "block has %d predecessors but is not a region head; regions must be single-entry"
+               npreds);
+        (* the lowest-id region among the predecessors', noting a second *)
+        let q = ref (-1) and straddles = ref false in
+        Array.iter
+          (fun p ->
+            let r = region_of.(p) in
+            if r >= 0 && r <> !q then
+              if !q < 0 then q := r
+              else begin
+                straddles := true;
+                q := min !q r
+              end)
+          (Cfg.rpo_preds cfg k);
+        if !straddles then
+          emit ~block:b.Block.label Diag.Error
+            "block straddles regions: predecessors belong to different regions";
+        region_of.(k) <- !q
+      end
+    done;
     (* The head must dominate every member: a path into the middle of a
        region would skip its boundary (and its checkpoint prologue). *)
-    List.iter
-      (fun label ->
-        match Hashtbl.find_opt region_tbl label with
-        | None -> ()
-        | Some id -> (
-          match Hashtbl.find_opt id_head id with
-          | None -> ()
-          | Some head ->
-            if not (Dominance.dominates (Lazy.force dom) ~dom:head ~sub:label) then
-              emit ~block:label Diag.Error
-                (Printf.sprintf "region %d head %s does not dominate member block %s" id head label)))
-      rpo
+    for k = 0 to n - 1 do
+      let q = region_of.(k) in
+      if q >= 0 then begin
+        let h = head_rpo.(q) in
+        if h < 0 || not (Dominance.rpo_dominates (Lazy.force dom) ~dom:h ~sub:k) then
+          emit ~block:(Cfg.rpo_label cfg k) Diag.Error
+            (Printf.sprintf "region %d head %s does not dominate member block %s"
+               (fst heads.(q)) (snd heads.(q)).Block.label (Cfg.rpo_label cfg k))
+      end
+    done
   end;
-  let region_of =
-    List.sort compare (List.filter_map (fun l -> Option.map (fun id -> (l, id)) (Hashtbl.find_opt region_tbl l)) rpo)
-  in
+  (* Member lists in one pass, head first. *)
+  let others = Array.make nregions [] in
+  for k = n - 1 downto 0 do
+    let q = region_of.(k) in
+    if q >= 0 && k <> head_rpo.(q) then others.(q) <- k :: others.(q)
+  done;
   let regions =
-    Hashtbl.fold (fun id head acc -> (id, head) :: acc) id_head []
-    |> List.sort compare
-    |> List.map (fun (id, head) ->
-           let blocks =
-             List.filter (fun l -> Hashtbl.find_opt region_tbl l = Some id) rpo
-           in
-           let blocks =
-             head :: List.filter (fun l -> not (String.equal l head)) blocks
-           in
-           { id; head; blocks })
+    Array.mapi
+      (fun q (id, (b : Block.t)) ->
+        let h = head_rpo.(q) in
+        {
+          id;
+          head = b.Block.label;
+          head_block = b;
+          head_rpo = h;
+          members = Array.of_list (if h >= 0 then h :: others.(q) else others.(q));
+        })
+      heads
   in
   { regions; region_of; has_regions; diags = Diag.sort !diags }

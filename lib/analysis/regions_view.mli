@@ -6,19 +6,29 @@
     so that a bug in the partitioner cannot hide from the checker. The
     structural invariants verified here are the ones the recovery runtime
     relies on: a region is a single-entry subgraph headed by the block that
-    carries its [Boundary] marker, and the head dominates every member. *)
+    carries its [Boundary] marker, and the head dominates every member.
+
+    Membership is kept on the CFG's dense view: blocks are named by their
+    RPO number ({!Turnpike_ir.Cfg.rpo_label}) and regions by their index
+    in {!t.regions}. *)
 
 open Turnpike_ir
 
 type region = {
   id : int;  (** static region id from the [Boundary] marker *)
   head : string;
-  blocks : string list;  (** members in reverse postorder, head first *)
+  head_block : Block.t;
+  head_rpo : int;  (** RPO number of the head; -1 when it is unreachable *)
+  members : int array;
+      (** RPO numbers of the reachable members: the head first (when
+          reachable), then the others in reverse postorder *)
 }
 
 type t = {
-  regions : region list;  (** sorted by id *)
-  region_of : (string * int) list;  (** reachable block -> region id, sorted *)
+  regions : region array;  (** sorted by id *)
+  region_of : int array;
+      (** by RPO number: the index in [regions] of the block's region,
+          -1 for a block outside every region *)
   has_regions : bool;  (** false when the function carries no boundaries *)
   diags : Diag.t list;  (** structural violations found during reconstruction *)
 }
@@ -31,7 +41,3 @@ val compute : Cfg.t -> (unit -> Dominance.t) -> Func.t -> t
     only when the function actually carries boundary markers (the
     head-dominates-member proof) — pre-partition pipeline rounds build the
     view on boundary-free code and never pay for dominance. *)
-
-val region_of_block : t -> string -> int option
-(** Region id of a reachable member block; [None] for blocks outside
-    every region (including unreachable ones). *)

@@ -68,25 +68,45 @@ let empty =
     wcdl = 0;
   }
 
+(* Scores and exposures are plain floats, so [Float.compare] orders them
+   as the polymorphic compare would, without its generic dispatch. *)
+let compare_rows a b =
+  let c = Float.compare b.score a.score in
+  if c <> 0 then c
+  else
+    let c = Float.compare b.exposure a.exposure in
+    if c <> 0 then c else Rank.key_compare a.key b.key
+
 let rank rows =
-  List.sort
-    (fun a b ->
-      let c = compare b.score a.score in
-      if c <> 0 then c
-      else
-        let c = compare b.exposure a.exposure in
-        if c <> 0 then c else Rank.key_compare a.key b.key)
-    rows
+  let a = Array.of_list rows in
+  Array.stable_sort compare_rows a;
+  Array.to_list a
 
-(* Loop-weighted positions of one block: every body slot plus the
-   terminator slot, each weighing loop_weight^depth. *)
-let block_mass func depth label =
-  let b = Func.block func label in
-  (loop_weight ** float_of_int (depth label))
-  *. float_of_int (Block.num_instrs b + 1)
+(* ["label:index"] in one allocation. *)
+let site_key prefix i =
+  let digits = if i < 10 then 1 else if i < 100 then 2 else String.length (string_of_int i) in
+  let p = String.length prefix in
+  let b = Bytes.create (p + digits) in
+  Bytes.blit_string prefix 0 b 0 p;
+  let v = ref i in
+  for d = p + digits - 1 downto p do
+    Bytes.set b d (Char.chr (48 + (!v mod 10)));
+    v := !v / 10
+  done;
+  Bytes.unsafe_to_string b
 
+(* A window walk's running sums: an all-float record is stored flat, so
+   adding to it allocates nothing. *)
+type sums = { mutable mass : float; mutable bypassed : float }
+
+(* The tables are built on the CFG's dense view: per-block arrays indexed
+   by RPO number, a live count per slot instead of a live set, a bypass
+   bitmap per block instead of a [(label, index)] table, and a stamped
+   visited array shared by the window walks. Every float is summed in
+   the order the label-keyed version summed it (blocks in reverse
+   postorder, slots in body order, window positions in walk order), so
+   the results are bit-identical. *)
 let compute (ctx : Context.t) =
-  let func = ctx.Context.func in
   let rv = Context.regions ctx in
   if not rv.Regions_view.has_regions then empty
   else begin
@@ -94,200 +114,256 @@ let compute (ctx : Context.t) =
     let live = Context.liveness ctx in
     let loops = Loop_info.compute cfg (Context.dominance ctx) in
     let wcdl = max 1 (Option.value ctx.Context.wcdl ~default:10) in
-    let labels = Cfg.reverse_postorder cfg in
-    let depth = Loop_info.depth loops in
-    let weight l = loop_weight ** float_of_int (depth l) in
     let nregs = float_of_int (max 1 ctx.Context.nregs) in
-    let region_of l = Regions_view.region_of_block rv l in
-    (* live-before-each is the per-position ACE set; memoize per block *)
-    let slots_tbl : (string, Reg.Set.t array) Hashtbl.t = Hashtbl.create 16 in
-    let slots_of l =
-      match Hashtbl.find_opt slots_tbl l with
-      | Some s -> s
-      | None ->
-        let s = Liveness.live_before_each live (Func.block func l) in
-        Hashtbl.replace slots_tbl l s;
-        s
+    let n = Cfg.num_reachable cfg in
+    let block k = Cfg.rpo_block cfg k in
+    let regions = rv.Regions_view.regions and region_of = rv.Regions_view.region_of in
+    let weight =
+      Array.init n (fun k ->
+          loop_weight ** float_of_int (Loop_info.depth loops (Cfg.rpo_label cfg k)))
     in
     (* region masses and the function total *)
-    let region_mass : (int, float) Hashtbl.t = Hashtbl.create 16 in
+    let region_mass = Array.make (Array.length regions) 0.0 in
     let total_mass = ref 0.0 in
-    List.iter
-      (fun l ->
-        let m = block_mass func depth l in
-        total_mass := !total_mass +. m;
-        match region_of l with
-        | Some id ->
-          Hashtbl.replace region_mass id
-            (m +. Option.value (Hashtbl.find_opt region_mass id) ~default:0.0)
-        | None -> ())
-      labels;
-    let mass_of rid = Option.value (Hashtbl.find_opt region_mass rid) ~default:0.0 in
+    for k = 0 to n - 1 do
+      let m = weight.(k) *. float_of_int (Block.num_instrs (block k) + 1) in
+      total_mass := !total_mass +. m;
+      let q = region_of.(k) in
+      if q >= 0 then region_mass.(q) <- m +. region_mass.(q)
+    done;
     (* coverage gaps: each one leaves its region's rollback unsound *)
     let gaps = Recoverability.uncovered_live_ins ctx in
-    let gap_count rid =
-      List.length (List.filter (fun (id, _, _) -> id = rid) gaps)
+    let region_multiplier =
+      Array.mapi
+        (fun q { Regions_view.id; _ } ->
+          let escape =
+            base_escape *. float_of_int wcdl /. (float_of_int wcdl +. region_mass.(q))
+          in
+          let gap_count =
+            List.fold_left (fun acc (rid, _, _) -> if rid = id then acc + 1 else acc) 0 gaps
+          in
+          escape +. (gap_factor *. float_of_int gap_count))
+        regions
     in
-    let escape rid =
-      base_escape *. float_of_int wcdl /. (float_of_int wcdl +. mass_of rid)
+    (* outside every region: no rollback at all *)
+    let multiplier k =
+      let q = region_of.(k) in
+      if q < 0 then base_escape else region_multiplier.(q)
     in
-    let multiplier = function
-      | Some rid -> escape rid +. (gap_factor *. float_of_int (gap_count rid))
-      | None -> base_escape (* outside every region: no rollback at all *)
-    in
+    (* Registers are small ints: the largest the reachable code names
+       sizes the per-register arrays. *)
+    let max_reg = ref 0 in
+    let bump r = if r > !max_reg then max_reg := r in
+    for k = 0 to n - 1 do
+      let b = block k in
+      Array.iter
+        (fun i ->
+          Instr.iter_defs bump i;
+          Instr.iter_uses bump i)
+        b.Block.body;
+      List.iter bump (Block.term_uses b)
+    done;
+    let max_reg = !max_reg in
     (* ---- per-site table: weighted ACE fraction at each position ---- *)
-    let by_site =
-      List.concat_map
-        (fun l ->
-          let slots = slots_of l in
-          let w = weight l and m = multiplier (region_of l) in
-          List.init (Array.length slots) (fun i ->
-              let ace =
-                float_of_int
-                  (Reg.Set.cardinal (Reg.Set.remove Reg.zero slots.(i)))
-                /. nregs
-              in
-              {
-                key = Printf.sprintf "%s:%d" l i;
-                exposure = w;
-                score = w *. ace *. m;
-              }))
-        labels
+    (* live registers (the zero register aside) before each slot,
+       counted backward from a block's exit: [mark.(r) = k] while [r] is
+       live in block [k] *)
+    let mark = Array.make (max_reg + 1) (-1) in
+    let at = ref 0 and c = ref 0 in
+    let add r =
+      if (not (Reg.is_zero r)) && mark.(r) <> !at then begin
+        mark.(r) <- !at;
+        incr c
+      end
     in
+    let remove r =
+      if mark.(r) = !at then begin
+        mark.(r) <- -1;
+        decr c
+      end
+    in
+    (* every slot of every block, in reverse postorder and body order *)
+    let sites = ref 0 in
+    for k = 0 to n - 1 do
+      sites := !sites + Block.num_instrs (block k) + 1
+    done;
+    let site_rows = Array.make !sites { key = ""; exposure = 0.0; score = 0.0 } in
+    let site_block = Array.make !sites 0 and site_slot = Array.make !sites 0 in
+    let next_site = ref 0 in
+    for k = 0 to n - 1 do
+      let b = block k in
+      let nb = Array.length b.Block.body in
+      let counts = Array.make (nb + 1) 0 in
+      at := k;
+      c := 0;
+      Liveness.iter_live_out live k add;
+      List.iter add (Block.term_uses b);
+      counts.(nb) <- !c;
+      for i = nb - 1 downto 0 do
+        let ins = b.Block.body.(i) in
+        Instr.iter_defs remove ins;
+        Instr.iter_uses add ins;
+        counts.(i) <- !c
+      done;
+      let w = weight.(k) and m = multiplier k in
+      let prefix = Cfg.rpo_label cfg k ^ ":" in
+      for i = 0 to nb do
+        let ace = float_of_int counts.(i) /. nregs in
+        let s = !next_site in
+        site_rows.(s) <- { key = site_key prefix i; exposure = w; score = w *. ace *. m };
+        site_block.(s) <- k;
+        site_slot.(s) <- i;
+        next_site := s + 1
+      done
+    done;
+    (* [rank]'s order: two keys of one block compare as their slots do,
+       which spares the tied rows of a block a string walk *)
+    let order = Array.init !sites Fun.id in
+    Array.stable_sort
+      (fun x y ->
+        let a = site_rows.(x) and b = site_rows.(y) in
+        let c = Float.compare b.score a.score in
+        if c <> 0 then c
+        else
+          let c = Float.compare b.exposure a.exposure in
+          if c <> 0 then c
+          else if site_block.(x) = site_block.(y) then Int.compare site_slot.(x) site_slot.(y)
+          else Rank.key_compare a.key b.key)
+      order;
+    let by_site = Array.fold_right (fun s acc -> site_rows.(s) :: acc) order [] in
     (* ---- per-def windows: def -> last use, across block boundaries ---- *)
-    let bypass_tbl : (string * int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let bypass = Array.make n Bytes.empty in
     (match ctx.Context.claims with
     | Some c ->
       List.iter
-        (fun site -> Hashtbl.replace bypass_tbl site ())
+        (fun (l, j) ->
+          match Cfg.rpo_number cfg l with
+          | Some k when j >= 0 && j < Block.num_instrs (block k) ->
+            if Bytes.length bypass.(k) = 0 then
+              bypass.(k) <- Bytes.make (Block.num_instrs (block k)) '\000';
+            Bytes.set bypass.(k) j '\001'
+          | _ -> ())
         c.Context.bypass_stores
     | None -> ());
-    let walk_def l0 i0 d =
-      let mass = ref 0.0 and bypass = ref 0.0 in
-      let visited : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-      Hashtbl.replace visited l0 ();
-      let rec block_from l j =
-        let b = Func.block func l in
-        let slots = slots_of l in
-        let n = Block.num_instrs b in
-        let w = weight l in
-        let j = ref j and continue = ref true and fell_through = ref false in
-        while !continue do
-          if !j > n then begin
-            continue := false;
-            fell_through := true
-          end
-          else if not (Reg.Set.mem d slots.(!j)) then continue := false
-          else begin
-            mass := !mass +. w;
-            if !j < n then begin
-              let ins = b.Block.body.(!j) in
-              if
-                Hashtbl.mem bypass_tbl (l, !j)
-                && List.exists (Reg.equal d) (Instr.uses ins)
-              then bypass := !bypass +. w;
-              let redefines = ref false in
-              Instr.iter_defs (fun r -> if Reg.equal r d then redefines := true) ins;
-              if !redefines then continue := false else incr j
-            end
-            else incr j
-          end
-        done;
-        if !fell_through && Reg.Set.mem d (Liveness.live_out live l) then
-          List.iter
-            (fun s ->
-              if
-                (not (Hashtbl.mem visited s))
-                && Reg.Set.mem d (Liveness.live_in live s)
-              then begin
-                Hashtbl.replace visited s ();
-                block_from s 0
-              end)
-            (Cfg.successors cfg l)
+    let bypass_at k j = j < Bytes.length bypass.(k) && Bytes.get bypass.(k) j <> '\000' in
+    let visited = Array.make n 0 and walks = ref 0 in
+    let sums = { mass = 0.0; bypassed = 0.0 } in
+    (* One walk block by block, from position [j0] of block [k]: the
+       value is live from [j0] through its last use before the first
+       redefinition, or through the terminator when it is live there. *)
+    let rec block_from walk d k j0 =
+      let b = block k in
+      let body = b.Block.body in
+      let nb = Array.length body in
+      let w = weight.(k) in
+      let last = ref (-1) and j = ref j0 and redefined = ref false in
+      while (not !redefined) && !j < nb do
+        let ins = body.(!j) in
+        if Instr.reads ins d then last := !j;
+        if Instr.writes ins d then redefined := true else incr j
+      done;
+      let live_out = Liveness.mem_live_out live k d in
+      let through =
+        (not !redefined)
+        && (live_out || match b.Block.term with Block.Branch (r, _, _) -> r = d | _ -> false)
       in
-      block_from l0 (i0 + 1);
-      (!mass, !bypass)
-    in
-    let windows =
-      List.concat_map
-        (fun l ->
-          let b = Func.block func l in
-          let rid = Option.value (region_of l) ~default:(-1) in
-          List.concat
-            (List.mapi
-               (fun i ins ->
-                 List.filter_map
-                   (fun d ->
-                     if Reg.is_zero d then None
-                     else
-                       let len, byp = walk_def l i d in
-                       Some
-                         {
-                           w_block = l;
-                           w_index = i;
-                           w_reg = d;
-                           w_region = rid;
-                           w_length = len;
-                           w_bypass = byp;
-                         })
-                   (List.sort_uniq Reg.compare (Instr.defs ins)))
-               (Array.to_list b.Block.body)))
-        labels
+      for j = j0 to if through then nb else !last do
+        sums.mass <- sums.mass +. w;
+        if j < nb && bypass_at k j && Instr.reads body.(j) d then
+          sums.bypassed <- sums.bypassed +. w
+      done;
+      if through && live_out then begin
+        let succs = Cfg.rpo_succs cfg k in
+        for x = 0 to Array.length succs - 1 do
+          let s = succs.(x) in
+          if visited.(s) <> walk && Liveness.mem_live_in live s d then begin
+            visited.(s) <- walk;
+            block_from walk d s 0
+          end
+        done
+      end
     in
     (* ---- per-register table: window mass under the region multiplier,
        plus the full region mass for each coverage gap the register
        causes (a stale restore strikes every use in the region) ---- *)
-    let reg_rows : (Reg.t, float * float) Hashtbl.t = Hashtbl.create 16 in
+    let reg_exposure = Array.make (max_reg + 1) 0.0 in
+    let reg_score = Array.make (max_reg + 1) 0.0 in
+    let reg_seen = Array.make (max_reg + 1) false in
     let add_reg r exp sc =
-      let e0, s0 = Option.value (Hashtbl.find_opt reg_rows r) ~default:(0.0, 0.0) in
-      Hashtbl.replace reg_rows r (e0 +. exp, s0 +. sc)
+      reg_seen.(r) <- true;
+      reg_exposure.(r) <- reg_exposure.(r) +. exp;
+      reg_score.(r) <- reg_score.(r) +. sc
     in
+    let windows = ref [] in
+    (* the def site [on_def] is called for: one closure for every def *)
+    let at_block = ref 0 and at_index = ref 0 in
+    let on_def d =
+      let k = !at_block and i = !at_index in
+      let w_region =
+        let q = region_of.(k) in
+        if q < 0 then -1 else regions.(q).Regions_view.id
+      in
+      let m = if w_region < 0 then base_escape else multiplier k in
+      sums.mass <- 0.0;
+      sums.bypassed <- 0.0;
+      incr walks;
+      visited.(k) <- !walks;
+      block_from !walks d k (i + 1);
+      let w_length = sums.mass and w_bypass = sums.bypassed in
+      add_reg d w_length ((w_length *. m) +. (w_bypass *. bypass_factor));
+      windows :=
+        { w_block = Cfg.rpo_label cfg k; w_index = i; w_reg = d; w_region; w_length; w_bypass }
+        :: !windows
+    in
+    for k = 0 to n - 1 do
+      let body = (block k).Block.body in
+      at_block := k;
+      for i = 0 to Array.length body - 1 do
+        at_index := i;
+        Instr.iter_defs on_def body.(i)
+      done
+    done;
     List.iter
-      (fun w ->
-        let m =
-          multiplier (if w.w_region < 0 then None else Some w.w_region)
-        in
-        add_reg w.w_reg w.w_length
-          ((w.w_length *. m) +. (w.w_bypass *. bypass_factor)))
-      windows;
-    List.iter (fun (rid, _, r) -> add_reg r 0.0 (gap_factor *. mass_of rid)) gaps;
-    let by_register =
-      Hashtbl.fold
-        (fun r (exposure, score) acc ->
-          { key = Reg.to_string r; exposure; score } :: acc)
-        reg_rows []
-    in
+      (fun (rid, _, r) ->
+        let q = ref 0 in
+        while regions.(!q).Regions_view.id <> rid do
+          incr q
+        done;
+        add_reg r 0.0 (gap_factor *. region_mass.(!q)))
+      gaps;
+    let by_register = ref [] in
+    for r = max_reg downto 0 do
+      if reg_seen.(r) then
+        by_register :=
+          { key = Reg.to_string r; exposure = reg_exposure.(r); score = reg_score.(r) }
+          :: !by_register
+    done;
     (* ---- per-region table ---- *)
     let by_region =
-      List.map
-        (fun { Regions_view.id; _ } ->
-          let m = mass_of id in
-          {
-            key = string_of_int id;
-            exposure = m;
-            score = m *. multiplier (Some id);
-          })
-        rv.Regions_view.regions
+      Array.to_list
+        (Array.mapi
+           (fun q { Regions_view.id; _ } ->
+             let m = region_mass.(q) in
+             { key = string_of_int id; exposure = m; score = m *. region_multiplier.(q) })
+           regions)
     in
-    let region_score_sum =
-      List.fold_left (fun acc r -> acc +. r.score) 0.0 by_region
-    in
+    let region_score_sum = List.fold_left (fun acc r -> acc +. r.score) 0.0 by_region in
     {
-      windows;
-      by_site = rank by_site;
-      by_register = rank by_register;
+      windows = List.rev !windows;
+      by_site;
+      by_register = rank !by_register;
       by_region = rank by_region;
       gaps;
       total_mass = !total_mass;
-      predicted_avf =
-        (if !total_mass > 0.0 then region_score_sum /. !total_mass else 0.0);
+      predicted_avf = (if !total_mass > 0.0 then region_score_sum /. !total_mass else 0.0);
       wcdl;
     }
   end
 
 (* The registry entry point only needs the gap list — skip the table
-   construction so per-pass incremental lint pays one notcov fixpoint,
-   not a full window walk, each time a pass dirties the read set. *)
+   construction so per-pass incremental lint reads the context's one
+   coverage fixpoint, not a full window walk, each time a pass dirties
+   the read set. *)
 let check (ctx : Context.t) =
   let gaps =
     if (Context.regions ctx).Regions_view.has_regions then

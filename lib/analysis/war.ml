@@ -29,68 +29,65 @@ let store_access = function
   | Instr.Store (_, b, off, kind) -> Some { kind; base = b; off }
   | _ -> None
 
-(* The (unique, single-entry) chain of blocks from the region head down to
-   [label], head first, [label] excluded. Falls back to every region block
-   when the structure is broken (a structural diag is emitted elsewhere). *)
-let path_to_head region_of region_id ~head blocks_of_region preds label =
+(* RPO numbers of the (unique, single-entry) chain of blocks from the
+   region head down to block [k], head first, [k] excluded: it climbs
+   while a block has exactly one predecessor and that predecessor is a
+   reachable member of region [q]. [None] when the structure is broken
+   (a structural diag is emitted elsewhere): then every region block
+   counts. *)
+let path_to_head cfg ~region_of q ~head k =
   let rec walk l acc guard =
-    if guard = 0 then blocks_of_region
-    else if String.equal l head then acc
+    if guard = 0 then None
+    else if l = head then Some acc
     else
-      match preds l with
-      | [ p ] when Hashtbl.find_opt region_of p = Some region_id ->
-        walk p (p :: acc) (guard - 1)
-      | [] -> acc
-      | _ -> acc
+      let preds = Cfg.rpo_preds cfg l in
+      if Cfg.rpo_pred_count cfg l = 1 && Array.length preds = 1 && region_of.(preds.(0)) = q
+      then walk preds.(0) (preds.(0) :: acc) (guard - 1)
+      else Some acc
   in
-  walk label [] 4096
+  walk k [] 4096
+
+let loads_of (b : Block.t) =
+  List.rev
+    (Array.fold_left
+       (fun acc i -> match load_access i with Some a -> a :: acc | None -> acc)
+       [] b.Block.body)
 
 let independent_set (ctx : Context.t) =
-  let func = ctx.Context.func in
   let cfg = Context.cfg ctx in
   let rv = Context.regions ctx in
-  let preds l = Cfg.predecessors cfg l in
-  (* Per-run lookup tables: region membership and each block's load
-     accesses in body order, computed once instead of per member block. *)
-  let region_of = Hashtbl.create 32 in
-  List.iter
-    (fun (l, id) -> Hashtbl.replace region_of l id)
-    rv.Regions_view.region_of;
-  let loads_tbl = Hashtbl.create 32 in
-  Func.iter_blocks
-    (fun b ->
-      let acc = ref [] in
-      Array.iter
-        (fun i ->
-          match load_access i with Some a -> acc := a :: !acc | None -> ())
-        b.Block.body;
-      Hashtbl.replace loads_tbl b.Block.label (List.rev !acc))
-    func;
+  let region_of = rv.Regions_view.region_of in
+  (* Each reachable block's load accesses in body order, computed once
+     instead of per member block. *)
+  let loads = Array.init (Cfg.num_reachable cfg) (fun k -> loads_of (Cfg.rpo_block cfg k)) in
   let result = ref [] in
-  List.iter
-    (fun { Regions_view.id; head; blocks } ->
-      List.iter
-        (fun label ->
-          let b = Func.block func label in
-          (* Loads on the unique path from the region head to this block. *)
-          let prefix_blocks = path_to_head region_of id ~head blocks preds label in
+  let scan (b : Block.t) loads_before =
+    let seen = ref loads_before in
+    Array.iteri
+      (fun i instr ->
+        (match load_access instr with Some a -> seen := a :: !seen | None -> ());
+        match store_access instr with
+        | Some s ->
+          if not (List.exists (fun l -> may_alias l s) !seen) then
+            result := (b.Block.label, i) :: !result
+        | None -> ())
+      b.Block.body
+  in
+  Array.iteri
+    (fun q { Regions_view.head_rpo; head_block; members; _ } ->
+      (* An unreachable head (hand-built IR) has no path above it. *)
+      if head_rpo < 0 then scan head_block [];
+      Array.iter
+        (fun k ->
           let loads_before =
-            List.concat_map
-              (fun l ->
-                Option.value (Hashtbl.find_opt loads_tbl l) ~default:[])
-              prefix_blocks
+            match path_to_head cfg ~region_of q ~head:head_rpo k with
+            | Some path -> List.concat_map (fun p -> loads.(p)) path
+            | None ->
+              (if head_rpo < 0 then loads_of head_block else [])
+              @ List.concat_map (fun p -> loads.(p)) (Array.to_list members)
           in
-          let seen = ref loads_before in
-          Array.iteri
-            (fun i instr ->
-              (match load_access instr with Some a -> seen := a :: !seen | None -> ());
-              match store_access instr with
-              | Some s ->
-                if not (List.exists (fun l -> may_alias l s) !seen) then
-                  result := (label, i) :: !result
-              | None -> ())
-            b.Block.body)
-        blocks)
+          scan (Cfg.rpo_block cfg k) loads_before)
+        members)
     rv.Regions_view.regions;
   List.sort compare !result
 

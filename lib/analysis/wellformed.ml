@@ -6,14 +6,14 @@ open Turnpike_ir
 
 let name = "wellformed"
 
-let run (ctx : Context.t) =
-  let func = ctx.Context.func in
-  let fname = func.Func.name in
+(* The label/layout checks, on labels because they check the labels
+   themselves: their diagnostics, and whether every terminator target
+   resolves. *)
+let structure func =
   let diags = ref [] in
-  let emit ?block ?instr severity msg =
-    diags := Diag.make ~check:name ~severity ~func:fname ?block ?instr msg :: !diags
+  let emit ?block severity msg =
+    diags := Diag.make ~check:name ~severity ~func:func.Func.name ?block msg :: !diags
   in
-  (* --- label / layout consistency ------------------------------------ *)
   let structural_ok = ref true in
   (match Func.block_opt func func.Func.entry with
   | Some _ -> ()
@@ -42,10 +42,34 @@ let run (ctx : Context.t) =
           end)
         (Block.successors b))
     func;
+  (!structural_ok, !diags)
+
+let run (ctx : Context.t) =
+  let func = ctx.Context.func in
+  let fname = func.Func.name in
+  let diags = ref [] in
+  let emit ?block ?instr severity msg =
+    diags := Diag.make ~check:name ~severity ~func:fname ?block ?instr msg :: !diags
+  in
+  (* --- label / layout consistency ------------------------------------ *)
+  (* A CFG that builds over a clean layout has already resolved every
+     label the checks below would look up, so they have nothing to say. *)
+  let clean =
+    match Context.cfg ctx with
+    | cfg -> Cfg.clean_layout cfg
+    | exception Invalid_argument _ -> false
+  in
+  let structural_ok =
+    clean
+    ||
+    let ok, ds = structure func in
+    diags := ds;
+    ok
+  in
   (* The CFG (and every analysis built on it) is only constructible once
      every terminator target resolves; with dangling labels the structural
-     errors above are the whole story. *)
-  if not !structural_ok then Diag.sort !diags
+     errors are the whole story. *)
+  if not structural_ok then Diag.sort !diags
   else begin
   let cfg = Context.cfg ctx in
   (* One fused scan: reachability diags, register-class sanity, and the
@@ -61,27 +85,31 @@ let run (ctx : Context.t) =
     else if r > !max_phys then max_phys := r
   in
   let check_classes = not ctx.Context.allow_virtual in
-  Func.iter_blocks
-    (fun b ->
-      if not (Cfg.is_reachable cfg b.Block.label) then
+  (* the position [visit] (and below, [read]) reports at: instruction
+     [!at_instr] of block [!at_block], or its terminator when negative;
+     one closure serves the whole scan *)
+  let at_block = ref "" and at_instr = ref (-1) in
+  let bad msg =
+    emit ~block:!at_block ?instr:(if !at_instr < 0 then None else Some !at_instr) Diag.Error msg
+  in
+  let visit r =
+    span r;
+    if check_classes then
+      if Reg.is_virtual r then
+        bad (Printf.sprintf "virtual register %s survives register allocation" (Reg.to_string r))
+      else if (not (Reg.is_zero r)) && r >= ctx.Context.nregs then
+        bad
+          (Printf.sprintf "register %s is outside the %d-register machine file"
+             (Reg.to_string r) ctx.Context.nregs)
+  in
+  Cfg.iter_layout cfg
+    (fun k b ->
+      at_block := b.Block.label;
+      if k < 0 then
         emit ~block:b.Block.label Diag.Info "block is unreachable from the entry";
-      let bad ?instr r =
-        if Reg.is_virtual r then
-          emit ~block:b.Block.label ?instr Diag.Error
-            (Printf.sprintf "virtual register %s survives register allocation" (Reg.to_string r))
-        else if (not (Reg.is_zero r)) && r >= ctx.Context.nregs then
-          emit ~block:b.Block.label ?instr Diag.Error
-            (Printf.sprintf "register %s is outside the %d-register machine file"
-               (Reg.to_string r) ctx.Context.nregs)
-      in
       Array.iteri
         (fun i instr ->
-          let visit =
-            if check_classes then fun r ->
-              span r;
-              bad ~instr:i r
-            else span
-          in
+          at_instr := i;
           Instr.iter_defs visit instr;
           Instr.iter_uses visit instr;
           match instr with
@@ -89,14 +117,9 @@ let run (ctx : Context.t) =
             emit ~block:b.Block.label ~instr:i Diag.Error "checkpoint of the zero register"
           | _ -> ())
         b.Block.body;
-      List.iter
-        (fun r ->
-          span r;
-          if check_classes then bad r)
-        (Block.term_uses b))
-    func;
+      at_instr := -1;
+      List.iter visit (Block.term_uses b));
   (* --- definite assignment: defs must reach uses on every path -------- *)
-  let rpo = Cfg.reverse_postorder cfg in
   Reg.Set.iter span ctx.Context.entry_defined;
   (* Compact universe: physicals keep their ids, virtuals are shifted down
      to sit just above the highest physical actually seen. *)
@@ -107,41 +130,30 @@ let run (ctx : Context.t) =
   in
   let entry_bs = Bitset.create ~max_id:maxid in
   Reg.Set.iter (fun r -> Bitset.add entry_bs (rid r)) ctx.Context.entry_defined;
-  (* The fixpoint runs on dense reverse-postorder indices — block labels
-     are resolved to indices once, so the iterations touch only arrays.
-     Unreachable blocks are absent from [rpo]: their defs still feed
+  (* The fixpoint runs on the CFG's RPO numbers, so the iterations touch
+     only arrays. Unreachable blocks have none: their defs still feed
      [all_regs] (the optimistic top of the must lattice), and an edge from
-     one stays permanently unresolved, exactly as before. *)
-  let rpo_arr = Array.of_list rpo in
-  let n = Array.length rpo_arr in
-  let idx : (string, int) Hashtbl.t = Hashtbl.create n in
-  Array.iteri (fun i l -> Hashtbl.replace idx l i) rpo_arr;
-  let all_regs = Bitset.copy entry_bs in
-  Func.iter_blocks
-    (fun b ->
-      Array.iter
-        (Instr.iter_defs (fun r -> Bitset.add all_regs (rid r)))
-        b.Block.body)
-    func;
+     one stays permanently unresolved. Only a block whose predecessors
+     are all unresolved reads [all_regs], which a clean layout never
+     produces: each block's DFS parent precedes it. *)
+  let n = Cfg.num_reachable cfg in
+  let all_regs =
+    lazy
+      (let all = Bitset.copy entry_bs in
+       Func.iter_blocks
+         (fun b ->
+           Array.iter (Instr.iter_defs (fun r -> Bitset.add all (rid r))) b.Block.body)
+         func;
+       all)
+  in
   let defs_arr =
-    Array.map
-      (fun label ->
+    Array.init n (fun k ->
         let ds = Bitset.create ~max_id:maxid in
         Array.iter
           (Instr.iter_defs (fun r -> Bitset.add ds (rid r)))
-          (Func.block func label).Block.body;
+          (Cfg.rpo_block cfg k).Block.body;
         ds)
-      rpo_arr
   in
-  let preds_arr =
-    Array.map
-      (fun label ->
-        List.filter_map
-          (fun p -> Hashtbl.find_opt idx p)
-          (Cfg.predecessors cfg label))
-      rpo_arr
-  in
-  let entry_i = Option.value (Hashtbl.find_opt idx func.Func.entry) ~default:0 in
   (* OUT absent = not yet computed (top of the must lattice). *)
   let out : Bitset.t option array = Array.make n None in
   let ins : Bitset.t array = Array.make n entry_bs in
@@ -150,10 +162,10 @@ let run (ctx : Context.t) =
     changed := false;
     for i = 0 to n - 1 do
       let inn =
-        if i = entry_i then entry_bs
+        if i = 0 then entry_bs
         else begin
           let acc = ref None in
-          List.iter
+          Array.iter
             (fun p ->
               match out.(p) with
               | None -> () (* unresolved pred: optimistic top *)
@@ -161,8 +173,8 @@ let run (ctx : Context.t) =
                 match !acc with
                 | None -> acc := Some (Bitset.copy s)
                 | Some a -> Bitset.inter_into ~dst:a s))
-            preds_arr.(i);
-          Option.value !acc ~default:all_regs
+            (Cfg.rpo_preds cfg i);
+          match !acc with Some a -> a | None -> Lazy.force all_regs
         end
       in
       (* the last (quiescent) iteration leaves the converged IN sets *)
@@ -176,28 +188,31 @@ let run (ctx : Context.t) =
         changed := true
     done
   done;
-  Array.iteri
-    (fun bi label ->
-      let b = Func.block func label in
-      let defined = Bitset.copy ins.(bi) in
-      Array.iteri
-        (fun i instr ->
-          Instr.iter_uses
-            (fun r ->
-              if not (Bitset.mem defined (rid r)) then
-                emit ~block:label ~instr:i Diag.Warn
-                  (Printf.sprintf "register %s may be read before any definition reaches it"
-                     (Reg.to_string r)))
-            instr;
-          Instr.iter_defs (fun r -> Bitset.add defined (rid r)) instr)
-        b.Block.body;
-      List.iter
-        (fun r ->
-          if not (Bitset.mem defined (rid r)) then
-            emit ~block:label Diag.Warn
-              (Printf.sprintf "branch reads register %s before any definition reaches it"
-                 (Reg.to_string r)))
-        (Block.term_uses b))
-    rpo_arr;
+  let defined = ref entry_bs in
+  let read r =
+    if not (Bitset.mem !defined (rid r)) then
+      if !at_instr >= 0 then
+        emit ~block:!at_block ~instr:!at_instr Diag.Warn
+          (Printf.sprintf "register %s may be read before any definition reaches it"
+             (Reg.to_string r))
+      else
+        emit ~block:!at_block Diag.Warn
+          (Printf.sprintf "branch reads register %s before any definition reaches it"
+             (Reg.to_string r))
+  in
+  let define r = Bitset.add !defined (rid r) in
+  for k = 0 to n - 1 do
+    let b = Cfg.rpo_block cfg k in
+    at_block := Cfg.rpo_label cfg k;
+    defined := Bitset.copy ins.(k);
+    Array.iteri
+      (fun i instr ->
+        at_instr := i;
+        Instr.iter_uses read instr;
+        Instr.iter_defs define instr)
+      b.Block.body;
+    at_instr := -1;
+    List.iter read (Block.term_uses b)
+  done;
   Diag.sort !diags
   end

@@ -37,7 +37,7 @@ let region_blocks_bottom_up func regions (r : Regions.region) =
   List.rev !order
 
 let insert ?(entry_live = []) ~cfg func =
-  let live = Liveness.compute cfg func in
+  let live = Liveness.compute cfg in
   let regions = Regions.of_cfg cfg func in
   let inserted = ref 0 in
   (* need_in.(region head traversal): registers that must still be

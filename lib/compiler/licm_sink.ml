@@ -18,7 +18,7 @@ let run func =
   let cfg = Cfg.build func in
   let dom = Dominance.compute cfg in
   let loops = Loop_info.compute cfg dom in
-  let live = Liveness.compute cfg func in
+  let live = Liveness.compute cfg in
   let regions = Regions.of_cfg cfg func in
   let moved = ref 0 in
   let depth l = Loop_info.depth loops l in

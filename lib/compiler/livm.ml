@@ -93,7 +93,7 @@ let run func =
   let cfg = Cfg.build func in
   let dom = Dominance.compute cfg in
   let loops = Loop_info.compute cfg dom in
-  let live = Liveness.compute cfg func in
+  let live = Liveness.compute cfg in
   let merged = ref 0 in
   let merges = ref [] in
   let fresh =

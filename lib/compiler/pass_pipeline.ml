@@ -336,7 +336,7 @@ let passes : pass list =
           env.stats.Static_stats.code_size <- count_code_size func;
           (* one CFG and one liveness for the live-in table and the claims *)
           let cfg = Cfg.build func in
-          let live = Liveness.compute cfg func in
+          let live = Liveness.compute cfg in
           let regions = Array.of_list (live_in_table live (Regions.of_cfg cfg func)) in
           Array.sort (fun a b -> compare a.id b.id) regions;
           env.regions <- regions;

@@ -72,7 +72,7 @@ let pool config ~used_phys =
 
 let run ?(config = default_config) func =
   let cfg = Cfg.build func in
-  let live = Liveness.compute cfg func in
+  let live = Liveness.compute cfg in
   let dom = Dominance.compute cfg in
   let loops = Loop_info.compute cfg dom in
   (* Global instruction numbering in layout order. *)

@@ -48,7 +48,7 @@ let split_blocks func ~budget oversized =
     if Hashtbl.mem func.Func.blocks l then fresh_label base else l
   in
   let cfg = Cfg.build func in
-  let live = Liveness.compute cfg func in
+  let live = Liveness.compute cfg in
   List.iter
     (fun (b : Block.t) ->
       let body = b.Block.body in

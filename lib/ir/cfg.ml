@@ -9,10 +9,18 @@ type t = {
   dangling : (string * string list) list;
       (* predecessors of successor labels the function lacks (only
          unreachable blocks can name one: the DFS raises on it) *)
+  listed : int; (* length of the layout order *)
+  repeats : bool; (* the layout order names some label twice *)
+  blocks : Block.t array; (* by layout position *)
+  layout_rpo : int array;
+      (* by layout position below [listed]: the RPO number of the label
+         there, -1 when unreachable *)
   rpo : string array;
   rpo_of_pos : int array; (* -1 for unreachable blocks *)
+  rpo_blocks : Block.t array;
   succ_rpo : int array array;
   pred_rpo : int array array;
+  pred_count : int array; (* by RPO number: length of [predecessors] *)
 }
 
 let build func =
@@ -20,6 +28,7 @@ let build func =
   let listed = List.length order in
   let pos = Hashtbl.create (2 * listed) in
   List.iteri (fun i l -> Hashtbl.replace pos l i) order;
+  let repeats = Hashtbl.length pos < listed in
   (* Hand-built IR can list a block twice or leave one out of the layout
      order. The DFS still reaches an unlisted block by label, so it gets
      a position after the listed ones, but it names no predecessors: only
@@ -35,7 +44,8 @@ let build func =
   List.iteri (fun i l -> Hashtbl.replace pos l (listed + i)) unlisted;
   let labels = Array.of_list (order @ unlisted) in
   let n = Array.length labels in
-  let succ_labels = Array.map (fun l -> Block.successors (Func.block func l)) labels in
+  let blocks = Array.map (Func.block func) labels in
+  let succ_labels = Array.map Block.successors blocks in
   let succ = Array.map (List.map (fun s -> Option.value (Hashtbl.find_opt pos s) ~default:(-1))) succ_labels in
   (* Predecessors in reverse layout order, as a label-keyed table filled
      in layout order would list them, by label and by position. *)
@@ -71,6 +81,10 @@ let build func =
   let rpo = Array.of_list !post in
   let rpo_of_pos = Array.make n (-1) in
   Array.iteri (fun k i -> rpo_of_pos.(i) <- k) rpo;
+  let layout_rpo =
+    Array.init listed (fun i ->
+        rpo_of_pos.(if repeats then Hashtbl.find pos labels.(i) else i))
+  in
   (* The same graph on RPO numbers, for the dense analyses. *)
   let numbers ps =
     Array.of_list (List.filter (fun k -> k >= 0) (List.map (fun i -> rpo_of_pos.(i)) ps))
@@ -80,10 +94,16 @@ let build func =
     pos;
     preds;
     dangling = !dangling;
+    listed;
+    repeats;
+    blocks;
+    layout_rpo;
     rpo = Array.map (fun i -> labels.(i)) rpo;
     rpo_of_pos;
+    rpo_blocks = Array.map (fun i -> blocks.(i)) rpo;
     succ_rpo = Array.map (fun i -> numbers succ.(i)) rpo;
     pred_rpo = Array.map (fun i -> numbers pred_pos.(i)) rpo;
+    pred_count = Array.map (fun i -> List.length preds.(i)) rpo;
   }
 
 let predecessors t l =
@@ -115,6 +135,17 @@ let num_reachable t = Array.length t.rpo
 
 let rpo_label t i = t.rpo.(i)
 
+let rpo_block t i = t.rpo_blocks.(i)
+
 let rpo_succs t i = t.succ_rpo.(i)
 
 let rpo_preds t i = t.pred_rpo.(i)
+
+let rpo_pred_count t i = t.pred_count.(i)
+
+let clean_layout t = (not t.repeats) && t.dangling = []
+
+let iter_layout t f =
+  for i = 0 to t.listed - 1 do
+    f t.layout_rpo.(i) t.blocks.(i)
+  done

@@ -35,9 +35,32 @@ val num_reachable : t -> int
 val rpo_label : t -> int -> string
 (** Label of the block with the given RPO number. *)
 
+val rpo_block : t -> int -> Block.t
+(** The block record with the given RPO number: the function's own
+    record, so its body reads as the function's does after an in-place
+    edit. *)
+
 val rpo_succs : t -> int -> int array
 (** RPO numbers of a block's successors, in {!successors} order. *)
 
 val rpo_preds : t -> int -> int array
 (** RPO numbers of a block's reachable predecessors, in {!predecessors}
     order (a label the layout order lists twice appears once). *)
+
+val rpo_pred_count : t -> int -> int
+(** Length of the block's {!predecessors} list: unreachable predecessors
+    and a label the layout order lists twice count too. *)
+
+(** {1 Layout view} *)
+
+val iter_layout : t -> (int -> Block.t -> unit) -> unit
+(** [iter_layout t f] applies [f] to the RPO number (-1 when unreachable)
+    and the record of every block the layout order lists, in layout
+    order: [Func.iter_blocks] with {!rpo_number}, without a label
+    lookup. A label listed twice is visited twice. *)
+
+val clean_layout : t -> bool
+(** The layout order names no label twice and no listed block's
+    terminator names a label the function lacks. (A label the order
+    names that the function lacks, or an entry it lacks, makes {!build}
+    raise.) *)

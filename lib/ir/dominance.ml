@@ -41,14 +41,16 @@ let idom t l =
   | Some _ -> None (* entry, or no predecessor in the layout order *)
   | None -> None (* unreachable *)
 
+let rpo_dominates t ~dom ~sub =
+  let x = ref sub in
+  while !x > dom do
+    x := t.idom.(!x)
+  done;
+  !x = dom
+
 let dominates t ~dom ~sub =
   match (Cfg.rpo_number t.cfg dom, Cfg.rpo_number t.cfg sub) with
-  | Some d, Some s ->
-    let x = ref s in
-    while !x > d do
-      x := t.idom.(!x)
-    done;
-    !x = d
+  | Some dom, Some sub -> rpo_dominates t ~dom ~sub
   | _ -> false
 
 let strictly_dominates t ~dom ~sub =

@@ -12,6 +12,10 @@ val idom : t -> string -> string option
 val dominates : t -> dom:string -> sub:string -> bool
 (** Reflexive dominance. Unreachable [sub] is dominated by nothing. *)
 
+val rpo_dominates : t -> dom:int -> sub:int -> bool
+(** {!dominates} on RPO numbers ({!Cfg.rpo_number}) of reachable
+    blocks. *)
+
 val strictly_dominates : t -> dom:string -> sub:string -> bool
 
 val dominators : t -> string -> string list

@@ -70,6 +70,24 @@ let iter_uses f = function
   | Ckpt r -> f r
   | Boundary _ | Nop -> ()
 
+let operand_reads r = function Reg o -> o = r && not (Reg.is_zero o) | Imm _ -> false
+
+let reads i r =
+  match i with
+  | Binop (_, _, a, o) | Cmp (_, _, a, o) ->
+    (a = r && not (Reg.is_zero a)) || operand_reads r o
+  | Mov (_, o) -> operand_reads r o
+  | Load (_, b, _, _) -> b = r && not (Reg.is_zero b)
+  | Store (s, b, _, _) -> (s = r || b = r) && not (Reg.is_zero r)
+  | Ckpt c -> c = r
+  | Boundary _ | Nop -> false
+
+let writes i r =
+  match i with
+  | Binop (_, d, _, _) | Cmp (_, d, _, _) | Mov (d, _) | Load (d, _, _, _) ->
+    d = r && not (Reg.is_zero d)
+  | Store _ | Ckpt _ | Boundary _ | Nop -> false
+
 let is_store = function Store _ -> true | _ -> false
 
 let is_ckpt = function Ckpt _ -> true | _ -> false

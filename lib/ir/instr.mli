@@ -46,6 +46,12 @@ val iter_defs : (Reg.t -> unit) -> t -> unit
 val iter_uses : (Reg.t -> unit) -> t -> unit
 (** Allocation-free {!uses}, in the same order [uses] lists them. *)
 
+val reads : t -> Reg.t -> bool
+(** [reads i r] is [List.mem r (uses i)], without allocating. *)
+
+val writes : t -> Reg.t -> bool
+(** [writes i r] is [List.mem r (defs i)], without allocating. *)
+
 val is_store : t -> bool
 val is_ckpt : t -> bool
 val is_boundary : t -> bool

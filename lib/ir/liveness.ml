@@ -24,9 +24,9 @@ type t = {
   out_sets : Reg.Set.t option array;
 }
 
-let compute cfg func =
+let compute cfg =
   let n = Cfg.num_reachable cfg in
-  let blocks = Array.init n (fun i -> Func.block func (Cfg.rpo_label cfg i)) in
+  let blocks = Array.init n (Cfg.rpo_block cfg) in
   let max_phys = ref 0 in
   let max_virt = ref (-1) in
   let span r =
@@ -80,6 +80,9 @@ let compute cfg func =
   done;
   { cfg; gap; live_in; live_out; in_sets = Array.make n None; out_sets = Array.make n None }
 
+(* Inverse of the compaction [compute] applies. *)
+let reg_of_id t id = if id < t.gap then id else id - t.gap + Reg.virt_base
+
 let materialize t bits sets l =
   match Cfg.rpo_number t.cfg l with
   | None -> Reg.Set.empty
@@ -90,9 +93,7 @@ let materialize t bits sets l =
       (* one [of_list] builds the tree in about half the time of adding
          the members one by one *)
       let regs = ref [] in
-      Bitset.iter
-        (fun id -> regs := (if id < t.gap then id else id - t.gap + Reg.virt_base) :: !regs)
-        bits.(k);
+      Bitset.iter (fun id -> regs := reg_of_id t id :: !regs) bits.(k);
       let s = Reg.Set.of_list !regs in
       sets.(k) <- Some s;
       s)
@@ -100,6 +101,20 @@ let materialize t bits sets l =
 let live_in t l = materialize t t.live_in t.in_sets l
 
 let live_out t l = materialize t t.live_out t.out_sets l
+
+(* A physical id at or above [gap] names no register of the function and
+   would read a virtual register's bit. *)
+let mem t bits k r =
+  if Reg.is_virtual r then Bitset.mem bits.(k) (r - Reg.virt_base + t.gap)
+  else r < t.gap && Bitset.mem bits.(k) r
+
+let mem_live_in t k r = mem t t.live_in k r
+
+let mem_live_out t k r = mem t t.live_out k r
+
+let iter_live_in t k f = Bitset.iter (fun id -> f (reg_of_id t id)) t.live_in.(k)
+
+let iter_live_out t k f = Bitset.iter (fun id -> f (reg_of_id t id)) t.live_out.(k)
 
 let live_before_each t (b : Block.t) =
   (* live.(i) = registers live immediately before instruction i. The array

@@ -28,8 +28,8 @@ let is_zero r = r = zero
 
 let to_string r =
   if r = zero then "rz"
-  else if is_virtual r then Printf.sprintf "v%d" (r - virt_base)
-  else Printf.sprintf "r%d" r
+  else if is_virtual r then "v" ^ string_of_int (r - virt_base)
+  else "r" ^ string_of_int r
 
 let pp fmt r = Format.pp_print_string fmt (to_string r)
 

@@ -606,7 +606,7 @@ type pilot = { snapshots : snapshot array; outcome : outcome }
    instruction, the terminator last. *)
 let live_table (compiled : Pass_pipeline.t) =
   let func = compiled.Pass_pipeline.prog.Prog.func in
-  let live = Liveness.compute (Cfg.build func) func in
+  let live = Liveness.compute (Cfg.build func) in
   Array.of_list
     (List.map (fun l -> Liveness.live_before_each live (Func.block func l)) (Func.labels func))
 

@@ -186,6 +186,41 @@ let test_recoverability_rejects () =
   check "expression over uncovered slot flagged" true
     (has_error ~check:"recoverability" ~containing:"not covered" ds)
 
+(* The coverage memo follows Context.advance's staleness rule: it rides a
+   pass that dirties neither the CFG nor any block body, and an edit or a
+   reorder of the instructions recomputes it. *)
+let test_coverage_memo_staleness () =
+  let f =
+    mkfunc
+      [
+        blk ~term:(Block.Jump "next") "entry"
+          [ Instr.Boundary 0; Instr.Mov (r1, Instr.Imm 5); Instr.Ckpt r1 ];
+        blk "next" [ Instr.Boundary 1; Instr.Binop (Instr.Add, r2, r1, Instr.Imm 1) ];
+      ]
+  in
+  let entry = Func.block f "entry" in
+  let ctx = mkctx f in
+  let uncovered ctx =
+    has_error ~check:"recoverability" ~containing:"no checkpoint covers it"
+      (Analysis.Recoverability.run ctx)
+  in
+  check "checkpointed live-in accepted" false (uncovered ctx);
+  let cov = Context.coverage ctx in
+  let step facets ctx = Context.advance ~dirty:(Analysis.Facet.Set.of_list facets) ctx f in
+  let claims = step [ Analysis.Facet.Claims ] ctx in
+  check "a claims-only pass keeps the memo" true (Context.coverage claims == cov);
+  (* the checkpoint now runs before the definition it should cover *)
+  Block.set_body entry [ Instr.Boundary 0; Instr.Ckpt r1; Instr.Mov (r1, Instr.Imm 5) ];
+  let reordered = step [ Analysis.Facet.Instr_order ] claims in
+  check "a reorder recomputes it" true (Context.coverage reordered != cov);
+  check "the reordered checkpoint no longer covers" true (uncovered reordered);
+  Block.set_body entry [ Instr.Boundary 0; Instr.Mov (r1, Instr.Imm 5); Instr.Ckpt r1 ];
+  let restored = step [ Analysis.Facet.Instr_order ] reordered in
+  check "restored order covers again" false (uncovered restored);
+  Block.set_body entry [ Instr.Boundary 0; Instr.Mov (r1, Instr.Imm 5) ];
+  check "an instruction edit recomputes it" true
+    (uncovered (step [ Analysis.Facet.Instrs ] restored))
+
 let test_war_rejects () =
   (* One region; a load at [8] precedes a store to [8] (WAR) while a store
      to [16] is independent. *)
@@ -559,6 +594,79 @@ let test_recoverability_regressions () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Incremental ≡ full re-check on programs nobody wrote by hand: the
+   memoized analyses ride Context.advance across passes (coverage
+   included), so per-pass diagnostics, provenance and all, must come out
+   byte-identical to re-running every check on a fresh context after
+   every pass. *)
+
+let test_incremental_parity_fuzz () =
+  for seed = 0 to 199 do
+    let prog =
+      match
+        Turnpike_frontend.Tk.compile_string
+          ~file:(Printf.sprintf "<fuzz-%d>" seed) ~scale:1
+          (Turnpike_frontend.Fuzz.generate ~seed)
+      with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "seed %d rejected: %s" seed e
+    in
+    List.iter
+      (fun (s : Turnpike.Scheme.t) ->
+        let diags check =
+          let c =
+            PP.compile ~opts:(Turnpike.Scheme.compile_opts s ~sb_size:4) ~check prog
+          in
+          String.concat "\n" (List.map Diag.to_json c.PP.diags)
+        in
+        check_str
+          (Printf.sprintf "seed %d under %s" seed s.Turnpike.Scheme.name)
+          (diags PP.PerPassFull) (diags PP.PerPass))
+      [ Turnpike.Scheme.turnstile; Turnpike.Scheme.turnpike ]
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget for the analysis side: on a fresh machine context of
+   every kernel at scale 1 (as lint builds it), the registry plus the
+   static vulnerability estimate allocate under 320 words per compiled
+   instruction. The most measured is 258 (gcc@2006, turnpike); the
+   label-keyed analyses the dense ones replaced allocated up to 1,189
+   there. A deterministic stand-in for "the analyses got faster" that
+   host noise cannot move. *)
+
+let test_analysis_alloc_budget () =
+  let module Scheme = Turnpike.Scheme in
+  let module Machine = Turnpike_arch.Machine in
+  let module Clq = Turnpike_arch.Clq in
+  let budget = 320.0 in
+  List.iter
+    (fun (b : Suite.entry) ->
+      let prog = b.Suite.build ~scale:1 in
+      List.iter
+        (fun (s : Scheme.t) ->
+          let c = PP.compile ~opts:(Scheme.compile_opts s ~sb_size:4) prog in
+          let m = Scheme.machine s ~wcdl:10 ~sb_size:4 in
+          let ctx =
+            Context.with_machine ~rbb_size:m.Machine.rbb_size
+              ?clq_entries:
+                (match m.Machine.clq with Some (Clq.Compact n) -> Some n | _ -> None)
+              ~wcdl:m.Machine.wcdl (PP.analysis_context c)
+          in
+          let before = Gc.minor_words () in
+          ignore (Registry.run_whole ctx);
+          ignore (Analysis.Vuln.compute ctx);
+          let w =
+            (Gc.minor_words () -. before)
+            /. float_of_int (max 1 (Func.num_instrs c.PP.prog.Prog.func))
+          in
+          check
+            (Printf.sprintf "%s/%s: %.1f words per instruction" (Suite.qualified_name b)
+               s.Scheme.name w)
+            true (w <= budget))
+        [ Scheme.turnstile; Scheme.turnpike ])
+    (Suite.all ())
+
+(* ------------------------------------------------------------------ *)
 
 let tests =
   [
@@ -567,6 +675,7 @@ let tests =
     Alcotest.test_case "wellformed rejections" `Quick test_wellformed_rejects;
     Alcotest.test_case "regions-view rejections" `Quick test_regions_view_rejects;
     Alcotest.test_case "recoverability rejections" `Quick test_recoverability_rejects;
+    Alcotest.test_case "coverage memo staleness" `Quick test_coverage_memo_staleness;
     Alcotest.test_case "war-bypass rejections" `Quick test_war_rejects;
     Alcotest.test_case "capacity rejections" `Quick test_capacity_rejects;
     Alcotest.test_case "schedule-deps rejections" `Quick test_schedule_rejects;
@@ -581,4 +690,7 @@ let tests =
       test_full_grid_clean_and_deterministic;
     Alcotest.test_case "recoverability regressions (fuzz 1740, 2173, 6541)"
       `Quick test_recoverability_regressions;
+    Alcotest.test_case "incremental = full re-check on fuzz seeds 0-199" `Quick
+      test_incremental_parity_fuzz;
+    Alcotest.test_case "analysis allocation budget" `Quick test_analysis_alloc_budget;
   ]

@@ -269,7 +269,7 @@ let test_liveness_loop () =
   let prog, _ = sum_prog 4 in
   let f = prog.Prog.func in
   let cfg = Cfg.build f in
-  let live = Liveness.compute cfg f in
+  let live = Liveness.compute cfg in
   (* acc (v1) and i (v2) are loop-carried: live into head. *)
   let head_in = Liveness.live_in live "head" in
   check "acc live at head" true (Reg.Set.mem (Reg.virt 1) head_in);
@@ -283,7 +283,7 @@ let test_liveness_per_instruction () =
   let prog, _ = sum_prog 4 in
   let f = prog.Prog.func in
   let cfg = Cfg.build f in
-  let live = Liveness.compute cfg f in
+  let live = Liveness.compute cfg in
   let head = Func.block f "head" in
   let before = Liveness.live_before_each live head in
   check_int "slots" (Block.num_instrs head + 1) (Array.length before);
@@ -550,8 +550,74 @@ let same_analyses ?(liveness = true) ~what (f : Func.t) =
             (Ref.Cfg.is_back_edge_candidate rcfg ~src:l ~dst:m))
         probes)
     labels;
+  (* The dense and layout views answer as the label-keyed queries do. *)
+  let n = Cfg.num_reachable cfg in
+  for k = 0 to n - 1 do
+    let l = Cfg.rpo_label cfg k in
+    if Cfg.rpo_block cfg k != Func.block f l then fail "rpo_block %d is not %s's record" k l;
+    eq ("rpo_pred_count " ^ l) string_of_int (Cfg.rpo_pred_count cfg k)
+      (List.length (Cfg.predecessors cfg l))
+  done;
+  let visited = ref [] in
+  Cfg.iter_layout cfg (fun k b -> visited := (k, b) :: !visited);
+  let rpo_or_none l = Option.value (Cfg.rpo_number cfg l) ~default:(-1) in
+  eq "iter_layout" strs
+    (List.rev_map (fun (k, (b : Block.t)) -> Printf.sprintf "%s@%d" b.Block.label k) !visited)
+    (List.map (fun l -> Printf.sprintf "%s@%d" l (rpo_or_none l)) labels);
+  if not (List.for_all2 (fun (_, b) l -> b == Func.block f l) (List.rev !visited) labels) then
+    fail "iter_layout hands out other records than Func.block";
+  let clean =
+    List.length (List.sort_uniq String.compare labels) = List.length labels
+    && List.for_all
+         (fun l -> List.for_all (fun s -> Func.block_opt f s <> None) (Cfg.successors cfg l))
+         labels
+  in
+  eq "clean_layout" string_of_bool (Cfg.clean_layout cfg) clean;
+  (* every register the function names, the zero register, and one past
+     the largest physical and the largest overall *)
+  let named =
+    List.concat_map
+      (fun l ->
+        let b = Func.block f l in
+        Block.term_uses b
+        @ List.concat_map (fun i -> Instr.defs i @ Instr.uses i) (Array.to_list b.Block.body))
+      labels
+  in
+  let max_phys = List.fold_left (fun m r -> if Reg.is_physical r then max m r else m) 0 named in
+  let regs =
+    List.sort_uniq Reg.compare (Reg.zero :: (max_phys + 1) :: (Func.max_reg f + 1) :: named)
+  in
+  List.iter
+    (fun l ->
+      Array.iteri
+        (fun j i ->
+          List.iter
+            (fun r ->
+              if Instr.reads i r <> List.mem r (Instr.uses i)
+                 || Instr.writes i r <> List.mem r (Instr.defs i)
+              then fail "reads/writes %s:%d %s" l j (Reg.to_string r))
+            regs)
+        (Func.block f l).Block.body)
+    labels;
   if liveness then begin
-    let live = Liveness.compute cfg f and rlive = Ref.Liveness.compute rcfg f in
+    let live = Liveness.compute cfg and rlive = Ref.Liveness.compute rcfg f in
+    for k = 0 to n - 1 do
+      let l = Cfg.rpo_label cfg k in
+      let iterated iter =
+        let acc = ref [] in
+        iter live k (fun r -> acc := r :: !acc);
+        strs (List.rev_map Reg.to_string !acc)
+      in
+      eq ("iter_live_in " ^ l) Fun.id (iterated Liveness.iter_live_in) (set (Liveness.live_in live l));
+      eq ("iter_live_out " ^ l) Fun.id (iterated Liveness.iter_live_out)
+        (set (Liveness.live_out live l));
+      List.iter
+        (fun r ->
+          if Liveness.mem_live_in live k r <> Reg.Set.mem r (Liveness.live_in live l)
+             || Liveness.mem_live_out live k r <> Reg.Set.mem r (Liveness.live_out live l)
+          then fail "mem_live_in/out %s %s" l (Reg.to_string r))
+        regs
+    done;
     List.iter
       (fun l ->
         eq ("live_in " ^ l) set (Liveness.live_in live l) (Ref.Liveness.live_in rlive l);
@@ -565,6 +631,13 @@ let same_analyses ?(liveness = true) ~what (f : Func.t) =
       f
   end;
   let dom = Dominance.compute cfg and rdom = Ref.Dominance.compute rcfg in
+  for d = 0 to n - 1 do
+    for k = 0 to n - 1 do
+      let dl = Cfg.rpo_label cfg d and kl = Cfg.rpo_label cfg k in
+      if Dominance.rpo_dominates dom ~dom:d ~sub:k <> Dominance.dominates dom ~dom:dl ~sub:kl
+      then fail "rpo_dominates %s %s" dl kl
+    done
+  done;
   List.iter
     (fun l ->
       eq ("idom " ^ l) (opt Fun.id) (Dominance.idom dom l) (Ref.Dominance.idom rdom l);
