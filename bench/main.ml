@@ -268,7 +268,8 @@ let run_energy a =
 
 (* ------------------------------------------------------------------ *)
 (* --profile: wall-clock telemetry for the harness itself — per-pass
-   compile spans and pool utilization. The Run compile cache memoizes
+   compile spans beside the per-pass registry round that follows each
+   pass, and pool utilization. The Run compile cache memoizes
    compilation, so the pass profile drives [Pass_pipeline.compile]
    directly (a cache hit would emit no spans). *)
 
@@ -276,24 +277,37 @@ let profile a =
   Telemetry.Clock.set Unix.gettimeofday;
   let scale = a.params.Run.scale in
   Report.section
-    (Printf.sprintf "Profile: per-pass compile spans (libquan, turnpike opts, scale %d)"
+    (Printf.sprintf
+       "Profile: per-pass compile spans and registry rounds (libquan, turnpike opts, \
+        check PerPass, scale %d)"
        scale);
   let bench = List.hd (Suite.find_by_name "libquan") in
   let prog = bench.Suite.build ~scale in
   let opts = Scheme.compile_opts Scheme.turnpike ~sb_size:4 in
   let tel = Telemetry.create () in
-  ignore (Turnpike_compiler.Pass_pipeline.compile ~opts ~tel prog);
-  let spans =
-    List.filter
-      (fun (e : Telemetry.event) -> String.equal e.Telemetry.cat "compiler")
-      (Telemetry.events tel)
+  ignore
+    (Turnpike_compiler.Pass_pipeline.compile ~opts ~tel
+       ~check:Turnpike_compiler.Pass_pipeline.PerPass prog);
+  let events = Telemetry.events tel in
+  let spans cat =
+    List.filter (fun (e : Telemetry.event) -> String.equal e.Telemetry.cat cat) events
+  in
+  let us (e : Telemetry.event) =
+    match e.Telemetry.kind with Telemetry.Complete d -> d | _ -> 0
+  in
+  let passes = spans "compiler" and rounds = spans "analysis" in
+  (* the round a pass's name labels is the one that checked its output *)
+  let round_us name =
+    match List.find_opt (fun (e : Telemetry.event) -> String.equal e.Telemetry.name name) rounds with
+    | Some e -> us e
+    | None -> 0
   in
   table a
     Report.
       [
         str "pass" 26 (fun (e : Telemetry.event) -> e.Telemetry.name);
-        int "us" 8 (fun e ->
-            match e.Telemetry.kind with Telemetry.Complete d -> d | _ -> 0);
+        int "us" 8 us;
+        int "registry us" 12 (fun (e : Telemetry.event) -> round_us e.Telemetry.name);
         str "stat deltas" 44 (fun e ->
             String.concat " "
               (List.map
@@ -303,9 +317,12 @@ let profile a =
                    | _ -> k)
                  e.Telemetry.args));
       ]
-    spans;
-  Printf.printf "%d pass spans (pipeline declares %d passes)\n" (List.length spans)
+    passes;
+  let total = List.fold_left (fun acc e -> acc + us e) 0 in
+  Printf.printf "%d pass spans (pipeline declares %d passes)\n" (List.length passes)
     (List.length (Turnpike_compiler.Pass_pipeline.pass_names opts));
+  Printf.printf "passes %d us, registry %d us over %d rounds (%d us on the input)\n"
+    (total passes) (total rounds) (List.length rounds) (round_us "<input>");
 
   Report.section "Profile: pool utilization (fig19 grid)";
   let pool_tel = Telemetry.create ~capacity:65536 () in

@@ -615,14 +615,30 @@ let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
       diags := !diags @ Analysis.Registry.fresh ~seen ds;
       whole_names
   in
+  (* One registry round: its check_log entry and, on an enabled sink, a
+     wall-clock span (category ["analysis"]) of the same name whose args
+     list the checks that ran. A disabled sink costs no clock read. *)
+  let round name f =
+    let ran =
+      if not (Telemetry.enabled tel) then f ()
+      else begin
+        let start = Telemetry.span_start tel in
+        let ran = f () in
+        Telemetry.span_finish tel ~start ~cat:"analysis"
+          ~args:[ ("checks", Telemetry.Str (String.concat "," ran)) ]
+          name;
+        ran
+      end
+    in
+    check_log := (name, ran) :: !check_log
+  in
   (* In per-pass mode, violations already present in the input carry no
      pass provenance; anything that appears later is attributed to the
      first pass after which the registry reports it. *)
-  if per_pass then begin
-    let dirty = Analysis.Facet.all in
-    let ran = run_whole_on ~dirty (step_context ~dirty env) in
-    check_log := ("<input>", ran) :: !check_log
-  end;
+  if per_pass then
+    round "<input>" (fun () ->
+        let dirty = Analysis.Facet.all in
+        run_whole_on ~dirty (step_context ~dirty env));
   List.iter
     (fun p ->
       let snapshot =
@@ -640,23 +656,21 @@ let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
         let dirty =
           if changed then p.dirties else Analysis.Facet.Set.empty
         in
-        let ctx = step_context ~pass:p.pname ~dirty env in
-        let pair_ran =
-          match snapshot with
-          | Some before when changed ->
-            let ds = Analysis.Registry.run_pair ~pass:p.pname ~before ctx in
-            diags := !diags @ Analysis.Registry.fresh ~seen ds;
-            Analysis.Registry.pair_names_for p.pname
-          | Some _ | None -> []
-        in
-        let whole_ran = run_whole_on ~dirty ctx in
-        check_log := (p.pname, pair_ran @ whole_ran) :: !check_log
+        round p.pname (fun () ->
+            let ctx = step_context ~pass:p.pname ~dirty env in
+            let pair_ran =
+              match snapshot with
+              | Some before when changed ->
+                let ds = Analysis.Registry.run_pair ~pass:p.pname ~before ctx in
+                diags := !diags @ Analysis.Registry.fresh ~seen ds;
+                Analysis.Registry.pair_names_for p.pname
+              | Some _ | None -> []
+            in
+            pair_ran @ run_whole_on ~dirty ctx)
       end)
     pass_seq;
-  if check = Final then begin
-    let ran = run_whole_on ~dirty:Analysis.Facet.all (env_context env) in
-    check_log := ("<final>", ran) :: !check_log
-  end;
+  if check = Final then
+    round "<final>" (fun () -> run_whole_on ~dirty:Analysis.Facet.all (env_context env));
   if not opts.resilient then
     stats.Static_stats.code_size <- stats.Static_stats.base_code_size;
   {

@@ -108,7 +108,10 @@ val compile :
     [tel] (default {!Turnpike_telemetry.null}) receives one wall-clock
     span per executed pass (category ["compiler"], names per
     {!pass_names}), each carrying the non-zero {!Static_stats} deltas that
-    pass contributed as args.
+    pass contributed as args; and, when [check] is not [Off], one span
+    per registry round (category ["analysis"]), named and ordered as the
+    {!field-check_log} entries, whose ["checks"] arg joins the names of
+    the checks that ran with commas.
 
     [check] (default [Off]) runs the static-analysis registry on the
     pipeline state; results land in {!field-diags}.

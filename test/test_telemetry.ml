@@ -368,6 +368,37 @@ let test_pass_spans_match_pipeline () =
            (List.map (fun (e : Telemetry.event) -> e.Telemetry.name) spans)))
     Scheme.ladder
 
+(* A checked compile adds one "analysis" span per registry round, named
+   and ordered as the check_log entries, whose "checks" arg lists the
+   checks that ran. *)
+let test_registry_spans_match_check_log () =
+  let prog = (libquan ()).Suite.build ~scale:1 in
+  List.iter
+    (fun level ->
+      let tel = Telemetry.create () in
+      let c =
+        Pass_pipeline.compile ~opts:Pass_pipeline.turnpike_opts ~tel ~check:level prog
+      in
+      let rounds =
+        List.filter_map
+          (fun (e : Telemetry.event) ->
+            if String.equal e.Telemetry.cat "analysis" then
+              match (e.Telemetry.kind, e.Telemetry.args) with
+              | Telemetry.Complete _, [ ("checks", Telemetry.Str ran) ] ->
+                Some (e.Telemetry.name ^ ": " ^ ran)
+              | _ -> Some (e.Telemetry.name ^ ": malformed span")
+            else None)
+          (Telemetry.events tel)
+      in
+      Alcotest.(check (list string))
+        "one span per check_log entry, in order"
+        (List.map
+           (fun (round, ran) -> round ^ ": " ^ String.concat "," ran)
+           c.Pass_pipeline.check_log)
+        rounds;
+      check "a checked compile logs rounds" true (rounds <> []))
+    [ Pass_pipeline.Final; Pass_pipeline.PerPass; Pass_pipeline.PerPassFull ]
+
 let test_compile_disabled_sink_untouched () =
   let prog = (libquan ()).Suite.build ~scale:1 in
   let a = Pass_pipeline.compile ~opts:Pass_pipeline.turnpike_opts prog in
@@ -377,6 +408,9 @@ let test_compile_disabled_sink_untouched () =
   check_int "disabled telemetry does not change the compile"
     a.Pass_pipeline.stats.Static_stats.code_size
     b.Pass_pipeline.stats.Static_stats.code_size;
+  ignore
+    (Pass_pipeline.compile ~opts:Pass_pipeline.turnpike_opts ~tel:Telemetry.null
+       ~check:Pass_pipeline.PerPass prog);
   check_int "null sink stayed empty" 0 (Telemetry.length Telemetry.null)
 
 (* ------------------------------------------------------------------ *)
@@ -420,6 +454,7 @@ let tests =
     ("chrome export round-trips", `Quick, test_chrome_roundtrip);
     ("jsonl export round-trips", `Quick, test_jsonl_roundtrip);
     ("per-pass spans match the pipeline", `Quick, test_pass_spans_match_pipeline);
+    ("registry spans match the check log", `Quick, test_registry_spans_match_check_log);
     ("disabled sink leaves compile untouched", `Quick, test_compile_disabled_sink_untouched);
     ("static stats JSON well-formed", `Quick, test_static_stats_json);
     ("static stats diff", `Quick, test_static_stats_diff);
