@@ -22,8 +22,9 @@
 #                             deterministic at any job count (in the CLI
 #                             and in the bench table), that the
 #                             incremental per-pass lint report is
-#                             byte-identical to the forced full re-check,
-#                             that forensic lifecycle exports are
+#                             byte-identical to the forced full re-check
+#                             (also on a generated program whose lint
+#                             exits 1 with Errors), that forensic lifecycle exports are
 #                             byte-identical at any job count and across
 #                             fork vs scratch replay (and that the report
 #                             subcommand convicts a planted compiler bug),
@@ -214,6 +215,21 @@ for b in mcf radix; do
     -b "$b" --scale 2 --jobs 1 --json > "$tmp/lint_${b}_full.json"
   diff "$tmp/lint_${b}_inc.json" "$tmp/lint_${b}_full.json"
 done
+# A generated program whose turnpike build carries recoverability Errors
+# takes the error path the clean kernels never reach: both engines must
+# exit 1 and print the same report.
+status=0
+dune exec --no-build bin/turnpike_cli.exe -- lint --per-pass \
+  -b test/regress/fuzz_2173.tk --scale 1 --jobs 1 --json \
+  > "$tmp/lint_fuzz2173_inc.json" || status=$?
+test "$status" -eq 1
+status=0
+dune exec --no-build bin/turnpike_cli.exe -- lint --per-pass --full-recheck \
+  -b test/regress/fuzz_2173.tk --scale 1 --jobs 1 --json \
+  > "$tmp/lint_fuzz2173_full.json" || status=$?
+test "$status" -eq 1
+grep -q '"errors":[1-9]' "$tmp/lint_fuzz2173_inc.json"
+diff "$tmp/lint_fuzz2173_inc.json" "$tmp/lint_fuzz2173_full.json"
 
 echo "== explore smoke: tiny design grid at --jobs 1 vs --jobs 4 =="
 # The design-space explorer (every point scored once at full scale, then
