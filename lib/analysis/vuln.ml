@@ -68,32 +68,15 @@ let empty =
     wcdl = 0;
   }
 
-(* Scores and exposures are plain floats, so [Float.compare] orders them
-   as the polymorphic compare would, without its generic dispatch. *)
-let compare_rows a b =
-  let c = Float.compare b.score a.score in
-  if c <> 0 then c
-  else
-    let c = Float.compare b.exposure a.exposure in
-    if c <> 0 then c else Rank.key_compare a.key b.key
-
 let rank rows =
-  let a = Array.of_list rows in
-  Array.stable_sort compare_rows a;
-  Array.to_list a
-
-(* ["label:index"] in one allocation. *)
-let site_key prefix i =
-  let digits = if i < 10 then 1 else if i < 100 then 2 else String.length (string_of_int i) in
-  let p = String.length prefix in
-  let b = Bytes.create (p + digits) in
-  Bytes.blit_string prefix 0 b 0 p;
-  let v = ref i in
-  for d = p + digits - 1 downto p do
-    Bytes.set b d (Char.chr (48 + (!v mod 10)));
-    v := !v / 10
-  done;
-  Bytes.unsafe_to_string b
+  List.sort
+    (fun a b ->
+      let c = compare b.score a.score in
+      if c <> 0 then c
+      else
+        let c = compare b.exposure a.exposure in
+        if c <> 0 then c else Rank.key_compare a.key b.key)
+    rows
 
 (* A window walk's running sums: an all-float record is stored flat, so
    adding to it allocates nothing. *)
@@ -182,14 +165,7 @@ let compute (ctx : Context.t) =
         decr c
       end
     in
-    (* every slot of every block, in reverse postorder and body order *)
-    let sites = ref 0 in
-    for k = 0 to n - 1 do
-      sites := !sites + Block.num_instrs (block k) + 1
-    done;
-    let site_rows = Array.make !sites { key = ""; exposure = 0.0; score = 0.0 } in
-    let site_block = Array.make !sites 0 and site_slot = Array.make !sites 0 in
-    let next_site = ref 0 in
+    let by_site = ref [] in
     for k = 0 to n - 1 do
       let b = block k in
       let nb = Array.length b.Block.body in
@@ -209,28 +185,10 @@ let compute (ctx : Context.t) =
       let prefix = Cfg.rpo_label cfg k ^ ":" in
       for i = 0 to nb do
         let ace = float_of_int counts.(i) /. nregs in
-        let s = !next_site in
-        site_rows.(s) <- { key = site_key prefix i; exposure = w; score = w *. ace *. m };
-        site_block.(s) <- k;
-        site_slot.(s) <- i;
-        next_site := s + 1
+        by_site :=
+          { key = prefix ^ string_of_int i; exposure = w; score = w *. ace *. m } :: !by_site
       done
     done;
-    (* [rank]'s order: two keys of one block compare as their slots do,
-       which spares the tied rows of a block a string walk *)
-    let order = Array.init !sites Fun.id in
-    Array.stable_sort
-      (fun x y ->
-        let a = site_rows.(x) and b = site_rows.(y) in
-        let c = Float.compare b.score a.score in
-        if c <> 0 then c
-        else
-          let c = Float.compare b.exposure a.exposure in
-          if c <> 0 then c
-          else if site_block.(x) = site_block.(y) then Int.compare site_slot.(x) site_slot.(y)
-          else Rank.key_compare a.key b.key)
-      order;
-    let by_site = Array.fold_right (fun s acc -> site_rows.(s) :: acc) order [] in
     (* ---- per-def windows: def -> last use, across block boundaries ---- *)
     let bypass = Array.make n Bytes.empty in
     (match ctx.Context.claims with
@@ -350,7 +308,7 @@ let compute (ctx : Context.t) =
     let region_score_sum = List.fold_left (fun acc r -> acc +. r.score) 0.0 by_region in
     {
       windows = List.rev !windows;
-      by_site;
+      by_site = rank (List.rev !by_site);
       by_register = rank !by_register;
       by_region = rank by_region;
       gaps;

@@ -12,15 +12,11 @@ type t = {
   listed : int; (* length of the layout order *)
   repeats : bool; (* the layout order names some label twice *)
   blocks : Block.t array; (* by layout position *)
-  layout_rpo : int array;
-      (* by layout position below [listed]: the RPO number of the label
-         there, -1 when unreachable *)
   rpo : string array;
+  rpo_pos : int array; (* RPO number -> layout position *)
   rpo_of_pos : int array; (* -1 for unreachable blocks *)
-  rpo_blocks : Block.t array;
   succ_rpo : int array array;
   pred_rpo : int array array;
-  pred_count : int array; (* by RPO number: length of [predecessors] *)
 }
 
 let build func =
@@ -81,13 +77,22 @@ let build func =
   let rpo = Array.of_list !post in
   let rpo_of_pos = Array.make n (-1) in
   Array.iteri (fun k i -> rpo_of_pos.(i) <- k) rpo;
-  let layout_rpo =
-    Array.init listed (fun i ->
-        rpo_of_pos.(if repeats then Hashtbl.find pos labels.(i) else i))
-  in
-  (* The same graph on RPO numbers, for the dense analyses. *)
+  (* The same graph on RPO numbers, for the dense analyses: the reachable
+     positions of [ps], in order. *)
   let numbers ps =
-    Array.of_list (List.filter (fun k -> k >= 0) (List.map (fun i -> rpo_of_pos.(i)) ps))
+    let reachable = List.fold_left (fun c i -> if rpo_of_pos.(i) >= 0 then c + 1 else c) 0 ps in
+    let a = Array.make reachable 0 in
+    ignore
+      (List.fold_left
+         (fun j i ->
+           let k = rpo_of_pos.(i) in
+           if k >= 0 then begin
+             a.(j) <- k;
+             j + 1
+           end
+           else j)
+         0 ps);
+    a
   in
   {
     func;
@@ -97,13 +102,11 @@ let build func =
     listed;
     repeats;
     blocks;
-    layout_rpo;
     rpo = Array.map (fun i -> labels.(i)) rpo;
+    rpo_pos = rpo;
     rpo_of_pos;
-    rpo_blocks = Array.map (fun i -> blocks.(i)) rpo;
     succ_rpo = Array.map (fun i -> numbers succ.(i)) rpo;
     pred_rpo = Array.map (fun i -> numbers pred_pos.(i)) rpo;
-    pred_count = Array.map (fun i -> List.length preds.(i)) rpo;
   }
 
 let predecessors t l =
@@ -135,17 +138,20 @@ let num_reachable t = Array.length t.rpo
 
 let rpo_label t i = t.rpo.(i)
 
-let rpo_block t i = t.rpo_blocks.(i)
+let rpo_block t i = t.blocks.(t.rpo_pos.(i))
 
 let rpo_succs t i = t.succ_rpo.(i)
 
 let rpo_preds t i = t.pred_rpo.(i)
 
-let rpo_pred_count t i = t.pred_count.(i)
+let rpo_pred_count t i = List.length t.preds.(t.rpo_pos.(i))
 
 let clean_layout t = (not t.repeats) && t.dangling = []
 
+(* A label listed twice is known by its last position, the one the DFS
+   numbered. *)
 let iter_layout t f =
   for i = 0 to t.listed - 1 do
-    f t.layout_rpo.(i) t.blocks.(i)
+    let b = t.blocks.(i) in
+    f t.rpo_of_pos.(if t.repeats then Hashtbl.find t.pos b.Block.label else i) b
   done
