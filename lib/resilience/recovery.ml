@@ -121,10 +121,10 @@ type exec = {
       (* per register, the checkpoint color (below [Layout.colors]) whose
          slot holds its latest verified value ('\000', the base slot, when
          none was recorded); grown on demand *)
-  live : Reg.Set.t array array;
-      (* a pilot's registers live before each instruction, by block index
-         and instruction index (see [converged]); empty outside a pilot
-         and its snapshots and forks *)
+  live : Reg.t array array array;
+      (* a pilot's registers live before each instruction, in increasing
+         order, by block index and instruction index (see [converged]);
+         empty outside a pilot and its snapshots and forks *)
   claims : claims option;
   mutable open_region : dynamic_region option;
   mutable pending : dynamic_region list; (* closed, unverified; oldest first *)
@@ -608,7 +608,12 @@ let live_table (compiled : Pass_pipeline.t) =
   let func = compiled.Pass_pipeline.prog.Prog.func in
   let live = Liveness.compute (Cfg.build func) in
   Array.of_list
-    (List.map (fun l -> Liveness.live_before_each live (Func.block func l)) (Func.labels func))
+    (List.map
+       (fun l ->
+         Array.map
+           (fun regs -> Array.of_list (Reg.Set.elements regs))
+           (Liveness.live_before_each live (Func.block func l)))
+       (Func.labels func))
 
 (* Whether a fork with no fault, detection or taint left has rejoined the
    pilot at snapshot [s]: the same pc, the same values in the registers
@@ -621,10 +626,44 @@ let converged ex (s : snapshot) =
   st.Interp.block = ss.Interp.block
   && st.Interp.index = ss.Interp.index
   && (not st.Interp.halted)
-  && Reg.Set.for_all
+  && Array.for_all
        (fun r -> Interp.get_reg st r = Interp.get_reg ss r)
        s.live.(ss.Interp.block).(ss.Interp.index)
   && Mem.first_diff ~hi:Layout.ckpt_base st.Interp.mem ss.Interp.mem = None
+
+(* A fork's own state at its first strike, taken while it is still on the
+   fault-free path: up to that step it has replayed the pilot exactly, so
+   this is the pilot's state at [site_pos]. It keeps what [converged]
+   compares and nothing more: the pc, the values of the registers live
+   there (in the live table's order) and a fork of memory. *)
+type strike_site = {
+  site_pos : int;
+  site_block : int;
+  site_index : int;
+  site_live : int array;
+  site_mem : Mem.t;
+}
+
+let strike_site ex =
+  let st = ex.st in
+  {
+    site_pos = position ex;
+    site_block = st.Interp.block;
+    site_index = st.Interp.index;
+    site_live = Array.map (Interp.get_reg st) ex.live.(st.Interp.block).(st.Interp.index);
+    site_mem = Mem.fork st.Interp.mem;
+  }
+
+(* [converged], against the strike site. *)
+let rejoined_site ex s =
+  let st = ex.st in
+  st.Interp.block = s.site_block
+  && st.Interp.index = s.site_index
+  && (not st.Interp.halted)
+  && Array.for_all2
+       (fun r v -> Interp.get_reg st r = v)
+       ex.live.(s.site_block).(s.site_index) s.site_live
+  && Mem.first_diff ~hi:Layout.ckpt_base st.Interp.mem s.site_mem = None
 
 let finish ex =
   {
@@ -675,9 +714,14 @@ let drive ?capture ?pilot ex =
     }
   in
   let detection_pending () = ex.detection_step < max_int in
-  (* Convergence cursor: only pilot snapshots strictly ahead of the fork
-     position are candidates. The cursor never moves backwards — after a
-     recovery the position rewinds and simply catches up to it again. *)
+  (* Convergence checks. The first is at the fork's own strike site: a
+     recovery restarts a region that began before the strike, so the
+     position comes back to it, and [site] holds the pilot's state there
+     until it has been compared once. The others use a cursor over the
+     pilot snapshots strictly ahead of the fork position. The cursor never
+     moves backwards — after a recovery the position rewinds and simply
+     catches up to it again. *)
+  let site = ref None in
   let oidx = ref 0 in
   (match pilot with
   | Some p ->
@@ -687,15 +731,22 @@ let drive ?capture ?pilot ex =
     done
   | None -> ());
   (* The next step at which a quiet run must stop: the next strike, else
-     the next convergence check (at the cursor's snapshot position, in
-     steps), and the pilot's next capture. *)
+     the next convergence check (the strike site while the position has
+     not passed it, and the cursor's snapshot, as positions in steps), and
+     the pilot's next capture. *)
   let next_due () =
     let strike_or_check =
       match (ex.remaining, pilot) with
       | (f : Fault.t) :: _, _ -> f.Fault.at_step
-      | [], Some p when !oidx < Array.length p.snapshots ->
-        snapshot_step p.snapshots.(!oidx) + ex.delta
-      | [], (Some _ | None) -> max_int
+      | [], Some p ->
+        let snap =
+          if !oidx < Array.length p.snapshots then snapshot_step p.snapshots.(!oidx) + ex.delta
+          else max_int
+        in
+        (match !site with
+        | Some s when s.site_pos + ex.delta >= st.Interp.steps -> min snap (s.site_pos + ex.delta)
+        | Some _ | None -> snap)
+      | [], None -> max_int
     in
     match capture with Some c -> min c.next strike_or_check | None -> strike_or_check
   in
@@ -742,35 +793,50 @@ let drive ?capture ?pilot ex =
       (* Convergence early exit: once the fault has struck, its detection
          has been handled and no taint is live, a fork whose architectural
          state (pc, live registers, non-checkpoint memory) matches the
-         pilot's snapshot at the same fault-free position has a fully
-         determined future — the rest of the run is the pilot's suffix.
-         Dead registers and checkpoint storage are excluded from the
+         pilot's at the same fault-free position has a fully determined
+         future — the rest of the run is the pilot's suffix. Dead
+         registers and checkpoint storage are excluded from the
          comparison: the program writes a dead register before it reads
          it, and it reads checkpoint storage, whose slot contents and
          coloring history legitimately differ after a recovery, only
-         during recovery itself, which can no longer occur. *)
+         during recovery itself, which can no longer occur. The strike
+         site is compared first; when it differs (a store released
+         between the strike and its detection is not undone), the
+         pilot's snapshots are compared as before. *)
       (match pilot with
       | Some p
         when ex.remaining = []
              && (not (detection_pending ()))
              && Reg.Set.is_empty ex.tainted ->
         let pos = position ex in
+        let at_site =
+          match !site with
+          | Some s when s.site_pos = pos ->
+            site := None;
+            rejoined_site ex s
+          | Some _ | None -> false
+        in
         let n = Array.length p.snapshots in
-        while !oidx < n && snapshot_step p.snapshots.(!oidx) < pos do
-          incr oidx
-        done;
-        if !oidx < n && snapshot_step p.snapshots.(!oidx) = pos then begin
-          if converged ex p.snapshots.(!oidx) then begin
-            let left = p.outcome.state.Interp.steps - pos in
-            if ex.budget >= left then early := Some left
-            else
-              (* The determined suffix is longer than the remaining fuel:
-                 report exhaustion exactly where the full replay would. *)
-              raise
-                (Out_of_fuel
-                   { recoveries = ex.recoveries; steps = st.Interp.steps + ex.budget })
-          end
-          else oidx := !oidx + 1
+        let at_snapshot () =
+          while !oidx < n && snapshot_step p.snapshots.(!oidx) < pos do
+            incr oidx
+          done;
+          !oidx < n
+          && snapshot_step p.snapshots.(!oidx) = pos
+          &&
+          let c = converged ex p.snapshots.(!oidx) in
+          if not c then incr oidx;
+          c
+        in
+        if at_site || at_snapshot () then begin
+          let left = p.outcome.state.Interp.steps - pos in
+          if ex.budget >= left then early := Some left
+          else
+            (* The determined suffix is longer than the remaining fuel:
+               report exhaustion exactly where the full replay would. *)
+            raise
+              (Out_of_fuel
+                 { recoveries = ex.recoveries; steps = st.Interp.steps + ex.budget })
         end
       | Some _ | None -> ());
       if !early = None then begin
@@ -793,6 +859,11 @@ let drive ?capture ?pilot ex =
           (match ex.remaining with
           | (f : Fault.t) :: rest when now >= f.Fault.at_step ->
             ex.remaining <- rest;
+            (* Only the first strike of a fork finds it still on the
+               fault-free path: the next lands with a detection pending or
+               after a recovery. *)
+            if Option.is_some pilot && ex.recoveries = 0 && quiet ex then
+              site := Some (strike_site ex);
             Interp.set_reg st f.Fault.reg
               (Interp.get_reg st f.Fault.reg lxor f.Fault.xor_mask);
             ex.tainted <- Reg.Set.add f.Fault.reg ex.tainted;

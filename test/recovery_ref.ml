@@ -1,16 +1,18 @@
 (* Reference recovery executor for differential tests: the [Recovery] that
    the due-step-gated one in [Turnpike_resilience] replaced, kept as it
-   was, with three changes: [resume] takes the fault list to fork
+   was, with four changes: [resume] takes the fault list to fork
    ([~faults], sorted as [run] sorts it) where it took one fault, so that
    fault-free and multi-fault runs can be forked too; a load's address
    comes from the interpreter's [on_access] hook, which now reports it,
-   instead of its event; and [converged] compares only the registers live
-   at the pc, as [Recovery]'s does, computing that liveness afresh with
-   the reference analyses at every check. Every loop iteration re-checks
-   strikes, detections, verifications and the convergence oracle, and
-   every checkpoint location lives in a hash table. Slower, but the new
-   executor must produce exactly its outcomes, exceptions and forensic
-   bytes. *)
+   instead of its event; [converged] compares only the registers live at
+   the pc, as [Recovery]'s does, computing that liveness afresh with the
+   reference analyses at every check; and a fork captures its whole state
+   at its first strike and compares against it, before the snapshots,
+   when its position comes back there, as [Recovery]'s does with a lean
+   copy. Every loop iteration re-checks strikes, detections,
+   verifications and the convergence oracle, and every checkpoint
+   location lives in a hash table. Slower, but the new executor must
+   produce exactly its outcomes, exceptions and forensic bytes. *)
 
 (* Region-transactional executor: the functional (architectural) model of
    Turnstile/Turnpike error containment and recovery.
@@ -708,6 +710,9 @@ let drive ?observer ?oracle ex =
      position are candidates. The cursor never moves backwards — after a
      recovery the position rewinds and simply catches up to it again. *)
   let oidx = ref 0 in
+  (* The fork's whole state at its first strike, while no recovery, taint
+     or detection has happened: the pilot's state at that position. *)
+  let site = ref None in
   (match oracle with
   | Some o ->
     let pos0 = position ex in
@@ -760,22 +765,30 @@ let drive ?observer ?oracle ex =
            && (not (detection_pending ()))
            && Reg.Set.is_empty ex.tainted ->
       let pos = position ex in
-      let n = Array.length o.snaps in
-      while !oidx < n && o.snaps.(!oidx).snap_step < pos do
-        incr oidx
-      done;
-      if !oidx < n && o.snaps.(!oidx).snap_step = pos then begin
-        if converged ex o.snaps.(!oidx) then begin
-          let left = o.final_steps - pos in
-          if ex.budget >= left then early := Some left
-          else
-            (* The determined suffix is longer than the remaining fuel:
-               report exhaustion exactly where the full replay would. *)
-            raise
-              (Out_of_fuel
-                 { recoveries = ex.recoveries; steps = st.Interp.steps + ex.budget })
+      let adopt () =
+        let left = o.final_steps - pos in
+        if ex.budget >= left then early := Some left
+        else
+          (* The determined suffix is longer than the remaining fuel:
+             report exhaustion exactly where the full replay would. *)
+          raise
+            (Out_of_fuel
+               { recoveries = ex.recoveries; steps = st.Interp.steps + ex.budget })
+      in
+      (* The strike site first, compared once; then the snapshots. *)
+      (match !site with
+      | Some s when s.snap_step = pos ->
+        site := None;
+        if converged ex s then adopt ()
+      | Some _ | None -> ());
+      if !early = None then begin
+        let n = Array.length o.snaps in
+        while !oidx < n && o.snaps.(!oidx).snap_step < pos do
+          incr oidx
+        done;
+        if !oidx < n && o.snaps.(!oidx).snap_step = pos then begin
+          if converged ex o.snaps.(!oidx) then adopt () else oidx := !oidx + 1
         end
-        else oidx := !oidx + 1
       end
     | Some _ | None -> ());
     if !early = None then begin
@@ -796,6 +809,13 @@ let drive ?observer ?oracle ex =
         (match ex.remaining with
         | (f : Fault.t) :: rest when now >= f.Fault.at_step ->
           ex.remaining <- rest;
+          if
+            Option.is_some oracle
+            && ex.recoveries = 0
+            && ex.delta = 0
+            && (not (detection_pending ()))
+            && Reg.Set.is_empty ex.tainted
+          then site := Some (capture ex);
           Interp.set_reg st f.Fault.reg
             (Interp.get_reg st f.Fault.reg lxor f.Fault.xor_mask);
           ex.tainted <- Reg.Set.add f.Fault.reg ex.tainted;
