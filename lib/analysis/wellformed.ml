@@ -29,19 +29,20 @@ let structure func =
       if Func.block_opt func l = None then
         emit ~block:l Diag.Error "layout order mentions an unknown label")
     func.Func.order;
-  Func.iter_blocks
-    (fun b ->
-      if not (Hashtbl.mem in_order b.Block.label) then
-        emit ~block:b.Block.label Diag.Error "block is missing from the layout order";
+  (* The function's table, not its layout order: a block the order leaves
+     out is still one the function has. *)
+  Hashtbl.iter
+    (fun l b ->
+      if not (Hashtbl.mem in_order l) then
+        emit ~block:l Diag.Error "block is missing from the layout order";
       List.iter
         (fun s ->
           if Func.block_opt func s = None then begin
             structural_ok := false;
-            emit ~block:b.Block.label Diag.Error
-              (Printf.sprintf "terminator targets unknown label %s" s)
+            emit ~block:l Diag.Error (Printf.sprintf "terminator targets unknown label %s" s)
           end)
         (Block.successors b))
-    func;
+    func.Func.blocks;
   (!structural_ok, !diags)
 
 let run (ctx : Context.t) =

@@ -146,7 +146,7 @@ let rpo_preds t i = t.pred_rpo.(i)
 
 let rpo_pred_count t i = List.length t.preds.(t.rpo_pos.(i))
 
-let clean_layout t = (not t.repeats) && t.dangling = []
+let clean_layout t = (not t.repeats) && t.dangling = [] && Array.length t.blocks = t.listed
 
 (* A label listed twice is known by its last position, the one the DFS
    numbered. *)

@@ -60,7 +60,7 @@ val iter_layout : t -> (int -> Block.t -> unit) -> unit
     lookup. A label listed twice is visited twice. *)
 
 val clean_layout : t -> bool
-(** The layout order names no label twice and no listed block's
-    terminator names a label the function lacks. (A label the order
-    names that the function lacks, or an entry it lacks, makes {!build}
-    raise.) *)
+(** The layout order names no label twice, leaves out no block of the
+    function, and no listed block's terminator names a label the function
+    lacks. (A label the order names that the function lacks, or an entry
+    it lacks, makes {!build} raise.) *)

@@ -104,6 +104,13 @@ let test_wellformed_rejects () =
   let ds = Registry.run_whole (mkctx ~resilient:false f) in
   check "dangling label flagged" true
     (has_error ~check:"wellformed" ~containing:"unknown label" ds);
+  (* A block the layout order leaves out: the CFG still builds over it,
+     so the layout is not clean and the label checks must see it. *)
+  let f = mkfunc [ blk ~term:(Block.Jump "lost") "entry" []; blk "lost" [] ] in
+  f.Func.order <- [ "entry" ];
+  let ds = Analysis.Wellformed.run (mkctx ~resilient:false f) in
+  check "unlisted block flagged" true
+    (has_error ~check:"wellformed" ~containing:"missing from the layout order" ds);
   (* Virtual register after regalloc. *)
   let f = mkfunc [ blk "entry" [ Instr.Mov (Reg.virt 0, Instr.Imm 1) ] ] in
   let ds = Analysis.Wellformed.run (mkctx ~resilient:false f) in

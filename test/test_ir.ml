@@ -568,6 +568,7 @@ let same_analyses ?(liveness = true) ~what (f : Func.t) =
     fail "iter_layout hands out other records than Func.block";
   let clean =
     List.length (List.sort_uniq String.compare labels) = List.length labels
+    && Hashtbl.length f.Func.blocks = List.length labels
     && List.for_all
          (fun l -> List.for_all (fun s -> Func.block_opt f s <> None) (Cfg.successors cfg l))
          labels
