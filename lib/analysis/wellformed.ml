@@ -26,8 +26,11 @@ let structure func =
       (match Hashtbl.find_opt in_order l with
       | Some _ -> emit ~block:l Diag.Error "label appears twice in layout order"
       | None -> Hashtbl.replace in_order l 1);
-      if Func.block_opt func l = None then
-        emit ~block:l Diag.Error "layout order mentions an unknown label")
+      if Func.block_opt func l = None then begin
+        (* [Cfg.build] cannot resolve it either. *)
+        structural_ok := false;
+        emit ~block:l Diag.Error "layout order mentions an unknown label"
+      end)
     func.Func.order;
   (* The function's table, not its layout order: a block the order leaves
      out is still one the function has. *)
@@ -68,8 +71,8 @@ let run (ctx : Context.t) =
     ok
   in
   (* The CFG (and every analysis built on it) is only constructible once
-     every terminator target resolves; with dangling labels the structural
-     errors are the whole story. *)
+     every layout label and terminator target resolves; with dangling
+     labels the structural errors are the whole story. *)
   if not structural_ok then Diag.sort !diags
   else begin
   let cfg = Context.cfg ctx in

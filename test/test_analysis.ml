@@ -111,6 +111,13 @@ let test_wellformed_rejects () =
   let ds = Analysis.Wellformed.run (mkctx ~resilient:false f) in
   check "unlisted block flagged" true
     (has_error ~check:"wellformed" ~containing:"missing from the layout order" ds);
+  (* A layout order naming a label the function lacks: the CFG cannot be
+     built, so the structural error is the whole report. *)
+  let f = mkfunc [ blk "entry" [] ] in
+  f.Func.order <- [ "entry"; "ghost" ];
+  let ds = Analysis.Wellformed.run (mkctx ~resilient:false f) in
+  check "unknown layout label flagged" true
+    (has_error ~check:"wellformed" ~containing:"mentions an unknown label" ds);
   (* Virtual register after regalloc. *)
   let f = mkfunc [ blk "entry" [ Instr.Mov (Reg.virt 0, Instr.Imm 1) ] ] in
   let ds = Analysis.Wellformed.run (mkctx ~resilient:false f) in
