@@ -107,8 +107,17 @@ val run :
     {!run} with the same fault and config: the pre-strike prefix of the
     faulted run is identical to the pilot, and once the fault's effects
     have fully healed (no fault left, no detection pending, no taint) the
-    fork recognises that its state has re-converged with a later pilot
-    snapshot and adopts the pilot's suffix instead of re-executing it.
+    fork recognises that its state has re-converged with the pilot's and
+    adopts the pilot's suffix instead of re-executing it.
+
+    The fork compares itself first at its own strike site. Up to its
+    first strike it replays the pilot exactly, so there it keeps the pc,
+    the values of the registers live at the pc and a fork of its memory:
+    the pilot's state at that position. Recovery restarts a region that
+    began before the strike, so the fork's position comes back to the
+    strike step, and the fork compares once there. When that differs
+    (a store released between the strike and its detection is not
+    undone), it compares at the later pilot snapshots instead.
     Re-converged means the same pc, the same values in the registers
     live before the pc's instruction, and the same memory below
     checkpoint storage: no recovery can follow, so a dead register is
@@ -152,14 +161,14 @@ val resume :
     outcome's [recoveries] and [detections], and its [state]'s pc, step
     count, live registers and memory below checkpoint storage, are
     byte-identical to those of {!run} with the same faults, config and
-    program. On a convergence early exit the release/ckpt counters
-    reflect only the work the fork actually executed, and the state is
-    the pilot's final state, dead registers and checkpoint storage
-    included, with its own copy of the registers and a fork of the
-    memory, so writing to it reaches neither the pilot nor another
-    outcome. The
-    fork shares the snapshot's memory pages and copies only those it
-    writes. [tel] receives the same forensic lifecycle events,
+    program. On a convergence early exit, at the strike site or at a
+    later snapshot, the release/ckpt counters reflect only the work the
+    fork actually executed, and the state is the pilot's final state,
+    dead registers and checkpoint storage included, with its own copy of
+    the registers and a fork of the memory, so writing to it reaches
+    neither the pilot nor another outcome. The fork shares the
+    snapshot's memory pages and copies only those it writes, and its
+    strike-site copy shares the fork's. [tel] receives the same forensic lifecycle events,
     byte-identical to the from-scratch run's (see {!run}): no event
     precedes the strike, and the reconvergence instant is a pure state
     predicate, so adopting the pilot suffix early loses nothing. *)

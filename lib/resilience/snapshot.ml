@@ -14,11 +14,13 @@ type plan = {
          they agreed; an immutable pair, so every domain reads a whole one *)
 }
 
-(* A fork replays at most [every] steps from its snapshot to its strike,
-   and as many from its last recovery to the next convergence check, so
-   a smaller spacing buys cheaper forks with bigger plans: 256 halves both
-   replays against 512, and 128 held about a third more memory on the
-   campaign kernels whose forks reconverge early. *)
+(* A fork replays at most [every] steps from its snapshot to its strike.
+   After a recovery it converges at its own strike site when it can;
+   only when that check fails is its next check the snapshot after the
+   strike, at most [every] steps on. A smaller spacing buys cheaper forks
+   with bigger plans: 256 halves the replay before the strike against
+   512, and 128 held about a third more memory on the campaign kernels
+   whose forks reconverge early. *)
 let every = 256
 
 let record ?config compiled =

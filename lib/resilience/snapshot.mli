@@ -20,8 +20,10 @@ type plan = private {
 
 val every : int
 (** The pilot's snapshot spacing in steps: 256. A fork replays at most
-    this many steps from its snapshot to its strike, and at most this
-    many from its last recovery to the next convergence check. *)
+    this many steps from its snapshot to its strike. After a recovery it
+    converges at its own strike site when it can (see
+    {!Recovery.resume}); when that check fails, its next check is the
+    snapshot after the strike, at most this many steps on. *)
 
 val record : ?config:Recovery.config -> Turnpike_compiler.Pass_pipeline.t -> plan
 (** Run the fault-free pilot and capture a snapshot every {!every} steps.
