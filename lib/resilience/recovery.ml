@@ -615,25 +615,36 @@ let live_table (compiled : Pass_pipeline.t) =
            (Liveness.live_before_each live (Func.block func l)))
        (Func.labels func))
 
-(* Whether a fork with no fault, detection or taint left has rejoined the
-   pilot at snapshot [s]: the same pc, the same values in the registers
-   live there, and the same memory below checkpoint storage. No recovery
-   can follow, so a dead register is written before it is read on every
-   path, and the rest of the run has the pilot's control flow, memory
-   writes and step count. Checkpoint storage is only read by recovery. *)
-let converged ex (s : snapshot) =
-  let st = ex.st and ss = s.st in
-  st.Interp.block = ss.Interp.block
-  && st.Interp.index = ss.Interp.index
+(* Whether a fork with no fault, detection or taint left has rejoined a
+   state the pilot had: the pc [(block, index)], [value i r] in each
+   register [r] live there ([i] its place in the live table's array), and
+   [mem] below checkpoint storage. No recovery can follow, so a dead
+   register is written before it is read on every path, and the rest of
+   the run has the pilot's control flow, memory writes and step count.
+   Checkpoint storage is only read by recovery. *)
+let rejoins ex ~block ~index ~value mem =
+  let st = ex.st in
+  st.Interp.block = block
+  && st.Interp.index = index
   && (not st.Interp.halted)
-  && Array.for_all
-       (fun r -> Interp.get_reg st r = Interp.get_reg ss r)
-       s.live.(ss.Interp.block).(ss.Interp.index)
-  && Mem.first_diff ~hi:Layout.ckpt_base st.Interp.mem ss.Interp.mem = None
+  && begin
+       let live = ex.live.(block).(index) in
+       let rec same i =
+         i = Array.length live || (Interp.get_reg st live.(i) = value i live.(i) && same (i + 1))
+       in
+       same 0
+     end
+  && Mem.first_diff ~hi:Layout.ckpt_base st.Interp.mem mem = None
+
+let converged ex (s : snapshot) =
+  let ss = s.st in
+  rejoins ex ~block:ss.Interp.block ~index:ss.Interp.index
+    ~value:(fun _ r -> Interp.get_reg ss r)
+    ss.Interp.mem
 
 (* A fork's own state at its first strike, taken while it is still on the
    fault-free path: up to that step it has replayed the pilot exactly, so
-   this is the pilot's state at [site_pos]. It keeps what [converged]
+   this is the pilot's state at [site_pos]. It keeps what [rejoins]
    compares and nothing more: the pc, the values of the registers live
    there (in the live table's order) and a fork of memory. *)
 type strike_site = {
@@ -654,16 +665,10 @@ let strike_site ex =
     site_mem = Mem.fork st.Interp.mem;
   }
 
-(* [converged], against the strike site. *)
 let rejoined_site ex s =
-  let st = ex.st in
-  st.Interp.block = s.site_block
-  && st.Interp.index = s.site_index
-  && (not st.Interp.halted)
-  && Array.for_all2
-       (fun r v -> Interp.get_reg st r = v)
-       ex.live.(s.site_block).(s.site_index) s.site_live
-  && Mem.first_diff ~hi:Layout.ckpt_base st.Interp.mem s.site_mem = None
+  rejoins ex ~block:s.site_block ~index:s.site_index
+    ~value:(fun i _ -> s.site_live.(i))
+    s.site_mem
 
 let finish ex =
   {

@@ -562,8 +562,8 @@ let test_plan_must_match_caller () =
    slot table per fork and one more for its strike site), not a copy of
    the pilot's memory, and no event per load or store. Measured on the
    three chase kernels with the most data words, as minor words per
-   forked fault, the verdict included: mcf@2017 2,003, astar 1,556 and
-   radiosity 1,785 (2,201, 1,717 and 2,050 converging only at later
+   forked fault, the verdict included: mcf@2017 2,002, astar 1,555 and
+   radiosity 1,784 (2,201, 1,717 and 2,050 converging only at later
    pilot snapshots; 6,456, 3,053 and 5,517 with 256-word pages,
    snapshots every 512 steps and a convergence test on every register),
    so the budget leaves about 25% headroom. A deterministic stand-in for
