@@ -807,7 +807,7 @@ let drive ?capture ?pilot ex =
          during recovery itself, which can no longer occur. The strike
          site is compared first; when it differs (a store released
          between the strike and its detection is not undone), the
-         pilot's snapshots are compared as before. *)
+         pilot's later snapshots are compared instead. *)
       (match pilot with
       | Some p
         when ex.remaining = []
