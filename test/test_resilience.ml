@@ -133,6 +133,35 @@ let test_no_fault_turnstile_config () =
   check_int "nothing fast released without CLQ" 0 out.Recovery.fast_released_stores;
   check "everything quarantined" true (out.Recovery.quarantined_writes > 0)
 
+(* The timing model and a fault-free run of the executor make the same
+   fast-release decisions: per suite kernel at scale 2 under turnpike,
+   the timing model at WCDL 10 releases as many WAR-free stores and
+   colors as many checkpoints as the executor at a 10-step verification
+   delay. At longer delays the two schedules part (ROADMAP item 2: at 20
+   only 22 kernels agree on WAR-free releases, at 40 only 17), so only 10
+   is asserted. The totals show that the comparison is not vacuous. *)
+let test_models_agree_on_fast_release () =
+  let opts = Turnpike.Scheme.compile_opts Turnpike.Scheme.turnpike ~sb_size:4 in
+  let machine = Turnpike.Scheme.machine Turnpike.Scheme.turnpike ~wcdl:10 ~sb_size:4 in
+  let config = { Recovery.default_config with Recovery.verify_delay = 10 } in
+  let totals =
+    List.fold_left
+      (fun (war_free, colored) b ->
+        let name = Suite.qualified_name b in
+        let compiled = Pass_pipeline.compile ~opts (b.Suite.build ~scale:2) in
+        let trace, _ = Interp.trace_run ~fuel:config.Recovery.fuel compiled.Pass_pipeline.prog in
+        check (name ^ ": trace complete") true trace.Trace.complete;
+        let timing = Turnpike_arch.Timing.simulate machine trace in
+        let out = Recovery.run ~config compiled in
+        let s = timing.Turnpike_arch.Sim_stats.war_free_released in
+        check_int (name ^ ": WAR-free releases") s out.Recovery.fast_released_stores;
+        let c = timing.Turnpike_arch.Sim_stats.colored_released in
+        check_int (name ^ ": colored checkpoints") c out.Recovery.colored_ckpts;
+        (war_free + s, colored + c))
+      (0, 0) (Suite.all ())
+  in
+  check "totals" true (totals = (12_148, 57_735))
+
 let test_single_fault_recovers () =
   let c = compiled_of "libquan" in
   let fault = Fault.single_bit ~at_step:500 ~reg:2 ~bit:3 in
@@ -1020,6 +1049,7 @@ let tests =
     ("executor = reference executor", `Slow, test_reference_differential);
     ("no-fault matches golden", `Quick, test_no_fault_matches_golden);
     ("no-fault turnstile config", `Quick, test_no_fault_turnstile_config);
+    ("timing and recovery agree on fast release", `Quick, test_models_agree_on_fast_release);
     ("single fault recovers", `Quick, test_single_fault_recovers);
     ("fault campaigns SDC-free", `Slow, test_fault_campaigns_sdc_free);
     ("turnstile-config campaign SDC-free", `Quick, test_fault_campaign_turnstile_config);
