@@ -11,7 +11,8 @@
      verification, SB entries release only WCDL cycles after their region
      ends (one per cycle through a shared drain port);
    - fast release: WAR-free regular stores (CLQ) and colored checkpoint
-     stores bypass the store buffer entirely. *)
+     stores bypass the store buffer entirely; [Fast_release], which the
+     recovery executor shares, makes those decisions. *)
 
 open Turnpike_ir
 module Telemetry = Turnpike_telemetry
@@ -37,8 +38,7 @@ type t = {
   mem : Mem_hierarchy.t;
   sb : Store_buffer.t;
   rbb : Rbb.t;
-  clq : Clq.t option;
-  coloring : Coloring.t option;
+  fast : Fast_release.t option; (* [None]: neither a CLQ nor color maps *)
   predictor : Branch_predictor.t;
   stats : Sim_stats.t;
   mutable ready : int array; (* register ready cycles, by register id *)
@@ -59,8 +59,9 @@ let create ?(tel = Telemetry.null) (machine : Machine.t) =
     mem = Mem_hierarchy.create machine.mem;
     sb = Store_buffer.create machine.sb_size;
     rbb = Rbb.create machine.rbb_size;
-    clq = Option.map Clq.create machine.clq;
-    coloring = (if machine.coloring then Some (Coloring.create ~colors:machine.Machine.colors ~nregs:machine.nregs ()) else None);
+    fast =
+      Fast_release.create ~clq:machine.clq ~coloring:machine.coloring
+        ~colors:machine.colors ~nregs:machine.nregs;
     predictor = Branch_predictor.create ();
     stats = Sim_stats.create ();
     ready = Array.make 64 0;
@@ -133,7 +134,7 @@ let ev_region_open t ~static_id ~seq =
         ("rbb_unverified", Telemetry.Int (Rbb.unverified_count t.rbb));
         ( "clq_entries",
           Telemetry.Int
-            (match t.clq with Some c -> Clq.entries_in_use c | None -> 0) );
+            (match t.fast with Some fr -> Fast_release.clq_entries fr | None -> 0) );
       ]
   end
 
@@ -152,20 +153,15 @@ let ev_region_close t ~seq =
 (* Background events (region verifications, SB drains) up to and including
    [cycle]. Verify, oldest first, every closed region whose WCDL window
    has elapsed: its quarantined stores get drain cycles, and its
-   colorings and CLQ entries are cleared. *)
+   colorings take effect and its CLQ entry clears. *)
 let rec verify_regions t ~cycle =
   let verify_at = Rbb.next_verify_time t.rbb in
   if verify_at <= cycle then begin
     let region = Rbb.verify_oldest t.rbb in
     let start = Int.max verify_at t.drain_free_at in
     t.drain_free_at <- Store_buffer.assign_releases t.sb ~region ~start;
-    (match t.coloring with
-    | Some col -> Coloring.on_region_verified col ~region
-    | None -> ());
-    (match t.clq with
-    | Some clq ->
-      Clq.on_region_verified clq ~region;
-      Clq.maybe_enable clq ~unverified_regions:(Rbb.unverified_count t.rbb)
+    (match t.fast with
+    | Some fr -> Fast_release.verify fr ~region ~unverified:(Rbb.unverified_count t.rbb)
     | None -> ());
     verify_regions t ~cycle
   end
@@ -280,10 +276,10 @@ let handle_boundary t ~static_id =
     t.stats.rbb_stall_cycles <- t.stats.rbb_stall_cycles + (t.cycle - waited_from);
     ev_stall t ~name:"rbb_full" ~from:waited_from ~until:t.cycle
   end;
-  (match t.clq with
-  | Some clq ->
-    Clq.maybe_enable clq ~unverified_regions:(Rbb.unverified_count t.rbb);
-    Clq.sample clq
+  (match t.fast with
+  | Some fr ->
+    Fast_release.enable_at_boundary fr ~unverified:(Rbb.unverified_count t.rbb);
+    Fast_release.sample fr
   | None -> ());
   let seq = Rbb.open_region t.rbb in
   ev_region_open t ~static_id ~seq;
@@ -303,8 +299,8 @@ let handle_store t ~ready ~addr ~is_ckpt =
     let region = Rbb.current_seq t.rbb in
     let fast =
       (not is_ckpt)
-      && (match t.clq with
-         | Some clq -> Clq.war_free clq ~region addr
+      && (match t.fast with
+         | Some fr -> Fast_release.war_free fr ~region addr
          | None -> false)
       && not (Store_buffer.contains_addr t.sb addr)
     in
@@ -340,8 +336,8 @@ let handle_ckpt t ~src =
   let fast_color =
     if not t.machine.verification then None
     else
-      match t.coloring with
-      | Some col when Reg.is_physical src -> Coloring.try_assign col ~reg:src ~region
+      match t.fast with
+      | Some fr when Reg.is_physical src -> Fast_release.color fr ~reg:src ~region
       | Some _ | None -> None
   in
   let ready = reg_ready t src in
@@ -374,9 +370,9 @@ let handle_load t ~dst ~srcs ~addr =
     else Mem_hierarchy.load_latency t.mem addr
   in
   set_ready t dst (c + lat);
-  match t.clq with
-  | Some clq when t.machine.verification ->
-    let overflowed = Clq.record_load clq ~region:(Rbb.current_seq t.rbb) addr in
+  match t.fast with
+  | Some fr when t.machine.verification ->
+    let overflowed = Fast_release.record_load fr ~region:(Rbb.current_seq t.rbb) addr in
     if overflowed && ev_enabled t then
       Telemetry.instant t.tel ~ts:c ~tid:track_clq ~cat:"clq"
         ~args:[ ("addr", Telemetry.Int addr) ]
@@ -389,15 +385,7 @@ let finalize t (trace : Trace.t) =
   ev_region_close t ~seq:(Rbb.current_seq t.rbb);
   t.stats.cycles <- t.cycle + 1;
   t.stats.complete <- trace.Trace.complete;
-  (match t.clq with
-  | Some clq ->
-    t.stats.clq_overflows <- Clq.overflows clq;
-    t.stats.clq_mean_populated <- Clq.mean_populated clq;
-    t.stats.clq_max_populated <- Clq.max_populated clq
-  | None -> ());
-  (match t.coloring with
-  | Some col -> t.stats.coloring_fallbacks <- Coloring.fallbacks col
-  | None -> ());
+  (match t.fast with Some fr -> Fast_release.record_stats fr t.stats | None -> ());
   t.stats.sb_mean_occupancy <- Store_buffer.mean_occupancy t.sb;
   t.stats.l1_hit_rate <- Cache.hit_rate (Mem_hierarchy.l1 t.mem);
   t.stats.branch_mispredicts <- Branch_predictor.mispredicts t.predictor;

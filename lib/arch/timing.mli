@@ -5,7 +5,8 @@
     in-order pipeline, capturing the three mechanisms behind the paper's
     overheads: checkpoint data hazards, store-buffer/RBB structural hazards
     under WCDL-delayed release, and Turnpike's fast-release paths (CLQ for
-    WAR-free regular stores, hardware coloring for checkpoint stores). *)
+    WAR-free regular stores, hardware coloring for checkpoint stores),
+    decided by {!Fast_release}. *)
 
 exception Partitioning_violation of string
 (** Raised in [strict_partitioning] mode when a single region fills the

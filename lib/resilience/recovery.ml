@@ -5,9 +5,9 @@
    - quarantined stores (and fallback checkpoints) apply to memory but are
      undo-logged per dynamic region; a region's log is dropped (committed)
      when the region verifies, [verify_delay] steps after it ends;
-   - WAR-free regular stores (decided by the same CLQ logic the hardware
-     uses) and colored checkpoint stores are released immediately with no
-     undo entry;
+   - WAR-free regular stores and colored checkpoint stores are released
+     immediately with no undo entry; [Turnpike_arch.Fast_release], which
+     the timing model shares, decides both;
    - a fault flips bits of a register mid-run; the strike is detected
      within [verify_delay] steps (acoustic sensors), or immediately when a
      tainted register is about to be used for addressing (register parity
@@ -30,7 +30,7 @@
 
 open Turnpike_ir
 module Clq = Turnpike_arch.Clq
-module Coloring = Turnpike_arch.Coloring
+module Fast_release = Turnpike_arch.Fast_release
 module Pass_pipeline = Turnpike_compiler.Pass_pipeline
 module Telemetry = Turnpike_telemetry
 
@@ -115,8 +115,7 @@ type exec = {
   compiled : Pass_pipeline.t;
   code : Interp.program; (* [compiled]'s program, decoded once *)
   st : Interp.state;
-  clq : Clq.t option;
-  col : Coloring.t option;
+  fast : Fast_release.t option; (* [None]: neither a CLQ nor coloring *)
   mutable verified_color : Bytes.t;
       (* per register, the checkpoint color (below [Layout.colors]) whose
          slot holds its latest verified value ('\000', the base slot, when
@@ -234,24 +233,12 @@ let quarantined_write ex st addr value =
    drains into storage now. *)
 let drain_ckpt ex = function
   | Colored (reg, c) -> set_verified_color ex reg c
-  | Fallback (reg, value) -> (
-    match ex.col with
-    | Some col ->
-      (* Drain-time slot choice: a free color if one exists, else
-         overwrite the currently verified color (the value being
-         replaced is superseded by this newer verified one). *)
-      let c =
-        match Coloring.free_color col ~reg with
-        | Some c -> c
-        | None -> Option.value (Coloring.verified_color col ~reg) ~default:0
-      in
-      Interp.set_mem ex.st (Layout.ckpt_slot ~reg ~color:c) value;
-      Coloring.force_verified col ~reg ~color:c;
-      set_verified_color ex reg c
-    | None ->
-      (* Turnstile: a single architected slot per register. *)
-      Interp.set_mem ex.st (Layout.ckpt_slot ~reg ~color:0) value;
-      set_verified_color ex reg 0)
+  | Fallback (reg, value) ->
+    (* Without coloring (Turnstile), a single architected slot per
+       register. *)
+    let c = match ex.fast with Some fr -> Fast_release.drain_color fr ~reg | None -> 0 in
+    Interp.set_mem ex.st (Layout.ckpt_slot ~reg ~color:c) value;
+    set_verified_color ex reg c
 
 (* [ckpts] is newest first: drain the older records before each one, so
    the last checkpoint of a register in the region wins. *)
@@ -262,20 +249,16 @@ let rec drain_ckpts ex = function
     drain_ckpt ex record
 
 let verify_region ex (r : dynamic_region) =
-  (* Commit: drop the undo log, promote the region's colors, publish
-     checkpoint locations, and drain quarantined (fallback) checkpoint
-     values into storage. *)
-  (match ex.col with
-  | Some col -> Coloring.on_region_verified col ~region:r.seq
-  | None -> ());
-  drain_ckpts ex r.ckpts;
-  (match ex.clq with
-  | Some clq ->
-    Clq.on_region_verified clq ~region:r.seq;
-    Clq.maybe_enable clq
-      ~unverified_regions:
+  (* Commit: drop the undo log, promote the region's colors and clear its
+     CLQ entry, publish checkpoint locations, and drain quarantined
+     (fallback) checkpoint values into storage. *)
+  (match ex.fast with
+  | Some fr ->
+    Fast_release.verify fr ~region:r.seq
+      ~unverified:
         (List.length ex.pending + match ex.open_region with Some _ -> 1 | None -> 0)
-  | None -> ())
+  | None -> ());
+  drain_ckpts ex r.ckpts
 
 let rec process_verifications ex ~now =
   match ex.pending with
@@ -297,9 +280,8 @@ let on_boundary ex static_id =
   let now = ex.st.Interp.steps in
   close_open_region ex ~now;
   process_verifications ex ~now;
-  (match ex.clq with
-  | Some clq ->
-    Clq.maybe_enable clq ~unverified_regions:(List.length ex.pending)
+  (match ex.fast with
+  | Some fr -> Fast_release.enable_at_boundary fr ~unverified:(List.length ex.pending)
   | None -> ());
   ignore (start_region ex static_id)
 
@@ -332,8 +314,8 @@ let on_store ex st addr value =
      address) mirrors the hardware check; the undo logs are walked only
      for a store the CLQ would release. *)
   let fast =
-    (match ex.clq with
-    | Some clq -> Clq.war_free clq ~region:r.seq addr
+    (match ex.fast with
+    | Some fr -> Fast_release.war_free fr ~region:r.seq addr
     | None -> false)
     && not (undo_has addr r.undo || pending_has addr ex.pending)
   in
@@ -343,10 +325,12 @@ let on_store ex st addr value =
   end
   else quarantined_write ex st addr value
 
+(* Only a core with a CLQ records loads, so only there does a load open
+   the implicit pre-boundary region. *)
 let on_load ex addr =
-  match ex.clq with
-  | Some clq -> ignore (Clq.record_load clq ~region:(current_region ex).seq addr)
-  | None -> ()
+  match (ex.fast, ex.cfg.clq) with
+  | Some fr, Some _ -> ignore (Fast_release.record_load fr ~region:(current_region ex).seq addr)
+  | Some _, None | None, _ -> ()
 
 let on_ckpt ex st reg =
   let r = current_region ex in
@@ -365,9 +349,9 @@ let on_ckpt ex st reg =
     Interp.set_mem st (Layout.ckpt_slot ~reg ~color:0) value
   end
   else
-    match ex.col with
-    | Some col when Reg.is_physical reg -> (
-      match Coloring.try_assign col ~reg ~region:r.seq with
+    match ex.fast with
+    | Some fr when Reg.is_physical reg -> (
+      match Fast_release.color fr ~reg ~region:r.seq with
       | Some c ->
         ex.colored <- ex.colored + 1;
         r.ckpts <- Colored (reg, c) :: r.ckpts;
@@ -416,13 +400,8 @@ let recover ex ~kind =
   List.iter
     (fun r -> List.iter (fun (a, v) -> Interp.set_mem ex.st a v) r.undo)
     (List.rev ex.pending);
-  (match ex.col with
-  | Some col ->
-    Coloring.discard_unverified col ~regions:(List.map (fun r -> r.seq) ex.pending)
-  | None -> ());
-  (match ex.clq with
-  | Some clq ->
-    List.iter (fun r -> Clq.on_region_verified clq ~region:r.seq) ex.pending
+  (match ex.fast with
+  | Some fr -> Fast_release.discard fr ~regions:(List.map (fun r -> r.seq) ex.pending)
   | None -> ());
   set_pending ex [];
   ex.tainted <- Reg.Set.empty;
@@ -529,8 +508,9 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
     compiled;
     code = Interp.decode compiled.Pass_pipeline.prog;
     st = Interp.init compiled.Pass_pipeline.prog;
-    clq = Option.map Clq.create config.clq;
-    col = (if config.coloring then Some (Coloring.create ~nregs ()) else None);
+    fast =
+      Fast_release.create ~clq:config.clq ~coloring:config.coloring ~colors:Layout.colors
+        ~nregs;
     verified_color = Bytes.make nregs '\000';
     live = [||];
     claims = claims_of config compiled;
@@ -589,8 +569,7 @@ let copy ?(faults = []) ?(tel = Telemetry.null) ex =
   {
     ex with
     st = { st with Interp.regs = Array.copy st.Interp.regs; mem = Mem.fork st.Interp.mem };
-    clq = Option.map Clq.copy ex.clq;
-    col = Option.map Coloring.copy ex.col;
+    fast = Option.map Fast_release.copy ex.fast;
     verified_color = Bytes.copy ex.verified_color;
     open_region = Option.map copy_region ex.open_region;
     remaining = faults;

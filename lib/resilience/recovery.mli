@@ -2,11 +2,12 @@
     Turnstile/Turnpike error containment and recovery.
 
     Quarantined stores are undo-logged per dynamic region and commit when
-    the region verifies; WAR-free regular stores (CLQ decision) and colored
-    checkpoint stores release immediately; a fault flips register bits
-    mid-run and is detected by the sensors within the verification window —
-    or immediately by register parity when a tainted register is about to
-    address memory (paper §5). Detection rolls back every unverified
+    the region verifies; WAR-free regular stores and colored checkpoint
+    stores release immediately, as {!Turnpike_arch.Fast_release} decides
+    for this executor and the timing model alike; a fault flips register
+    bits mid-run and is detected by the sensors within the verification
+    window — or immediately by register parity when a tainted register is
+    about to address memory (paper §5). Detection rolls back every unverified
     region, restores the restart region's live-in registers from verified
     checkpoint storage (running pruning's reconstruction expressions) and
     resumes at the region head.
