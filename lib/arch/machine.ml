@@ -16,7 +16,6 @@ type t = {
   baseline_drain : int;
   nregs : int;
   mem : Mem_hierarchy.config;
-  strict_partitioning : bool;
 }
 
 let base =
@@ -34,7 +33,6 @@ let base =
     baseline_drain = 2;
     nregs = 32;
     mem = Mem_hierarchy.default_config;
-    strict_partitioning = false;
   }
 
 let baseline = base

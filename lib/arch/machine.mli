@@ -21,9 +21,6 @@ type t = {
   baseline_drain : int;  (** SB residency of a store without verification *)
   nregs : int;  (** architectural registers *)
   mem : Mem_hierarchy.config;
-  strict_partitioning : bool;
-      (** raise (instead of force-releasing) if a single region overflows
-          the whole store buffer *)
 }
 
 val baseline : t

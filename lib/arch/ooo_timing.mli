@@ -25,5 +25,4 @@ val simulate : config -> Turnpike_ir.Trace.t -> Sim_stats.t
 (** Replay a trace and return its counters. Under verification, a store
     that finds every store-buffer entry quarantined in its own (still
     open) region, which no wait can free, forces the oldest entry out and
-    counts a [partition_violation], as {!Timing.simulate} does outside
-    [strict_partitioning] mode. *)
+    counts a [partition_violation], as {!Timing.simulate} does. *)

@@ -17,8 +17,6 @@
 open Turnpike_ir
 module Telemetry = Turnpike_telemetry
 
-exception Partitioning_violation of string
-
 (* Timeline track (tid) layout, mirrored by [Telemetry.Export.chrome]
    thread-name metadata in the timeline driver:
    0 regions (B/E spans), 1 stalls (sb_full / rbb_full X-spans),
@@ -236,13 +234,9 @@ let wait_for_sb_entry t =
   while Store_buffer.is_full t.sb do
     let current = Rbb.current_seq t.rbb in
     if Store_buffer.all_unreleasable t.sb ~current_region:current then begin
-      (* A single region filled the whole SB: the compiler's SB-aware
-         partitioning is supposed to prevent this. *)
-      if t.machine.strict_partitioning then
-        raise
-          (Partitioning_violation
-             (Printf.sprintf "region %d holds all %d SB entries" current
-                t.machine.sb_size));
+      (* A single region filled the whole SB, which the compiler's
+         SB-aware partitioning is supposed to prevent: force its oldest
+         entry out. *)
       t.stats.partition_violations <- t.stats.partition_violations + 1;
       match Store_buffer.force_release_oldest t.sb with
       | Some (addr, _) -> Mem_hierarchy.store_release t.mem addr

@@ -8,10 +8,6 @@
     WAR-free regular stores, hardware coloring for checkpoint stores),
     decided by {!Fast_release}. *)
 
-exception Partitioning_violation of string
-(** Raised in [strict_partitioning] mode when a single region fills the
-    whole store buffer — a bug in SB-aware region partitioning. *)
-
 val simulate :
   ?tel:Turnpike_telemetry.sink -> Machine.t -> Turnpike_ir.Trace.t -> Sim_stats.t
 (** Replay a trace on a machine configuration and return its counters.

@@ -846,18 +846,8 @@ let test_timing_ckpt_without_coloring_quarantines () =
   check_int "quarantined" 1 stats.Sim_stats.quarantined;
   check_int "counted as ckpt quarantine" 1 stats.Sim_stats.ckpt_quarantined
 
-let test_timing_strict_partitioning_raises () =
-  let machine = { (Machine.turnstile ~wcdl:10 ()) with Machine.strict_partitioning = true } in
-  let store i = Trace.Store { srcs = []; addr = 8 * i; cls = Trace.Regular_app } in
-  let events = Trace.Boundary { region = 0 } :: List.init 5 (fun i -> store i) in
-  check "raises on overfull region" true
-    (try
-       ignore (Timing.simulate machine { Trace.events = Array.of_list events; complete = true });
-       false
-     with Timing.Partitioning_violation _ -> true)
-
-(* The non-strict escape hatch: a region that issues more stores than the
-   SB holds force-releases its oldest entry instead of raising. Region 1
+(* The forced release: a region that issues more stores than the SB
+   holds, which no wait can free, force-releases its oldest entry. Region 1
    first waits for region 0's entries to verify and drain, then overflows
    the SB three times; the last store waits for region 1 to verify. The
    scale-1 golden and the sweep never take this path, so these counts pin
@@ -1105,7 +1095,6 @@ let tests =
     ("timing WAR dependence quarantines", `Quick, test_timing_war_dependence_quarantines);
     ("timing checkpoint coloring", `Quick, test_timing_ckpt_coloring);
     ("timing turnstile ckpt quarantine", `Quick, test_timing_ckpt_without_coloring_quarantines);
-    ("timing strict partitioning", `Quick, test_timing_strict_partitioning_raises);
     ("timing non-strict partitioning", `Quick, test_timing_nonstrict_partitioning);
     ("timing monotonic in WCDL", `Quick, test_timing_wcdl_monotonic);
     ("ooo hides independent latency", `Quick, test_ooo_hides_independent_latency);
