@@ -142,12 +142,6 @@ let force_verified t ~reg ~color =
     t.cells.((reg * t.colors) + color) <- verified
   end
 
-let invalidate_verified t ~reg =
-  (* A quarantined (fallback) checkpoint of [reg] just verified: the base
-     slot now holds the verified value, so any previously verified color
-     returns to the pool. *)
-  if in_range t reg then free_verified t ~reg ~keep:(-1)
-
 let discard_unverified t ~regions =
   (* Error recovery: colors assigned by regions that will be re-executed
      (or were corrupted) return to the pool. *)

@@ -49,11 +49,6 @@ val force_verified : t -> reg:int -> color:int -> unit
     region's verification: that slot becomes the verified storage; any
     other verified color returns to the pool. *)
 
-val invalidate_verified : t -> reg:int -> unit
-(** A quarantined (fallback) checkpoint of [reg] verified: the base slot
-    holds the verified value, so any previously verified color returns to
-    the pool. *)
-
 val discard_unverified : t -> regions:int list -> unit
 (** Error recovery: colors held by discarded (re-executed) regions return
     to the pool. *)

@@ -114,15 +114,6 @@ let force_verified t ~reg ~color =
     row.(color) <- Verified
   end
 
-let invalidate_verified t ~reg =
-  (* A quarantined (fallback) checkpoint of [reg] just verified: the base
-     slot now holds the verified value, so any previously verified color
-     returns to the pool. *)
-  if in_range t reg then
-    Array.iteri
-      (fun c s -> if s = Verified then t.states.(reg).(c) <- Free)
-      t.states.(reg)
-
 let discard_unverified t ~regions =
   (* Error recovery: colors assigned by regions that will be re-executed
      (or were corrupted) return to the pool. *)
