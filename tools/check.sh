@@ -13,7 +13,10 @@
 #                             the fault-injection campaign (resilience
 #                             table), and the telemetry timeline export
 #                             (turnpike-cli trace), which must also be
-#                             well-formed JSON. Also asserts that
+#                             well-formed JSON and hold verify_window,
+#                             CLQ bypass and colored_bypass events (the
+#                             last two come from the fast-release
+#                             decisions). Also asserts that
 #                             snapshot-forked campaigns are byte-identical
 #                             to from-scratch replays in report, forensic
 #                             tables and lifecycle export (libquan,
@@ -187,6 +190,8 @@ dune exec --no-build bin/turnpike_cli.exe -- trace -b libquan --scale 1 \
 test -s "$tmp/trace_j1.json"
 grep -q '"traceEvents"' "$tmp/trace_j1.json"
 grep -q '"verify_window"' "$tmp/trace_j1.json"
+grep -q '"bypass"' "$tmp/trace_j1.json"
+grep -q '"colored_bypass"' "$tmp/trace_j1.json"
 if command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool "$tmp/trace_j1.json" > /dev/null
 else
