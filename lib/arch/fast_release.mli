@@ -61,7 +61,7 @@ val discard : t -> regions:int list -> unit
 
     A checkpoint that got no color is quarantined and drains at its
     region's verification, after {!verify}. The two models do not yet
-    agree on where it drains (ROADMAP item 2):
+    agree on where it drains:
     - the timing model drains it through the store buffer into the
       register's base slot and leaves the color maps as they are;
     - the executor drains it with {!drain_color}. *)

@@ -137,8 +137,8 @@ let test_no_fault_turnstile_config () =
    fast-release decisions: per suite kernel at scale 2 under turnpike,
    the timing model at WCDL 10 releases as many WAR-free stores and
    colors as many checkpoints as the executor at a 10-step verification
-   delay. At longer delays the two schedules part (ROADMAP item 2: at 20
-   only 22 kernels agree on WAR-free releases, at 40 only 17), so only 10
+   delay. At longer delays the two release schedules part (at 20 only 22
+   kernels agree on WAR-free releases, at 40 only 17), so only 10
    is asserted. The totals show that the comparison is not vacuous. *)
 let test_models_agree_on_fast_release () =
   let opts = Turnpike.Scheme.compile_opts Turnpike.Scheme.turnpike ~sb_size:4 in
